@@ -18,6 +18,10 @@ to end, on the LOD-collapsed lowerings R-T7 uses:
   digest), two different predictor seeds must still produce the same
   (correct) memory digest, and a perfect predictor must eliminate at
   least 90% of the baseline's ``lod_*`` stall cycles.
+* **the default scheduler equals naive** — under the perfect and the
+  coin-0.5 predictor, a run on the default (event-horizon) scheduler
+  must match ``scheduler="naive"`` exactly: cycles, AP/EP stall causes,
+  the stall-bucket partition, speculation counters and memory digest.
 
 Exit status is non-zero on any violated expectation.
 """
@@ -30,6 +34,7 @@ import sys
 
 try:
     from repro.config import MemoryConfig, SMAConfig, SpeculationConfig
+    from repro.core.machine import set_fast_forward
     from repro.harness.runner import run_on_sma
     from repro.kernels import get_kernel, lower_sma
 except ImportError as exc:  # pragma: no cover - CI misconfiguration
@@ -42,11 +47,29 @@ CASES = (("pic_gather", "addr"), ("tridiag", "branch"))
 MEM = MemoryConfig(latency=16, bank_busy=8)
 
 
-def _run(name, variant, speculation, n, seed=7):
+def _run(name, variant, speculation, n, seed=7, metrics=False):
     kernel, inputs = get_kernel(name).instantiate(n, seed)
     lowered = lower_sma(kernel, lod_variant=variant)
     cfg = SMAConfig(memory=MEM, speculation=speculation)
-    return run_on_sma(kernel, inputs, cfg, lowered=lowered)
+    return run_on_sma(kernel, inputs, cfg, lowered=lowered, metrics=metrics)
+
+
+def _default_matches_naive(name, variant, speculation, n):
+    """Run once on the default scheduler and once with naive made the
+    default; compare everything a speculative run reports."""
+    runs = []
+    for fast in (True, False):
+        previous = set_fast_forward(fast)
+        try:
+            run = _run(name, variant, speculation, n, metrics=True)
+        finally:
+            set_fast_forward(previous)
+        runs.append(_fingerprint(run) + (
+            dict(run.result.ep.stall_cycles),
+            run.result.stall_breakdown,
+            run.result.speculation,
+        ))
+    return runs[0] == runs[1]
 
 
 def _fingerprint(run):
@@ -112,6 +135,16 @@ def main() -> int:
               f"{perfect.result.lod_stall_cycles})")
         check(_fingerprint(perfect)[3] == _fingerprint(plain)[3],
               "perfect-predictor outputs word-exact")
+
+        for label, speculation in (
+            ("perfect", SpeculationConfig(mode="perfect", max_depth=16)),
+            ("coin-0.5", coin),
+        ):
+            check(_default_matches_naive(name, variant, speculation,
+                                         args.n),
+                  f"default scheduler == naive under the {label} "
+                  "predictor (cycles, stall buckets, speculation "
+                  "counters, memory digest)")
 
     print("speculation smoke passed")
     return 0

@@ -482,14 +482,19 @@ class AccessProcessor:
         the target bank's free time — the one stall that time alone
         resolves (the stalled ``ldq``'s address is recomputable because
         pc and registers are frozen while stalled; the per-cycle port
-        limit is ignored, which is conservative).  Every other stall
-        cause waits on another component, hence ``None``.
+        limit is ignored, which is conservative).  Sitting out a
+        speculation rollback (``misspeculation``): the end of the
+        penalty.  Every other stall cause waits on another component,
+        hence ``None``.
         """
         if self.halted:
             return None
         cause = self._stalled_on
         if cause is None:
             return now
+        if cause == "misspeculation":
+            t = self._spec.penalty_until
+            return t if t > now else now
         if cause != "memory_busy":
             return None
         entry = self._decoded[self.pc]
@@ -500,8 +505,21 @@ class AccessProcessor:
         a = registers[payload] if tag == _O_REG else payload
         tag, payload = entry[3]
         b = registers[payload] if tag == _O_REG else payload
-        t = self._bank_free[as_address(a + b) % self._nbanks]
+        t = self._bank_free[self._ldq_address(a + b) % self._nbanks]
         return t if t > now else now
+
+    def _ldq_address(self, value) -> int:
+        """The address an ``ldq`` issues to.  A speculative (possibly
+        wrong-path) address is clamped into memory, and one that is not
+        an address at all becomes 0, so a doomed load cannot crash the
+        simulation."""
+        spec = self._spec
+        if spec is None or not spec.stack:
+            return as_address(value)
+        try:
+            return as_address(value) % self.memory.storage.size
+        except (MemoryError_, ValueError, OverflowError):
+            return 0
 
     def _retire(self, new_pc: int | None = None) -> None:
         self.stats.instructions += 1
@@ -586,19 +604,9 @@ class AccessProcessor:
         assert isinstance(dest, Queue)
         target = self.queues.resolve(dest)
         spec = self._spec
-        speculative = spec is not None and spec.in_flight()
-        try:
-            addr = as_address(
-                self._read(instr.srcs[0]) + self._read(instr.srcs[1])
-            )
-        except (MemoryError_, ValueError, OverflowError):
-            if not speculative:
-                raise
-            addr = 0  # wrong-path garbage address; the load is doomed
-        if speculative:
-            # wrong-path addresses may be out of range; clamp so a doomed
-            # speculative load cannot crash the simulation
-            addr %= self.memory.storage.size
+        addr = self._ldq_address(
+            self._read(instr.srcs[0]) + self._read(instr.srcs[1])
+        )
         if not target.can_reserve():
             target.note_full_stall()
             self._stall("queue_full")

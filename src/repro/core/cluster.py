@@ -265,7 +265,9 @@ class SMACluster:
         interpreted ``step_cycle`` replaced by its compiled
         program-specialized step function (unspecializable nodes fall
         back per node).  Cycle counts and every per-node statistic are
-        bit-identical across all four.
+        bit-identical across all four.  Fault injection and speculation
+        narrow the choice as for one machine
+        (:meth:`SMAMachine._effective_scheduler`).
         """
         if scheduler is None:
             if fast_forward is None:
@@ -276,16 +278,10 @@ class SMACluster:
                 f"unknown scheduler {scheduler!r}; expected one of "
                 + ", ".join(SMAMachine.SCHEDULERS)
             )
-        if self.banked.fault_injection and scheduler != "naive":
-            # see SMAMachine.run: only naive ticking exercises the
-            # injected faults faithfully
-            scheduler = "naive"
-        spec_cfg = self.config.speculation
-        if (spec_cfg is not None and spec_cfg.enabled
-                and scheduler != "naive"):
-            # see SMAMachine.run: the fast loops bypass the speculation
-            # hooks, so speculative clusters run under naive ticking
-            scheduler = "naive"
+        for node in self.nodes:
+            # the nodes share this memory and configuration, so they all
+            # narrow alike; each builds its own speculation engine
+            scheduler = node._effective_scheduler(scheduler)
         if scheduler == "codegen":
             self._run_event_horizon(
                 max_cycles, deadlock_window,

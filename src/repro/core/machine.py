@@ -465,7 +465,8 @@ class SMAMachine:
         ``True`` → event-horizon, ``False`` → naive.  Cycle counts and
         every statistic are bit-identical across all four (see the module
         docstring, ``tests/test_fast_forward.py`` and
-        ``tests/test_event_horizon.py``).
+        ``tests/test_event_horizon.py``).  Fault injection and
+        speculation narrow the choice (:meth:`_effective_scheduler`).
         """
         if scheduler is None:
             if fast_forward is None:
@@ -476,19 +477,7 @@ class SMAMachine:
                 f"unknown scheduler {scheduler!r}; expected one of "
                 + ", ".join(self.SCHEDULERS)
             )
-        if self.banked.fault_injection and scheduler != "naive":
-            # the fast schedulers inline memory acceptance (tick_fast /
-            # step_fast) and jump over cycles in which the deterministic
-            # fault predicate would have changed its verdict; only naive
-            # ticking exercises the injected faults faithfully
-            scheduler = "naive"
-        spec_cfg = self.config.speculation
-        if (spec_cfg is not None and spec_cfg.enabled
-                and scheduler != "naive"):
-            # like faults: the fast schedulers inline queue pops and hoist
-            # the done() predicate, bypassing the speculation hooks; only
-            # the naive loop drives prediction/resolution faithfully
-            scheduler = "naive"
+        scheduler = self._effective_scheduler(scheduler)
         if observer is not None:
             if scheduler in ("event-horizon", "codegen") and not getattr(
                 observer, "wants_every_cycle", True
@@ -500,6 +489,26 @@ class SMAMachine:
                 )
             return self._run_traced(max_cycles, deadlock_window, observer)
         return self.SCHEDULERS[scheduler](self, max_cycles, deadlock_window)
+
+    def _effective_scheduler(self, scheduler: str) -> str:
+        """The loop that runs when ``scheduler`` is asked for.
+
+        Fault injection runs naive: the fast schedulers inline memory
+        acceptance (tick_fast / step_fast) and jump over cycles in which
+        the deterministic fault predicate would have changed its
+        verdict.  Speculation (:mod:`repro.core.speculation`) builds its
+        engine here, before a loop is chosen, and runs event-horizon
+        when joint-idle or codegen is asked for: codegen cannot
+        specialize the speculation hooks, and the joint-idle jump
+        ignores the rollback penalty.
+        """
+        if self.banked.fault_injection and scheduler != "naive":
+            return "naive"
+        if not self._spec_ready:
+            self._ensure_speculation()
+        if self._spec is not None and scheduler in ("joint-idle", "codegen"):
+            return "event-horizon"
+        return scheduler
 
     def _run_joint_idle(
         self, max_cycles: int, deadlock_window: int, fast_forward: bool
@@ -702,6 +711,12 @@ class SMAMachine:
         jump, never a wrong one.  Replayed spans go through
         :meth:`_replay_fast`; deadlock and cycle-budget diagnostics fire
         at the identical cycle as naive ticking.
+
+        A speculative machine steps the reference component methods,
+        the only ones that hide poisoned queue heads and call the
+        speculation hooks, resolves predictions after both processors
+        step (as :meth:`step_cycle` does) and is not done while a frame
+        is open.
         """
         banked = self.banked
         ap = self.ap
@@ -719,10 +734,19 @@ class SMAMachine:
         engine_stats = engine.stats
         su_stats = su.stats
         pop = heapq.heappop
-        su_tick = su.tick_fast
-        engine_tick = engine.tick_fast
-        ap_step = ap.step_fast
-        ep_step = ep.step_fast
+        spec = self._spec
+        if spec is None:
+            su_tick = su.tick_fast
+            engine_tick = engine.tick_fast
+            ap_step = ap.step_fast
+            ep_step = ep.step_fast
+            frames = ()
+        else:
+            su_tick = su.tick
+            engine_tick = engine.tick
+            ap_step = ap.step
+            ep_step = ep.step
+            frames = spec.stack
         horizon = self.next_event_time
         take_snapshot = self.stall_snapshot
         on_replay = (
@@ -737,6 +761,7 @@ class SMAMachine:
         while not (
             ap.halted and ep.halted and not engine_streams
             and not saq_slots and (not owns_memory or not comps)
+            and not frames
         ):
             now = self.cycle
             if now >= max_cycles:
@@ -769,6 +794,8 @@ class SMAMachine:
                 ap_step(now)
             if not ep.halted:
                 ep_step(now)
+            if spec is not None:
+                spec.on_cycle(self, now)
             if metrics is not None:
                 metrics.on_cycle(self, now)
             self.cycle = now + 1
@@ -827,8 +854,8 @@ class SMAMachine:
         budget abort).  The compiled loop fully localizes the async
         subsystems' bookkeeping, so it requires them quiescent when it
         takes over; register/queue/memory contents may be anything.
-        Fault injection never reaches here: :meth:`run` downgrades
-        every non-naive scheduler to naive first.
+        Neither fault injection nor speculation reaches here: :meth:`run`
+        sends the first to naive and the second to event-horizon.
         """
         artifact = None
         if (
@@ -873,7 +900,7 @@ class SMAMachine:
         contents do not change across a confirmed-idle span, so the next
         flush attributes every skipped cycle at the correct length)."""
         ap_before, lod_before, ep_before, blocked_before, \
-            dwait_before, mwait_before, queues_before = snapshot
+            dwait_before, mwait_before, queues_before, spec_before = snapshot
         ap = self.ap.stats
         for cause, value in ap.stall_cycles.items():
             delta = value - ap_before.get(cause, 0)
@@ -904,6 +931,16 @@ class SMAMachine:
             delta = stats.full_stalls - full_before
             if delta:
                 stats.full_stalls += delta * count
+        if spec_before is not None:
+            # a refused prediction is retried, and counted, every cycle
+            spec_stats = self._spec.stats
+            depth_before, oracle_before = spec_before
+            spec_stats.depth_refusals += (
+                spec_stats.depth_refusals - depth_before
+            ) * count
+            spec_stats.oracle_refusals += (
+                spec_stats.oracle_refusals - oracle_before
+            ) * count
         if self._metrics is not None:
             self._metrics.on_replay(self, self.cycle, count)
         self.cycle += count
@@ -924,6 +961,7 @@ class SMAMachine:
         ap = self.ap.stats
         ep = self.ep.stats
         su = self.store_unit.stats
+        spec = self._spec
         return (
             dict(ap.stall_cycles),
             ap.lod_events,
@@ -935,6 +973,8 @@ class SMAMachine:
                 (q.stats.empty_stalls, q.stats.full_stalls)
                 for q in self._queue_list
             ],
+            (spec.stats.depth_refusals, spec.stats.oracle_refusals)
+            if spec is not None else None,
         )
 
     def replay_stall_cycles(self, snapshot, count: int) -> None:
@@ -948,36 +988,8 @@ class SMAMachine:
         unchanged, so each skipped cycle would have incremented exactly
         the same counters by exactly the same amounts.
         """
-        ap_before, lod_before, ep_before, blocked_before, \
-            dwait_before, mwait_before, queues_before = snapshot
-        ap = self.ap.stats
-        for cause, value in ap.stall_cycles.items():
-            delta = value - ap_before.get(cause, 0)
-            if delta:
-                ap.stall_cycles[cause] = value + delta * count
-        ap.lod_events += (ap.lod_events - lod_before) * count
-        ep = self.ep.stats
-        for cause, value in ep.stall_cycles.items():
-            delta = value - ep_before.get(cause, 0)
-            if delta:
-                ep.stall_cycles[cause] = value + delta * count
-        engine_stats = self.engine.stats
-        engine_stats.blocked_cycles += (
-            engine_stats.blocked_cycles - blocked_before
-        ) * count
-        su = self.store_unit.stats
-        su.data_wait_cycles += (su.data_wait_cycles - dwait_before) * count
-        su.memory_wait_cycles += (su.memory_wait_cycles - mwait_before) * count
-        for queue, (empty_before, full_before) in zip(
-            self._queue_list, queues_before
-        ):
+        for queue in self._queue_list:
             stats = queue.stats
-            delta = stats.empty_stalls - empty_before
-            if delta:
-                stats.empty_stalls += delta * count
-            delta = stats.full_stalls - full_before
-            if delta:
-                stats.full_stalls += delta * count
             occupancy = len(queue)
             stats.samples += count
             stats.occupancy_sum += occupancy * count
@@ -985,10 +997,7 @@ class SMAMachine:
             # already exists (and occupancy_max already covers it)
             stats.histogram[occupancy] += count
         self._occupancy_sum += sum(map(len, self._load_slots)) * count
-        if self._metrics is not None:
-            # skipped cycles are self.cycle .. self.cycle + count - 1
-            self._metrics.on_replay(self, self.cycle, count)
-        self.cycle += count
+        self._replay_fast(snapshot, count)
 
     # old private names, kept for external callers
     _stall_snapshot = stall_snapshot

@@ -53,10 +53,14 @@ Mechanism
   (recovery penalty + speculation barriers); every elapsed cycle stays
   attributed to exactly one bucket.
 
-Speculation runs only under the reference (naive) scheduler — the fast
-schedulers downgrade, exactly as fault injection does.  Streams are
-speculation barriers: a descriptor op stalls (``spec_barrier``) until
-all frames resolve.
+Speculative runs go through the event-horizon scheduler (the default)
+or naive ticking; a request for ``joint-idle`` or ``codegen`` runs
+event-horizon.  With an engine attached, the event-horizon loop steps
+the components' reference methods — only those hide poisoned heads and
+call the hooks below — and still jumps idle spans: a rollback penalty
+ends at :attr:`SpeculationEngine.penalty_until`, which the AP reports as
+its horizon.  Streams are speculation barriers: a descriptor op stalls
+(``spec_barrier``) until all frames resolve.
 """
 
 from __future__ import annotations
@@ -131,16 +135,31 @@ def build_oracle(machine, max_cycles: int = 10_000_000) -> dict:
     architectural history exactly, so the recorded sequences stay valid
     for the whole speculative run.  Faults are stripped from the clone:
     they perturb timing only, never values.
+
+    The clone runs on the event-horizon loop, whose AP pops the EP→AP
+    queues through ``OperandQueue.pop`` and so feeds the taps.  A loop
+    that pops without the tap (codegen inlines its pops) would leave a
+    tap short of its queue's pop count and silently refuse every
+    prediction; that raises :class:`SimulationError` instead.
     """
     from .machine import SMAMachine
 
     cfg = replace(machine.config, speculation=None, faults=None)
     ref = SMAMachine(machine.ap.program, machine.ep.program, cfg)
     ref.memory._words[:] = machine.memory._words[: ref.memory.size]
-    taps = {"eaq": [], "ebq": []}
-    ref.queues.ep_to_ap_data._tap = taps["eaq"]
-    ref.queues.ep_to_ap_branch._tap = taps["ebq"]
-    ref.run(max_cycles=max_cycles, scheduler="naive")
+    queues = {"eaq": ref.queues.ep_to_ap_data,
+              "ebq": ref.queues.ep_to_ap_branch}
+    taps = {key: [] for key in queues}
+    for key, queue in queues.items():
+        queue._tap = taps[key]
+    ref.run(max_cycles=max_cycles, scheduler="event-horizon")
+    for key, queue in queues.items():
+        if len(taps[key]) < queue.stats.pops:
+            raise SimulationError(
+                f"speculation oracle pre-run recorded {len(taps[key])} of "
+                f"{queue.stats.pops} {key} pops; its scheduler bypassed "
+                "the queue tap"
+            )
     return taps
 
 

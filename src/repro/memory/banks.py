@@ -148,7 +148,10 @@ class BankedMemory:
         their target slot as a bound default (the same encoding the
         checkpoint layer introspects), so matching is by slot identity;
         completions for other consumers are untouched.  Returns the
-        number of completions squashed."""
+        number of completions squashed.
+
+        The heap is mutated in place, because the event-horizon loop
+        holds it in a local across cycles."""
         if not self._completions:
             return 0
         ids = {id(s) for s in slots}
@@ -162,7 +165,7 @@ class BankedMemory:
                 keep.append(entry)
         if removed:
             heapq.heapify(keep)
-            self._completions = keep
+            self._completions[:] = keep
         return removed
 
     def quiescent(self) -> bool:

@@ -27,12 +27,17 @@ from repro.kernels import get_kernel, lower_sma
 MIX_KERNELS = ("daxpy", "hydro", "tridiag", "computed_gather", "pic_gather")
 
 
-def _build_cluster(specs, latency, depth, banks, ports=1):
-    """Lower each (kernel, inputs) at a disjoint base and stage data."""
+def _build_cluster(specs, latency, depth, banks, ports=1,
+                   lod_variants=None, speculation=None):
+    """Lower each (kernel, inputs) at a disjoint base and stage data;
+    ``lod_variants`` gives one lowering variant per node."""
     lowered = []
     base = 16
-    for kernel, _inputs in specs:
-        low = lower_sma(kernel, base=base)
+    for j, (kernel, _inputs) in enumerate(specs):
+        low = lower_sma(
+            kernel, base=base,
+            lod_variant=lod_variants[j] if lod_variants else None,
+        )
         lowered.append(low)
         base = low.layout.end + 16
     queues = QueueConfig(
@@ -50,7 +55,7 @@ def _build_cluster(specs, latency, depth, banks, ports=1):
     )
     cluster = SMACluster(
         [(low.access_program, low.execute_program) for low in lowered],
-        SMAConfig(memory=mem, queues=queues),
+        SMAConfig(memory=mem, queues=queues, speculation=speculation),
     )
     for (kernel, inputs), low in zip(specs, lowered):
         for decl in kernel.arrays:

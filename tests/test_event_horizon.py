@@ -28,7 +28,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import MemoryConfig, QueueConfig, SMAConfig
+from repro.config import (
+    MemoryConfig,
+    QueueConfig,
+    SMAConfig,
+    SpeculationConfig,
+)
 from repro.core import SMACluster, SMAMachine
 from repro.core.descriptors import StreamDescriptor, StreamEngine, StreamKind
 from repro.core.store_unit import StoreUnit
@@ -232,21 +237,40 @@ def _assert_horizons_sound(machine, limit=2_000_000):
     return jumps_checked
 
 
+#: speculative walker configs: mispredictions (rollback penalties and
+#: depth refusals) and a perfect predictor (frames only ever commit)
+_COIN = SpeculationConfig(accuracy=0.5, max_depth=2, rollback_penalty=12)
+_PERFECT = SpeculationConfig(mode="perfect", max_depth=8)
+
+
 @pytest.mark.parametrize(
-    "name,latency,depth",
+    "name,latency,depth,variant,speculation",
     [
-        ("daxpy", 64, 2),
-        ("hydro", 128, 4),
-        ("tridiag", 64, 2),        # LOD recurrence: AP drags to EP speed
-        ("pic_gather", 64, 4),     # indexed descriptors
+        pytest.param("daxpy", 64, 2, None, None, id="daxpy-64-2"),
+        pytest.param("hydro", 128, 4, None, None, id="hydro-128-4"),
+        # LOD recurrence: AP drags to EP speed
+        pytest.param("tridiag", 64, 2, None, None, id="tridiag-64-2"),
+        # indexed descriptors
+        pytest.param("pic_gather", 64, 4, None, None, id="pic_gather-64-4"),
+        pytest.param("pic_gather", 16, 4, "addr", _COIN,
+                     id="pic_gather-16-4-addr-coin"),
+        pytest.param("tridiag", 16, 2, "branch", _COIN,
+                     id="tridiag-16-2-branch-coin"),
+        pytest.param("computed_gather", 64, 4, None, _PERFECT,
+                     id="computed_gather-64-4-perfect"),
     ],
 )
-def test_no_progress_before_reported_horizon(name, latency, depth):
+def test_no_progress_before_reported_horizon(
+    name, latency, depth, variant, speculation
+):
     kernel, inputs = get_kernel(name).instantiate(32)
     machine = _machine(kernel, inputs, latency=latency, depth=depth,
-                       banks=2)
+                       banks=2, lod_variant=variant,
+                       speculation=speculation)
     jumps = _assert_horizons_sound(machine)
     assert jumps > 0, "workload never exposed a jumpable window"
+    if speculation is not None:
+        assert machine._spec.stats.predictions > 0
 
 
 @settings(max_examples=15, deadline=None)
@@ -445,6 +469,18 @@ class TestProcessorContracts:
         machine.step_cycle()  # second ldq stalls on memory_busy
         assert machine.ap._stalled_on == "memory_busy"
         assert machine.ap.next_event_time(2) == 6
+
+    def test_rollback_penalty_ap_reports_penalty_end(self):
+        machine = SMAMachine(
+            assemble("nop\nhalt"), assemble("halt"),
+            SMAConfig(speculation=SpeculationConfig(mode="perfect")),
+        )
+        machine._ensure_speculation()
+        machine._spec.penalty_until = 9  # as a rollback at cycle 0 sets
+        machine.step_cycle()
+        assert machine.ap._stalled_on == "misspeculation"
+        assert machine.ap.next_event_time(1) == 9
+        assert machine.ap.next_event_time(12) == 12  # overdue clamps
 
     def test_lod_stalled_ap_is_passive(self):
         machine = self._machine("fromq a1, eaq\nhalt")

@@ -38,8 +38,9 @@ from repro.kernels import (
 SUITE_REPS = ("daxpy", "hydro", "tridiag", "computed_gather", "pic_gather")
 
 
-def _machine(kernel, inputs, latency, depth, banks):
-    lowered = lower_sma(kernel)
+def _machine(kernel, inputs, latency, depth, banks, lod_variant=None,
+             speculation=None):
+    lowered = lower_sma(kernel, lod_variant=lod_variant)
     queues = QueueConfig(
         load_queue_depth=depth,
         store_data_depth=depth,
@@ -51,7 +52,8 @@ def _machine(kernel, inputs, latency, depth, banks):
     )
     cfg = SMAConfig(memory=mem, queues=queues)
     cfg = SMAConfig(
-        memory=_fit_memory(cfg.memory, lowered.layout), queues=queues
+        memory=_fit_memory(cfg.memory, lowered.layout), queues=queues,
+        speculation=speculation,
     )
     machine = SMAMachine(
         lowered.access_program, lowered.execute_program, cfg

@@ -115,3 +115,27 @@ class TestOrdering:
         for t in range(6):
             mem.tick(t)
         assert order == ["a", "b"]
+
+
+class TestSquash:
+    def test_squash_keeps_the_heap_in_place(self):
+        """Drivers hold the completion heap in a local across cycles
+        (the event-horizon loop, the stream engine's fast tick), so a
+        squash must not rebind it: completions issued afterwards have
+        to land in the list those drivers still hold."""
+        mem = make(latency=4, banks=8, busy=1, accepts=2)
+        doomed, kept = object(), object()
+        got = []
+        mem.try_issue(0, now=0,
+                      on_complete=lambda v, s=doomed: got.append("doomed"))
+        mem.try_issue(1, now=0,
+                      on_complete=lambda v, s=kept: got.append("kept"))
+        comps = mem._completions
+        assert mem.squash_completions([doomed]) == 1
+        assert mem._completions is comps
+        mem.try_issue(2, now=1, on_complete=lambda v: got.append("late"))
+        assert [entry[0] for entry in sorted(comps)] == [4, 5]
+        for t in range(6):
+            mem.tick(t)
+        assert got == ["kept", "late"]
+        assert not comps

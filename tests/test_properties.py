@@ -521,7 +521,10 @@ def test_random_reduction_kernels(n, op, init, seed):
 # element is exactly where those three conditions could drift apart, so
 # the property pins (lod_events, every stall bucket, cycles) across all
 # registered schedulers, the batch engine, and a snapshot/restore taken
-# in the middle of a LOD stall.
+# in the middle of a LOD stall.  A speculative AP takes both FROMQ kinds
+# through the speculation hooks instead (it predicts the EAQ value and
+# pops the IQ undoably while a frame is open), so the same kernel also
+# runs speculatively under every scheduler against naive.
 
 
 def _lod_mix_kernel(n: int) -> Kernel:
@@ -549,12 +552,14 @@ def _lod_mix_kernel(n: int) -> Kernel:
     latency=st.integers(min_value=6, max_value=32),
     depth=st.integers(min_value=2, max_value=8),
     seed=st.integers(min_value=0, max_value=2**16),
+    accuracy=st.sampled_from((0.5, 1.0)),
 )
-def test_lod_events_agree_across_engines(n, latency, depth, seed):
+def test_lod_events_agree_across_engines(n, latency, depth, seed, accuracy):
     import json as _json
+    from dataclasses import replace
 
     from repro.batch.engine import LaneEngine
-    from repro.config import QueueConfig, SMAConfig
+    from repro.config import QueueConfig, SMAConfig, SpeculationConfig
     from repro.core import SMAMachine
     from repro.harness.runner import _fit_memory, _load_inputs
     from repro.kernels.lower_sma import lower_sma
@@ -579,9 +584,9 @@ def test_lod_events_agree_across_engines(n, latency, depth, seed):
         ),
     )
 
-    def fresh():
+    def fresh(config=cfg):
         m = SMAMachine(
-            lowered.access_program, lowered.execute_program, cfg
+            lowered.access_program, lowered.execute_program, config
         )
         _load_inputs(m, lowered.layout, kernel, inputs)
         return m
@@ -598,6 +603,20 @@ def test_lod_events_agree_across_engines(n, latency, depth, seed):
         res = fresh().run(scheduler=scheduler)
         got = (res.lod_events, dict(res.ap.stall_cycles), res.cycles)
         assert got == key, scheduler
+
+    # the speculative AP, with predictions refused past two open frames
+    spec_cfg = replace(cfg, speculation=SpeculationConfig(
+        accuracy=accuracy, max_depth=2, seed=seed,
+    ))
+    want = fresh(spec_cfg).run(scheduler="naive")
+    assert want.speculation["predictions"] > 0
+    spec_key = (want.lod_events, dict(want.ap.stall_cycles), want.cycles,
+                want.speculation)
+    for scheduler in SMAMachine.SCHEDULERS:
+        res = fresh(spec_cfg).run(scheduler=scheduler)
+        got = (res.lod_events, dict(res.ap.stall_cycles), res.cycles,
+               res.speculation)
+        assert got == spec_key, scheduler
 
     # batch engine, staged exactly like dispatch.run_group
     touched = lowered.layout.end + 16

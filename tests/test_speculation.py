@@ -10,7 +10,9 @@ The contract under test (ARCHITECTURE §20):
 * mispredictions roll back completely: wrong-path queue slots, wrong-path
   memory traffic and AP register state all disappear, deterministically;
 * speculation state round-trips through checkpoint/restore, and a
-  snapshot taken while predictions are unresolved is refused.
+  snapshot taken while predictions are unresolved is refused;
+* every scheduler, on a machine or a cluster, matches naive ticking
+  exactly, and the default one skips idle cycles.
 """
 
 import hashlib
@@ -18,6 +20,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import (
     MemoryConfig,
@@ -26,9 +29,17 @@ from repro.config import (
     SpeculationConfig,
 )
 from repro.core import SMAMachine
-from repro.errors import CheckpointError
+from repro.core.access_processor import AccessProcessor
+from repro.errors import CheckpointError, SimulationError
 from repro.harness.runner import _fit_memory, _load_inputs, run_on_sma
 from repro.kernels import get_kernel, lower_sma
+
+from tests.test_cluster_fast_forward import (
+    _build_cluster,
+    _observables as _cluster_observables,
+)
+from tests.test_event_horizon import _full_observables
+from tests.test_fast_forward import _machine
 
 #: (kernel, lod_variant): every speculation-relevant lowering shape
 CASES = (
@@ -157,17 +168,117 @@ class TestRecovery:
         assert _digest(a) == _digest(b)
 
 
+_SPECULATION = st.builds(
+    SpeculationConfig,
+    accuracy=st.sampled_from((0.25, 0.5, 0.9, 1.0)),
+    max_depth=st.integers(1, 8),
+    rollback_penalty=st.integers(0, 6),
+    seed=st.integers(0, 2**16),
+)
+
+
 class TestScheduling:
-    def test_run_downgrades_fast_schedulers(self):
-        machine = _build(
-            "computed_gather", None, SpeculationConfig(mode="perfect")
+    """Every scheduler drives speculation exactly like naive ticking:
+    a ``joint-idle`` or ``codegen`` request runs event-horizon, which
+    steps the reference component methods and still jumps idle spans."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=st.sampled_from(CASES),
+        speculation=_SPECULATION,
+        latency=st.sampled_from((4, 16, 64)),
+        depth=st.sampled_from((2, 4, 8)),
+        banks=st.sampled_from((2, 8)),
+        metrics=st.booleans(),
+    )
+    def test_schedulers_match_naive(
+        self, case, speculation, latency, depth, banks, metrics
+    ):
+        """Full result dict (speculation counters, stall_breakdown with
+        metrics), every queue histogram and the memory image."""
+        name, variant = case
+        kernel, inputs = get_kernel(name).instantiate(24, 7)
+        observed = {}
+        for scheduler in SMAMachine.SCHEDULERS:
+            machine = _machine(kernel, inputs, latency, depth, banks,
+                               lod_variant=variant, speculation=speculation)
+            if metrics:
+                machine.attach_metrics()
+            result = machine.run(scheduler=scheduler)
+            observed[scheduler] = _full_observables(machine, result)
+        for scheduler, obs in observed.items():
+            assert obs == observed["naive"], scheduler
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        nodes=st.lists(st.sampled_from(CASES), min_size=2, max_size=3)
+        .filter(lambda ns: {"addr", "branch"} <= {v for _, v in ns}),
+        speculation=_SPECULATION,
+        latency=st.sampled_from((8, 32)),
+        depth=st.sampled_from((2, 8)),
+        banks=st.sampled_from((2, 8)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_cluster_schedulers_match_naive(
+        self, nodes, speculation, latency, depth, banks, seed
+    ):
+        specs = [
+            get_kernel(name).instantiate(16, seed + j)
+            for j, (name, _variant) in enumerate(nodes)
+        ]
+        variants = [variant for _name, variant in nodes]
+        observed = {}
+        for scheduler in SMAMachine.SCHEDULERS:
+            cluster = _build_cluster(specs, latency, depth, banks,
+                                     lod_variants=variants,
+                                     speculation=speculation)
+            metrics = cluster.attach_metrics()
+            result = cluster.run(scheduler=scheduler)
+            observed[scheduler] = _cluster_observables(
+                cluster, result, metrics
+            )
+        assert observed["naive"]["nodes"][0]["result"]["speculation"]
+        for scheduler, obs in observed.items():
+            assert obs == observed["naive"], scheduler
+
+    def test_default_scheduler_skips_cycles(self, monkeypatch):
+        """The default scheduler jumps idle spans of a speculative run,
+        rollback penalties included, where naive steps every cycle."""
+        spec = SpeculationConfig(accuracy=0.5, max_depth=4,
+                                 rollback_penalty=16)
+        machine = _build("pic_gather", "addr", spec)
+        steps = []
+        real_step = AccessProcessor.step
+
+        def spy(ap, now):
+            real_step(ap, now)
+            if ap is machine.ap:
+                steps.append((now, ap._stalled_on))
+
+        monkeypatch.setattr(AccessProcessor, "step", spy)
+        result = machine.run()
+        assert result.speculation["rollbacks"] > 0
+        assert len(steps) < result.cycles
+        skipped_penalty = [
+            (now, cause) for (now, cause), (after, _) in zip(steps, steps[1:])
+            if after > now + 1 and cause == "misspeculation"
+        ]
+        assert skipped_penalty, "no rollback penalty was jumped"
+        naive = _build("pic_gather", "addr", spec)
+        assert naive.run(scheduler="naive").to_dict() == result.to_dict()
+
+    def test_blind_oracle_fails_loudly(self, monkeypatch):
+        """A pre-run whose loop pops the EP->AP queues without the tap
+        (codegen inlines its pops) must raise, not refuse every
+        prediction."""
+        monkeypatch.setitem(
+            SMAMachine.SCHEDULERS, "event-horizon",
+            SMAMachine.SCHEDULERS["codegen"],
         )
-        want = _build(
-            "computed_gather", None, SpeculationConfig(mode="perfect")
-        ).run(scheduler="naive")
-        got = machine.run(scheduler="codegen")  # silently downgraded
-        assert got.cycles == want.cycles
-        assert got.speculation == want.speculation
+        machine = _build("pic_gather", "addr",
+                         SpeculationConfig(mode="perfect"))
+        with pytest.raises(SimulationError, match="oracle pre-run"):
+            machine.run()
 
 
 class TestCheckpoint:
