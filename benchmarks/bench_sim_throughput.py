@@ -701,11 +701,12 @@ def main(argv=None) -> int:
 # cluster fast-forward: the widened R-F8 grid, naive vs fast-forward
 # ---------------------------------------------------------------------------
 
-#: the widened R-F8 grid (node counts 1-8 x port widths), swept at three
-#: memory latencies; bank_busy tracks latency/2 like the R-F1 sweep
+#: the widened R-F8 grid (node counts 1-8 x port widths), swept at R-F8's
+#: own latency of 8 and three longer ones; bank_busy tracks latency/2 like
+#: the R-F1 sweep
 CLUSTER_NODES = (1, 2, 4, 8)
 CLUSTER_PORTS = (1, 2, 4)
-CLUSTER_LATENCIES = (16, 64, 256)
+CLUSTER_LATENCIES = (8, 16, 64, 256)
 CLUSTER_N = 96
 
 
@@ -761,11 +762,12 @@ def test_cluster_sim_throughput(capsys):
             print(f"  latency {latency:3d}: {cycles:8d} cluster cycles  "
                   f"naive {naive_secs:6.2f}s  ff {ff_secs:6.2f}s  "
                   f"({naive_secs / ff_secs:.2f}x)")
-    # acceptance floor: in the latency-dominated regime (the high end of
-    # the sweep, latency >= 16) joint idleness dominates and the shared
-    # clock jump must win at least 2x wall-clock
-    best = max(naive_secs / ff_secs for _, _, naive_secs, ff_secs in rows)
-    assert best >= 2.0
+    # acceptance floor: the event-horizon loop must win at least 2x
+    # wall-clock at every latency — from R-F8's own latency of 8, where
+    # the win is the fast node steps, to the latency-dominated high end,
+    # where it is the shared clock jump
+    for latency, _, naive_secs, ff_secs in rows:
+        assert naive_secs / ff_secs >= 2.0, f"latency {latency}"
 
 
 if __name__ == "__main__":

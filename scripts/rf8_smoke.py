@@ -1,7 +1,15 @@
 #!/usr/bin/env python
-"""R-F8 smoke sweep for CI: a 2-node cluster at a small problem size,
-run with metrics capture so the per-node cluster RunReports can be gated
-by ``scripts/check_runreport_schema.py``.
+"""R-F8 smoke sweep for CI, in two parts.
+
+1. A 2-node cluster at a small problem size, run with metrics capture so
+   the per-node cluster RunReports can be gated by
+   ``scripts/check_runreport_schema.py``.
+2. A scheduler-equivalence check on R-F8 cells: that 2-node cell and an
+   8-node n=32 cell, at every R-F8 port width, each run under the
+   default scheduler and under ``scheduler="naive"``, with and without
+   metrics attached.  The runs must agree on cluster cycles, finish
+   cycles, every node's ``to_dict()`` and queue histograms, the
+   shared-memory contention counters and the memory image digest.
 
 Usage::
 
@@ -10,7 +18,64 @@ Usage::
 """
 
 import argparse
+import hashlib
 import sys
+
+#: R-F8's memory: latency 8, bank_busy 4, 16 banks; ports vary per cell
+RF8_PORTS = (1, 2, 4)
+
+
+def _cell_observables(nodes: int, n: int, ports: int, scheduler,
+                      metrics: bool) -> dict:
+    """Build one R-F8 cell exactly as the harness does, run it, and
+    return everything the schedulers must agree on."""
+    from repro.config import MemoryConfig, QueueConfig, SMAConfig
+    from repro.harness.jobs import Job, cluster_workloads
+    from repro.harness.runner import _prepare_cluster
+
+    memory = MemoryConfig(
+        latency=8, bank_busy=4, num_banks=16, accepts_per_cycle=ports
+    )
+    cfg = SMAConfig(memory=memory, queues=QueueConfig())
+    job = Job("cluster", "daxpy", n, sma_config=cfg, nodes=nodes)
+    cluster, _lowered, cfg, _node_metrics = _prepare_cluster(
+        cluster_workloads(job), cfg, metrics=metrics
+    )
+    result = cluster.run(scheduler=scheduler)
+    image = cluster.memory.dump_array(0, cfg.memory.size)
+    return {
+        "cycles": result.cycles,
+        "finish_cycles": list(result.finish_cycles),
+        "nodes": [node.to_dict() for node in result.nodes],
+        "queue_histograms": [
+            {name: dict(stats.histogram)
+             for name, stats in node.queue_stats.items()}
+            for node in result.nodes
+        ],
+        "contention": dict(
+            result.contention(),
+            completions=cluster.banked.stats.completions,
+        ),
+        "memory_digest": hashlib.sha256(image.tobytes()).hexdigest(),
+    }
+
+
+def check_schedulers(cells) -> int:
+    """Compare the default scheduler against naive on every cell;
+    returns the number of disagreeing runs."""
+    failures = 0
+    for nodes, n in cells:
+        for ports in RF8_PORTS:
+            for metrics in (False, True):
+                naive = _cell_observables(nodes, n, ports, "naive", metrics)
+                default = _cell_observables(nodes, n, ports, None, metrics)
+                same = naive == default
+                failures += not same
+                print(f"nodes={nodes} n={n} ports={ports} "
+                      f"metrics={'on' if metrics else 'off'}: "
+                      f"{naive['cycles']} cluster cycles, default "
+                      f"{'==' if same else '!='} naive")
+    return failures
 
 
 def main(argv=None) -> int:
@@ -34,6 +99,11 @@ def main(argv=None) -> int:
         if not collector.reports:
             print("error: no RunReports captured", file=sys.stderr)
             return 1
+    failures = check_schedulers([(args.nodes, args.n), (8, 32)])
+    if failures:
+        print(f"error: {failures} run(s) where the default scheduler "
+              "disagrees with naive", file=sys.stderr)
+        return 1
     return 0
 
 

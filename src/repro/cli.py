@@ -719,7 +719,6 @@ def cmd_codegen(args) -> int:
     from .codegen import (
         cached_artifacts,
         compiled_loop_for,
-        compiled_step_for,
         stats as codegen_stats,
     )
     from .core import SMAMachine
@@ -731,7 +730,7 @@ def cmd_codegen(args) -> int:
             print("codegen cache is empty")
         for artifact in artifacts:
             lines = artifact.source.count("\n")
-            print(f"{artifact.key[:12]}  {artifact.kind:<4}  "
+            print(f"{artifact.key[:12]}  "
                   f"{lines:>5} lines  engine={artifact.uses_engine} "
                   f"su={artifact.uses_su} memory={artifact.uses_memory}")
         print(f"hits {codegen_stats.hits}  misses {codegen_stats.misses}  "
@@ -749,9 +748,7 @@ def cmd_codegen(args) -> int:
     machine = SMAMachine(lowered.access_program, lowered.execute_program,
                          cfg)
     _load_inputs(machine, lowered.layout, kernel, inputs)
-    compiled = (compiled_loop_for if args.kind == "loop"
-                else compiled_step_for)
-    artifact = compiled(machine)
+    artifact = compiled_loop_for(machine)
     if artifact is None:
         print(f"{spec.name}: program cannot be specialized; runs fall "
               "back to the event-horizon scheduler")
@@ -1048,10 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cg_show.add_argument("kernel")
     p_cg_show.add_argument("--n", type=int, default=64)
     p_cg_show.add_argument("--latency", type=int, default=8)
-    p_cg_show.add_argument("--kind", default="loop",
-                           choices=["loop", "step"],
-                           help="whole-run machine loop or cluster-node "
-                                "step function (default: loop)")
     cg_sub.add_parser(
         "list",
         help="list this process's cached artifacts and cache statistics",

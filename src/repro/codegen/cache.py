@@ -1,4 +1,4 @@
-"""Compile-once cache for program-specialized tick functions.
+"""Compile-once cache for program-specialized run loops.
 
 Artifacts are keyed by everything the emitted source depends on:
 
@@ -6,9 +6,6 @@ Artifacts are keyed by everything the emitted source depends on:
   :func:`repro.harness.parallel.code_fingerprint` that invalidates the
   sweep cache) — editing any simulator module invalidates every cached
   artifact;
-* the artifact **kind** (``"loop"`` for a whole-run machine loop,
-  ``"step"`` for a cluster node's one-cycle step function);
-* whether the machine **owns its memory** (a cluster node does not);
 * the full text of both **programs** and the repr of the **config** —
   the same material :func:`repro.core.checkpoint.machine_fingerprint`
   hashes, because those are exactly the inputs the emitter specializes
@@ -36,7 +33,6 @@ class CodegenArtifact:
     """One compiled (program, config) specialization."""
 
     key: str
-    kind: str  # "loop" | "step"
     source: str
     fn: Callable
     #: static capabilities — the run loop falls back when live machine
@@ -70,16 +66,12 @@ def _code_fingerprint() -> str:
     return code_fingerprint()
 
 
-def artifact_key(machine, kind: str) -> str:
-    """Cache key for one (machine, kind) pair (see module docstring)."""
+def artifact_key(machine) -> str:
+    """Cache key for one machine (see module docstring)."""
     from ..core.checkpoint import _program_text
 
     h = hashlib.sha256()
     h.update(_code_fingerprint().encode())
-    h.update(b"\0")
-    h.update(kind.encode())
-    h.update(b"\0")
-    h.update(b"owns" if machine._owns_memory else b"shared")
     h.update(b"\0")
     h.update(_program_text(machine.ap.program).encode())
     h.update(b"\0")
@@ -102,11 +94,11 @@ def cached_artifacts() -> list[CodegenArtifact]:
     return list(_CACHE.values())
 
 
-def get_or_compile(machine, kind: str) -> CodegenArtifact | None:
+def get_or_compile(machine) -> CodegenArtifact | None:
     """Return the compiled artifact for ``machine``, emitting and
     compiling on first use; ``None`` when the program cannot be
     specialized (the caller falls back to the event-horizon loop)."""
-    key = artifact_key(machine, kind)
+    key = artifact_key(machine)
     if key in _UNSUPPORTED:
         return None
     artifact = _CACHE.get(key)
@@ -115,18 +107,17 @@ def get_or_compile(machine, kind: str) -> CodegenArtifact | None:
         _CACHE.move_to_end(key)
         return artifact
     stats.misses += 1
-    from .emitter import MachineLoopEmitter, NodeStepEmitter, Unsupported
+    from .emitter import MachineLoopEmitter, Unsupported
 
-    emitter_cls = MachineLoopEmitter if kind == "loop" else NodeStepEmitter
     try:
-        emitter = emitter_cls(machine)
+        emitter = MachineLoopEmitter(machine)
         source = emitter.generate()
     except Unsupported:
         stats.unsupported += 1
         _UNSUPPORTED.add(key)
         return None
     artifact = compile_source(
-        key, kind, source,
+        key, source,
         uses_engine=emitter.has_stream,
         uses_su=emitter.has_staddr,
         uses_memory=emitter.uses_memory,
@@ -140,7 +131,6 @@ def get_or_compile(machine, kind: str) -> CodegenArtifact | None:
 
 def compile_source(
     key: str,
-    kind: str,
     source: str,
     *,
     uses_engine: bool,
@@ -156,12 +146,10 @@ def compile_source(
     from .runtime import runtime_namespace
 
     stats.compiles += 1
-    entry = "__sma_codegen_loop__" if kind == "loop" else \
-        "__sma_codegen_step__"
     code = compile(source, f"<sma-codegen:{key[:12]}>", "exec")
     namespace = runtime_namespace()
     exec(code, namespace)
     return CodegenArtifact(
-        key=key, kind=kind, source=source, fn=namespace[entry],
+        key=key, source=source, fn=namespace["__sma_codegen_loop__"],
         uses_engine=uses_engine, uses_su=uses_su, uses_memory=uses_memory,
     )

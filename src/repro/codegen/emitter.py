@@ -1,12 +1,12 @@
-"""Specializing emitters: one (program, config) pair in, one
-straight-line Python tick function out.
+"""Specializing emitter: one (program, config) pair in, one
+straight-line Python run loop out.
 
 The interpreters in :mod:`repro.core` pay per-cycle dispatch for
 generality: every simulated cycle re-reads the same decoded tuples,
 re-branches on the same operand tags and re-checks queues the program
-can never touch.  The emitters here walk the decoded programs and the
-machine configuration *once* and write out the exact cycle body this
-machine will execute:
+can never touch.  :class:`MachineLoopEmitter` walks the decoded
+programs and the machine configuration *once* and writes out the exact
+cycle body this machine will execute:
 
 * operands and immediates become literals (``ap_regs[3]``, ``(2.5)``),
   ALU functions become inline expressions with identical semantics;
@@ -17,42 +17,28 @@ machine will execute:
   program that never issues a load;
 * per-instruction dispatch becomes a binary if-tree over literal pcs.
 
-:class:`BaseEmitter` is the template-method skeleton (shared analysis,
-line buffer, queue/memory/processor emission helpers); the two concrete
-emitters assemble different outputs from the same parts:
+The output is a whole-run loop with the event-horizon scheduler's
+structure — completion delivery, jump planning, closed-form replay and
+deadlock accounting specialized to the components this program can
+wake.  *Every* hot counter lives in a function local and is synced back
+to the machine in a ``finally``: processor pcs/stall state, per-queue
+traffic and occupancy counters (the lazy flush bodies are inlined at
+each mutation site against local state), the load-occupancy aggregate,
+and the banked-memory counters and port window.  Stream and store-unit
+work dispatches to per-site bodies over the queues the program names
+statically, memory completions ride a local FIFO as plain ``(time,
+seq, queue_index, token, value)`` tuples delivered inline (completion
+order is issue order under one constant latency; re-boxed onto the
+heap in the ``partial(queue.fill, token)`` shape the checkpoint layer
+recognizes before returning), and the stall snapshot/replay pair of
+the fast-forward contract is emitted as a flat tuple over exactly the
+counters this program's stall sites can touch.  Because that
+localization bakes in who owns every piece of async state, the
+compiled loop requires the stream-descriptor list, store-address queue
+and completion heap to be empty at entry; the run adapter delegates
+mid-flight resumes to the (bit-identical) event-horizon interpreter.
 
-``MachineLoopEmitter``
-    a whole-run loop with the event-horizon scheduler's structure —
-    completion delivery, jump planning, closed-form replay and deadlock
-    accounting specialized to the components this program can wake.
-    *Every* hot counter lives in a function local and is synced back to
-    the machine in a ``finally``: processor pcs/stall state, per-queue
-    traffic and occupancy counters (the lazy flush bodies are inlined
-    at each mutation site against local state), the load-occupancy
-    aggregate, and the banked-memory counters and port window.  Stream
-    and store-unit work dispatches to per-site bodies over the queues
-    the program names statically, memory completions ride a local FIFO
-    as plain ``(time, seq, queue_index, token, value)`` tuples
-    delivered inline (completion order is issue order under one
-    constant latency; re-boxed onto the heap in the
-    ``partial(queue.fill, token)`` shape the checkpoint layer
-    recognizes before returning), and the stall
-    snapshot/replay pair of the fast-forward contract is emitted as a
-    flat tuple over exactly the counters this program's stall sites can
-    touch.  Because that localization bakes in who owns every piece of
-    async state, the compiled loop requires the stream-descriptor list,
-    store-address queue and completion heap to be empty at entry; the
-    run adapter delegates mid-flight resumes to the (bit-identical)
-    event-horizon interpreter.
-
-``NodeStepEmitter``
-    a one-cycle step function for a cluster node, equivalent to
-    ``SMAMachine.step_cycle(tick_memory=False)``: the cluster owns the
-    shared memory tick and the clock, so all state stays in machine
-    attributes, queues sample per cycle, and the metrics hook is
-    preserved.
-
-Both outputs are bit-identical to naive ticking — property-tested in
+The output is bit-identical to naive ticking — property-tested in
 ``tests/test_event_horizon.py``.  A program using operand shapes the
 interpreters would only reject at execution time raises
 :class:`Unsupported` and the run loop falls back to the event-horizon
@@ -75,7 +61,7 @@ _PRODUCING_STREAMS = frozenset((Op.STREAMLD, Op.GATHER))
 _CONSUMING_STREAMS = frozenset((Op.STREAMST, Op.SCATTER))
 _INDEXED_STREAMS = frozenset((Op.GATHER, Op.SCATTER))
 
-#: queue-counter suffixes for the loop mode's per-queue locals
+#: queue-counter suffixes for the per-queue function locals
 _QF = {
     "empty_stalls": "em",
     "full_stalls": "fu",
@@ -150,16 +136,14 @@ def _alu_expr(op: Op, a: list[str]) -> str:
     raise Unsupported(f"no expression form for {op}")
 
 
-class BaseEmitter:
-    """Template-method skeleton shared by both specializers.
+class MachineLoopEmitter:
+    """Whole-run loop for a standalone machine.
 
-    Subclasses set :attr:`loop_mode` and implement :meth:`generate`;
-    the base class provides program analysis, the line buffer, and the
-    per-site emission helpers for queues, the memory port and the four
-    component bodies.
+    Program analysis, the line buffer and the per-site emission helpers
+    for queues, the memory port and the four component bodies come
+    first; the horizon probe, the stall snapshot/replay pair and the
+    loop assembly (:meth:`generate`) follow.
     """
-
-    loop_mode = True  # False: cluster-node step function
 
     def __init__(self, machine):
         self.m = machine
@@ -215,14 +199,12 @@ class BaseEmitter:
         #: stall causes recorded by delegated reference methods (stream
         #: start) directly in the stats dict — never localized
         self._dyn_causes = {"stream_slots", "stream_queue_busy"}
-        #: loop mode shadows dense stream descriptors into parallel
-        #: lists (next address, strides, remaining count, site id) so
-        #: the per-attempt engine loop and the horizon probe index
-        #: lists instead of reading descriptor attributes; indexed
-        #: streams (gather/scatter) keep the attribute path
-        self._shadow_streams = (
-            self.loop_mode and self.has_stream and not self.has_indexed
-        )
+        #: dense stream descriptors are shadowed into parallel lists
+        #: (next address, strides, remaining count, site id) so the
+        #: per-attempt engine loop and the horizon probe index lists
+        #: instead of reading descriptor attributes; indexed streams
+        #: (gather/scatter) keep the attribute path
+        self._shadow_streams = self.has_stream and not self.has_indexed
 
     # -- line buffer ------------------------------------------------------
 
@@ -250,24 +232,18 @@ class BaseEmitter:
         return i < self.n_load
 
     def qc(self, i: int, field: str) -> str:
-        """L-value of queue ``i``'s traffic/stall counter ``field`` —
-        a function local in loop mode, the stats attribute otherwise."""
-        if self.loop_mode:
-            return f"q{i}_{_QF[field]}"
-        return f"q{i}t.{field}"
+        """L-value (a function local) of queue ``i``'s traffic/stall
+        counter ``field``."""
+        return f"q{i}_{_QF[field]}"
 
     def head_ready(self, i: int) -> str:
         """Condition: queue ``i`` non-empty with a filled head slot
-        (loop mode tests the maintained length local, not the deque)."""
-        if self.loop_mode:
-            return f"q{i}_n and q{i}s[0].filled"
-        return f"q{i}s and q{i}s[0].filled"
+        (tests the maintained length local, not the deque)."""
+        return f"q{i}_n and q{i}s[0].filled"
 
     def full_cond(self, i: int, cap: int) -> str:
         """Condition: queue ``i`` at capacity."""
-        if self.loop_mode:
-            return f"q{i}_n >= {cap}"
-        return f"len(q{i}s) >= {cap}"
+        return f"q{i}_n >= {cap}"
 
     def _resolve(self, operand) -> int:
         """Flat index of an ISA queue operand (stream instructions name
@@ -298,15 +274,13 @@ class BaseEmitter:
             return f"({payload!r})"
         raise Unsupported(f"EP operand {payload!r}")
 
-    # -- lazy-occupancy accounting (loop mode only) -----------------------
+    # -- lazy-occupancy accounting ----------------------------------------
 
     def emit_flush(self, i: int) -> None:
         """Inline ``OperandQueue._lazy_flush`` for hoisted queue ``i``
-        against its localized occupancy state (loop mode runs every
+        against its localized occupancy state (the loop runs every
         queue in lazy mode for the whole run, so the ``_lazy`` flag test
         is statically True and elided)."""
-        if not self.loop_mode:
-            return
         with self.block(f"if now > q{i}_sy:"):
             self.w(f"_span = now - q{i}_sy")
             self.w(f"q{i}_sa += _span")
@@ -319,8 +293,6 @@ class BaseEmitter:
     def emit_agg(self, delta: int) -> None:
         """Inline ``LoadOccupancyAggregate.change(now, delta)`` against
         the localized aggregate (statically a load-queue site)."""
-        if not self.loop_mode:
-            return
         with self.block("if now > agg_sync:"):
             with self.block("if agg_total > agg_max:"):
                 self.w("agg_max = agg_total")
@@ -330,26 +302,22 @@ class BaseEmitter:
 
     def emit_pop(self, i: int, dest: str | None) -> None:
         """Inline ``queue.pop()`` on hoisted queue ``i`` (head already
-        verified ready by the caller); loop mode recycles the popped
-        slot onto the token freelist (see :meth:`emit_reserve_token`)."""
+        verified ready by the caller), recycling the popped slot onto
+        the token freelist (see :meth:`emit_reserve_token`)."""
         self.emit_flush(i)
         if self.is_load(i):
             self.emit_agg(-1)
         self.w(f"{self.qc(i, 'pops')} += 1")
-        if self.loop_mode:
-            if dest is None:
-                self.w(f"fl_ap(q{i}_pl())")
-            else:
-                self.w(f"_sl = q{i}_pl()")
-                self.w(f"{dest} = _sl.value")
-                self.w("fl_ap(_sl)")
-            self.w(f"q{i}_n -= 1")
+        if dest is None:
+            self.w(f"fl_ap(q{i}_pl())")
         else:
-            value = f"q{i}s.popleft().value"
-            self.w(f"{dest} = {value}" if dest is not None else value)
+            self.w(f"_sl = q{i}_pl()")
+            self.w(f"{dest} = _sl.value")
+            self.w("fl_ap(_sl)")
+        self.w(f"q{i}_n -= 1")
 
     def emit_reserve_token(self) -> None:
-        """``_tok = <fresh empty slot>`` in loop mode, preferring the
+        """``_tok = <fresh empty slot>``, preferring the
         token freelist over constructing a ``_Slot`` (~9x cheaper than
         ``__init__``).  Recycled slots are safe to reuse: every pop site
         requires the head to be filled first, and a filled slot can have
@@ -367,91 +335,64 @@ class BaseEmitter:
         self.emit_flush(i)
         if self.is_load(i):
             self.emit_agg(1)
-        if self.loop_mode:
-            with self.block("if fl:"):
-                self.w("_tok = fl_po()")
-                self.w("_tok.filled = True")
-                self.w(f"_tok.value = {value_expr}")
-            with self.block("else:"):
-                self.w(f"_tok = _Slot(True, {value_expr})")
-            self.w(f"q{i}_ap(_tok)")
-            self.w(f"q{i}_n += 1")
-        else:
-            self.w(f"q{i}s.append(_Slot(True, {value_expr}))")
+        with self.block("if fl:"):
+            self.w("_tok = fl_po()")
+            self.w("_tok.filled = True")
+            self.w(f"_tok.value = {value_expr}")
+        with self.block("else:"):
+            self.w(f"_tok = _Slot(True, {value_expr})")
+        self.w(f"q{i}_ap(_tok)")
+        self.w(f"q{i}_n += 1")
         self.w(f"{self.qc(i, 'pushes')} += 1")
 
     # -- memory port ------------------------------------------------------
 
-    def port_vars(self) -> tuple[str, str]:
-        """Names holding the per-cycle issue window ``(cycle, count)``;
-        loop mode keeps them in function-level locals, step mode reads
-        the shared attribute (the cluster's memory is shared)."""
-        if self.loop_mode:
-            return "iss_cyc", "iss_cnt"
-        self.w("_pcyc, _pcnt = banked._issues_at")
-        return "_pcyc", "_pcnt"
+    # the per-cycle issue window ``(cycle, count)`` lives in the
+    # function locals ``iss_cyc``/``iss_cnt``
 
-    def port_busy(self, cycv: str, cntv: str, addr: str) -> str:
+    def port_busy(self, addr: str) -> str:
         """Reject condition of ``BankedMemory.try_issue`` as an
         expression (True = port saturated or bank busy)."""
         return (
-            f"({cycv} == now and {cntv} >= {self.accepts}) "
+            f"(iss_cyc == now and iss_cnt >= {self.accepts}) "
             f"or bank_free[{addr} % {self.nbanks}] > now"
         )
 
-    def port_free(self, cycv: str, cntv: str) -> str:
+    def port_free(self) -> str:
         """Accept condition (port window open and the bank free check
         appended by the caller)."""
-        return f"({cycv} != now or {cntv} < {self.accepts})"
+        return f"(iss_cyc != now or iss_cnt < {self.accepts})"
 
-    def emit_accept(self, cycv: str, cntv: str, bankv: str) -> None:
+    def emit_accept(self, bankv: str) -> None:
         """Accept-side bookkeeping of ``try_issue`` (port window, bank
         busy span, contention counters); the read/write counter and the
         data effect stay at the call site."""
-        if self.loop_mode:
-            with self.block(f"if {cycv} == now:"):
-                self.w(f"{cntv} += 1")
-            with self.block("else:"):
-                self.w(f"{cycv} = now")
-                self.w(f"{cntv} = 1")
-            self.w(f"bank_free[{bankv}] = now + {self.bank_busy}")
-            self.w(f"mbusy += {self.bank_busy}")
-        else:
-            self.w(
-                f"banked._issues_at = (now, {cntv} + 1) "
-                f"if {cycv} == now else (now, 1)"
-            )
-            self.w(f"bank_free[{bankv}] = now + {self.bank_busy}")
-            self.w(f"mstats.busy_bank_cycles += {self.bank_busy}")
+        with self.block("if iss_cyc == now:"):
+            self.w("iss_cnt += 1")
+        with self.block("else:"):
+            self.w("iss_cyc = now")
+            self.w("iss_cnt = 1")
+        self.w(f"bank_free[{bankv}] = now + {self.bank_busy}")
+        self.w(f"mbusy += {self.bank_busy}")
         self.w(f"pba[{bankv}] += 1")
 
     def emit_completion(self, qi: int, tok: str = "_tok",
                         res: str = "_res") -> None:
         """Schedule a completion for hoisted queue ``qi``.
 
-        Loop mode appends a plain ``(time, seq, queue_index, token,
-        value)`` marker tuple to a local deque delivered inline by the
-        loop's own dispatch: with one constant memory latency and a
-        nondecreasing clock, completion order is issue order, so the
-        FIFO replaces the heap's O(log n) sifts (entries are re-boxed
-        to the ``partial(queue.fill, token)`` callback shape
+        Appends a plain ``(time, seq, queue_index, token, value)``
+        marker tuple to a local deque delivered inline by the loop's own
+        dispatch: with one constant memory latency and a nondecreasing
+        clock, completion order is issue order, so the FIFO replaces the
+        heap's O(log n) sifts (entries are re-boxed to the
+        ``partial(queue.fill, token)`` callback shape
         ``checkpoint._completion_entry`` recognizes — in sorted order,
-        which is a valid heap — before the function returns).  Step
-        mode pushes the callback shape onto the shared heap directly
-        because the cluster's memory tick delivers it."""
-        if self.loop_mode:
-            self.w("seq += 1")
-            self.w(f"_ct = now + {self.latency}")
-            with self.block("if _ct < _nc:"):
-                self.w("_nc = _ct")
-            self.w(f"cq_ap((_ct, seq, {qi}, {tok}, {res}))")
-        else:
-            self.w("_sq = banked._seq + 1")
-            self.w("banked._seq = _sq")
-            self.w(
-                f"heappush(comps, (now + {self.latency}, _sq, "
-                f"partial(q{qi}.fill, {tok}), {res}))"
-            )
+        which is a valid heap — before the function returns)."""
+        self.w("seq += 1")
+        self.w(f"_ct = now + {self.latency}")
+        with self.block("if _ct < _nc:"):
+            self.w("_nc = _ct")
+        self.w(f"cq_ap((_ct, seq, {qi}, {tok}, {res}))")
 
     def emit_as_address(self, value_expr: str, addr_var: str) -> None:
         """Inline ``as_address``: integral check with the identical
@@ -461,60 +402,41 @@ class BaseEmitter:
         with self.block(f"if {addr_var} != _v:"):
             self.w('raise MemoryError_("non-integral address %r" % (_v,))')
 
-    # -- processor state names (mode-dependent) ---------------------------
-
-    @property
-    def ap_pc(self):
-        return "ap_pc" if self.loop_mode else "ap.pc"
-
-    @property
-    def ap_stalled(self):
-        return "ap_stalled" if self.loop_mode else "ap._stalled_on"
-
-    @property
-    def ep_pc(self):
-        return "ep_pc" if self.loop_mode else "ep.pc"
-
-    @property
-    def ep_stalled(self):
-        return "ep_stalled" if self.loop_mode else "ep._stalled_on"
+    # -- processor state (function locals ap_pc/ap_stalled/ap_i, ep_*) ----
 
     def emit_ap_retire(self, next_pc: str) -> None:
-        self.w("ap_i += 1" if self.loop_mode
-               else "ap_stats.instructions += 1")
+        self.w("ap_i += 1")
         self.emit_live()
-        self.w(f"{self.ap_stalled} = None")
-        self.w(f"{self.ap_pc} = {next_pc}")
+        self.w("ap_stalled = None")
+        self.w(f"ap_pc = {next_pc}")
 
     def emit_ep_retire(self, next_pc: str) -> None:
-        self.w("ep_i += 1" if self.loop_mode
-               else "ep_stats.instructions += 1")
+        self.w("ep_i += 1")
         self.emit_live()
-        self.w(f"{self.ep_stalled} = None")
-        self.w(f"{self.ep_pc} = {next_pc}")
+        self.w("ep_stalled = None")
+        self.w(f"ep_pc = {next_pc}")
 
     def emit_live(self) -> None:
-        """Mark the cycle as having made forward progress (loop mode).
+        """Mark the cycle as having made forward progress.
 
         Every progress counter the reference sums (``ap_i``, ``ep_i``,
         ``req_n``, ``st_n``, ``m_reads``, ``m_writes``) is monotonic, so
         the sum changes iff some increment site fired this cycle; the
-        loop-mode memory counters only ever move together with a retire,
+        localized memory counters only ever move together with a retire,
         an engine issue or a store, so flagging those sites is exactly
         the reference's ``progress != last_progress`` comparison without
         re-summing six locals every cycle."""
-        if self.loop_mode:
-            self.w("_live = True")
+        self.w("_live = True")
 
     def ap_cause_ref(self, cause: str) -> str | None:
-        """Function-local counter for one AP stall cause (loop mode),
-        ``None`` when the cause stays dict-based."""
-        if self.loop_mode and cause not in self._dyn_causes:
+        """Function-local counter for one AP stall cause, ``None`` when
+        the cause stays dict-based."""
+        if cause not in self._dyn_causes:
             return f"apc{self.ap_causes.index(cause)}"
         return None
 
     def ep_cause_ref(self, cause: str) -> str | None:
-        if self.loop_mode and cause not in self._dyn_causes:
+        if cause not in self._dyn_causes:
             return f"epc{self.ep_causes.index(cause)}"
         return None
 
@@ -525,10 +447,9 @@ class BaseEmitter:
         else:
             self.w(f'ap_st[{cause!r}] = ap_st.get({cause!r}, 0) + 1')
         if cause.startswith("lod_"):
-            with self.block(f"if {self.ap_stalled} != {cause!r}:"):
-                self.w("ap_lod += 1" if self.loop_mode
-                       else "ap_stats.lod_events += 1")
-        self.w(f"{self.ap_stalled} = {cause!r}")
+            with self.block(f"if ap_stalled != {cause!r}:"):
+                self.w("ap_lod += 1")
+        self.w(f"ap_stalled = {cause!r}")
 
     def emit_ep_stall(self, cause: str) -> None:
         ref = self.ep_cause_ref(cause)
@@ -536,7 +457,7 @@ class BaseEmitter:
             self.w(f"{ref} += 1")
         else:
             self.w(f'ep_st[{cause!r}] = ep_st.get({cause!r}, 0) + 1')
-        self.w(f"{self.ep_stalled} = {cause!r}")
+        self.w(f"ep_stalled = {cause!r}")
 
     # -- pc dispatch ------------------------------------------------------
 
@@ -564,13 +485,10 @@ class BaseEmitter:
         off_end = (
             f"AP ran off the end of program {ap.program.name!r}"
         )
-        pc_var = self.ap_pc if self.loop_mode else "_pc"
-        if not self.loop_mode and plen:
-            self.w("_pc = ap.pc")
-        with self.block(f"if {pc_var} >= {plen}:"):
+        with self.block(f"if ap_pc >= {plen}:"):
             self.w(f"raise SimulationError({off_end!r})")
         if plen:
-            self.emit_pc_tree(plen, pc_var, self.emit_ap_instr)
+            self.emit_pc_tree(plen, "ap_pc", self.emit_ap_instr)
 
     def emit_ap_instr(self, pc: int) -> None:
         ap = self.m.ap
@@ -592,13 +510,8 @@ class BaseEmitter:
             index, target = entry[1], entry[2]
             self._check_target(target, len(ap.program))
             self.w(f"ap_regs[{index}] -= 1")
-            self.w("ap_i += 1" if self.loop_mode
-                   else "ap_stats.instructions += 1")
-            self.emit_live()
-            self.w(f"{self.ap_stalled} = None")
-            self.w(
-                f"{self.ap_pc} = {target} "
-                f"if ap_regs[{index}] != 0 else {nxt}"
+            self.emit_ap_retire(
+                f"{target} if ap_regs[{index}] != 0 else {nxt}"
             )
             return
         if kind == _apm._A_FROMQ:
@@ -615,36 +528,26 @@ class BaseEmitter:
             target = entry[3]
             self._check_target(target, len(ap.program))
             cmp_op = "==" if entry[2] else "!="
-            self.w("ap_i += 1" if self.loop_mode
-                   else "ap_stats.instructions += 1")
-            self.emit_live()
-            self.w(f"{self.ap_stalled} = None")
-            self.w(
-                f"{self.ap_pc} = {target} "
-                f"if {cond} {cmp_op} 0 else {nxt}"
-            )
+            self.emit_ap_retire(f"{target} if {cond} {cmp_op} 0 else {nxt}")
             return
         if kind == _apm._A_STREAM:
             # cold path (runs once per started stream): delegate to the
             # reference method, which handles slot/role stalls and
             # descriptor construction
-            if self.loop_mode:
-                self.w("ap._stalled_on = ap_stalled")
+            self.w("ap._stalled_on = ap_stalled")
             with self.block(f"if ap._start_stream(ap_prog[{pc}]):"):
-                if self.loop_mode:
-                    if self._shadow_streams:
-                        # the rebuild below reads descriptor.issued, so
-                        # flush the authoritative shadow counts onto
-                        # the pre-existing descriptors first (the new
-                        # one sits past the old _ns, freshly built)
-                        self._emit_stream_issued_writeback()
-                    self.w("_ns = len(streams)")
-                    if self._shadow_streams:
-                        self._emit_stream_shadow_refresh()
+                if self._shadow_streams:
+                    # the rebuild below reads descriptor.issued, so
+                    # flush the authoritative shadow counts onto the
+                    # pre-existing descriptors first (the new one sits
+                    # past the old _ns, freshly built)
+                    self._emit_stream_issued_writeback()
+                self.w("_ns = len(streams)")
+                if self._shadow_streams:
+                    self._emit_stream_shadow_refresh()
                 self.emit_ap_retire(nxt)
-            if self.loop_mode:
-                with self.block("else:"):
-                    self.w("ap_stalled = ap._stalled_on")
+            with self.block("else:"):
+                self.w("ap_stalled = ap._stalled_on")
             return
         if kind == _apm._A_JMP:
             target = entry[1]
@@ -652,8 +555,7 @@ class BaseEmitter:
             self.emit_ap_retire(str(target))
             return
         if kind == _apm._A_HALT:
-            self.w("ap_halted = True" if self.loop_mode
-                   else "ap.halted = True")
+            self.w("ap_halted = True")
             self.emit_ap_retire(nxt)
             return
         # _A_NOP
@@ -673,8 +575,7 @@ class BaseEmitter:
             self.w(f"{self.qc(i, 'full_stalls')} += 1")
             self.emit_ap_stall("queue_full")
         with self.block("else:"):
-            cycv, cntv = self.port_vars()
-            with self.block(f"if {self.port_busy(cycv, cntv, 'addr')}:"):
+            with self.block(f"if {self.port_busy('addr')}:"):
                 self.emit_ap_stall("memory_busy")
             with self.block("else:"):
                 # reserve (space just checked), then the try_issue
@@ -683,17 +584,12 @@ class BaseEmitter:
                 self.emit_flush(i)
                 if self.is_load(i):
                     self.emit_agg(1)
-                if self.loop_mode:
-                    self.emit_reserve_token()
-                    self.w(f"q{i}_ap(_tok)")
-                    self.w(f"q{i}_n += 1")
-                else:
-                    self.w("_tok = _Slot()")
-                    self.w(f"q{i}s.append(_tok)")
+                self.emit_reserve_token()
+                self.w(f"q{i}_ap(_tok)")
+                self.w(f"q{i}_n += 1")
                 self.w(f"_bank = addr % {self.nbanks}")
-                self.emit_accept(cycv, cntv, "_bank")
-                self.w("m_reads += 1" if self.loop_mode
-                       else "mstats.reads += 1")
+                self.emit_accept("_bank")
+                self.w("m_reads += 1")
                 with self.block(f"if 0 <= addr < {self.msize}:"):
                     self.w("_res = float(words[addr])")
                 with self.block("else:"):
@@ -735,14 +631,7 @@ class BaseEmitter:
         cmp_op = "!=" if entry[1] else "=="  # BQNZ taken when value != 0
         with self.block(f"if {self.head_ready(e)}:"):
             self.emit_pop(e, "_val")
-            self.w("ap_i += 1" if self.loop_mode
-                   else "ap_stats.instructions += 1")
-            self.emit_live()
-            self.w(f"{self.ap_stalled} = None")
-            self.w(
-                f"{self.ap_pc} = {target} "
-                f"if _val {cmp_op} 0 else {nxt}"
-            )
+            self.emit_ap_retire(f"{target} if _val {cmp_op} 0 else {nxt}")
         with self.block("else:"):
             self.w(f"{self.qc(e, 'empty_stalls')} += 1")
             self.emit_ap_stall("lod_ebq")
@@ -755,13 +644,10 @@ class BaseEmitter:
         off_end = (
             f"EP ran off the end of program {ep.program.name!r}"
         )
-        pc_var = self.ep_pc if self.loop_mode else "_pc"
-        if not self.loop_mode and plen:
-            self.w("_pc = ep.pc")
-        with self.block(f"if {pc_var} >= {plen}:"):
+        with self.block(f"if ep_pc >= {plen}:"):
             self.w(f"raise SimulationError({off_end!r})")
         if plen:
-            self.emit_pc_tree(plen, pc_var, self.emit_ep_instr)
+            self.emit_pc_tree(plen, "ep_pc", self.emit_ep_instr)
 
     def emit_ep_instr(self, pc: int) -> None:
         ep = self.m.ep
@@ -777,26 +663,14 @@ class BaseEmitter:
             target = entry[3]
             self._check_target(target, len(ep.program))
             cmp_op = "==" if entry[2] else "!="
-            self.w("ep_i += 1" if self.loop_mode
-                   else "ep_stats.instructions += 1")
-            self.emit_live()
-            self.w(f"{self.ep_stalled} = None")
-            self.w(
-                f"{self.ep_pc} = {target} "
-                f"if {cond} {cmp_op} 0 else {nxt}"
-            )
+            self.emit_ep_retire(f"{target} if {cond} {cmp_op} 0 else {nxt}")
             return
         if kind == _epm._D_DECBNZ:
             index, target = entry[1], entry[2]
             self._check_target(target, len(ep.program))
             self.w(f"ep_regs[{index}] -= 1")
-            self.w("ep_i += 1" if self.loop_mode
-                   else "ep_stats.instructions += 1")
-            self.emit_live()
-            self.w(f"{self.ep_stalled} = None")
-            self.w(
-                f"{self.ep_pc} = {target} "
-                f"if ep_regs[{index}] != 0 else {nxt}"
+            self.emit_ep_retire(
+                f"{target} if ep_regs[{index}] != 0 else {nxt}"
             )
             return
         if kind == _epm._D_JMP:
@@ -805,8 +679,7 @@ class BaseEmitter:
             self.emit_ep_retire(str(target))
             return
         if kind == _epm._D_HALT:
-            self.w("ep_halted = True" if self.loop_mode
-                   else "ep.halted = True")
+            self.w("ep_halted = True")
             self.emit_ep_retire(nxt)
             return
         # _D_NOP
@@ -871,24 +744,22 @@ class BaseEmitter:
     def emit_engine_body(self) -> None:
         """The round-robin issue loop of ``StreamEngine.tick_fast``,
         with branches for stream kinds this program never starts elided
-        (caller wraps in ``if streams:``).  Loop mode dispatches each
-        attempt to a per-site body over the queues the stream
-        instructions name statically so every counter stays local."""
+        (caller wraps in ``if _ns:``).  Each attempt dispatches to a
+        per-site body over the queues the stream instructions name
+        statically so every counter stays local."""
         if self._shadow_streams:
             self._emit_engine_body_shadow()
             return
-        rr = "rr" if self.loop_mode else "engine._rr"
         # the attempt bound is the stream count at entry (the reference
-        # computes it once), while the modulus tracks removals; loop
-        # mode maintains the live count in _ns instead of calling len()
-        live = "_ns" if self.loop_mode else "len(streams)"
+        # computes it once), while the modulus tracks removals; the live
+        # count is maintained in _ns instead of calling len()
         self.w("_issued = 0")
         self.w("_attempts = 0")
-        self.w(f"_n = {live}")
+        self.w("_n = _ns")
         with self.block(
             f"while _issued < {self.issue_per_cycle} and _attempts < _n:"
         ):
-            self.w(f"_desc = streams[{rr} % {live}]")
+            self.w("_desc = streams[rr % _ns]")
             self.w("_ok = False")
             self._emit_engine_addr()
             guard = "if addr is not None:" if self.has_indexed else None
@@ -907,19 +778,16 @@ class BaseEmitter:
                 self.w("_issued += 1")
                 with self.block("if _desc.issued >= _desc.count:"):
                     self.w("streams.remove(_desc)")
-                    if self.loop_mode:
-                        self.w("_ns -= 1")
-                    with self.block(f"if not {live}:"):
+                    self.w("_ns -= 1")
+                    with self.block("if not _ns:"):
                         self.w("break")
                     self.w("continue")
-            self.w(f"{rr} = ({rr} + 1) % {live}")
+            self.w("rr = (rr + 1) % _ns")
             self.w("_attempts += 1")
         with self.block("if _issued == 0:"):
-            self.w("eng_blocked += 1" if self.loop_mode
-                   else "engine_stats.blocked_cycles += 1")
+            self.w("eng_blocked += 1")
         with self.block("else:"):
-            self.w("req_n += _issued" if self.loop_mode
-                   else "engine_stats.requests_issued += _issued")
+            self.w("req_n += _issued")
             self.emit_live()
 
     def _all_indexed(self) -> bool:
@@ -928,7 +796,7 @@ class BaseEmitter:
             for instr in self.m.ap.program
         )
 
-    # -- dense-stream descriptor shadowing (loop mode) --------------------
+    # -- dense-stream descriptor shadowing --------------------------------
 
     def _stream_sites(self) -> list[tuple[str, int]]:
         """Static site table for shadowed dispatch: produce sites first,
@@ -1064,44 +932,16 @@ class BaseEmitter:
             self._emit_engine_consume()
 
     def _emit_engine_produce(self) -> None:
-        if self.loop_mode:
-            self.w("_t = _desc.target")
-            for n, k in enumerate(self.produce_sites):
-                kw = "if" if n == 0 else "elif"
-                with self.block(f"{kw} _t is q{k}:"):
-                    self._emit_produce_site(k)
-            with self.block("else:"):
-                self.w(
-                    'raise SimulationError('
-                    '"codegen: unspecialized stream target")'
-                )
-            return
         self.w("_t = _desc.target")
-        self.w("_tslots = _t._slots")
-        with self.block("if len(_tslots) >= _t.capacity:"):
-            self.w("_t.stats.full_stalls += 1")
+        for n, k in enumerate(self.produce_sites):
+            kw = "if" if n == 0 else "elif"
+            with self.block(f"{kw} _t is q{k}:"):
+                self._emit_produce_site(k)
         with self.block("else:"):
-            cycv, cntv = self.port_vars()
-            self.w(f"_bank = addr % {self.nbanks}")
-            with self.block(
-                f"if {self.port_free(cycv, cntv)} "
-                f"and bank_free[_bank] <= now:"
-            ):
-                self.w("_tok = _Slot()")
-                self.w("_tslots.append(_tok)")
-                self.emit_accept(cycv, cntv, "_bank")
-                self.w("mstats.reads += 1")
-                with self.block(f"if 0 <= addr < {self.msize}:"):
-                    self.w("_res = float(words[addr])")
-                with self.block("else:"):
-                    self.w("_res = storage.read(addr)")
-                self.w("_sq = banked._seq + 1")
-                self.w("banked._seq = _sq")
-                self.w(
-                    f"heappush(comps, (now + {self.latency}, _sq, "
-                    f"partial(_t.fill, _tok), _res))"
-                )
-                self.w("_ok = True")
+            self.w(
+                'raise SimulationError('
+                '"codegen: unspecialized stream target")'
+            )
 
     def _emit_produce_site(self, k: int) -> None:
         cap = self.m._queue_list[k].capacity
@@ -1110,8 +950,7 @@ class BaseEmitter:
         with self.block("else:"):
             self.w(f"_bank = addr % {self.nbanks}")
             with self.block(
-                f"if {self.port_free('iss_cyc', 'iss_cnt')} "
-                f"and bank_free[_bank] <= now:"
+                f"if {self.port_free()} and bank_free[_bank] <= now:"
             ):
                 self.emit_flush(k)
                 if self.is_load(k):
@@ -1119,7 +958,7 @@ class BaseEmitter:
                 self.emit_reserve_token()
                 self.w(f"q{k}_ap(_tok)")
                 self.w(f"q{k}_n += 1")
-                self.emit_accept("iss_cyc", "iss_cnt", "_bank")
+                self.emit_accept("_bank")
                 self.w("m_reads += 1")
                 with self.block(f"if 0 <= addr < {self.msize}:"):
                     self.w("_res = float(words[addr])")
@@ -1129,38 +968,16 @@ class BaseEmitter:
                 self.w("_ok = True")
 
     def _emit_engine_consume(self) -> None:
-        if self.loop_mode:
-            self.w("_dqv = _desc.data_queue")
-            for n, k in enumerate(self.consume_sites):
-                kw = "if" if n == 0 else "elif"
-                with self.block(f"{kw} _dqv is q{k}:"):
-                    self._emit_consume_site(k)
-            with self.block("else:"):
-                self.w(
-                    'raise SimulationError('
-                    '"codegen: unspecialized stream data queue")'
-                )
-            return
-        self.w("_dq = _desc.data_queue")
-        self.w("_dslots = _dq._slots")
-        with self.block("if not _dslots or not _dslots[0].filled:"):
-            self.w("_dq.stats.empty_stalls += 1")
+        self.w("_dqv = _desc.data_queue")
+        for n, k in enumerate(self.consume_sites):
+            kw = "if" if n == 0 else "elif"
+            with self.block(f"{kw} _dqv is q{k}:"):
+                self._emit_consume_site(k)
         with self.block("else:"):
-            cycv, cntv = self.port_vars()
-            self.w(f"_bank = addr % {self.nbanks}")
-            with self.block(
-                f"if {self.port_free(cycv, cntv)} "
-                f"and bank_free[_bank] <= now:"
-            ):
-                self.emit_accept(cycv, cntv, "_bank")
-                self.w("mstats.writes += 1")
-                with self.block(f"if 0 <= addr < {self.msize}:"):
-                    self.w("words[addr] = _dslots[0].value")
-                with self.block("else:"):
-                    self.w("storage.write(addr, _dslots[0].value)")
-                self.w("_dq.stats.pops += 1")
-                self.w("_dslots.popleft()")
-                self.w("_ok = True")
+            self.w(
+                'raise SimulationError('
+                '"codegen: unspecialized stream data queue")'
+            )
 
     def _emit_consume_site(self, k: int) -> None:
         with self.block(f"if not ({self.head_ready(k)}):"):
@@ -1168,10 +985,9 @@ class BaseEmitter:
         with self.block("else:"):
             self.w(f"_bank = addr % {self.nbanks}")
             with self.block(
-                f"if {self.port_free('iss_cyc', 'iss_cnt')} "
-                f"and bank_free[_bank] <= now:"
+                f"if {self.port_free()} and bank_free[_bank] <= now:"
             ):
-                self.emit_accept("iss_cyc", "iss_cnt", "_bank")
+                self.emit_accept("_bank")
                 self.w("m_writes += 1")
                 with self.block(f"if 0 <= addr < {self.msize}:"):
                     self.w(f"words[addr] = q{k}s[0].value")
@@ -1186,90 +1002,53 @@ class BaseEmitter:
                 self.w("_ok = True")
 
     def _emit_index_pop(self) -> None:
-        if self.loop_mode:
-            self.w("_iqv = _desc.index_queue")
-            for n, k in enumerate(self.index_sites):
-                kw = "if" if n == 0 else "elif"
-                with self.block(f"{kw} _iqv is q{k}:"):
-                    self.emit_flush(k)
-                    if self.is_load(k):
-                        self.emit_agg(-1)
-                    self.w(f"q{k}_po += 1")
-                    self.w(f"fl_ap(q{k}_pl())")
-                    self.w(f"q{k}_n -= 1")
-            with self.block("else:"):
-                self.w(
-                    'raise SimulationError('
-                    '"codegen: unspecialized stream index queue")'
-                )
-            return
-        self.w("_iq = _desc.index_queue")
-        self.w("_iqslots = _iq._slots")
-        self.w("_iq.stats.pops += 1")
-        self.w("_iqslots.popleft()")
+        self.w("_iqv = _desc.index_queue")
+        for n, k in enumerate(self.index_sites):
+            kw = "if" if n == 0 else "elif"
+            with self.block(f"{kw} _iqv is q{k}:"):
+                self.emit_flush(k)
+                if self.is_load(k):
+                    self.emit_agg(-1)
+                self.w(f"q{k}_po += 1")
+                self.w(f"fl_ap(q{k}_pl())")
+                self.w(f"q{k}_n -= 1")
+        with self.block("else:"):
+            self.w(
+                'raise SimulationError('
+                '"codegen: unspecialized stream index queue")'
+            )
 
     # -- store unit body --------------------------------------------------
 
     def emit_su_body(self) -> None:
         """``StoreUnit.tick_fast`` under the caller's non-empty-SAQ
-        guard; loop mode dispatches over the store-data queue indices
-        the program's ``staddr`` instructions name statically."""
+        guard, dispatching over the store-data queue indices the
+        program's ``staddr`` instructions name statically."""
         s = self.saq_i
         self.used_queues.add(s)
-        if self.loop_mode:
-            with self.block(f"if q{s}s[0].filled:"):
-                self.w(f"addr, _dqi = q{s}s[0].value")
-                for n, dqi in enumerate(self.staddr_dqis):
-                    k = self.qindex[id(self.m.queues.store_data[dqi])]
-                    kw = "if" if n == 0 else "elif"
-                    with self.block(f"{kw} _dqi == {dqi}:"):
-                        self._emit_su_site(s, k)
-                with self.block("else:"):
-                    self.w(
-                        'raise SimulationError('
-                        '"codegen: unspecialized store-data queue")'
-                    )
-            return
         with self.block(f"if q{s}s[0].filled:"):
             self.w(f"addr, _dqi = q{s}s[0].value")
-            self.w("_dq = sdqs[_dqi]")
-            self.w("_dslots = _dq._slots")
-            with self.block("if not _dslots or not _dslots[0].filled:"):
-                self.w("su_stats.data_wait_cycles += 1")
-                self.w("_dq.stats.empty_stalls += 1")
+            for n, dqi in enumerate(self.staddr_dqis):
+                k = self.qindex[id(self.m.queues.store_data[dqi])]
+                kw = "if" if n == 0 else "elif"
+                with self.block(f"{kw} _dqi == {dqi}:"):
+                    self._emit_su_site(s, k)
             with self.block("else:"):
-                cycv, cntv = self.port_vars()
-                with self.block(
-                    f"if {self.port_busy(cycv, cntv, 'addr')}:"
-                ):
-                    self.w("su_stats.memory_wait_cycles += 1")
-                with self.block("else:"):
-                    self.w(f"_bank = addr % {self.nbanks}")
-                    self.emit_accept(cycv, cntv, "_bank")
-                    self.w("mstats.writes += 1")
-                    with self.block(f"if 0 <= addr < {self.msize}:"):
-                        self.w("words[addr] = _dslots[0].value")
-                    with self.block("else:"):
-                        self.w("storage.write(addr, _dslots[0].value)")
-                    # saq.pop() then data_queue.pop(), reference order
-                    self.w(f"q{s}t.pops += 1")
-                    self.w(f"q{s}s.popleft()")
-                    self.w("_dq.stats.pops += 1")
-                    self.w("_dslots.popleft()")
-                    self.w("su_stats.stores_issued += 1")
+                self.w(
+                    'raise SimulationError('
+                    '"codegen: unspecialized store-data queue")'
+                )
 
     def _emit_su_site(self, s: int, k: int) -> None:
         with self.block(f"if not ({self.head_ready(k)}):"):
             self.w("su_dw += 1")
             self.w(f"q{k}_em += 1")
         with self.block("else:"):
-            with self.block(
-                f"if {self.port_busy('iss_cyc', 'iss_cnt', 'addr')}:"
-            ):
+            with self.block(f"if {self.port_busy('addr')}:"):
                 self.w("su_mw += 1")
             with self.block("else:"):
                 self.w(f"_bank = addr % {self.nbanks}")
-                self.emit_accept("iss_cyc", "iss_cnt", "_bank")
+                self.emit_accept("_bank")
                 self.w("m_writes += 1")
                 with self.block(f"if 0 <= addr < {self.msize}:"):
                     self.w(f"words[addr] = q{k}s[0].value")
@@ -1289,13 +1068,12 @@ class BaseEmitter:
                 self.w("st_n += 1")
                 self.w("_live = True")
 
-    # -- shared prologue pieces -------------------------------------------
+    # -- prologue pieces --------------------------------------------------
 
     def _collect_queues(self) -> None:
         """Pre-pass: mark every statically referenced queue, record the
         stream/store/completion site lists and the stall causes either
-        processor can ever record (step mode additionally hoists the
-        full queue file because it samples every queue per cycle)."""
+        processor can ever record."""
 
         def note(lst: list, v) -> None:
             if v not in lst:
@@ -1367,8 +1145,6 @@ class BaseEmitter:
                 if i is not None:
                     self.used_queues.add(i)
                 note(self.ep_causes, "q_full")
-        if not self.loop_mode:
-            self.used_queues.update(range(len(m._queue_list)))
 
     def emit_queue_hoists(self) -> None:
         for i in sorted(self.used_queues):
@@ -1400,8 +1176,6 @@ class BaseEmitter:
             self.w("ap_prog = ap.program")
         if self.has_staddr:
             self.w("su_stats = machine.store_unit.stats")
-            if not self.loop_mode:
-                self.w("sdqs = machine.queues.store_data")
 
     def header_comment(self) -> list[str]:
         m = self.m
@@ -1418,15 +1192,6 @@ class BaseEmitter:
             f" indexed={self.has_indexed}), store_unit={self.has_staddr}, "
             f"loads={self.uses_memory}",
         ]
-
-    def generate(self) -> str:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class MachineLoopEmitter(BaseEmitter):
-    """Whole-run loop for a standalone machine (``kind="loop"``)."""
-
-    loop_mode = True
 
     # -- fast-forward probe -----------------------------------------------
 
@@ -1871,7 +1636,7 @@ class MachineLoopEmitter(BaseEmitter):
             done_parts.append("not _ns")
         if self.has_staddr:
             done_parts.append(f"not q{self.saq_i}_n")
-        if self.uses_memory and self.m._owns_memory:
+        if self.uses_memory:
             done_parts.append("not cq")
         with self.block(
             f"while not ({' and '.join(done_parts)}):"
@@ -1944,54 +1709,3 @@ class MachineLoopEmitter(BaseEmitter):
                     "machine.deadlock_report()))"
                 )
 
-
-class NodeStepEmitter(BaseEmitter):
-    """One-cycle step function for a cluster node (``kind="step"``),
-    equivalent to ``step_cycle(tick_memory=False)``: the cluster ticks
-    the shared memory and drives the clock."""
-
-    loop_mode = False
-
-    def generate(self) -> str:
-        m = self.m
-        self.lines = []
-        for line in self.header_comment():
-            self.w(line)
-        self.w("def __sma_codegen_step__(machine, now):")
-        self.depth += 1
-        self.emit_common_hoists()
-        self.emit_queue_hoists()
-        if self.has_staddr:
-            s = self.saq_i
-            with self.block(f"if q{s}s:"):
-                self.emit_su_body()
-        if self.has_stream:
-            with self.block("if streams:"):
-                self.emit_engine_body()
-        with self.block("if not ap.halted:"):
-            self.emit_ap_dispatch()
-        with self.block("if not ep.halted:"):
-            self.emit_ep_dispatch()
-        # queues.sample(), unrolled over the full queue file
-        for i in range(len(m._queue_list)):
-            self.w(f"_n = len(q{i}s)")
-            self.w(f"q{i}t.samples += 1")
-            self.w(f"q{i}t.occupancy_sum += _n")
-            with self.block(f"if _n > q{i}t.occupancy_max:"):
-                self.w(f"q{i}t.occupancy_max = _n")
-            self.w(f"_h = q{i}t.histogram")
-            self.w("_h[_n] = _h.get(_n, 0) + 1")
-        # load-queue occupancy fold (step_cycle's outstanding counters)
-        load_sum = " + ".join(
-            f"len(q{i}s)" for i in range(self.n_load)
-        ) or "0"
-        self.w(f"_out = {load_sum}")
-        self.w("machine._occupancy_sum += _out")
-        with self.block("if _out > machine._occupancy_max:"):
-            self.w("machine._occupancy_max = _out")
-        self.w("_mx = machine._metrics")
-        with self.block("if _mx is not None:"):
-            self.w("_mx.on_cycle(machine, now)")
-        self.w("machine.cycle = now + 1")
-        self.depth -= 1
-        return "\n".join(self.lines) + "\n"

@@ -14,32 +14,34 @@ disjoint address ranges — the runner lays each kernel out in its own
 region — so no coherence protocol is needed; the contention being studied
 is bandwidth, not sharing.
 
-**Cluster cycle fast-forward.**  The latency-dominated regime that makes
-single-machine fast-forward pay off (see :mod:`repro.core.machine`) is
-*worse* in a cluster: contention stretches every memory round-trip, so a
-larger fraction of cycles are jointly idle — every node stalled on a
-pending completion.  ``run`` detects joint idleness the same way the
-machine does (two consecutive cycles in which no node retired an
-instruction, issued a request or committed a store, and no completion
-fired), then jumps the shared clock to ``banked.next_event_time`` and
-replays each still-running node's skipped-cycle statistics in closed form
-through the node's own ``stall_snapshot``/``replay_stall_cycles`` pair —
-the same replay contract ``SMAMachine._run`` honors, which never touches
-the memory model, so a non-owning node replays exactly like a standalone
-machine.  Finished nodes are frozen (naive ticking does not step them
-either), and the shared memory needs no replay of its own: a jointly-idle
-cycle issues no accesses, so bank-free times and port counters are static
-until the next completion.  Everything stays bit-identical to naive
-ticking (property-tested in ``tests/test_cluster_fast_forward.py``),
-including per-node metrics buckets — ``attach_metrics`` works in cluster
-mode because the node classifiers replay in closed form just as they do
-standalone.
+**Cluster event-horizon scheduling.**  The default loop
+(``_run_event_horizon``) steps every running node the way
+:meth:`SMAMachine._event_horizon_loop` steps one machine — lazy queue
+occupancy on a per-node clock cell, the decode-cached fast step paths,
+and a horizon asked for only when every running node is blocked — and
+jumps the shared clock to the cluster horizon, replaying each
+still-running node's skipped span through its own
+``stall_snapshot``/``_replay_fast`` pair.  That replay contract never
+touches the memory model, so a non-owning node replays exactly like a
+standalone machine.  Finished nodes are frozen (naive ticking does not
+step them either), and the shared memory needs no replay of its own: a
+jointly-idle cycle issues no accesses, so bank-free times and port
+counters are static until the next completion.  Everything stays
+bit-identical to naive ticking (property-tested in
+``tests/test_cluster_fast_forward.py`` and
+``tests/test_event_horizon.py``), including per-node metrics buckets —
+``attach_metrics`` works in cluster mode because the node classifiers
+replay in closed form just as they do standalone.  The naive and
+joint-idle loops (``_run_joint_idle``) step every node through its
+reference ``step_cycle``.
 
 Used by experiment R-F8 (`bench_fig8_multiprocessor.py`).
 """
 
 from __future__ import annotations
 
+import heapq
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 
 from ..config import SMAConfig
@@ -135,19 +137,16 @@ class SMACluster:
     def done(self) -> bool:
         return all(n.done() for n in self.nodes) and self.banked.quiescent()
 
-    def _step_all(self, steppers: list | None = None) -> None:
+    def _step_all(self) -> None:
         """Simulate one cluster cycle: memory tick, then every running
-        node, in an order that rotates with the cycle number.
+        node's reference ``step_cycle``, in an order that rotates with
+        the cycle number.
 
         A node whose ``done()`` flips during (or before) its step is
         recorded in ``finish_cycles`` *immediately* at the current cycle.
         (The old code deferred recording to the node's next visit, one
         cycle late under naive ticking and a whole jump late under
         fast-forward.)
-
-        ``steppers``, when given, holds one compiled per-node step
-        function (or ``None``) per node — the codegen scheduler's
-        specialized replacement for ``step_cycle(tick_memory=False)``.
         """
         now = self.cycle
         self.banked.tick(now)
@@ -166,31 +165,10 @@ class SMACluster:
                     self.finish_cycles[index] = now
                 continue
             node.cycle = now
-            fn = steppers[index] if steppers is not None else None
-            if fn is not None:
-                fn(node, now)
-            else:
-                node.step_cycle(tick_memory=False)
+            node.step_cycle(tick_memory=False)
             if self.finish_cycles[index] is None and node.done():
                 self.finish_cycles[index] = node.cycle
         self.cycle = now + 1
-
-    def _compiled_steppers(self) -> list | None:
-        """Per-node compiled step functions for the codegen scheduler.
-
-        Entries are ``None`` for nodes the emitter cannot specialize
-        (those fall back to the interpreted ``step_cycle``); the whole
-        list is ``None`` — reverting the run to the event-horizon
-        template stepping — when a memory observer is attached, because
-        generated bodies read the functional store directly and would
-        bypass the observer hook.
-        """
-        if self.memory.observer is not None:
-            return None
-        from ..codegen import compiled_step_for
-
-        steppers = [compiled_step_for(node) for node in self.nodes]
-        return [art.fn if art is not None else None for art in steppers]
 
     def step_cycles(self, count: int) -> int:
         """Step up to ``count`` cluster cycles (stopping early when every
@@ -260,13 +238,11 @@ class SMACluster:
         :data:`SMAMachine.SCHEDULERS` (``"naive"`` / ``"joint-idle"`` /
         ``"event-horizon"`` / ``"codegen"``); when ``None`` it is
         derived from ``fast_forward``, which itself defaults to the
-        process-wide :data:`repro.core.machine.FAST_FORWARD`.  The
-        codegen scheduler runs the event-horizon loop with each node's
-        interpreted ``step_cycle`` replaced by its compiled
-        program-specialized step function (unspecializable nodes fall
-        back per node).  Cycle counts and every per-node statistic are
-        bit-identical across all four.  Fault injection and speculation
-        narrow the choice as for one machine
+        process-wide :data:`repro.core.machine.FAST_FORWARD`.  A
+        ``"codegen"`` request runs the event-horizon loop (codegen
+        compiles standalone machines only).  Cycle counts and every
+        per-node statistic are bit-identical across all four.  Fault
+        injection and speculation narrow the choice as for one machine
         (:meth:`SMAMachine._effective_scheduler`).
         """
         if scheduler is None:
@@ -282,12 +258,7 @@ class SMACluster:
             # the nodes share this memory and configuration, so they all
             # narrow alike; each builds its own speculation engine
             scheduler = node._effective_scheduler(scheduler)
-        if scheduler == "codegen":
-            self._run_event_horizon(
-                max_cycles, deadlock_window,
-                steppers=self._compiled_steppers(),
-            )
-        elif scheduler == "event-horizon":
+        if scheduler in ("event-horizon", "codegen"):
             self._run_event_horizon(max_cycles, deadlock_window)
         else:
             self._run_joint_idle(
@@ -296,62 +267,173 @@ class SMACluster:
         return self._collect()
 
     def _run_event_horizon(
-        self, max_cycles: int, deadlock_window: int,
-        steppers: list | None = None,
+        self, max_cycles: int, deadlock_window: int
     ) -> None:
-        """Contract-driven cluster loop, subsuming the two-consecutive-
-        idle-cycle heuristic of :meth:`_run_joint_idle`.
+        """Contract-driven cluster loop: every running node steps the way
+        :meth:`SMAMachine._event_horizon_loop` steps one machine.
 
-        Each iteration asks the cluster horizon whether anything can move
-        before ``now + 2``; if not, it snapshots every running node,
-        steps one live template cycle, confirms joint idleness with the
-        progress tuple, recomputes the horizon from the post-template
-        stall causes (pre-step flags can be stale) and replays the
-        skipped span through every running node's
-        ``replay_stall_cycles`` — the same replay contract the
-        single-machine loops honor, so everything stays bit-identical to
-        naive ticking.  Nodes step through their reference
-        ``step_cycle`` path (per-cycle queue sampling): the cluster's
-        win is jump *eligibility* — one idle cycle instead of two, and
-        contract-verified rather than inferred — not per-cycle cost.
-        The codegen scheduler reuses this loop with ``steppers`` — each
-        node's compiled program-specialized step function — attacking
-        exactly that per-cycle cost while inheriting the jump logic.
+        * **Lazy occupancy per node.**  Each node runs inside its own
+          :meth:`SMAMachine.lazy_occupancy` bracket on its own clock
+          cell.  A cell advances only while its node runs, and the
+          bracket closes at ``node.cycle``, so a node that finishes
+          early stops accruing queue samples at its own finish cycle —
+          exactly where naive ticking stops sampling it.
+        * **Fast steps.**  A node without a speculation engine steps
+          through ``tick_fast``/``step_fast``, each call skipped when
+          its component is quiet; a speculative node steps the
+          reference methods and resolves predictions after both
+          processors step.  Metrics keep their per-cycle hook, and
+          jumps replay through each node's ``_replay_fast``.
+        * **Gated horizon.**  A jump is only *planned* when this cycle
+          delivered no completion and every running node's AP and EP
+          ended their last step halted or stalled; it is only *taken*
+          after one live template cycle leaves the progress probe
+          unchanged, with the horizon recomputed from the post-template
+          stall causes — so a contract miss costs a jump, never a
+          wrong one.  The probe is one integer: the sum of every
+          monotone counter in :meth:`_progress_state`, which changes
+          exactly when that tuple would.
+
+        Everything stays bit-identical to naive ticking, including the
+        rotating service order, per-node finish cycles and the deadlock
+        and cycle-budget diagnostics.
         """
-        last_state: tuple = ()
+        with ExitStack() as stack:
+            clocks = []
+            for node in self.nodes:
+                clock = [node.cycle]
+                stack.enter_context(node.lazy_occupancy(clock))
+                clocks.append(clock)
+            self._event_horizon_loop(max_cycles, deadlock_window, clocks)
+
+    def _event_horizon_loop(
+        self, max_cycles: int, deadlock_window: int, clocks: list
+    ) -> None:
+        """The body of :meth:`_run_event_horizon`; ``clocks[i]`` is node
+        ``i``'s lazy-occupancy clock cell."""
+        nodes = self.nodes
+        count = len(nodes)
+        finish = self.finish_cycles
+        banked = self.banked
+        comps = banked._completions
+        mstats = banked.stats
+        pop = heapq.heappop
+        horizon = self.next_event_time
+        # one lane of hoisted per-node locals per running node; a
+        # finished node's lane becomes None
+        lanes: list = []
+        for index, (node, clock) in enumerate(zip(nodes, clocks)):
+            if node.done():
+                lanes.append(None)
+                continue
+            spec = node._spec
+            su = node.store_unit
+            engine = node.engine
+            ap = node.ap
+            ep = node.ep
+            if spec is None:
+                steps = (su.tick_fast, engine.tick_fast,
+                         ap.step_fast, ep.step_fast)
+                frames = ()
+            else:
+                steps = (su.tick, engine.tick, ap.step, ep.step)
+                frames = spec.stack
+            lanes.append((
+                index, node, clock, ap, ep,
+                node.queues.store_addr._slots, engine._streams,
+                *steps, spec, frames, node._metrics,
+            ))
+        live = [lane for lane in lanes if lane is not None]
+        # the rotating service window for cycle ``now`` is
+        # order[now % count:now % count + count]
+        order = lanes + lanes
+        probes = [
+            (n.ap.stats, n.ep.stats, n.engine.stats, n.store_unit.stats)
+            for n in nodes
+        ]
         last_progress = 0
-        while not self.done():
+        p_last = -1
+        while live or comps:
             now = self.cycle
             if now >= max_cycles:
                 raise SimulationError(
                     f"exceeded cycle budget {max_cycles}"
                 )
+            delivered = False
+            while comps and comps[0][0] <= now:
+                _, _, callback, result = pop(comps)
+                mstats.completions += 1
+                callback(result)
+                delivered = True
             snapshots = None
-            t = self.next_event_time(now)
-            if t is None or t > now + 1:
-                snapshots = [
-                    (node, node.stall_snapshot())
-                    for node in self.nodes
-                    if not node.done()
-                ]
-            self._step_all(steppers)
-            state = self._progress_state()
-            if state != last_state:
-                last_state = state
+            if not delivered:
+                for lane in live:
+                    ap = lane[3]
+                    ep = lane[4]
+                    if not (
+                        (ap.halted or ap._stalled_on is not None)
+                        and (ep.halted or ep._stalled_on is not None)
+                    ):
+                        break
+                else:
+                    t = horizon(now)
+                    if t is None or t > now + 1:
+                        snapshots = [
+                            (lane[1], lane[1].stall_snapshot())
+                            for lane in live
+                        ]
+            rotation = now % count
+            for lane in order[rotation:rotation + count]:
+                if lane is None:
+                    continue
+                (index, node, clock, ap, ep, saq_slots, streams,
+                 su_tick, engine_tick, ap_step, ep_step,
+                 spec, frames, metrics) = lane
+                clock[0] = now
+                if saq_slots:
+                    su_tick(now)
+                if streams:
+                    engine_tick(now)
+                if not ap.halted:
+                    ap_step(now)
+                if not ep.halted:
+                    ep_step(now)
+                if spec is not None:
+                    spec.on_cycle(node, now)
+                if metrics is not None:
+                    metrics.on_cycle(node, now)
+                node.cycle = now + 1
+                if (
+                    ap.halted and ep.halted and not streams
+                    and not saq_slots and not frames
+                ):
+                    finish[index] = now + 1
+                    lanes[index] = None
+                    order = lanes + lanes
+                    live = [lane for lane in lanes if lane is not None]
+            self.cycle = now + 1
+            progress = mstats.reads + mstats.writes
+            for ap_stats, ep_stats, engine_stats, su_stats in probes:
+                progress += (
+                    ap_stats.instructions + ep_stats.instructions
+                    + engine_stats.requests_issued + su_stats.stores_issued
+                )
+            if progress != p_last:
+                p_last = progress
                 last_progress = self.cycle
                 continue
             if snapshots is not None:
-                target = self.next_event_time(self.cycle)
+                target = horizon(self.cycle)
                 bound = last_progress + deadlock_window + 1
                 if target is None or target > bound:
                     target = bound
                 if target > max_cycles:
                     target = max_cycles
-                count = target - self.cycle
-                if count > 0:
+                skipped = target - self.cycle
+                if skipped > 0:
                     for node, snapshot in snapshots:
-                        node.replay_stall_cycles(snapshot, count)
-                    self.cycle += count
+                        node._replay_fast(snapshot, skipped)
+                    self.cycle += skipped
             if self.cycle - last_progress > deadlock_window:
                 raise SimulationError(
                     f"cluster deadlock at cycle {self.cycle}: "

@@ -41,6 +41,7 @@ ticking (property-tested in ``tests/test_metrics.py``).
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -672,18 +673,35 @@ class SMAMachine:
         accounting for the duration: occupancies change only on
         reserve/pop, so each mutation flushes the elapsed span at the
         stable length instead of every cycle sampling every queue —
-        bit-identical totals at a fraction of the bookkeeping cost.  The
-        ``finally`` re-syncs the queues and folds the load-queue
-        aggregate into the machine-level occupancy counters.
+        bit-identical totals at a fraction of the bookkeeping cost
+        (:meth:`lazy_occupancy` opens and closes the bracket).
         """
         clock = [self.cycle]
+        with self.lazy_occupancy(clock):
+            self._event_horizon_loop(
+                max_cycles, deadlock_window, clock, observer
+            )
+        return self.collect_result()
+
+    @contextmanager
+    def lazy_occupancy(self, clock: list[int]):
+        """Bracket a run of this machine in lazy (event-driven) queue
+        occupancy accounting; yields the load-queue aggregate.
+
+        ``clock`` is the one-element cell the driver sets to the current
+        cycle before stepping this machine.  On exit — error paths
+        included — the cell closes at ``self.cycle``, every queue is
+        flushed back to per-cycle sampling mode, and the load-queue
+        aggregate is folded into the machine-level occupancy counters.
+        A cluster opens one bracket per node, each on its own cell, so a
+        node that finishes early stops accruing samples at its own
+        finish cycle.
+        """
         load_queues = self.queues.load
         occ_before = [q.stats.occupancy_sum for q in load_queues]
         agg = self.queues.begin_lazy_sampling(clock)
         try:
-            self._event_horizon_loop(
-                max_cycles, deadlock_window, clock, observer
-            )
+            yield agg
         finally:
             clock[0] = self.cycle
             self.queues.end_lazy_sampling(agg)
@@ -693,7 +711,6 @@ class SMAMachine:
             )
             if agg.max_seen > self._occupancy_max:
                 self._occupancy_max = agg.max_seen
-        return self.collect_result()
 
     def _event_horizon_loop(
         self, max_cycles: int, deadlock_window: int, clock, observer
@@ -846,9 +863,10 @@ class SMAMachine:
         The compiled artifact bakes in exactly what the emitter saw, so
         this falls back to the interpreted event-horizon loop — which is
         bit-identical — whenever the live machine strays from that:
-        per-cycle metrics or a memory observer attached, a swapped
-        program object (the decode caches would be stale), an operand
-        shape the emitter cannot specialize, or a mid-flight start (live
+        per-cycle metrics or a memory observer attached, a cluster node
+        (the emitted loop owns the memory it drives), a swapped program
+        object (the decode caches would be stale), an operand shape the
+        emitter cannot specialize, or a mid-flight start (live
         stream descriptors, pending store addresses or in-flight
         completions at entry — e.g. a restored snapshot or a resumed
         budget abort).  The compiled loop fully localizes the async
@@ -861,6 +879,7 @@ class SMAMachine:
         if (
             self._metrics is None
             and self.memory.observer is None
+            and self._owns_memory
             and self.ap.program is self.ap._prog
             and self.ep.program is self.ep._prog
             and not self.engine._streams
@@ -872,24 +891,11 @@ class SMAMachine:
             artifact = compiled_loop_for(self)
         if artifact is None:
             return self._run_event_horizon(max_cycles, deadlock_window, None)
-        # identical lazy-occupancy bracket to _run_event_horizon: the
-        # generated loop mutates queues with inlined flush bodies against
-        # the same clock cell and load-queue aggregate
+        # the generated loop mutates queues with inlined flush bodies
+        # against the bracket's clock cell and load-queue aggregate
         clock = [self.cycle]
-        load_queues = self.queues.load
-        occ_before = [q.stats.occupancy_sum for q in load_queues]
-        agg = self.queues.begin_lazy_sampling(clock)
-        try:
+        with self.lazy_occupancy(clock) as agg:
             artifact.fn(self, max_cycles, deadlock_window, clock, agg)
-        finally:
-            clock[0] = self.cycle
-            self.queues.end_lazy_sampling(agg)
-            self._occupancy_sum += sum(
-                q.stats.occupancy_sum - before
-                for q, before in zip(load_queues, occ_before)
-            )
-            if agg.max_seen > self._occupancy_max:
-                self._occupancy_max = agg.max_seen
         return self.collect_result()
 
     def _replay_fast(self, snapshot, count: int) -> None:

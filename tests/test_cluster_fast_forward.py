@@ -15,7 +15,7 @@ recorder's per-cycle stall attribution.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import MemoryConfig, QueueConfig, SMAConfig
 from repro.core import SMACluster
@@ -81,6 +81,8 @@ def _node_observables(machine, result):
 
 
 def _observables(cluster, result, metrics):
+    """Everything a cluster run can be compared on; ``metrics`` is the
+    per-node list ``attach_metrics`` returned, or ``None``."""
     return {
         "cycles": result.cycles,
         "finish_cycles": list(result.finish_cycles),
@@ -88,7 +90,7 @@ def _observables(cluster, result, metrics):
             _node_observables(machine, node)
             for machine, node in zip(cluster.nodes, result.nodes)
         ],
-        "buckets": [m.stall_breakdown() for m in metrics],
+        "buckets": [m.stall_breakdown() for m in metrics or ()],
         "memory": {
             "reads": cluster.banked.stats.reads,
             "writes": cluster.banked.stats.writes,
@@ -105,13 +107,13 @@ def _observables(cluster, result, metrics):
     }
 
 
-def _run_both_modes(specs, latency, depth, banks, ports=1):
+def _run_both_modes(specs, latency, depth, banks, ports=1, metrics=True):
     observed = []
     for fast in (False, True):
         cluster = _build_cluster(specs, latency, depth, banks, ports)
-        metrics = cluster.attach_metrics()
+        node_metrics = cluster.attach_metrics() if metrics else None
         result = cluster.run(fast_forward=fast)
-        observed.append(_observables(cluster, result, metrics))
+        observed.append(_observables(cluster, result, node_metrics))
     naive, fast = observed
     assert naive == fast
     return naive
@@ -125,15 +127,22 @@ def _run_both_modes(specs, latency, depth, banks, ports=1):
     st.sampled_from((2, 8, 16)),          # banks
     st.sampled_from((1, 2)),              # port width
     st.integers(0, 2**31),                # input seed
+    st.booleans(),                        # metrics attached
 )
+# one node finishes early: its queue samples must stop at its own
+# finish cycle, not run on to the cluster's last cycle
+@example(names=["daxpy", "daxpy"], latency=8, depth=2, banks=2, ports=1,
+         seed=0, metrics=False)
 def test_cluster_fast_forward_identical_on_random_mixes(
-    names, latency, depth, banks, ports, seed
+    names, latency, depth, banks, ports, seed, metrics
 ):
     specs = [
         get_kernel(name).instantiate(24, seed + j)
         for j, name in enumerate(names)
     ]
-    observed = _run_both_modes(specs, latency, depth, banks, ports)
+    observed = _run_both_modes(
+        specs, latency, depth, banks, ports, metrics=metrics
+    )
     # the metrics buckets partition each node's own cycle count
     for node, buckets in zip(observed["nodes"], observed["buckets"]):
         assert sum(buckets.values()) == node["cycle"]
@@ -145,6 +154,57 @@ def test_cluster_fast_forward_identical_on_daxpy_grid(nodes, latency):
     spec = get_kernel("daxpy")
     specs = [spec.instantiate(48, 7 + j) for j in range(nodes)]
     _run_both_modes(specs, latency, depth=8, banks=16)
+
+
+@pytest.mark.parametrize("ports", (1, 4))
+def test_cluster_fast_forward_identical_on_rf8_shape(ports):
+    """R-F8's shape and path: eight daxpy nodes at latency 8 on 16
+    banks with default queue depths, no metrics attached."""
+    spec = get_kernel("daxpy")
+    specs = [spec.instantiate(48, j) for j in range(8)]
+    _run_both_modes(specs, latency=8, depth=8, banks=16, ports=ports,
+                    metrics=False)
+
+
+def test_default_cluster_run_steps_fast_and_jumps(monkeypatch):
+    """The default loop must never fall back to reference stepping: no
+    per-cycle queue sampling, no ``step_cycle`` or reference component
+    step, and at latency 256 most node-cycles are replayed in closed
+    form rather than stepped."""
+    from repro.core import SMAMachine
+    from repro.core.access_processor import AccessProcessor
+    from repro.core.descriptors import StreamEngine
+    from repro.core.execute_processor import ExecuteProcessor
+    from repro.core.store_unit import StoreUnit
+    from repro.queues import QueueFile
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reference stepping on the default path")
+
+    for cls, name in (
+        (QueueFile, "sample"), (SMAMachine, "step_cycle"),
+        (AccessProcessor, "step"), (ExecuteProcessor, "step"),
+        (StreamEngine, "tick"), (StoreUnit, "tick"),
+    ):
+        monkeypatch.setattr(cls, name, forbidden)
+    replayed = 0
+    replay = SMAMachine._replay_fast
+
+    def counting_replay(machine, snapshot, count):
+        nonlocal replayed
+        replayed += count
+        replay(machine, snapshot, count)
+
+    monkeypatch.setattr(SMAMachine, "_replay_fast", counting_replay)
+    spec = get_kernel("daxpy")
+    specs = [spec.instantiate(32, j) for j in range(4)]
+    cluster = _build_cluster(specs, latency=256, depth=8, banks=16)
+    result = cluster.run()
+    # every node-cycle was either stepped or replayed
+    node_cycles = sum(node.cycle for node in cluster.nodes)
+    node_steps = node_cycles - replayed
+    assert node_steps < result.cycles * len(cluster.nodes)
+    assert 2 * node_steps < node_cycles
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from repro.codegen import (
     cached_artifacts,
     clear_cache,
     compiled_loop_for,
-    compiled_step_for,
     stats,
 )
 from repro.codegen import cache as codegen_cache
@@ -99,12 +98,6 @@ class TestCacheKeying:
     def test_program_change_recompiles(self):
         assert compiled_loop_for(_build("daxpy")).key != \
             compiled_loop_for(_build("hydro")).key
-
-    def test_kind_is_part_of_the_key(self):
-        loop = compiled_loop_for(_build())
-        step = compiled_step_for(_build())
-        assert loop.key != step.key
-        assert loop.fn is not step.fn
 
     def test_source_edit_invalidates(self, monkeypatch):
         first = compiled_loop_for(_build())
@@ -190,15 +183,31 @@ class TestFallbacks:
         assert _full_observables(machine, got) == \
             _full_observables(reference, want)
 
+    def test_cluster_node_is_never_compiled(self):
+        """The artifact key carries no memory ownership, so a machine
+        that shares its memory (a cluster node) must not reach the
+        compiler; it runs the interpreted event-horizon loop."""
+        from tests.test_cluster_fast_forward import _build_cluster
+
+        specs = [_kernel("daxpy", 16)]
+        nodes = [
+            _build_cluster(specs, latency=8, depth=4, banks=8).nodes[0]
+            for _ in range(2)
+        ]
+        got = nodes[0].run(scheduler="codegen")
+        want = nodes[1].run(scheduler="event-horizon")
+        assert stats.compiles == 0
+        assert got.to_dict() == want.to_dict()
+
     def test_codegen_runs_compiled_loop_when_quiescent(self):
         machine = _build()
         machine.run(scheduler="codegen")
         assert stats.compiles == 1
-        assert cached_artifacts()[0].kind == "loop"
+        assert cached_artifacts()[0].fn.__name__ == "__sma_codegen_loop__"
 
 
 # ---------------------------------------------------------------------------
-# registry and cluster wiring
+# registry and cluster routing
 # ---------------------------------------------------------------------------
 
 
@@ -214,14 +223,15 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown scheduler"):
             _build().run(scheduler="jit")
 
-    def test_cluster_observer_disables_steppers(self):
+    def test_cluster_codegen_runs_event_horizon(self):
+        """A cluster asked for codegen runs its event-horizon loop and
+        compiles nothing."""
         from tests.test_cluster_fast_forward import _build_cluster
 
         specs = [_kernel("daxpy", 16), _kernel("hydro", 16)]
         cluster = _build_cluster(specs, latency=8, depth=4, banks=8)
-        assert cluster._compiled_steppers() is not None
-        cluster.memory.observer = lambda *a: None
-        assert cluster._compiled_steppers() is None
+        cluster.run(scheduler="codegen")
+        assert stats.compiles == 0
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +248,10 @@ class TestCli:
         assert "__sma_codegen_loop__" in out
         assert "# specialized for access program" in out
 
-    def test_codegen_show_step_kind(self, capsys):
-        from repro.cli import main
-
-        assert main(["codegen", "show", "daxpy", "--n", "16",
-                     "--kind", "step"]) == 0
-        assert "__sma_codegen_step__" in capsys.readouterr().out
-
     def test_codegen_list_reports_cache(self, capsys):
         from repro.cli import main
 
-        compiled_loop_for(_build())
+        artifact = compiled_loop_for(_build())
         assert main(["codegen", "list"]) == 0
         out = capsys.readouterr().out
-        assert "loop" in out and "compiles 1" in out
+        assert artifact.key[:12] in out and "compiles 1" in out

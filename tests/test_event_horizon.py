@@ -26,7 +26,7 @@ Direct unit tests pin the per-component cases (bank-free clamps, passive
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import (
     MemoryConfig,
@@ -176,9 +176,13 @@ def test_cycle_budget_parity_across_schedulers(scheduler):
     st.sampled_from((2, 8)),              # banks
     st.sampled_from((1, 2)),              # port width
     st.integers(0, 2**31),                # input seed
+    st.booleans(),                        # metrics attached
 )
+# one node finishes early (see test_cluster_fast_forward)
+@example(names=["daxpy", "daxpy"], latency=8, depth=2, banks=2, ports=1,
+         seed=0, metrics=False)
 def test_cluster_schedulers_identical_on_random_mixes(
-    names, latency, depth, banks, ports, seed
+    names, latency, depth, banks, ports, seed, metrics
 ):
     specs = [
         get_kernel(name).instantiate(24, seed + j)
@@ -187,9 +191,11 @@ def test_cluster_schedulers_identical_on_random_mixes(
     observed = {}
     for scheduler in SCHEDULERS:
         cluster = _build_cluster(specs, latency, depth, banks, ports)
-        metrics = cluster.attach_metrics()
+        node_metrics = cluster.attach_metrics() if metrics else None
         result = cluster.run(scheduler=scheduler)
-        observed[scheduler] = _cluster_observables(cluster, result, metrics)
+        observed[scheduler] = _cluster_observables(
+            cluster, result, node_metrics
+        )
     reference = next(iter(SCHEDULERS))
     for scheduler, obs in observed.items():
         assert obs == observed[reference], (
@@ -524,3 +530,32 @@ def test_two_phase_run_keeps_occupancy_exact():
                     scheduler="event-horizon")
     result = machine.run(scheduler="event-horizon")
     assert _full_observables(machine, result) == expected
+
+
+@pytest.mark.parametrize("metrics", (False, True))
+def test_cluster_two_phase_run_keeps_occupancy_exact(metrics):
+    """The cluster version: every node's lazy bracket must close on the
+    cycle-budget error path and reopen on the resumed run, and a node
+    that finished before the abort must stay frozen at its finish."""
+    specs = [
+        get_kernel("daxpy").instantiate(16, 1),    # finishes early
+        get_kernel("hydro").instantiate(96, 2),    # keeps running
+    ]
+
+    def build():
+        cluster = _build_cluster(specs, latency=64, depth=4, banks=8)
+        return cluster, cluster.attach_metrics() if metrics else None
+
+    reference, ref_metrics = build()
+    expected = _cluster_observables(
+        reference, reference.run(scheduler="naive"), ref_metrics
+    )
+    early, late = expected["finish_cycles"]
+    budget = (early + late) // 2
+    assert early < budget < late
+
+    cluster, node_metrics = build()
+    with pytest.raises(SimulationError, match="budget"):
+        cluster.run(max_cycles=budget, scheduler="event-horizon")
+    result = cluster.run(scheduler="event-horizon")
+    assert _cluster_observables(cluster, result, node_metrics) == expected
