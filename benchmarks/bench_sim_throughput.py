@@ -21,22 +21,19 @@ Both produce the same per-point speedup numbers and the same simulated
 cycle counts — asserted below — so the wall-clock ratio is a pure
 simulator-engineering win.
 
-A second section races the four machine schedulers (``naive`` /
-``joint-idle`` / ``event-horizon`` / ``codegen``) head-to-head on two
-regimes: the *low*-latency end of the sweep — where joint idleness is
-rare and the event-horizon scheduler's per-component contracts and
-decode-cached step paths have to carry the win — and the high-latency
-(latency-dominated) band, where the codegen backend's specialized
-straight-line loop must beat the interpreted event-horizon loop
-:data:`CODEGEN_FLOOR` x.
+A second section races the two machine loops (``naive`` /
+``event-horizon``) head-to-head on the *low*-latency end of the sweep,
+where whole-machine idleness is rare and the event-horizon loop's
+per-component contracts and decode-cached step paths have to carry the
+win: it must beat naive ticking :data:`EVENT_HORIZON_FLOOR` x.
 
 A third section races the SoA batch engine (:mod:`repro.batch`)
-against per-point codegen on a *fine* grid — queue depths 1..64 x 50
-log-spaced latencies 1..512, 3200 distinct timing configurations of
-one kernel.  This is the regime the batch engine exists for: every
-point is a distinct config, so codegen pays its compile per point,
-while the batch engine steps all lanes in lockstep; the cost per sweep
-point must be at least :data:`BATCH_FLOOR` x lower.
+against per-point event-horizon runs on a *fine* grid — queue depths
+1..64 x 50 log-spaced latencies 1..512, 3200 distinct timing
+configurations of one kernel.  This is the regime the batch engine
+exists for: the scalar path simulates every point on its own, while the
+batch engine steps all lanes in lockstep; the cost per sweep point must
+be at least :data:`BATCH_FLOOR` x lower.
 
 A fourth section races the batch engine against *itself* on the same
 fine grid: the interpreted SoA loop (``compiled=False``, the PR-7
@@ -65,7 +62,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.codegen import compiled_loop_for
 from repro.config import MemoryConfig, SMAConfig
 from repro.core import SMAMachine
 from repro.core import machine as machine_mod
@@ -156,37 +152,26 @@ def test_sim_throughput(capsys):
 
 
 # ---------------------------------------------------------------------------
-# scheduler shoot-out: every registered scheduler, two latency regimes
+# scheduler shoot-out: every registered scheduler on the low-latency sweep
 # ---------------------------------------------------------------------------
 
 #: the low-latency end of the R-F1 sweep — the regime where whole-machine
-#: idleness is rare and the joint-idle fast-forward has little to jump
-#: over, so any win must come from per-component horizons and the cheaper
-#: decode-cached step paths
+#: idleness is rare, so any win must come from per-component horizons
+#: and the cheaper decode-cached step paths
 SCHEDULER_LATENCIES = (8, 16, 32)
-
-#: the codegen shoot-out band — the latency-dominated high end of the
-#: R-F1 sweep (the same band the harness section above runs), where the
-#: generated loop's cheap planning/jump path compounds with its cheap
-#: live-cycle body
-CODEGEN_LATENCIES = LATENCIES
 
 #: where the scheduler comparison (and ``main --smoke``) records results
 BENCH_JSON = Path(__file__).resolve().parent.parent / \
     "BENCH_sim_throughput.json"
 
-#: acceptance floors: event-horizon must beat the PR-3 fast-forward
-#: (joint-idle) 3x on the full low-latency sweep, and the codegen
-#: backend must beat the interpreted event-horizon loop 3x on the full
-#: high-latency sweep; the CI smoke gates (scripts/check_bench_floor.py)
-#: assert laxer ratios to stay robust on noisy shared runners
+#: acceptance floor: event-horizon must beat naive ticking 3x on the full
+#: low-latency sweep; the CI smoke gate (scripts/check_bench_floor.py)
+#: asserts a laxer ratio to stay robust on noisy shared runners
 EVENT_HORIZON_FLOOR = 3.0
-CODEGEN_FLOOR = 3.0
 SMOKE_FLOOR = 2.0
-CODEGEN_SMOKE_FLOOR = 1.5
 
 # ---------------------------------------------------------------------------
-# batch regime: SoA lanes vs per-point codegen on a fine sweep grid
+# batch regime: SoA lanes vs per-point event-horizon on a fine sweep grid
 # ---------------------------------------------------------------------------
 
 #: the fine-sweep regime the batch engine exists for: a queue-depth
@@ -198,20 +183,17 @@ BATCH_LATENCIES = tuple(
     sorted({max(1, round(2 ** (i * 9 / 63))) for i in range(64)})
 )
 BATCH_QUEUE_DEPTHS = tuple(range(1, 65))
-#: stride through the grid for the codegen comparator (every point is a
-#: distinct config, so timing the whole grid under codegen would take
-#: minutes; a stratified subsample measures the same per-point cost)
+#: stride through the grid for the per-point comparator (timing every
+#: point one machine at a time would take minutes; a stratified
+#: subsample measures the same per-point cost)
 BATCH_SUBSAMPLE = 47
 
 #: acceptance floor (batch tentpole): the SoA engine must land at least
-#: 8x lower cost per sweep point than per-point codegen on the fine
-#: grid (codegen pays a per-config compile there — a fine grid gives
-#: every point a distinct config, so compilation cannot amortize).
-#: Measured ~13x on the reference machine; the smoke grid is small
-#: enough that numpy dispatch overhead narrows the gap, hence its laxer
-#: floor.
+#: 8x lower cost per sweep point than per-point event-horizon runs on
+#: the fine grid.  The smoke grid is small enough that numpy dispatch
+#: overhead erases most of the gap, so its ratio is recorded but not
+#: gated.
 BATCH_FLOOR = 8.0
-BATCH_SMOKE_FLOOR = 2.0
 
 #: acceptance floor (batch-codegen tentpole): the program-specialized
 #: batch lane stepper (+ saturation collapse) must land at least 3x
@@ -246,10 +228,7 @@ def _build_sma(name: str, latency: int, n: int) -> SMAMachine:
 def _scheduler_sweep(scheduler, latencies, n, kernels, repeats):
     """Time the sweep under one scheduler; construction is excluded and
     the wall-clock is the best of ``repeats`` runs (machines are
-    single-use, so each repeat rebuilds its own set).  The codegen
-    scheduler's compile step is warmed outside the timed region — the
-    artifact cache makes compilation a once-per-(program, config) cost,
-    not a per-run cost, and ``repro profile`` attributes it separately.
+    single-use, so each repeat rebuilds its own set).
 
     Returns (per-run result digests, total simulated cycles, seconds).
     """
@@ -261,9 +240,6 @@ def _scheduler_sweep(scheduler, latencies, n, kernels, repeats):
             _build_sma(name, latency, n)
             for latency in latencies for name in kernels
         ]
-        if scheduler == "codegen":
-            for m in machines:
-                compiled_loop_for(m)
         start = time.perf_counter()
         results = [m.run(scheduler=scheduler) for m in machines]
         elapsed = time.perf_counter() - start
@@ -297,9 +273,7 @@ def _sweep_comparison(latencies, n, kernels, repeats) -> dict:
             "cycles_per_sec": round(cycles / secs, 1),
         }
     naive = schedulers["naive"]["seconds"]
-    joint = schedulers["joint-idle"]["seconds"]
     horizon = schedulers["event-horizon"]["seconds"]
-    codegen = schedulers["codegen"]["seconds"]
     return {
         "latencies": list(latencies),
         "n": n,
@@ -308,9 +282,6 @@ def _sweep_comparison(latencies, n, kernels, repeats) -> dict:
         "schedulers": schedulers,
         "ratios": {
             "event_horizon_vs_naive": round(naive / horizon, 2),
-            "event_horizon_vs_joint_idle": round(joint / horizon, 2),
-            "codegen_vs_naive": round(naive / codegen, 2),
-            "codegen_vs_event_horizon": round(horizon / codegen, 2),
         },
     }
 
@@ -330,13 +301,11 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
                       depths=BATCH_QUEUE_DEPTHS,
                       n=BATCH_N, repeats=2,
                       subsample=BATCH_SUBSAMPLE) -> dict:
-    """Race the SoA batch engine against per-point codegen on the fine
-    grid.  The batch engine runs the whole grid; codegen runs a
-    stratified subsample with its per-config compile *inside* the timed
-    region (on a fine grid every point is a distinct configuration, so
-    the compile is a real per-point cost, unlike the coarse sweeps
-    above where it amortizes).  Asserts the subsample's cycle counts
-    are identical across the two engines."""
+    """Race the SoA batch engine against per-point event-horizon runs on
+    the fine grid.  The batch engine runs the whole grid; the scalar
+    path runs a stratified subsample, one ``machine.run()`` per point
+    with construction outside the timed region.  Asserts the
+    subsample's cycle counts are identical across the two engines."""
     from repro.batch import run_batch
     from repro.harness.jobs import BatchJob
 
@@ -354,37 +323,27 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
             best_batch = elapsed
     assert len(batch_results) == len(jobs)
 
-    from repro.codegen import clear_cache
-
     sample = list(range(0, len(jobs), subsample))
-    best_cg = None
-    cg_cycles: list[int] = []
+    best_point = None
+    point_cycles: list[int] = []
     for _ in range(repeats):
         machines = [
             _build_sma_from_config(BATCH_KERNEL, jobs[i].sma_config, n)
             for i in sample
         ]
-        # a real fine sweep compiles each of its thousands of configs
-        # exactly once; clearing the artifact cache keeps each repeat
-        # paying that same once-per-config cost instead of racing a
-        # warm cache the real sweep would never have
-        clear_cache()
         start = time.perf_counter()
-        runs = []
-        for m in machines:
-            compiled_loop_for(m)
-            runs.append(m.run(scheduler="codegen"))
+        runs = [m.run() for m in machines]
         elapsed = time.perf_counter() - start
-        if best_cg is None or elapsed < best_cg:
-            best_cg = elapsed
-        cg_cycles = [r.cycles for r in runs]
-    for i, cycles in zip(sample, cg_cycles):
+        if best_point is None or elapsed < best_point:
+            best_point = elapsed
+        point_cycles = [r.cycles for r in runs]
+    for i, cycles in zip(sample, point_cycles):
         assert cycles == batch_results[i]["cycles"], (
-            f"batch disagrees with codegen at grid point {i}"
+            f"batch disagrees with event-horizon at grid point {i}"
         )
 
     batch_pps = len(jobs) / best_batch
-    cg_pps = len(sample) / best_cg
+    point_pps = len(sample) / best_point
     return {
         "kernel": BATCH_KERNEL,
         "n": n,
@@ -398,15 +357,15 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
             "seconds": round(best_batch, 6),
             "points_per_sec": round(batch_pps, 1),
         },
-        "codegen": {
+        "event-horizon": {
             "points": len(sample),
-            "seconds": round(best_cg, 6),
-            "points_per_sec": round(cg_pps, 1),
-            "note": "per-config compile included: every fine-grid "
-                    "point is a distinct configuration",
+            "seconds": round(best_point, 6),
+            "points_per_sec": round(point_pps, 1),
+            "note": "one machine.run() per grid point, construction "
+                    "excluded",
         },
         "ratios": {
-            "batch_vs_codegen": round(batch_pps / cg_pps, 2),
+            "batch_vs_event_horizon": round(batch_pps / point_pps, 2),
         },
     }
 
@@ -430,13 +389,12 @@ def _batch_codegen_comparison(latencies=BATCH_LATENCIES,
         BATCH_KERNEL, n, latencies=latencies, queue_depths=depths
     ).expand()
 
-    # the per-program compile is warmed outside the timed region (like
-    # the codegen scheduler above: one compile serves the whole grid,
-    # and the lane-group fingerprint cache makes it a once-per-program
-    # cost).  The three modes are timed *interleaved* within each
-    # repeat round — best-of mins from back-to-back runs — so a noise
-    # spike on a shared host degrades all three rather than skewing
-    # the ratio
+    # the per-program compile is warmed outside the timed region (one
+    # compile serves the whole grid, and the lane-group fingerprint
+    # cache makes it a once-per-program cost).  The three modes are
+    # timed *interleaved* within each repeat round — best-of mins from
+    # back-to-back runs — so a noise spike on a shared host degrades
+    # all three rather than skewing the ratio
     clear_cache()
     run_batch(jobs)
     cpus = os.cpu_count() or 1
@@ -513,7 +471,6 @@ def _batch_codegen_comparison(latencies=BATCH_LATENCIES,
 
 
 def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
-                             codegen_latencies=CODEGEN_LATENCIES,
                              n=N, kernels=KERNELS, repeats=2,
                              batch_latencies=BATCH_LATENCIES,
                              batch_depths=BATCH_QUEUE_DEPTHS,
@@ -523,17 +480,13 @@ def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
                              batch_codegen_depths=None) -> dict:
     """Run all three shoot-out sweeps and package the numbers for
     ``BENCH_sim_throughput.json``: the low-latency regime (where the
-    event-horizon floor is asserted), the latency-dominated regime
-    (where the codegen floor is asserted), and the fine-grid regime
-    (where the batch floor is asserted)."""
+    event-horizon floor is asserted), and the fine-grid batch and
+    batch-codegen regimes (where the batch floors are asserted)."""
     return {
         "benchmark": "bench_sim_throughput/scheduler_comparison",
         "sweeps": {
             "scheduler": _sweep_comparison(
                 scheduler_latencies, n, kernels, repeats
-            ),
-            "codegen": _sweep_comparison(
-                codegen_latencies, n, kernels, repeats
             ),
             "batch": _batch_comparison(
                 batch_latencies, batch_depths, batch_n, repeats,
@@ -546,14 +499,11 @@ def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
             ),
         },
         "floors": {
-            "event_horizon_vs_joint_idle": EVENT_HORIZON_FLOOR,
-            "codegen_vs_event_horizon": CODEGEN_FLOOR,
-            "batch_vs_codegen": BATCH_FLOOR,
+            "event_horizon_vs_naive": EVENT_HORIZON_FLOOR,
+            "batch_vs_event_horizon": BATCH_FLOOR,
             "batch_codegen_vs_batch": BATCH_CODEGEN_FLOOR,
             "sharded_vs_inline_multicore": BATCH_SHARD_FLOOR,
             "smoke_event_horizon_vs_naive": SMOKE_FLOOR,
-            "smoke_codegen_vs_event_horizon": CODEGEN_SMOKE_FLOOR,
-            "smoke_batch_vs_codegen": BATCH_SMOKE_FLOOR,
             "smoke_batch_codegen_vs_batch": BATCH_CODEGEN_SMOKE_FLOOR,
         },
     }
@@ -590,13 +540,13 @@ def _print_comparison(data: dict) -> None:
                   f"n={sweep['n']}, {grid['latencies']} latencies x "
                   f"{grid['queue_depths']} queue depths = "
                   f"{grid['points']} points)")
-            for engine in ("batch", "codegen"):
+            for engine in ("batch", "event-horizon"):
                 row = sweep[engine]
                 print(f"  {engine:<14}: {row['points_per_sec']:12.1f} "
                       f"points/s ({row['points']} points, "
                       f"{row['seconds']:.3f}s)")
-            print(f"  batch vs codegen            : "
-                  f"{sweep['ratios']['batch_vs_codegen']:.2f}x")
+            print(f"  batch vs event-horizon      : "
+                  f"{sweep['ratios']['batch_vs_event_horizon']:.2f}x")
             continue
         print(f"R-F1 {label} shoot-out (latencies "
               f"{tuple(sweep['latencies'])}, n={sweep['n']}, best of "
@@ -608,12 +558,6 @@ def _print_comparison(data: dict) -> None:
         ratios = sweep["ratios"]
         print(f"  event-horizon vs naive      : "
               f"{ratios['event_horizon_vs_naive']:.2f}x")
-        print(f"  event-horizon vs joint-idle : "
-              f"{ratios['event_horizon_vs_joint_idle']:.2f}x")
-        print(f"  codegen vs naive            : "
-              f"{ratios['codegen_vs_naive']:.2f}x")
-        print(f"  codegen vs event-horizon    : "
-              f"{ratios['codegen_vs_event_horizon']:.2f}x")
 
 
 @pytest.mark.benchmark(group="throughput")
@@ -624,20 +568,16 @@ def test_scheduler_throughput(capsys):
         print()
         _print_comparison(data)
         print(f"  (recorded in {BENCH_JSON.name})")
-    # acceptance floor (PR-4 tentpole): per-component horizons +
-    # decode-cached hot loop must beat the PR-3 joint-idle fast-forward
-    # 3x even in the low-latency regime it was weakest in
+    # acceptance floor: per-component horizons + the decode-cached hot
+    # loop must beat naive ticking 3x even in the low-latency regime,
+    # where whole-machine idleness is rare
     assert data["sweeps"]["scheduler"]["ratios"][
-        "event_horizon_vs_joint_idle"] >= EVENT_HORIZON_FLOOR
-    # acceptance floor (codegen tentpole): the generated straight-line
-    # loop must beat the interpreted event-horizon loop 3x on the
-    # latency-dominated band
-    assert data["sweeps"]["codegen"]["ratios"][
-        "codegen_vs_event_horizon"] >= CODEGEN_FLOOR
+        "event_horizon_vs_naive"] >= EVENT_HORIZON_FLOOR
     # acceptance floor (batch tentpole): the SoA engine must land >=8x
-    # lower cost per sweep point than per-point codegen on the fine grid
+    # lower cost per sweep point than per-point event-horizon runs on
+    # the fine grid
     assert data["sweeps"]["batch"]["ratios"][
-        "batch_vs_codegen"] >= BATCH_FLOOR
+        "batch_vs_event_horizon"] >= BATCH_FLOOR
     # acceptance floor (batch-codegen tentpole): the specialized lane
     # stepper + saturation collapse must beat the interpreted SoA loop
     # 3x on the same grid
@@ -663,8 +603,8 @@ def main(argv=None) -> int:
         description="simulator scheduler throughput benchmark"
     )
     parser.add_argument("--smoke", action="store_true",
-                        help="small sweeps for CI (n=96, two latencies "
-                             "per regime)")
+                        help="small sweeps for CI (n=96, two scheduler "
+                             "latencies, smaller batch grids)")
     parser.add_argument("--out", default=str(BENCH_JSON),
                         help="output JSON path")
     args = parser.parse_args(argv)
@@ -675,14 +615,13 @@ def main(argv=None) -> int:
         # the batch-codegen regime keeps the full 1..64 depth axis in
         # smoke: its win comes from saturation collapse, which a
         # shallow-depth grid (everything saturates) would erase — and
-        # unlike the per-point codegen comparator it costs no compile
-        # per grid point, so the wider grid stays cheap
+        # unlike the per-point comparator it runs no machine per grid
+        # point, so the wider grid stays cheap
         bc_latencies = tuple(
             sorted({max(1, round(2 ** (i * 9 / 23))) for i in range(24)})
         )
         data = run_scheduler_comparison(
-            scheduler_latencies=(8, 32), codegen_latencies=(64, 256),
-            n=96, repeats=3,
+            scheduler_latencies=(8, 32), n=96, repeats=3,
             batch_latencies=smoke_latencies,
             batch_depths=tuple(range(1, 17)),
             batch_subsample=13,
@@ -741,7 +680,9 @@ def _cluster_sweep(latency: int, fast: bool) -> tuple[int, float]:
     for nodes in CLUSTER_NODES:
         for ports in CLUSTER_PORTS:
             cluster = _build_cluster(nodes, latency, ports)
-            total_cycles += cluster.run(fast_forward=fast).cycles
+            total_cycles += cluster.run(
+                scheduler="event-horizon" if fast else "naive"
+            ).cycles
     return total_cycles, time.perf_counter() - start
 
 

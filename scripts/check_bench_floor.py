@@ -9,17 +9,16 @@ Usage::
 Reads ``BENCH_sim_throughput.json`` (default: repo root) as written by
 ``benchmarks/bench_sim_throughput.py`` and fails when any measured
 smoke ratio falls below its floor: the event-horizon scheduler against
-naive ticking on the low-latency sweep, the codegen backend against
-the interpreted event-horizon loop on the latency-dominated sweep, the
-SoA batch engine against per-point codegen (points/second) on the fine
-sweep grid, and the program-specialized batch lane stepper against the
-interpreted SoA loop on the same grid.  The floors live in the JSON
-itself (``floors.smoke_event_horizon_vs_naive``, 2x by default,
-``floors.smoke_codegen_vs_event_horizon``, 1.5x,
-``floors.smoke_batch_vs_codegen``, 2x, and
-``floors.smoke_batch_codegen_vs_batch``, 1.5x — all deliberately
+naive ticking on the low-latency sweep, and the program-specialized
+batch lane stepper against the interpreted SoA loop on the fine sweep
+grid.  The floors live in the JSON itself
+(``floors.smoke_event_horizon_vs_naive``, 2x by default, and
+``floors.smoke_batch_codegen_vs_batch``, 1.5x — both deliberately
 laxer than the full-benchmark assertions so shared CI runners don't
 flake) so benchmark and gate can never disagree about the contract.
+The SoA batch engine's points/second against per-point event-horizon
+runs, and sharded against in-driver batch runs, are printed for
+information only.
 
 Exit status is non-zero on a miss, a malformed file, or implausible
 numbers (schedulers disagreeing on simulated cycles), so the workflow
@@ -35,19 +34,13 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_JSON = REPO / "BENCH_sim_throughput.json"
 
-REQUIRED_SCHEDULERS = ("naive", "joint-idle", "event-horizon", "codegen")
-REQUIRED_SWEEPS = ("scheduler", "codegen")
+REQUIRED_SCHEDULERS = ("naive", "event-horizon")
+REQUIRED_SWEEPS = ("scheduler",)
 
 #: (sweep, numerator scheduler, denominator scheduler, floor key) per gate
 GATES = (
     ("scheduler", "naive", "event-horizon", "smoke_event_horizon_vs_naive"),
-    ("codegen", "event-horizon", "codegen", "smoke_codegen_vs_event_horizon"),
 )
-
-#: floor key for the fine-grid batch sweep (points/s ratio, not seconds:
-#: the two engines cover different point counts — the batch engine runs
-#: the full grid, codegen a stratified subsample)
-BATCH_FLOOR_KEY = "smoke_batch_vs_codegen"
 
 #: floor key for the batch-codegen regime (specialized lane stepper +
 #: saturation collapse vs the interpreted SoA loop, same grid both ways)
@@ -85,7 +78,7 @@ def _check_batch_sweep(sweep: dict) -> list[str]:
     """Validate the fine-grid batch section (its shape differs from the
     scheduler shoot-outs: two engines, point counts, points/s)."""
     problems: list[str] = []
-    for engine in ("batch", "codegen"):
+    for engine in ("batch", "event-horizon"):
         row = sweep.get(engine)
         if not isinstance(row, dict):
             problems.append(f"batch: missing engine entry {engine!r}")
@@ -184,20 +177,13 @@ def check(path: Path) -> list[str]:
                 f"{floor}x vs {slow} on the {label} sweep"
             )
 
-    floor = floors.get(BATCH_FLOOR_KEY)
-    if not isinstance(floor, (int, float)) or floor <= 0:
-        problems.append(f"floors.{BATCH_FLOOR_KEY} missing")
-    else:
-        ratio = (batch_sweep["batch"]["points_per_sec"]
-                 / batch_sweep["codegen"]["points_per_sec"])
-        grid = batch_sweep["grid"]
-        print(f"batch vs codegen: {ratio:.2f}x points/s (floor {floor}x) "
-              f"on the fine grid ({grid['points']} points)")
-        if ratio < floor:
-            problems.append(
-                f"batch throughput floor missed: {ratio:.2f}x < "
-                f"{floor}x vs per-point codegen on the fine grid"
-            )
+    # points/s, not seconds: the batch engine runs the full grid, the
+    # per-point comparator a stratified subsample
+    ratio = (batch_sweep["batch"]["points_per_sec"]
+             / batch_sweep["event-horizon"]["points_per_sec"])
+    print(f"batch vs per-point event-horizon: {ratio:.2f}x points/s on "
+          f"the fine grid ({batch_sweep['grid']['points']} points) — "
+          "informational; gated only by the full benchmark")
 
     floor = floors.get(BATCH_CODEGEN_FLOOR_KEY)
     if not isinstance(floor, (int, float)) or floor <= 0:

@@ -1,8 +1,7 @@
 """Compile-once cache for program-specialized batch lane steppers.
 
-Same contract as :mod:`repro.codegen.cache`, one level up the
-throughput ladder: artifacts are keyed by everything the emitted source
-depends on —
+Artifacts are keyed by everything the emitted source depends on, so a
+cached stepper is reused only where it would be emitted identically —
 
 * the **code fingerprint** of the simulator sources (the same
   :func:`repro.harness.parallel.code_fingerprint` that invalidates the

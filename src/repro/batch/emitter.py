@@ -4,9 +4,8 @@
 re-reads the same decoded tuples, re-branches on operand tags, and
 probes queues and components the program can never touch.  The emitter
 here walks the decoded access/execute program pair *once* per lane
-group and writes out the exact numpy lane-stepper this program needs —
-the same fusion PR 6's scalar emitter applied to one machine, lifted to
-the whole lane axis:
+group and writes out the exact numpy lane-stepper this program needs,
+fused across the whole lane axis:
 
 * per-pc interpreted dispatch becomes a table of per-instruction block
   functions with opcodes, operands, queue ids, stall-cause ids and
@@ -42,7 +41,7 @@ The output is bit-identical to ``LaneEngine.run()`` — every
 ``tests/test_batch_codegen.py``.  Programs the emitter cannot
 specialize raise :class:`Unsupported`; the cache layer
 (:mod:`repro.batch.cache`) negative-caches them and ``run()`` falls
-back to the interpreted loop (see ARCHITECTURE section 21 for the full
+back to the interpreted loop (see ARCHITECTURE section 20 for the full
 contract).
 """
 
@@ -102,10 +101,9 @@ def _addr(values):
 def runtime_namespace() -> dict:
     """Fresh globals for ``exec``-ing one generated lane stepper.
 
-    Same contract as :func:`repro.codegen.runtime.runtime_namespace`:
-    a generated body may only reach machine state through its ``engine``
-    parameter and these process-wide-stable helpers, so artifacts are
-    reusable across lane groups with the same key.
+    A generated body may only reach machine state through its
+    ``engine`` parameter and these process-wide-stable helpers, so one
+    artifact is reusable across every lane group with the same key.
     """
     return {
         "np": np,

@@ -31,8 +31,8 @@ Three structural ideas:
   its next memory event (earliest in-flight load maturing, earliest busy
   bank freeing) repeats the same stall bit-for-bit, so the lane's clock
   jumps there directly and the per-cycle statistic increments are
-  replayed in closed form — the same argument as the scalar joint-idle
-  scheduler, applied per lane.
+  replayed in closed form — the same argument as the scalar
+  event-horizon replay (``SMAMachine._replay_fast``), applied per lane.
 * **Lane freeze** — a finished lane (both processors halted, streams
   drained, SAQ empty, no loads in flight) is removed from the active
   index and costs nothing for the rest of the batch.

@@ -85,14 +85,9 @@ Commands
 ``profile KERNEL``
     cProfile one kernel's SMA simulation and attribute exclusive time to
     simulator components (access processor, stream engine, memory, ...);
-    ``--scheduler`` picks the simulation loop (naive / joint-idle /
-    event-horizon) so loop costs can be compared, ``--top K`` adds the K
-    hottest individual functions.
-
-``codegen show KERNEL`` / ``codegen list``
-    Dump the program-specialized tick function the ``"codegen"``
-    scheduler compiles for a kernel (see ``repro.codegen``), or list the
-    in-process artifact cache with its hit/miss counters.
+    ``--scheduler`` picks the simulation loop (naive / event-horizon) so
+    loop costs can be compared, ``--top K`` adds the K hottest individual
+    functions.
 
 ``verify KERNEL``
     Check a kernel's per-address write sequences on each machine against
@@ -612,9 +607,8 @@ def cmd_timeline(args) -> int:
 
 #: component attribution for ``repro profile``: simulator source file ->
 #: human-readable component name (anything else lands in "other"; the
-#: codegen package and its generated ``<sma-codegen:...>`` frames are
-#: matched by path in :func:`profile_attribution`, so emission/compile
-#: cost and generated-loop cost show up as separate components)
+#: batch engine's generated ``<sma-batch-codegen:...>`` frames are matched
+#: by filename in :func:`profile_attribution`)
 _PROFILE_COMPONENTS = {
     "access_processor.py": "access processor",
     "execute_processor.py": "execute processor",
@@ -641,10 +635,6 @@ def profile_attribution(stats) -> dict[str, float]:
         tottime = entry[2]
         if filename.startswith("<sma-batch-codegen"):
             component = "batch generated code"
-        elif filename.startswith("<sma-codegen"):
-            component = "generated code"
-        elif f"{os.sep}codegen{os.sep}" in filename:
-            component = "codegen compile"
         else:
             component = _PROFILE_COMPONENTS.get(
                 os.path.basename(filename), "other"
@@ -710,50 +700,6 @@ def cmd_profile(args) -> int:
             shown += 1
             if shown >= args.top:
                 break
-    return 0
-
-
-def cmd_codegen(args) -> int:
-    from dataclasses import replace as _replace
-
-    from .codegen import (
-        cached_artifacts,
-        compiled_loop_for,
-        stats as codegen_stats,
-    )
-    from .core import SMAMachine
-    from .harness.runner import _fit_memory, _load_inputs
-
-    if args.action == "list":
-        artifacts = cached_artifacts()
-        if not artifacts:
-            print("codegen cache is empty")
-        for artifact in artifacts:
-            lines = artifact.source.count("\n")
-            print(f"{artifact.key[:12]}  "
-                  f"{lines:>5} lines  engine={artifact.uses_engine} "
-                  f"su={artifact.uses_su} memory={artifact.uses_memory}")
-        print(f"hits {codegen_stats.hits}  misses {codegen_stats.misses}  "
-              f"compiles {codegen_stats.compiles}  "
-              f"evictions {codegen_stats.evictions}  "
-              f"unsupported {codegen_stats.unsupported}")
-        return 0
-
-    spec = get_kernel(args.kernel)
-    kernel, inputs = spec.instantiate(args.n)
-    lowered = lower_sma(kernel)
-    sma_cfg, _ = _configs(args.latency)
-    cfg = _replace(sma_cfg, memory=_fit_memory(sma_cfg.memory,
-                                               lowered.layout))
-    machine = SMAMachine(lowered.access_program, lowered.execute_program,
-                         cfg)
-    _load_inputs(machine, lowered.layout, kernel, inputs)
-    artifact = compiled_loop_for(machine)
-    if artifact is None:
-        print(f"{spec.name}: program cannot be specialized; runs fall "
-              "back to the event-horizon scheduler")
-        return 1
-    print(artifact.source, end="")
     return 0
 
 
@@ -1032,24 +978,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--top", type=int, default=0, metavar="K",
                            help="also list the K hottest functions")
 
-    p_codegen = sub.add_parser(
-        "codegen",
-        help="inspect the program-specialized codegen backend",
-    )
-    cg_sub = p_codegen.add_subparsers(dest="action", required=True)
-    p_cg_show = cg_sub.add_parser(
-        "show",
-        help="emit and print the specialized tick-function source for "
-             "one kernel",
-    )
-    p_cg_show.add_argument("kernel")
-    p_cg_show.add_argument("--n", type=int, default=64)
-    p_cg_show.add_argument("--latency", type=int, default=8)
-    cg_sub.add_parser(
-        "list",
-        help="list this process's cached artifacts and cache statistics",
-    )
-
     p_verify = sub.add_parser(
         "verify",
         help="check a kernel's per-address write sequences against "
@@ -1083,7 +1011,6 @@ _COMMANDS = {
     "report": cmd_report,
     "timeline": cmd_timeline,
     "profile": cmd_profile,
-    "codegen": cmd_codegen,
     "verify": cmd_verify,
     "parse": cmd_parse,
 }

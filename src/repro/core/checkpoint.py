@@ -1,6 +1,6 @@
 """Full-state checkpoint/restore for SMA machines and clusters.
 
-This generalizes the PR-3/4 ``stall_snapshot``/``replay_stall_cycles``
+This generalizes the ``stall_snapshot``/``_replay_fast`` replay
 contract — which captures only the counters a fully-idle cycle increments
 — to the *entire* mutable state of a machine: processor register files
 and PCs, queue contents (including reserved-but-unfilled slots), live

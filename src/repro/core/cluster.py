@@ -25,15 +25,15 @@ still-running node's skipped span through its own
 touches the memory model, so a non-owning node replays exactly like a
 standalone machine.  Finished nodes are frozen (naive ticking does not
 step them either), and the shared memory needs no replay of its own: a
-jointly-idle cycle issues no accesses, so bank-free times and port
-counters are static until the next completion.  Everything stays
-bit-identical to naive ticking (property-tested in
+cycle in which every node is idle issues no accesses, so bank-free
+times and port counters are static until the next completion.
+Everything stays bit-identical to naive ticking (property-tested in
 ``tests/test_cluster_fast_forward.py`` and
 ``tests/test_event_horizon.py``), including per-node metrics buckets —
 ``attach_metrics`` works in cluster mode because the node classifiers
-replay in closed form just as they do standalone.  The naive and
-joint-idle loops (``_run_joint_idle``) step every node through its
-reference ``step_cycle``.
+replay in closed form just as they do standalone.  The naive loop
+(``_run_naive``) is the reference: every cycle it ticks the memory and
+steps every running node through its reference ``step_cycle``.
 
 Used by experiment R-F8 (`bench_fig8_multiprocessor.py`).
 """
@@ -128,9 +128,9 @@ class SMACluster:
         node gets its own registry (counter names collide across nodes
         otherwise); the shared memory's counters are published into every
         node's registry, getter-based over the one shared stats object.
-        Like the single-machine case, attaching metrics keeps cluster
-        fast-forward enabled — node classifiers and samplers replay in
-        closed form.
+        Like the single-machine case, attaching metrics keeps the
+        cluster's event-horizon loop jumping — node classifiers and
+        samplers replay in closed form.
         """
         return [node.attach_metrics() for node in self.nodes]
 
@@ -228,27 +228,23 @@ class SMACluster:
         self,
         max_cycles: int = 10_000_000,
         deadlock_window: int = 10_000,
-        fast_forward: bool | None = None,
         scheduler: str | None = None,
     ) -> ClusterResult:
         """Run every node to completion under shared-memory contention.
 
         ``scheduler`` picks the loop exactly as in
-        :meth:`SMAMachine.run` — any key of
-        :data:`SMAMachine.SCHEDULERS` (``"naive"`` / ``"joint-idle"`` /
-        ``"event-horizon"`` / ``"codegen"``); when ``None`` it is
-        derived from ``fast_forward``, which itself defaults to the
-        process-wide :data:`repro.core.machine.FAST_FORWARD`.  A
-        ``"codegen"`` request runs the event-horizon loop (codegen
-        compiles standalone machines only).  Cycle counts and every
-        per-node statistic are bit-identical across all four.  Fault
-        injection and speculation narrow the choice as for one machine
-        (:meth:`SMAMachine._effective_scheduler`).
+        :meth:`SMAMachine.run` — ``"naive"`` or ``"event-horizon"``, any
+        key of :data:`SMAMachine.SCHEDULERS`; ``None`` follows the
+        process-wide :data:`repro.core.machine.FAST_FORWARD`.  Cycle
+        counts and every per-node statistic are bit-identical under
+        both.  Fault injection narrows the choice as for one machine
+        (:meth:`SMAMachine._effective_scheduler`), and each node builds
+        its own speculation engine there.
         """
         if scheduler is None:
-            if fast_forward is None:
-                fast_forward = machine_mod.FAST_FORWARD
-            scheduler = "event-horizon" if fast_forward else "naive"
+            scheduler = (
+                "event-horizon" if machine_mod.FAST_FORWARD else "naive"
+            )
         elif scheduler not in SMAMachine.SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {scheduler!r}; expected one of "
@@ -256,14 +252,12 @@ class SMACluster:
             )
         for node in self.nodes:
             # the nodes share this memory and configuration, so they all
-            # narrow alike; each builds its own speculation engine
+            # narrow alike
             scheduler = node._effective_scheduler(scheduler)
-        if scheduler in ("event-horizon", "codegen"):
+        if scheduler == "event-horizon":
             self._run_event_horizon(max_cycles, deadlock_window)
         else:
-            self._run_joint_idle(
-                max_cycles, deadlock_window, scheduler == "joint-idle"
-            )
+            self._run_naive(max_cycles, deadlock_window)
         return self._collect()
 
     def _run_event_horizon(
@@ -440,78 +434,23 @@ class SMACluster:
                     + self._deadlock_reports()
                 )
 
-    def _run_joint_idle(
-        self,
-        max_cycles: int,
-        deadlock_window: int,
-        fast_forward: bool,
-    ) -> None:
-        """The PR 3 loop: naive ticking, optionally jumping the shared
-        clock after two consecutive jointly-idle cycles."""
-        banked = self.banked
+    def _run_naive(self, max_cycles: int, deadlock_window: int) -> None:
+        """The reference loop: :meth:`_step_all` every cluster cycle."""
         last_state: tuple = ()
         last_progress = 0
-        prev_idle = False  # previous cycle was jointly idle
         while not self.done():
             if self.cycle >= max_cycles:
                 raise SimulationError(f"exceeded cycle budget {max_cycles}")
-            if prev_idle and fast_forward:
-                # every node is in a steady stall: simulate one more
-                # cycle as the per-node replay template, then jump the
-                # shared clock to the next memory event
-                running = [
-                    (node, node.stall_snapshot())
-                    for node in self.nodes
-                    if not node.done()
-                ]
-                pending_before = banked.pending_completions
-                self._step_all()
-                state = self._progress_state()
-                if (
-                    state == last_state
-                    and banked.pending_completions == pending_before
-                ):
-                    # no node moved and nothing completed: every cycle
-                    # until the next memory event repeats this one
-                    # exactly, on every node
-                    horizon = min(
-                        last_progress + deadlock_window + 1, max_cycles
-                    )
-                    target = banked.next_event_time(self.cycle - 1)
-                    if target is None or target > horizon:
-                        target = horizon
-                    skipped = target - self.cycle
-                    if skipped > 0:
-                        for node, snapshot in running:
-                            node.replay_stall_cycles(snapshot, skipped)
-                        self.cycle += skipped
-                    if self.cycle - last_progress > deadlock_window:
-                        raise SimulationError(
-                            f"cluster deadlock at cycle {self.cycle}: "
-                            + self._deadlock_reports()
-                        )
-                    continue
-                # the candidate cycle made progress somewhere — fall
-                # through to the ordinary bookkeeping below
-            else:
-                self._step_all()
+            self._step_all()
             state = self._progress_state()
             if state != last_state:
                 last_state = state
                 last_progress = self.cycle
-                prev_idle = False
-                p_pending = banked.pending_completions
-            else:
-                if self.cycle - last_progress > deadlock_window:
-                    raise SimulationError(
-                        f"cluster deadlock at cycle {self.cycle}: "
-                        + self._deadlock_reports()
-                    )
-                # a cycle that only delivered a completion is not idle:
-                # the filled slot can unblock a node next cycle
-                pending = banked.pending_completions
-                prev_idle = pending == p_pending
-                p_pending = pending
+            elif self.cycle - last_progress > deadlock_window:
+                raise SimulationError(
+                    f"cluster deadlock at cycle {self.cycle}: "
+                    + self._deadlock_reports()
+                )
 
     def _collect(self) -> ClusterResult:
         for index, node in enumerate(self.nodes):

@@ -17,25 +17,25 @@ aborts with a diagnostic if no forward progress happens for
 always indicates a miscompiled program (e.g. EP pops a queue the AP never
 feeds), and the stall-cause breakdown in the exception message says which.
 
-**Cycle fast-forward.**  In the latency-dominated regime (long memory
-latency, shallow queues, loss-of-decoupling recurrences) most simulated
-cycles are *fully idle*: every unit is stalled waiting on a pending memory
-completion, and stepping the machine changes nothing but time-weighted
-statistics.  ``run`` detects this — two consecutive cycles in which no
-instruction retired, no request issued, no store committed and no
-completion fired — and jumps the clock directly to the next memory event
-(earliest pending completion, or earliest busy bank becoming free),
-replaying the idle cycle's statistic increments in closed form so every
-counter stays bit-identical to naive ticking.  The fast path disables
-itself when an ``observer`` is attached, so trace collectors still see
-every cycle; ``fast_forward=False`` forces naive ticking (used by the
-differential property tests and the throughput benchmark).
+**Two loops.**  ``run`` drives the machine through one of the two
+bit-identical loops in :attr:`SMAMachine.SCHEDULERS`.  ``"naive"`` is
+the reference: it calls :meth:`SMAMachine.step_cycle` once per cycle and
+hands every cycle to an optional observer (the trace collectors' hook).
+``"event-horizon"``, the default, steps the components' decode-cached
+fast paths, keeps queue occupancy in lazy event-driven form, and — when
+both processors are blocked — asks each component's ``next_event_time``
+contract for the earliest cycle anything can change.  After one live
+template cycle confirms that nothing moved, it jumps the clock there and
+replays the template cycle's counter increments in closed form
+(:meth:`SMAMachine.stall_snapshot` / ``_replay_fast``), so every
+statistic stays bit-identical to naive ticking (see
+``docs/ARCHITECTURE.md`` §16).
 
 The metrics layer (:meth:`SMAMachine.attach_metrics`) is *not* an
 observer: its per-cycle stall classifier and stride samplers replay in
-closed form inside ``replay_stall_cycles``, so attaching metrics keeps
-the fast path enabled and every bucket total bit-identical to naive
-ticking (property-tested in ``tests/test_metrics.py``).
+closed form inside ``_replay_fast``, so attaching metrics keeps the
+event-horizon loop jumping and every bucket total bit-identical to
+naive ticking (property-tested in ``tests/test_metrics.py``).
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ from .descriptors import StreamEngine, StreamEngineStats
 from .execute_processor import EPStats, ExecuteProcessor
 from .store_unit import StoreUnit, StoreUnitStats
 
-#: process-wide default for the cycle fast-forward path.  ``SMAMachine.run``
-#: consults this when its ``fast_forward`` argument is ``None``; the
-#: throughput benchmark flips it to time naive ticking through unmodified
-#: harness code paths.
+#: process-wide default loop: ``SMAMachine.run`` and ``SMACluster.run``
+#: take event-horizon when this is true and naive when it is false, if
+#: their ``scheduler`` argument is ``None``; the throughput benchmark
+#: flips it to time naive ticking through unmodified harness code paths.
 FAST_FORWARD = True
 
 
@@ -228,9 +228,9 @@ class SMAMachine:
     def attach_metrics(self, samplers=None, registry=None):
         """Attach the stall-attribution metrics layer; returns it.
 
-        Unlike ``run(observer=...)`` this keeps the cycle fast-forward
-        path enabled: the classifier and any stride samplers are replayed
-        in closed form by ``replay_stall_cycles``.  ``samplers=None``
+        Unlike ``run(observer=...)`` this keeps the event-horizon loop
+        jumping: the classifier and any stride samplers are replayed in
+        closed form by ``_replay_fast``.  ``samplers=None``
         installs the default load-queue-occupancy sampler; pass an empty
         tuple for none.
         """
@@ -261,9 +261,6 @@ class SMAMachine:
             and (not self._owns_memory or self.banked.quiescent())
             and (self._spec is None or self._spec.idle())
         )
-
-    # kept for any external callers of the old private name
-    _done = done
 
     def step_cycle(self, tick_memory: bool = True) -> None:
         """Advance the machine by one cycle.
@@ -400,44 +397,31 @@ class SMAMachine:
             ),
         )
 
-    # -- scheduler registry ----------------------------------------------
+    # -- the simulation loops --------------------------------------------
     #
-    # Each entry maps a scheduler name to an unobserved loop adapter
-    # ``(machine, max_cycles, deadlock_window) -> SMAResult``.  The CLI
-    # (``--scheduler`` choices), the cluster and the benchmark shoot-out
-    # all iterate this mapping, so registering a scheduler here is the
-    # single step needed to surface it everywhere.
-
-    def _scheduler_naive(self, max_cycles, deadlock_window):
-        return self._run_joint_idle(max_cycles, deadlock_window, False)
-
-    def _scheduler_joint_idle(self, max_cycles, deadlock_window):
-        return self._run_joint_idle(max_cycles, deadlock_window, True)
-
-    def _scheduler_event_horizon(self, max_cycles, deadlock_window):
-        return self._run_event_horizon(max_cycles, deadlock_window, None)
-
-    def _scheduler_codegen(self, max_cycles, deadlock_window):
-        return self._run_codegen(max_cycles, deadlock_window)
-
-    #: accepted values for ``run(scheduler=...)``, in reference-first
-    #: order (the first entry is the baseline the others must match)
-    SCHEDULERS = {
-        "naive": _scheduler_naive,
-        "joint-idle": _scheduler_joint_idle,
-        "event-horizon": _scheduler_event_horizon,
-        "codegen": _scheduler_codegen,
-    }
+    # ``SCHEDULERS`` maps each loop name to its unbound loop method,
+    # ``(machine, max_cycles, deadlock_window, observer) -> SMAResult``.
+    # The CLI (``--scheduler`` choices), the cluster and the benchmark
+    # shoot-out all iterate this mapping, so registering a loop here is
+    # the single step needed to surface it everywhere.
 
     def run(
         self,
         max_cycles: int = 10_000_000,
         deadlock_window: int = 10_000,
         observer=None,
-        fast_forward: bool | None = None,
         scheduler: str | None = None,
     ) -> SMAResult:
         """Run to completion; returns the collected statistics.
+
+        ``scheduler`` picks the loop: ``"naive"`` ticks every cycle (the
+        reference), ``"event-horizon"`` jumps provably idle spans (see
+        the module docstring).  ``None`` takes event-horizon, or naive
+        when the process-wide :data:`FAST_FORWARD` is off.  Cycle counts
+        and every statistic are bit-identical under both (see
+        ``tests/test_fast_forward.py`` and ``tests/test_event_horizon.py``).
+        Fault injection and speculation narrow the choice
+        (:meth:`_effective_scheduler`).
 
         ``observer``, if given, is called as ``observer(machine, cycle)``
         once per simulated cycle after all components have stepped — the
@@ -446,135 +430,67 @@ class SMAMachine:
         ``wants_every_cycle = False``, in which case the event-horizon
         loop drives it and reports skipped spans through the observer's
         optional ``on_replay(machine, start_cycle, count)`` hook.
-
-        ``scheduler`` selects the simulation loop explicitly:
-
-        ``"naive"``          tick every cycle (the reference loop)
-        ``"joint-idle"``     the PR 3 heuristic: jump to the next memory
-                             event after two consecutive fully-idle cycles
-        ``"event-horizon"``  per-component ``next_event_time`` contracts +
-                             decode-cached fast step paths (default)
-        ``"codegen"``        a straight-line loop compiled for this exact
-                             (program, config) pair — event-horizon
-                             structure with all dispatch specialized away
-                             (:mod:`repro.codegen`); falls back to
-                             event-horizon when the machine cannot be
-                             specialized
-
-        When ``scheduler`` is ``None`` it is derived from ``fast_forward``
-        (which itself defaults to the module-wide :data:`FAST_FORWARD`):
-        ``True`` → event-horizon, ``False`` → naive.  Cycle counts and
-        every statistic are bit-identical across all four (see the module
-        docstring, ``tests/test_fast_forward.py`` and
-        ``tests/test_event_horizon.py``).  Fault injection and
-        speculation narrow the choice (:meth:`_effective_scheduler`).
         """
         if scheduler is None:
-            if fast_forward is None:
-                fast_forward = FAST_FORWARD
-            scheduler = "event-horizon" if fast_forward else "naive"
+            scheduler = "event-horizon" if FAST_FORWARD else "naive"
         elif scheduler not in self.SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {scheduler!r}; expected one of "
                 + ", ".join(self.SCHEDULERS)
             )
         scheduler = self._effective_scheduler(scheduler)
-        if observer is not None:
-            if scheduler in ("event-horizon", "codegen") and not getattr(
-                observer, "wants_every_cycle", True
-            ):
-                # generated loops carry no observer hook; a replay-aware
-                # observer rides the interpreted event-horizon loop
-                return self._run_event_horizon(
-                    max_cycles, deadlock_window, observer
-                )
-            return self._run_traced(max_cycles, deadlock_window, observer)
-        return self.SCHEDULERS[scheduler](self, max_cycles, deadlock_window)
+        if observer is not None and getattr(
+            observer, "wants_every_cycle", True
+        ):
+            scheduler = "naive"
+        return self.SCHEDULERS[scheduler](
+            self, max_cycles, deadlock_window, observer
+        )
 
     def _effective_scheduler(self, scheduler: str) -> str:
         """The loop that runs when ``scheduler`` is asked for.
 
-        Fault injection runs naive: the fast schedulers inline memory
-        acceptance (tick_fast / step_fast) and jump over cycles in which
-        the deterministic fault predicate would have changed its
-        verdict.  Speculation (:mod:`repro.core.speculation`) builds its
-        engine here, before a loop is chosen, and runs event-horizon
-        when joint-idle or codegen is asked for: codegen cannot
-        specialize the speculation hooks, and the joint-idle jump
-        ignores the rollback penalty.
+        Fault injection runs naive: event-horizon inlines memory
+        acceptance (``tick_fast`` / ``step_fast``), bypassing the fault
+        overrides, and jumps over cycles in which the deterministic
+        fault predicate would have changed its verdict.  Speculation
+        (:mod:`repro.core.speculation`) builds its engine here, before
+        the loop runs, so its oracle pre-run sees the loaded inputs.
         """
-        if self.banked.fault_injection and scheduler != "naive":
-            return "naive"
+        if self.banked.fault_injection:
+            scheduler = "naive"
         if not self._spec_ready:
             self._ensure_speculation()
-        if self._spec is not None and scheduler in ("joint-idle", "codegen"):
-            return "event-horizon"
         return scheduler
 
-    def _run_joint_idle(
-        self, max_cycles: int, deadlock_window: int, fast_forward: bool
+    def _run_naive(
+        self, max_cycles: int, deadlock_window: int, observer=None
     ) -> SMAResult:
-        """The unobserved simulation loop (optionally fast-forwarding).
+        """The reference loop: :meth:`step_cycle` every cycle, then
+        ``observer(machine, cycle)`` if one is attached.
 
         The progress probe is kept as five plain integers — retired AP/EP
         instructions, stream requests, committed stores, memory traffic —
-        compared in place, so the hot loop allocates nothing when the
-        machine is advancing normally.
+        compared in place, so the loop allocates nothing while the
+        machine is advancing.
         """
         step = self.step_cycle
         done = self.done
-        banked = self.banked
         ap_stats = self.ap.stats
         ep_stats = self.ep.stats
         engine_stats = self.engine.stats
         su_stats = self.store_unit.stats
-        mstats = banked.stats
+        mstats = self.banked.stats
         last_progress_cycle = 0
-        p_ap = p_ep = p_req = p_st = p_mem = p_pend = -1
-        prev_idle = False  # previous cycle was fully idle (steady stall)
+        p_ap = p_ep = p_req = p_st = p_mem = -1
         while not done():
             if self.cycle >= max_cycles:
                 raise SimulationError(
                     f"exceeded cycle budget {max_cycles}"
                 )
-            if prev_idle and fast_forward:
-                # the machine is in a steady stall: simulate one more
-                # cycle as the replay template, then jump to the next
-                # memory event
-                snapshot = self._stall_snapshot()
-                pending_before = banked.pending_completions
-                step()
-                if (
-                    ap_stats.instructions == p_ap
-                    and ep_stats.instructions == p_ep
-                    and engine_stats.requests_issued == p_req
-                    and su_stats.stores_issued == p_st
-                    and mstats.reads + mstats.writes == p_mem
-                    and banked.pending_completions == pending_before
-                ):
-                    # nothing moved and nothing completed: every cycle
-                    # until the next memory event repeats this one exactly
-                    horizon = min(
-                        last_progress_cycle + deadlock_window + 1,
-                        max_cycles,
-                    )
-                    target = banked.next_event_time(self.cycle - 1)
-                    if target is None or target > horizon:
-                        target = horizon
-                    skipped = target - self.cycle
-                    if skipped > 0:
-                        self._replay_stall_cycles(snapshot, skipped)
-                    if self.cycle - last_progress_cycle > deadlock_window:
-                        raise SimulationError(
-                            "deadlock: no forward progress for "
-                            f"{deadlock_window} cycles at cycle "
-                            f"{self.cycle}; " + self.deadlock_report()
-                        )
-                    continue
-                # the candidate cycle made progress (or delivered data) —
-                # fall through to the ordinary bookkeeping below
-            else:
-                step()
+            step()
+            if observer is not None:
+                observer(self, self.cycle - 1)
             mem = mstats.reads + mstats.writes
             ap_i = ap_stats.instructions
             ep_i = ep_stats.instructions
@@ -589,47 +505,6 @@ class SMAMachine:
                 p_req = req
                 p_st = st
                 p_mem = mem
-                p_pend = banked.pending_completions
-                last_progress_cycle = self.cycle
-                prev_idle = False
-            else:
-                if self.cycle - last_progress_cycle > deadlock_window:
-                    raise SimulationError(
-                        "deadlock: no forward progress for "
-                        f"{deadlock_window} cycles at cycle {self.cycle}; "
-                        + self.deadlock_report()
-                    )
-                # a cycle that only delivered a completion is not idle:
-                # the filled slot can unblock a consumer next cycle
-                pending = banked.pending_completions
-                prev_idle = pending == p_pend
-                p_pend = pending
-        return self.collect_result()
-
-    def _run_traced(
-        self, max_cycles: int, deadlock_window: int, observer
-    ) -> SMAResult:
-        """Naive per-cycle loop with the observer hook (trace collectors
-        must see every cycle, so fast-forward is never applied here)."""
-        last_progress_cycle = 0
-        p_ap = p_ep = p_req = p_st = p_mem = -1
-        while not self.done():
-            if self.cycle >= max_cycles:
-                raise SimulationError(
-                    f"exceeded cycle budget {max_cycles}"
-                )
-            self.step_cycle()
-            observer(self, self.cycle - 1)
-            mem = self.banked.stats.reads + self.banked.stats.writes
-            ap_i = self.ap.stats.instructions
-            ep_i = self.ep.stats.instructions
-            req = self.engine.stats.requests_issued
-            st = self.store_unit.stats.stores_issued
-            if (
-                ap_i != p_ap or ep_i != p_ep or req != p_req
-                or st != p_st or mem != p_mem
-            ):
-                p_ap, p_ep, p_req, p_st, p_mem = ap_i, ep_i, req, st, mem
                 last_progress_cycle = self.cycle
             elif self.cycle - last_progress_cycle > deadlock_window:
                 raise SimulationError(
@@ -638,9 +513,6 @@ class SMAMachine:
                     + self.deadlock_report()
                 )
         return self.collect_result()
-
-    # kept for any external callers of the old private name
-    _run = _run_joint_idle
 
     # -- event-horizon scheduling ----------------------------------------
 
@@ -665,7 +537,7 @@ class SMAMachine:
         return best
 
     def _run_event_horizon(
-        self, max_cycles: int, deadlock_window: int, observer
+        self, max_cycles: int, deadlock_window: int, observer=None
     ) -> SMAResult:
         """The event-horizon simulation loop (see module docstring).
 
@@ -682,6 +554,13 @@ class SMAMachine:
                 max_cycles, deadlock_window, clock, observer
             )
         return self.collect_result()
+
+    #: accepted values for ``run(scheduler=...)``, reference first (the
+    #: loop every other entry must match bit for bit)
+    SCHEDULERS = {
+        "naive": _run_naive,
+        "event-horizon": _run_event_horizon,
+    }
 
     @contextmanager
     def lazy_occupancy(self, clock: list[int]):
@@ -854,57 +733,52 @@ class SMAMachine:
                     + self.deadlock_report()
                 )
 
-    # -- program-specialized codegen scheduling --------------------------
+    # -- idle-span statistics replay -------------------------------------
+    #
+    # The snapshot/replay pair below is the *replay contract*: any
+    # event-horizon driver that steps this machine — its own loop, or an
+    # :class:`repro.core.cluster.SMACluster` that owns the shared memory
+    # tick — may snapshot before a candidate idle cycle and, once the
+    # cycle is confirmed fully idle, replay it ``count`` times in closed
+    # form.  Neither method touches the memory model, so a non-owning
+    # cluster node replays exactly like a standalone machine.
 
-    def _run_codegen(self, max_cycles: int, deadlock_window: int) -> SMAResult:
-        """Run the straight-line loop compiled for this (program, config)
-        pair (see :mod:`repro.codegen`).
-
-        The compiled artifact bakes in exactly what the emitter saw, so
-        this falls back to the interpreted event-horizon loop — which is
-        bit-identical — whenever the live machine strays from that:
-        per-cycle metrics or a memory observer attached, a cluster node
-        (the emitted loop owns the memory it drives), a swapped program
-        object (the decode caches would be stale), an operand shape the
-        emitter cannot specialize, or a mid-flight start (live
-        stream descriptors, pending store addresses or in-flight
-        completions at entry — e.g. a restored snapshot or a resumed
-        budget abort).  The compiled loop fully localizes the async
-        subsystems' bookkeeping, so it requires them quiescent when it
-        takes over; register/queue/memory contents may be anything.
-        Neither fault injection nor speculation reaches here: :meth:`run`
-        sends the first to naive and the second to event-horizon.
-        """
-        artifact = None
-        if (
-            self._metrics is None
-            and self.memory.observer is None
-            and self._owns_memory
-            and self.ap.program is self.ap._prog
-            and self.ep.program is self.ep._prog
-            and not self.engine._streams
-            and not self.queues.store_addr._slots
-            and not self.banked._completions
-        ):
-            from ..codegen import compiled_loop_for
-
-            artifact = compiled_loop_for(self)
-        if artifact is None:
-            return self._run_event_horizon(max_cycles, deadlock_window, None)
-        # the generated loop mutates queues with inlined flush bodies
-        # against the bracket's clock cell and load-queue aggregate
-        clock = [self.cycle]
-        with self.lazy_occupancy(clock) as agg:
-            artifact.fn(self, max_cycles, deadlock_window, clock, agg)
-        return self.collect_result()
+    def stall_snapshot(self):
+        """Snapshot of every counter a fully-idle cycle can increment,
+        taken immediately before simulating the replay-template cycle."""
+        ap = self.ap.stats
+        ep = self.ep.stats
+        su = self.store_unit.stats
+        spec = self._spec
+        return (
+            dict(ap.stall_cycles),
+            ap.lod_events,
+            dict(ep.stall_cycles),
+            self.engine.stats.blocked_cycles,
+            su.data_wait_cycles,
+            su.memory_wait_cycles,
+            [
+                (q.stats.empty_stalls, q.stats.full_stalls)
+                for q in self._queue_list
+            ],
+            (spec.stats.depth_refusals, spec.stats.oracle_refusals)
+            if spec is not None else None,
+        )
 
     def _replay_fast(self, snapshot, count: int) -> None:
-        """Closed-form replay for the event-horizon loop: identical to
-        :meth:`replay_stall_cycles` minus the per-queue occupancy
-        sampling, which the lazy accounting installed by
-        ``QueueFile.begin_lazy_sampling`` already covers by span (queue
-        contents do not change across a confirmed-idle span, so the next
-        flush attributes every skipped cycle at the correct length)."""
+        """Advance the clock by ``count`` cycles, applying the statistic
+        increments of the just-simulated idle cycle (the delta against
+        ``snapshot``) in closed form.
+
+        Sound because a fully-idle cycle leaves every piece of machine
+        state untouched except monotone counters: queue contents, PCs,
+        stall causes and the stream engine's round-robin pointer are all
+        unchanged, so each skipped cycle would have incremented exactly
+        the same counters by exactly the same amounts.  Queue occupancy
+        is not replayed here: the lazy accounting installed by
+        ``QueueFile.begin_lazy_sampling`` covers it by span, since the
+        next flush attributes every skipped cycle at the unchanged
+        length."""
         ap_before, lod_before, ep_before, blocked_before, \
             dwait_before, mwait_before, queues_before, spec_before = snapshot
         ap = self.ap.stats
@@ -950,61 +824,3 @@ class SMAMachine:
         if self._metrics is not None:
             self._metrics.on_replay(self, self.cycle, count)
         self.cycle += count
-
-    # -- fast-forward statistics replay ---------------------------------
-    #
-    # The snapshot/replay pair below is the *replay contract*: any driver
-    # that steps this machine — its own ``_run`` loop, or an
-    # :class:`repro.core.cluster.SMACluster` that owns the shared memory
-    # tick — may snapshot before a candidate idle cycle and, once the
-    # cycle is confirmed fully idle, replay it ``count`` times in closed
-    # form.  Neither method touches the memory model, so a non-owning
-    # cluster node replays exactly like a standalone machine.
-
-    def stall_snapshot(self):
-        """Snapshot of every counter a fully-idle cycle can increment,
-        taken immediately before simulating the replay-template cycle."""
-        ap = self.ap.stats
-        ep = self.ep.stats
-        su = self.store_unit.stats
-        spec = self._spec
-        return (
-            dict(ap.stall_cycles),
-            ap.lod_events,
-            dict(ep.stall_cycles),
-            self.engine.stats.blocked_cycles,
-            su.data_wait_cycles,
-            su.memory_wait_cycles,
-            [
-                (q.stats.empty_stalls, q.stats.full_stalls)
-                for q in self._queue_list
-            ],
-            (spec.stats.depth_refusals, spec.stats.oracle_refusals)
-            if spec is not None else None,
-        )
-
-    def replay_stall_cycles(self, snapshot, count: int) -> None:
-        """Advance the clock by ``count`` cycles, applying the statistic
-        increments of the just-simulated idle cycle (the delta against
-        ``snapshot``) in closed form.
-
-        Sound because a fully-idle cycle leaves every piece of machine
-        state untouched except monotone counters: queue contents, PCs,
-        stall causes and the stream engine's round-robin pointer are all
-        unchanged, so each skipped cycle would have incremented exactly
-        the same counters by exactly the same amounts.
-        """
-        for queue in self._queue_list:
-            stats = queue.stats
-            occupancy = len(queue)
-            stats.samples += count
-            stats.occupancy_sum += occupancy * count
-            # the template cycle sampled this occupancy, so the bucket
-            # already exists (and occupancy_max already covers it)
-            stats.histogram[occupancy] += count
-        self._occupancy_sum += sum(map(len, self._load_slots)) * count
-        self._replay_fast(snapshot, count)
-
-    # old private names, kept for external callers
-    _stall_snapshot = stall_snapshot
-    _replay_stall_cycles = replay_stall_cycles

@@ -53,9 +53,8 @@ Mechanism
   (recovery penalty + speculation barriers); every elapsed cycle stays
   attributed to exactly one bucket.
 
-Speculative runs go through the event-horizon scheduler (the default)
-or naive ticking; a request for ``joint-idle`` or ``codegen`` runs
-event-horizon.  With an engine attached, the event-horizon loop steps
+Speculative runs go through either loop, event-horizon (the default)
+or naive ticking.  With an engine attached, the event-horizon loop steps
 the components' reference methods — only those hide poisoned heads and
 call the hooks below — and still jumps idle spans: a rollback penalty
 ends at :attr:`SpeculationEngine.penalty_until`, which the AP reports as
@@ -137,10 +136,10 @@ def build_oracle(machine, max_cycles: int = 10_000_000) -> dict:
     they perturb timing only, never values.
 
     The clone runs on the event-horizon loop, whose AP pops the EP→AP
-    queues through ``OperandQueue.pop`` and so feeds the taps.  A loop
-    that pops without the tap (codegen inlines its pops) would leave a
-    tap short of its queue's pop count and silently refuse every
-    prediction; that raises :class:`SimulationError` instead.
+    queues through ``OperandQueue.pop`` / ``pop_slot`` and so feeds the
+    taps.  A pop that bypassed the tap would leave a tap short of its
+    queue's pop count and silently refuse every prediction; that raises
+    :class:`SimulationError` instead.
     """
     from .machine import SMAMachine
 

@@ -172,42 +172,21 @@ class BankedMemory:
         """True when no request is in flight."""
         return not self._completions
 
-    @property
-    def pending_completions(self) -> int:
-        """Number of requests in flight (loads awaiting delivery)."""
-        return len(self._completions)
-
     def next_completion_time(self, now: int) -> int | None:
         """Cycle at which the earliest pending completion fires, or
         ``None`` when nothing is in flight.
 
-        This is the part of :meth:`next_event_time` that is *spontaneous*:
-        a completion fires regardless of what the processors do, delivering
-        a value (or store acknowledgement) that can unblock a consumer.
-        Bank-free times, by contrast, only matter to a component actually
-        waiting on that bank — the event-horizon scheduler therefore asks
-        each waiting component for its bank horizon and asks the memory
-        only for this completion clamp."""
+        This is the memory's only *spontaneous* event: a completion fires
+        regardless of what the processors do, delivering a value (or
+        store acknowledgement) that can unblock a consumer.  Bank-free
+        times, by contrast, only matter to a component actually waiting
+        on that bank — the event-horizon scheduler therefore asks each
+        waiting component for its bank horizon and asks the memory only
+        for this completion clamp."""
         if not self._completions:
             return None
         t = self._completions[0][0]
         return t if t > now else now
-
-    def next_event_time(self, now: int) -> int | None:
-        """Earliest cycle strictly after ``now`` at which the memory's
-        externally visible state changes on its own: a pending completion
-        fires, or a busy bank becomes free (and could accept a retried
-        request).  ``None`` when nothing is scheduled — the memory will
-        never wake a stalled requester by itself.
-
-        This is the fast-forward horizon used by
-        :meth:`repro.core.SMAMachine.run`: between ``now`` and this time a
-        machine in which no unit made progress is guaranteed to repeat the
-        same stalled cycle."""
-        times = [t for t in self._bank_free_at if t > now]
-        if self._completions:
-            times.append(self._completions[0][0])
-        return min(times) if times else None
 
 
 class FaultyMemory(BankedMemory):
@@ -226,9 +205,9 @@ class FaultyMemory(BankedMemory):
       reserved-but-never-filled queue slot.  A correct watchdog then
       reports a deadlock (``SimulationError``) instead of hanging.
 
-    The fast schedulers bypass these overrides (event-horizon inlines
-    memory acceptance; joint-idle jumps over cycles where the predicate
-    would change its verdict), so the run loops downgrade to ``naive``
+    The event-horizon loop bypasses these overrides (it inlines memory
+    acceptance, and its jumps skip cycles in which the predicate would
+    change its verdict), so the run loops downgrade to ``naive``
     whenever :attr:`fault_injection` is set.
     """
 

@@ -33,9 +33,10 @@ Priority order (first match wins; documented in ARCHITECTURE.md §14):
 8. ``drain`` — none of the above: end-of-run settling while in-flight
    memory traffic completes.
 
-Fast-forward compatibility: the machine calls :meth:`on_cycle` from
-``step_cycle`` (so the replay-*template* cycle is classified normally)
-and :meth:`on_replay` from ``_replay_stall_cycles``.  Skipped cycles are
+Fast-forward compatibility: the machine calls :meth:`on_cycle` for every
+stepped cycle, from ``step_cycle`` or the event-horizon loop (so the
+replay-*template* cycle is classified normally), and :meth:`on_replay`
+from ``_replay_fast``.  Skipped cycles are
 exact repeats of the template, so the replay adds ``count`` to the
 template's bucket and advances the stride samplers in closed form —
 bucket totals stay bit-identical to naive ticking (property-tested in
@@ -164,7 +165,7 @@ class SMAMachineMetrics:
         for sampler in self.registry.samplers:
             sampler.on_cycle(machine, cycle)
 
-    # -- the fast-forward hook (called from _replay_stall_cycles) --------
+    # -- the fast-forward hook (called from _replay_fast) ----------------
 
     def on_replay(self, machine, start: int, count: int) -> None:
         """Account ``count`` skipped cycles, each an exact repeat of the

@@ -32,6 +32,14 @@ Routes (all JSON bodies):
     the backlog runs dry.
 ``POST /v1/shutdown``
     Graceful exit: gate intake, wait for in-flight jobs, stop.
+
+Request framing is bounded (:data:`MAX_LINE_BYTES`, :data:`MAX_HEADERS`,
+:data:`MAX_BODY_BYTES`).  A request that breaks a bound, or whose
+request line or ``Content-Length`` does not parse, is answered — 400
+malformed, 413 body too large, 414 request line too long, 431 header
+line too long or too many headers — without reading its body, and its
+connection is closed: the bytes after it cannot be trusted to frame
+another request.
 """
 
 from __future__ import annotations
@@ -51,9 +59,62 @@ _LOG = logging.getLogger("repro.service.server")
 #: cap on ?wait= long-polls, so a dead client cannot pin a handler
 MAX_WAIT = 300.0
 
+#: longest request line or header line, terminator included
+MAX_LINE_BYTES = 8 * 1024
+#: most header lines one request may carry
+MAX_HEADERS = 100
+#: largest request body.  The largest submission ``repro experiment
+#: all`` makes is ~21 KB and a job spec is at most ~625 bytes, so a
+#: 3200-point grid still fits in one POST.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+#: how long a rejected connection keeps discarding input before it
+#: closes: closing with unread input resets the connection, which can
+#: destroy the error response before the client reads it
+LINGER_SECONDS = 1.0
+
 
 class _BadRequest(Exception):
     """Maps to a 400 with the message as the error body."""
+
+
+class _FramingError(Exception):
+    """A request whose framing cannot be trusted: answered with
+    ``status``, then the connection closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int,
+                     what: str) -> bytes:
+    """One CRLF-terminated line of the request head, at most
+    :data:`MAX_LINE_BYTES` long (``status`` otherwise)."""
+    try:
+        line = await reader.readline()
+    except ValueError:  # past the stream's own buffer limit
+        line = None
+    if line is None or len(line) > MAX_LINE_BYTES:
+        raise _FramingError(
+            status, f"{what} longer than {MAX_LINE_BYTES} bytes"
+        )
+    return line
+
+
+def _content_length(value: str | None) -> int:
+    """The declared body length: absent means 0; anything but plain
+    ASCII digits is a 400, and more than :data:`MAX_BODY_BYTES` a 413."""
+    if value is None:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise _FramingError(400, f"malformed Content-Length {value[:32]!r}")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        raise _FramingError(
+            413, f"body of {length} bytes exceeds the "
+                 f"{MAX_BODY_BYTES}-byte limit"
+        )
+    return length
 
 
 class SweepServer:
@@ -122,7 +183,11 @@ class SweepServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _FramingError as exc:
+                    await self._reject(reader, writer, exc)
+                    break
                 if request is None:
                     break
                 method, path, query, headers, body = request
@@ -153,27 +218,56 @@ class SweepServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+        line = await _read_line(reader, 414, "request line")
         if not line or line in (b"\r\n", b"\n"):
             return None
         parts = line.decode("latin-1").split()
         if len(parts) < 2:
-            return None
+            raise _FramingError(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
+        count = 0
         while True:
-            raw = await reader.readline()
+            raw = await _read_line(reader, 431, "header line")
             if raw in (b"\r\n", b"\n", b""):
                 break
+            count += 1
+            if count > MAX_HEADERS:
+                raise _FramingError(
+                    431, f"more than {MAX_HEADERS} header lines"
+                )
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        length = _content_length(headers.get("content-length"))
         body = await reader.readexactly(length) if length else b""
         split = urlsplit(target)
         query = {
             k: v[-1] for k, v in parse_qs(split.query).items()
         }
         return method, split.path.rstrip("/"), query, headers, body
+
+    async def _reject(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        exc: _FramingError,
+    ) -> None:
+        """Answer a request whose framing cannot be trusted, half-close,
+        and discard what the client still sends for at most
+        :data:`LINGER_SECONDS`, so the caller's close does not reset the
+        connection before the client has read the answer."""
+        self._respond(writer, exc.status, {"error": str(exc)})
+        await writer.drain()
+        if writer.can_write_eof():
+            writer.write_eof()
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + LINGER_SECONDS
+        while (remaining := deadline - loop.time()) > 0:
+            try:
+                if not await asyncio.wait_for(reader.read(65536), remaining):
+                    break
+            except asyncio.TimeoutError:
+                break
 
     @staticmethod
     def _respond(
@@ -185,7 +279,10 @@ class SweepServer:
         reason = {
             200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
-            429: "Too Many Requests", 503: "Service Unavailable",
+            413: "Content Too Large", 414: "URI Too Long",
+            429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
+            503: "Service Unavailable",
         }.get(status, "OK")
         writer.write(
             (

@@ -1,7 +1,7 @@
 """Cluster fast-forward equivalence and the R-F8 accounting fixes.
 
 The central property mirrors ``tests/test_fast_forward.py`` one level up:
-an :class:`repro.core.SMACluster` run with ``fast_forward=True`` must be
+an :class:`repro.core.SMACluster` run on the event-horizon loop must be
 indistinguishable from naive cycle-by-cycle ticking — cluster cycles,
 per-node finish cycles, every per-node statistic (stall counters, queue
 histograms, LOD accounting), per-node metrics bucket partitions, shared
@@ -23,12 +23,14 @@ from repro.harness.jobs import Job, run_job
 from repro.harness.runner import run_cluster
 from repro.kernels import get_kernel, lower_sma
 
+from tests.test_fast_forward import _loop
+
 #: suite kernels with structurally diverse access patterns
 MIX_KERNELS = ("daxpy", "hydro", "tridiag", "computed_gather", "pic_gather")
 
 
 def _build_cluster(specs, latency, depth, banks, ports=1,
-                   lod_variants=None, speculation=None):
+                   lod_variants=None, speculation=None, faults=None):
     """Lower each (kernel, inputs) at a disjoint base and stage data;
     ``lod_variants`` gives one lowering variant per node."""
     lowered = []
@@ -55,7 +57,8 @@ def _build_cluster(specs, latency, depth, banks, ports=1,
     )
     cluster = SMACluster(
         [(low.access_program, low.execute_program) for low in lowered],
-        SMAConfig(memory=mem, queues=queues, speculation=speculation),
+        SMAConfig(memory=mem, queues=queues, speculation=speculation,
+                  faults=faults),
     )
     for (kernel, inputs), low in zip(specs, lowered):
         for decl in kernel.arrays:
@@ -112,7 +115,7 @@ def _run_both_modes(specs, latency, depth, banks, ports=1, metrics=True):
     for fast in (False, True):
         cluster = _build_cluster(specs, latency, depth, banks, ports)
         node_metrics = cluster.attach_metrics() if metrics else None
-        result = cluster.run(fast_forward=fast)
+        result = cluster.run(scheduler=_loop(fast))
         observed.append(_observables(cluster, result, node_metrics))
     naive, fast = observed
     assert naive == fast
@@ -222,7 +225,7 @@ def test_finish_cycles_equal_node_cycle_counts(fast):
         get_kernel("hydro").instantiate(96, 2),      # keeps running
     ]
     cluster = _build_cluster(specs, latency=64, depth=4, banks=8)
-    result = cluster.run(fast_forward=fast)
+    result = cluster.run(scheduler=_loop(fast))
     assert result.finish_cycles == [n.cycles for n in result.nodes]
     assert result.finish_cycles[0] < result.finish_cycles[1]
 
@@ -236,7 +239,7 @@ def test_finish_cycles_match_between_modes():
     finishes = []
     for fast in (False, True):
         cluster = _build_cluster(specs, latency=128, depth=4, banks=8)
-        finishes.append(cluster.run(fast_forward=fast).finish_cycles)
+        finishes.append(cluster.run(scheduler=_loop(fast)).finish_cycles)
     assert finishes[0] == finishes[1]
 
 

@@ -3,8 +3,7 @@
 Two layers of guarantees:
 
 **Equivalence** — running the same machine (or cluster) under every
-registered scheduler (``"naive"``, ``"joint-idle"``,
-``"event-horizon"`` and the program-specialized ``"codegen"`` backend)
+registered scheduler (the ``"naive"`` reference and ``"event-horizon"``)
 must produce bit-identical observables: cycle counts, every stall
 counter, LOD accounting, queue occupancy statistics (samples, sums,
 maxima, full histograms — exercising the lazy event-driven accounting
@@ -29,6 +28,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.config import (
+    FaultConfig,
     MemoryConfig,
     QueueConfig,
     SMAConfig,
@@ -113,7 +113,8 @@ def test_schedulers_identical_on_suite_kernels(name, latency, depth):
 
 def test_schedulers_identical_with_metrics_attached():
     """The event-horizon replay must drive the metrics classifier's
-    closed-form replay exactly like the joint-idle path does."""
+    closed-form replay to the buckets naive ticking classifies cycle by
+    cycle."""
     kernel, inputs = get_kernel("tridiag").instantiate(48)
     obs = _run_all_schedulers(
         kernel, inputs, latency=64, depth=2, banks=8, metrics=True
@@ -122,12 +123,55 @@ def test_schedulers_identical_with_metrics_attached():
     assert sum(breakdown.values()) == obs["cycle"]
 
 
-def test_unknown_scheduler_rejected():
+def test_two_registered_schedulers():
+    assert list(SCHEDULERS) == ["naive", "event-horizon"]
+    for name, entry in SCHEDULERS.items():
+        assert callable(entry), name
+
+
+#: loops the registry used to hold and no longer does
+_RETIRED = ("joint-idle", "codegen")
+#: names that are not loops: a made-up one and the retired loops
+_UNKNOWN = ("speculative",) + _RETIRED
+
+
+def _assert_machine_rejects(name):
     machine = _machine(
         *get_kernel("daxpy").instantiate(8), latency=4, depth=4, banks=4
     )
     with pytest.raises(ValueError, match="unknown scheduler"):
-        machine.run(scheduler="speculative")
+        machine.run(scheduler=name)
+
+
+def test_unknown_scheduler_rejected():
+    _assert_machine_rejects("speculative")
+
+
+def test_retired_schedulers_rejected():
+    """Asking a machine for a deleted loop is an error, not a silent
+    fallback to another loop."""
+    for name in _RETIRED:
+        _assert_machine_rejects(name)
+
+
+def _faulted_machine():
+    """daxpy with transient memory rejects injected."""
+    kernel, inputs = get_kernel("daxpy").instantiate(24)
+    return _machine(kernel, inputs, latency=8, depth=4, banks=8,
+                    faults=FaultConfig(reject_prob=0.2, seed=7))
+
+
+def test_fault_injection_downgrades_to_naive():
+    """Event-horizon inlines memory acceptance past the fault overrides,
+    so a faulted machine asked for it must run naive — and match a naive
+    run in every observable."""
+    got_machine = _faulted_machine()
+    got = got_machine.run(scheduler="event-horizon")
+    want_machine = _faulted_machine()
+    want = want_machine.run(scheduler="naive")
+    assert got_machine.banked.injected_rejects > 0
+    assert _full_observables(got_machine, got) == \
+        _full_observables(want_machine, want)
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -205,9 +249,26 @@ def test_cluster_schedulers_identical_on_random_mixes(
 
 def test_cluster_rejects_unknown_scheduler():
     specs = [get_kernel("daxpy").instantiate(16, 1)]
-    cluster = _build_cluster(specs, latency=8, depth=4, banks=4)
-    with pytest.raises(ValueError, match="unknown scheduler"):
-        cluster.run(scheduler="speculative")
+    for name in _UNKNOWN:
+        cluster = _build_cluster(specs, latency=8, depth=4, banks=4)
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            cluster.run(scheduler=name)
+
+
+def test_cluster_fault_injection_downgrades_to_naive():
+    specs = [
+        get_kernel("daxpy").instantiate(16, 1),
+        get_kernel("hydro").instantiate(16, 2),
+    ]
+    faults = FaultConfig(reject_prob=0.2, seed=7)
+    observed = {}
+    for scheduler in SCHEDULERS:
+        cluster = _build_cluster(specs, latency=8, depth=4, banks=8,
+                                 faults=faults)
+        result = cluster.run(scheduler=scheduler)
+        assert cluster.banked.injected_rejects > 0
+        observed[scheduler] = _cluster_observables(cluster, result, None)
+    assert observed["event-horizon"] == observed["naive"]
 
 
 # ---------------------------------------------------------------------------

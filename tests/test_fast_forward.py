@@ -2,9 +2,9 @@
 indistinguishable from naive cycle-by-cycle ticking.
 
 The property at the heart of this module runs the same machine twice —
-``fast_forward=False`` (one Python iteration per simulated cycle, the
-seed behaviour) and ``fast_forward=True`` (idle stretches replayed in
-closed form) — and requires *every* observable statistic to be
+``scheduler="naive"`` (one Python iteration per simulated cycle, the
+seed behaviour) and ``scheduler="event-horizon"`` (idle stretches
+replayed in closed form) — and requires *every* observable statistic to be
 bit-identical: cycle counts, stall-cause counters, LOD accounting,
 memory traffic and utilization, and each queue's full occupancy
 histogram.  This is what licenses keeping ``tests/golden_cycles.json``
@@ -39,7 +39,7 @@ SUITE_REPS = ("daxpy", "hydro", "tridiag", "computed_gather", "pic_gather")
 
 
 def _machine(kernel, inputs, latency, depth, banks, lod_variant=None,
-             speculation=None):
+             speculation=None, faults=None):
     lowered = lower_sma(kernel, lod_variant=lod_variant)
     queues = QueueConfig(
         load_queue_depth=depth,
@@ -53,13 +53,18 @@ def _machine(kernel, inputs, latency, depth, banks, lod_variant=None,
     cfg = SMAConfig(memory=mem, queues=queues)
     cfg = SMAConfig(
         memory=_fit_memory(cfg.memory, lowered.layout), queues=queues,
-        speculation=speculation,
+        speculation=speculation, faults=faults,
     )
     machine = SMAMachine(
         lowered.access_program, lowered.execute_program, cfg
     )
     _load_inputs(machine, lowered.layout, kernel, inputs)
     return machine
+
+
+def _loop(fast: bool) -> str:
+    """The scheduler a fast (``True``) or naive (``False``) run asks for."""
+    return "event-horizon" if fast else "naive"
 
 
 def _observables(machine, result):
@@ -86,7 +91,7 @@ def _run_both_modes(kernel, inputs, latency, depth, banks):
     observed = []
     for fast in (False, True):
         machine = _machine(kernel, inputs, latency, depth, banks)
-        result = machine.run(fast_forward=fast)
+        result = machine.run(scheduler=_loop(fast))
         observed.append(_observables(machine, result))
     naive, fast = observed
     assert naive == fast
@@ -161,7 +166,7 @@ def test_fast_forward_identical_without_streams():
             lowered.access_program, lowered.execute_program, cfg
         )
         _load_inputs(machine, lowered.layout, kernel, inputs)
-        result = machine.run(fast_forward=fast)
+        result = machine.run(scheduler=_loop(fast))
         observed.append(_observables(machine, result))
     assert observed[0] == observed[1]
 
@@ -182,7 +187,7 @@ def test_observer_sees_every_cycle():
 
     # and the traced run matches the fast run's statistics exactly
     fast = _machine(kernel, inputs, latency=64, depth=8, banks=8)
-    assert fast.run(fast_forward=True).to_dict() == result.to_dict()
+    assert fast.run(scheduler="event-horizon").to_dict() == result.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +237,11 @@ def _starved_machine():
 def test_deadlock_detected_identically(fast):
     machine = _starved_machine()
     with pytest.raises(SimulationError, match="deadlock"):
-        machine.run(deadlock_window=100, fast_forward=fast)
+        machine.run(deadlock_window=100, scheduler=_loop(fast))
     # the deadlock must fire at the same cycle with the same accounting
     reference = _starved_machine()
     with pytest.raises(SimulationError):
-        reference.run(deadlock_window=100, fast_forward=not fast)
+        reference.run(deadlock_window=100, scheduler=_loop(not fast))
     assert machine.cycle == reference.cycle
     assert dict(machine.ep.stats.stall_cycles) == dict(
         reference.ep.stats.stall_cycles
@@ -247,11 +252,11 @@ def test_deadlock_detected_identically(fast):
 def test_cycle_budget_detected_identically(fast):
     machine = _starved_machine()
     with pytest.raises(SimulationError, match="budget"):
-        machine.run(max_cycles=60, deadlock_window=1000, fast_forward=fast)
+        machine.run(max_cycles=60, deadlock_window=1000, scheduler=_loop(fast))
     reference = _starved_machine()
     with pytest.raises(SimulationError, match="budget"):
         reference.run(
-            max_cycles=60, deadlock_window=1000, fast_forward=not fast
+            max_cycles=60, deadlock_window=1000, scheduler=_loop(not fast)
         )
     assert machine.cycle == reference.cycle
     assert dict(machine.ep.stats.stall_cycles) == dict(

@@ -1,7 +1,8 @@
 """Metrics layer: stall attribution, registry, samplers, RunReport.
 
 The load-bearing property here mirrors ``tests/test_fast_forward.py``:
-attaching the metrics layer must NOT disable the fast-forward path, and
+attaching the metrics layer must NOT stop the event-horizon loop from
+jumping, and
 the stall-bucket totals, sampler summaries and every other observable
 must stay bit-identical between naive ticking and closed-form replay.
 The partition invariant — buckets sum to total cycles — is checked for
@@ -79,7 +80,7 @@ def _metered_run(kernel, inputs, latency, depth, banks, fast):
             ),
         )
     )
-    result = machine.run(fast_forward=fast)
+    result = machine.run(scheduler="event-horizon" if fast else "naive")
     return {
         "result": result.to_dict(),
         "buckets": mm.stall_breakdown(),
@@ -176,21 +177,22 @@ def test_metrics_do_not_disable_the_fast_path():
     machine = _machine(kernel, inputs, latency=64, depth=8, banks=8)
     mm = machine.attach_metrics()
     stepped = 0
-    original = machine.step_cycle
+    original = mm.on_cycle
 
-    def counting_step():
+    def counting_on_cycle(m, cycle):
         nonlocal stepped
         stepped += 1
-        original()
+        original(m, cycle)
 
-    machine.step_cycle = counting_step
-    result = machine.run(fast_forward=True)
+    # the metrics hook runs once per live (stepped) cycle in either loop
+    mm.on_cycle = counting_on_cycle
+    result = machine.run(scheduler="event-horizon")
     assert stepped < result.cycles  # the replay actually engaged
     assert sum(mm.buckets.values()) == result.cycles
 
     reference = _machine(kernel, inputs, latency=64, depth=8, banks=8)
     ref_mm = reference.attach_metrics()
-    reference.run(fast_forward=False)
+    reference.run(scheduler="naive")
     assert mm.buckets == ref_mm.buckets
 
 

@@ -13,6 +13,7 @@ must cost at most one retry (never a wrong or lost result).
 import asyncio
 import json
 import signal
+import socket
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -41,6 +42,7 @@ from repro.service import (
     job_to_spec,
 )
 from repro.service.protocol import jobs_from_payload
+from repro.service.server import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
 from repro.service.slices import run_job_slice, sliceable
 from repro.service.store import result_digest
 
@@ -543,3 +545,140 @@ class TestServiceEndToEnd:
         # the kill cost retries, not correctness; flushed results were
         # never re-executed (executed counts one landing per job)
         assert sweep["executed"] == len(jobs)
+
+
+def _raw_exchange(host, port, payload: bytes) -> bytes:
+    """Send ``payload`` on a fresh connection and read until the server
+    closes it."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        sock.sendall(payload)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+_HEALTHZ = b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _post_head(*headers: str) -> bytes:
+    return ("POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            + "".join(h + "\r\n" for h in headers) + "\r\n").encode()
+
+
+class TestRequestFraming:
+    """Malformed or oversized request heads get an answer and a closed
+    connection — never a dropped reply or a handler waiting for a body
+    that will not come — and the server keeps serving."""
+
+    CASES = {
+        "length-not-a-number": (_post_head("Content-Length: abc"), 400),
+        "length-negative": (_post_head("Content-Length: -5"), 400),
+        "length-non-ascii-digit": (
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: \u00b2\r\n\r\n"
+            .encode("latin-1"), 400,
+        ),
+        "request-line-malformed": (b"GARBAGE\r\n\r\n", 400),
+        "body-over-cap": (
+            _post_head(f"Content-Length: {MAX_BODY_BYTES + 1}"), 413,
+        ),
+        "body-absurd": (_post_head("Content-Length: 99999999999"), 413),
+        "request-line-too-long": (
+            b"GET /" + b"a" * MAX_LINE_BYTES + b" HTTP/1.1\r\n\r\n", 414,
+        ),
+        "header-line-too-long": (
+            _post_head("X-Pad: " + "a" * MAX_LINE_BYTES), 431,
+        ),
+        "header-line-past-stream-limit": (
+            _post_head("X-Pad: " + "a" * 70_000), 431,
+        ),
+        "too-many-headers": (
+            _post_head(*(f"X-H{i}: v" for i in range(MAX_HEADERS + 1))),
+            431,
+        ),
+        "five-hundred-headers": (
+            _post_head(*(f"X-H{i}: v" for i in range(500))), 431,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bad_framing_answered_and_server_keeps_serving(
+        self, tmp_path, case
+    ):
+        payload, status = self.CASES[case]
+
+        async def scenario():
+            server = SweepServer(ContentStore(tmp_path / "store"),
+                                 workers=1)
+            host, port = await server.start()
+            loop = asyncio.get_running_loop()
+            try:
+                reply = await loop.run_in_executor(
+                    None, _raw_exchange, host, port, payload
+                )
+                health = await loop.run_in_executor(
+                    None, _raw_exchange, host, port,
+                    _HEALTHZ.replace(b"\r\n\r\n",
+                                     b"\r\nConnection: close\r\n\r\n"),
+                )
+            finally:
+                await server.stop()
+            return reply, health
+
+        reply, health = drive(scenario())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.split(b" ", 2)[1] == str(status).encode()
+        assert "error" in json.loads(body)
+        assert health.split(b" ", 2)[1] == b"200"
+
+    def test_oversized_body_sent_in_full_still_gets_413(self, tmp_path):
+        """A client that sends the whole oversized body must still read
+        the 413: closing with that body unread would reset the
+        connection before the answer arrives."""
+        body = b"x" * (MAX_BODY_BYTES + 1)
+        payload = _post_head(f"Content-Length: {len(body)}") + body
+
+        async def scenario():
+            server = SweepServer(ContentStore(tmp_path / "store"),
+                                 workers=1)
+            host, port = await server.start()
+            loop = asyncio.get_running_loop()
+            try:
+                return await loop.run_in_executor(
+                    None, _raw_exchange, host, port, payload
+                )
+            finally:
+                await server.stop()
+
+        reply = drive(scenario())
+        assert reply.split(b" ", 2)[1] == b"413"
+
+    def test_limits_still_frame_requests_on_a_kept_alive_connection(
+        self, tmp_path
+    ):
+        """A request at the limits is served, and the connection stays
+        usable for the next request."""
+
+        async def scenario():
+            server = SweepServer(ContentStore(tmp_path / "store"),
+                                 workers=1)
+            host, port = await server.start()
+            loop = asyncio.get_running_loop()
+            pad = "X-Pad: " + "a" * (MAX_LINE_BYTES - len("X-Pad: \r\n"))
+            headers = [pad] + [f"X-H{i}: v" for i in range(MAX_HEADERS - 2)]
+            request = (
+                "GET /v1/healthz HTTP/1.1\r\nHost: x\r\n"
+                + "".join(h + "\r\n" for h in headers) + "\r\n"
+            ).encode()
+            closing = _HEALTHZ.replace(
+                b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"
+            )
+            try:
+                return await loop.run_in_executor(
+                    None, _raw_exchange, host, port, request + closing
+                )
+            finally:
+                await server.stop()
+
+        reply = drive(scenario())
+        assert reply.count(b"HTTP/1.1 200 OK") == 2

@@ -1,6 +1,6 @@
 """Speculative AP mode (repro.core.speculation): safety and recovery.
 
-The contract under test (ARCHITECTURE §20):
+The contract under test (ARCHITECTURE §19):
 
 * accuracy 0 / mode "never" never builds an engine — runs are
   bit-identical to a machine with no speculation config at all (cycles,
@@ -33,6 +33,7 @@ from repro.core.access_processor import AccessProcessor
 from repro.errors import CheckpointError, SimulationError
 from repro.harness.runner import _fit_memory, _load_inputs, run_on_sma
 from repro.kernels import get_kernel, lower_sma
+from repro.queues import OperandQueue
 
 from tests.test_cluster_fast_forward import (
     _build_cluster,
@@ -178,8 +179,7 @@ _SPECULATION = st.builds(
 
 
 class TestScheduling:
-    """Every scheduler drives speculation exactly like naive ticking:
-    a ``joint-idle`` or ``codegen`` request runs event-horizon, which
+    """Event-horizon drives speculation exactly like naive ticking: it
     steps the reference component methods and still jumps idle spans."""
 
     @settings(max_examples=40, deadline=None)
@@ -268,13 +268,22 @@ class TestScheduling:
         assert naive.run(scheduler="naive").to_dict() == result.to_dict()
 
     def test_blind_oracle_fails_loudly(self, monkeypatch):
-        """A pre-run whose loop pops the EP->AP queues without the tap
-        (codegen inlines its pops) must raise, not refuse every
-        prediction."""
-        monkeypatch.setitem(
-            SMAMachine.SCHEDULERS, "event-horizon",
-            SMAMachine.SCHEDULERS["codegen"],
-        )
+        """A pre-run whose pops of the EP->AP queues bypass the tap must
+        raise, not refuse every prediction."""
+
+        def untapped(pop):
+            def wrapper(queue):
+                tap, queue._tap = queue._tap, None
+                try:
+                    return pop(queue)
+                finally:
+                    queue._tap = tap
+            return wrapper
+
+        for name in ("pop", "pop_slot"):
+            monkeypatch.setattr(
+                OperandQueue, name, untapped(getattr(OperandQueue, name))
+            )
         machine = _build("pic_gather", "addr",
                          SpeculationConfig(mode="perfect"))
         with pytest.raises(SimulationError, match="oracle pre-run"):
