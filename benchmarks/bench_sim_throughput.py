@@ -27,25 +27,17 @@ where whole-machine idleness is rare and the event-horizon loop's
 per-component contracts and decode-cached step paths have to carry the
 win: it must beat naive ticking :data:`EVENT_HORIZON_FLOOR` x.
 
-A third section races the SoA batch engine (:mod:`repro.batch`)
-against per-point event-horizon runs on a *fine* grid — queue depths
-1..64 x 50 log-spaced latencies 1..512, 3200 distinct timing
-configurations of one kernel.  This is the regime the batch engine
-exists for: the scalar path simulates every point on its own, while the
-batch engine steps all lanes in lockstep; the cost per sweep point must
-be at least :data:`BATCH_FLOOR` x lower.
-
-A fourth section races the batch engine against *itself* on the same
-fine grid: the interpreted SoA loop (``compiled=False``, the PR-7
-engine) vs the program-specialized batch lane stepper
-(:mod:`repro.batch.emitter` — a straight-line numpy loop emitted per
-decoded AP/EP program, plus saturation collapse: queue-depth lanes
-whose caps strictly dominate a probe lane's observed queue peaks are
-served from the probe's result without running).  The compiled path
-must cost at least :data:`BATCH_CODEGEN_FLOOR` x less per point, and
-the same grid sharded over ``workers=2`` processes is recorded (with
-the host core count — on a single-core host sharding cannot beat the
-in-driver run, so its scaling floor only applies on multi-core hosts).
+A third section races the SoA batch engine (:mod:`repro.batch`: the
+program-specialized lane stepper plus saturation collapse) against
+per-point event-horizon runs on a *fine* grid — queue depths 1..64 x 50
+log-spaced latencies 1..512, 3200 distinct timing configurations of one
+kernel.  This is the regime the batch engine exists for: the scalar
+path simulates every point on its own, while the batch engine steps all
+lanes in lockstep; the cost per sweep point must be at least
+:data:`BATCH_FLOOR` x lower.  The same grid sharded over ``workers=2``
+processes is recorded with the host core count (on a single-core host
+sharding cannot beat the in-driver run, so its scaling floor only
+applies on multi-core hosts).
 All sweeps record their throughput in ``BENCH_sim_throughput.json``
 (uploaded by CI, gated by ``scripts/check_bench_floor.py``).  Run
 with::
@@ -195,17 +187,8 @@ BATCH_SUBSAMPLE = 47
 #: gated.
 BATCH_FLOOR = 8.0
 
-#: acceptance floor (batch-codegen tentpole): the program-specialized
-#: batch lane stepper (+ saturation collapse) must land at least 3x
-#: lower cost per sweep point than the interpreted SoA loop on the
-#: fine grid.  The smoke grid collapses far less (fewer lanes per
-#: saturation class) and numpy dispatch overhead looms larger, hence
-#: its laxer floor.
-BATCH_CODEGEN_FLOOR = 3.0
-BATCH_CODEGEN_SMOKE_FLOOR = 1.5
-
-#: shard fan-out recorded by the batch-codegen regime; the scaling
-#: floor below only binds on hosts with at least this many cores
+#: shard fan-out recorded by the batch regime; the scaling floor below
+#: only binds on hosts with at least this many cores
 BATCH_SHARD_WORKERS = 2
 BATCH_SHARD_FLOOR = 1.2
 
@@ -300,12 +283,17 @@ def _build_sma_from_config(name: str, cfg: SMAConfig, n: int) -> SMAMachine:
 def _batch_comparison(latencies=BATCH_LATENCIES,
                       depths=BATCH_QUEUE_DEPTHS,
                       n=BATCH_N, repeats=2,
-                      subsample=BATCH_SUBSAMPLE) -> dict:
+                      subsample=BATCH_SUBSAMPLE,
+                      shard_workers=BATCH_SHARD_WORKERS) -> dict:
     """Race the SoA batch engine against per-point event-horizon runs on
-    the fine grid.  The batch engine runs the whole grid; the scalar
-    path runs a stratified subsample, one ``machine.run()`` per point
-    with construction outside the timed region.  Asserts the
-    subsample's cycle counts are identical across the two engines."""
+    the fine grid, and against itself sharded over ``shard_workers``
+    processes.  The batch engine runs the whole grid, in the driver and
+    sharded, timed interleaved within each repeat round so a noise
+    spike on a shared host degrades both; the scalar path runs a
+    stratified subsample, one ``machine.run()`` per point with
+    construction outside the timed region.  Asserts the sharded run
+    equals the in-driver run on every grid point, and the subsample's
+    cycle counts are identical across the engines."""
     from repro.batch import run_batch
     from repro.harness.jobs import BatchJob
 
@@ -313,15 +301,26 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
         BATCH_KERNEL, n, latencies=latencies, queue_depths=depths
     ).expand()
 
-    best_batch = None
+    best_batch = best_shard = None
     batch_results: dict = {}
+    shard_results: dict = {}
     for _ in range(repeats):
         start = time.perf_counter()
         batch_results = run_batch(jobs)
         elapsed = time.perf_counter() - start
         if best_batch is None or elapsed < best_batch:
             best_batch = elapsed
+        # pool spawn is part of the timed region: a real sweep pays it
+        # once per run
+        start = time.perf_counter()
+        shard_results = run_batch(jobs, workers=shard_workers)
+        elapsed = time.perf_counter() - start
+        if best_shard is None or elapsed < best_shard:
+            best_shard = elapsed
     assert len(batch_results) == len(jobs)
+    assert shard_results == batch_results, (
+        "sharded batch run disagrees with the in-driver run"
+    )
 
     sample = list(range(0, len(jobs), subsample))
     best_point = None
@@ -343,6 +342,7 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
         )
 
     batch_pps = len(jobs) / best_batch
+    shard_pps = len(jobs) / best_shard
     point_pps = len(sample) / best_point
     return {
         "kernel": BATCH_KERNEL,
@@ -356,6 +356,16 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
             "points": len(jobs),
             "seconds": round(best_batch, 6),
             "points_per_sec": round(batch_pps, 1),
+            "note": "specialized lane stepper + saturation collapse",
+        },
+        "batch_sharded": {
+            "points": len(jobs),
+            "workers": shard_workers,
+            "cpu_count": os.cpu_count() or 1,
+            "seconds": round(best_shard, 6),
+            "points_per_sec": round(shard_pps, 1),
+            "note": "pool spawn included; on a single-core host "
+                    "sharding cannot beat the in-driver run",
         },
         "event-horizon": {
             "points": len(sample),
@@ -366,106 +376,7 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
         },
         "ratios": {
             "batch_vs_event_horizon": round(batch_pps / point_pps, 2),
-        },
-    }
-
-
-def _batch_codegen_comparison(latencies=BATCH_LATENCIES,
-                              depths=BATCH_QUEUE_DEPTHS,
-                              n=BATCH_N, repeats=2,
-                              shard_workers=BATCH_SHARD_WORKERS) -> dict:
-    """Race the batch engine against itself on the fine grid: the
-    interpreted SoA loop (``compiled=False``) vs the program-specialized
-    lane stepper with saturation collapse (``compiled=None``), plus the
-    same grid sharded over ``shard_workers`` processes.  Asserts all
-    three produce identical result dicts for every grid point — the
-    batch codegen bit-exactness contract, checked across the whole
-    grid, not a subsample."""
-    from repro.batch import run_batch
-    from repro.batch.cache import clear_cache
-    from repro.harness.jobs import BatchJob
-
-    jobs = BatchJob(
-        BATCH_KERNEL, n, latencies=latencies, queue_depths=depths
-    ).expand()
-
-    # the per-program compile is warmed outside the timed region (one
-    # compile serves the whole grid, and the lane-group fingerprint
-    # cache makes it a once-per-program cost).  The three modes are
-    # timed *interleaved* within each repeat round — best-of mins from
-    # back-to-back runs — so a noise spike on a shared host degrades
-    # all three rather than skewing the ratio
-    clear_cache()
-    run_batch(jobs)
-    cpus = os.cpu_count() or 1
-    best_interp = best_cg = best_shard = None
-    interp_results: dict = {}
-    cg_results: dict = {}
-    shard_results: dict = {}
-    for _ in range(repeats):
-        # interpreted SoA baseline (the pre-codegen engine):
-        # compiled=False forces the interpreter and disables collapse
-        start = time.perf_counter()
-        interp_results = run_batch(jobs, compiled=False)
-        elapsed = time.perf_counter() - start
-        if best_interp is None or elapsed < best_interp:
-            best_interp = elapsed
-        # program-specialized lane stepper + saturation collapse
-        start = time.perf_counter()
-        cg_results = run_batch(jobs)
-        elapsed = time.perf_counter() - start
-        if best_cg is None or elapsed < best_cg:
-            best_cg = elapsed
-        # the same grid sharded across worker processes (pool spawn is
-        # part of the timed region — a real sweep pays it once per run)
-        start = time.perf_counter()
-        shard_results = run_batch(jobs, workers=shard_workers)
-        elapsed = time.perf_counter() - start
-        if best_shard is None or elapsed < best_shard:
-            best_shard = elapsed
-    assert len(interp_results) == len(jobs)
-    assert cg_results == interp_results, (
-        "batch codegen disagrees with the interpreted batch engine"
-    )
-    assert shard_results == interp_results, (
-        "sharded batch codegen disagrees with the in-driver run"
-    )
-
-    interp_pps = len(jobs) / best_interp
-    cg_pps = len(jobs) / best_cg
-    shard_pps = len(jobs) / best_shard
-    return {
-        "kernel": BATCH_KERNEL,
-        "n": n,
-        "grid": {
-            "latencies": len(latencies),
-            "queue_depths": len(depths),
-            "points": len(jobs),
-        },
-        "batch_interp": {
-            "points": len(jobs),
-            "seconds": round(best_interp, 6),
-            "points_per_sec": round(interp_pps, 1),
-        },
-        "batch_codegen": {
-            "points": len(jobs),
-            "seconds": round(best_cg, 6),
-            "points_per_sec": round(cg_pps, 1),
-            "note": "specialized lane stepper + saturation collapse; "
-                    "per-program compile warmed (once-per-grid cost)",
-        },
-        "batch_codegen_sharded": {
-            "points": len(jobs),
-            "workers": shard_workers,
-            "cpu_count": cpus,
-            "seconds": round(best_shard, 6),
-            "points_per_sec": round(shard_pps, 1),
-            "note": "pool spawn included; on a single-core host "
-                    "sharding cannot beat the in-driver run",
-        },
-        "ratios": {
-            "batch_codegen_vs_batch": round(cg_pps / interp_pps, 2),
-            "sharded_vs_inline": round(shard_pps / cg_pps, 2),
+            "sharded_vs_inline": round(shard_pps / batch_pps, 2),
         },
     }
 
@@ -475,13 +386,11 @@ def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
                              batch_latencies=BATCH_LATENCIES,
                              batch_depths=BATCH_QUEUE_DEPTHS,
                              batch_n=BATCH_N,
-                             batch_subsample=BATCH_SUBSAMPLE,
-                             batch_codegen_latencies=None,
-                             batch_codegen_depths=None) -> dict:
-    """Run all three shoot-out sweeps and package the numbers for
+                             batch_subsample=BATCH_SUBSAMPLE) -> dict:
+    """Run both shoot-out sweeps and package the numbers for
     ``BENCH_sim_throughput.json``: the low-latency regime (where the
-    event-horizon floor is asserted), and the fine-grid batch and
-    batch-codegen regimes (where the batch floors are asserted)."""
+    event-horizon floor is asserted) and the fine-grid batch regime
+    (where the batch and shard-scaling floors are asserted)."""
     return {
         "benchmark": "bench_sim_throughput/scheduler_comparison",
         "sweeps": {
@@ -492,19 +401,12 @@ def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
                 batch_latencies, batch_depths, batch_n, repeats,
                 batch_subsample,
             ),
-            "batch-codegen": _batch_codegen_comparison(
-                batch_codegen_latencies or batch_latencies,
-                batch_codegen_depths or batch_depths,
-                batch_n, repeats,
-            ),
         },
         "floors": {
             "event_horizon_vs_naive": EVENT_HORIZON_FLOOR,
             "batch_vs_event_horizon": BATCH_FLOOR,
-            "batch_codegen_vs_batch": BATCH_CODEGEN_FLOOR,
             "sharded_vs_inline_multicore": BATCH_SHARD_FLOOR,
             "smoke_event_horizon_vs_naive": SMOKE_FLOOR,
-            "smoke_batch_codegen_vs_batch": BATCH_CODEGEN_SMOKE_FLOOR,
         },
     }
 
@@ -515,38 +417,23 @@ def write_bench_json(data: dict, path: Path = BENCH_JSON) -> None:
 
 def _print_comparison(data: dict) -> None:
     for label, sweep in data["sweeps"].items():
-        if "batch_interp" in sweep:  # the batch-codegen regime
-            grid = sweep["grid"]
-            sharded = sweep["batch_codegen_sharded"]
-            print(f"fine-grid {label} shoot-out ({sweep['kernel']} "
-                  f"n={sweep['n']}, {grid['points']} points)")
-            for engine in ("batch_interp", "batch_codegen"):
-                row = sweep[engine]
-                print(f"  {engine:<21}: {row['points_per_sec']:12.1f} "
-                      f"points/s ({row['seconds']:.3f}s)")
-            print(f"  sharded (workers={sharded['workers']})   : "
-                  f"{sharded['points_per_sec']:12.1f} points/s "
-                  f"({sharded['seconds']:.3f}s, "
-                  f"{sharded['cpu_count']} core(s))")
-            ratios = sweep["ratios"]
-            print(f"  batch-codegen vs batch      : "
-                  f"{ratios['batch_codegen_vs_batch']:.2f}x")
-            print(f"  sharded vs in-driver        : "
-                  f"{ratios['sharded_vs_inline']:.2f}x")
-            continue
         if "schedulers" not in sweep:  # the fine-grid batch regime
             grid = sweep["grid"]
             print(f"fine-grid {label} shoot-out ({sweep['kernel']} "
                   f"n={sweep['n']}, {grid['latencies']} latencies x "
                   f"{grid['queue_depths']} queue depths = "
                   f"{grid['points']} points)")
-            for engine in ("batch", "event-horizon"):
+            for engine in ("batch", "batch_sharded", "event-horizon"):
                 row = sweep[engine]
                 print(f"  {engine:<14}: {row['points_per_sec']:12.1f} "
                       f"points/s ({row['points']} points, "
                       f"{row['seconds']:.3f}s)")
+            ratios = sweep["ratios"]
             print(f"  batch vs event-horizon      : "
-                  f"{sweep['ratios']['batch_vs_event_horizon']:.2f}x")
+                  f"{ratios['batch_vs_event_horizon']:.2f}x")
+            print(f"  sharded vs in-driver        : "
+                  f"{ratios['sharded_vs_inline']:.2f}x "
+                  f"({sweep['batch_sharded']['cpu_count']} core(s))")
             continue
         print(f"R-F1 {label} shoot-out (latencies "
               f"{tuple(sweep['latencies'])}, n={sweep['n']}, best of "
@@ -578,14 +465,9 @@ def test_scheduler_throughput(capsys):
     # the fine grid
     assert data["sweeps"]["batch"]["ratios"][
         "batch_vs_event_horizon"] >= BATCH_FLOOR
-    # acceptance floor (batch-codegen tentpole): the specialized lane
-    # stepper + saturation collapse must beat the interpreted SoA loop
-    # 3x on the same grid
-    assert data["sweeps"]["batch-codegen"]["ratios"][
-        "batch_codegen_vs_batch"] >= BATCH_CODEGEN_FLOOR
     # the shard scaling floor only binds where shards get real cores
     if (os.cpu_count() or 1) >= BATCH_SHARD_WORKERS:
-        assert data["sweeps"]["batch-codegen"]["ratios"][
+        assert data["sweeps"]["batch"]["ratios"][
             "sharded_vs_inline"] >= BATCH_SHARD_FLOOR
 
 
@@ -604,7 +486,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--smoke", action="store_true",
                         help="small sweeps for CI (n=96, two scheduler "
-                             "latencies, smaller batch grids)")
+                             "latencies, a smaller batch grid)")
     parser.add_argument("--out", default=str(BENCH_JSON),
                         help="output JSON path")
     args = parser.parse_args(argv)
@@ -612,21 +494,11 @@ def main(argv=None) -> int:
         smoke_latencies = tuple(
             sorted({max(1, round(2 ** (i * 9 / 11))) for i in range(12)})
         )
-        # the batch-codegen regime keeps the full 1..64 depth axis in
-        # smoke: its win comes from saturation collapse, which a
-        # shallow-depth grid (everything saturates) would erase — and
-        # unlike the per-point comparator it runs no machine per grid
-        # point, so the wider grid stays cheap
-        bc_latencies = tuple(
-            sorted({max(1, round(2 ** (i * 9 / 23))) for i in range(24)})
-        )
         data = run_scheduler_comparison(
             scheduler_latencies=(8, 32), n=96, repeats=3,
             batch_latencies=smoke_latencies,
             batch_depths=tuple(range(1, 17)),
             batch_subsample=13,
-            batch_codegen_latencies=bc_latencies,
-            batch_codegen_depths=tuple(range(1, 65)),
         )
     else:
         data = run_scheduler_comparison(repeats=3)

@@ -4,22 +4,20 @@
 Runs a small latency x queue-depth grid of three kernels — a pure
 streaming kernel, a loss-of-decoupling recurrence, and a computed
 gather — through the batch engine with per-lane output verification
-armed, in all three execution modes:
+armed, two ways:
 
-* the program-specialized batch lane stepper with saturation collapse
-  (``compiled=None``, the default dispatch path),
-* the interpreted SoA loop (``compiled=False``), and
-* the stepper sharded over two worker processes (``workers=2``).
+* in the driver (the program-specialized lane stepper with saturation
+  collapse, the default dispatch path), and
+* sharded over two worker processes (``workers=2``).
 
-All three must produce bit-identical result dicts for every grid
-point, and a random subsample of lanes is additionally re-executed on
-the scalar interpreter and required to match the *full result dict*
-exactly: cycles, instruction counts, every stall bucket (keys, order,
-counts), memory traffic, and occupancy statistics.
+Both must produce bit-identical result dicts for every grid point, and
+every lane is additionally re-executed on the per-point path and
+required to match the *full result dict* exactly: cycles, instruction
+counts, every stall bucket (keys, order, counts), memory traffic, and
+occupancy statistics.
 
 Exit status is non-zero on any divergence, so the workflow fails
-loudly if the lockstep engine (or its compiled specialization) ever
-drifts from the reference interpreter.
+loudly if the lockstep engine ever drifts from the per-point path.
 
 Usage::
 
@@ -28,7 +26,6 @@ Usage::
 
 from __future__ import annotations
 
-import random
 import sys
 
 from repro.batch import run_batch
@@ -38,7 +35,6 @@ KERNELS = ("daxpy", "tridiag", "computed_gather")
 LATENCIES = (1, 4, 16, 64)
 QUEUE_DEPTHS = (1, 4, 8, 32)
 N = 48
-SUBSAMPLE = 10
 
 
 def main() -> int:
@@ -57,25 +53,19 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    # the compiled stepper (+ saturation collapse) and the sharded run
-    # must be indistinguishable from the interpreted SoA engine on
-    # every grid point, not just a subsample
-    for label, variant in (
-        ("interpreted", run_batch(jobs, compiled=False)),
-        ("sharded (workers=2)", run_batch(jobs, workers=2)),
-    ):
-        bad = [i for i in results if variant.get(i) != results[i]]
-        if bad:
-            print(f"FAIL: {label} batch run diverges from the default "
-                  f"dispatch path at lanes {bad[:8]}"
-                  f"{'...' if len(bad) > 8 else ''}", file=sys.stderr)
-            return 1
+    # the sharded run must be indistinguishable from the in-driver run
+    # on every grid point, not just a subsample
+    sharded = run_batch(jobs, workers=2)
+    bad = [i for i in results if sharded.get(i) != results[i]]
+    if bad:
+        print(f"FAIL: sharded (workers=2) batch run diverges from the "
+              f"in-driver run at lanes {bad[:8]}"
+              f"{'...' if len(bad) > 8 else ''}", file=sys.stderr)
+        return 1
 
-    rng = random.Random(1983)
-    sample = sorted(rng.sample(range(len(jobs)), SUBSAMPLE))
     mismatches = 0
-    for i in sample:
-        want = run_job(jobs[i])
+    for i, job in enumerate(jobs):
+        want = run_job(job)
         got = results[i]
         if got != want:
             mismatches += 1
@@ -83,18 +73,17 @@ def main() -> int:
                 k for k in set(want) | set(got)
                 if want.get(k) != got.get(k)
             }
-            print(f"FAIL: lane {i} ({jobs[i].kernel}, "
-                  f"latency={jobs[i].sma_config.memory.latency}, "
-                  f"depth={jobs[i].sma_config.queues.load_queue_depth}) "
+            print(f"FAIL: lane {i} ({job.kernel}, "
+                  f"latency={job.sma_config.memory.latency}, "
+                  f"depth={job.sma_config.queues.load_queue_depth}) "
                   f"diverges in {sorted(diff)}", file=sys.stderr)
     if mismatches:
         return 1
     print(f"batch smoke OK: {len(jobs)} lanes run "
           f"({len(KERNELS)} kernels x {len(LATENCIES)} latencies x "
-          f"{len(QUEUE_DEPTHS)} depths, outputs verified) in compiled, "
-          f"interpreted and sharded modes (bit-identical), "
-          f"{len(sample)} lanes re-checked bit-exact against the "
-          f"scalar interpreter")
+          f"{len(QUEUE_DEPTHS)} depths, outputs verified) in-driver and "
+          f"sharded (bit-identical), every lane re-checked bit-exact "
+          f"against the per-point path")
     return 0
 
 

@@ -7,18 +7,15 @@ Usage::
     python scripts/check_bench_floor.py [BENCH_JSON]
 
 Reads ``BENCH_sim_throughput.json`` (default: repo root) as written by
-``benchmarks/bench_sim_throughput.py`` and fails when any measured
-smoke ratio falls below its floor: the event-horizon scheduler against
-naive ticking on the low-latency sweep, and the program-specialized
-batch lane stepper against the interpreted SoA loop on the fine sweep
-grid.  The floors live in the JSON itself
-(``floors.smoke_event_horizon_vs_naive``, 2x by default, and
-``floors.smoke_batch_codegen_vs_batch``, 1.5x — both deliberately
-laxer than the full-benchmark assertions so shared CI runners don't
+``benchmarks/bench_sim_throughput.py`` and fails when the event-horizon
+scheduler's smoke ratio against naive ticking on the low-latency sweep
+falls below its floor.  The floor lives in the JSON itself
+(``floors.smoke_event_horizon_vs_naive``, 2x by default — deliberately
+laxer than the full-benchmark assertion so shared CI runners don't
 flake) so benchmark and gate can never disagree about the contract.
 The SoA batch engine's points/second against per-point event-horizon
-runs, and sharded against in-driver batch runs, are printed for
-information only.
+runs, and sharded against in-driver batch runs, are validated for shape
+and printed for information only.
 
 Exit status is non-zero on a miss, a malformed file, or implausible
 numbers (schedulers disagreeing on simulated cycles), so the workflow
@@ -41,10 +38,6 @@ REQUIRED_SWEEPS = ("scheduler",)
 GATES = (
     ("scheduler", "naive", "event-horizon", "smoke_event_horizon_vs_naive"),
 )
-
-#: floor key for the batch-codegen regime (specialized lane stepper +
-#: saturation collapse vs the interpreted SoA loop, same grid both ways)
-BATCH_CODEGEN_FLOOR_KEY = "smoke_batch_codegen_vs_batch"
 
 
 def _check_sweep(label: str, sweep: dict) -> list[str]:
@@ -76,9 +69,9 @@ def _check_sweep(label: str, sweep: dict) -> list[str]:
 
 def _check_batch_sweep(sweep: dict) -> list[str]:
     """Validate the fine-grid batch section (its shape differs from the
-    scheduler shoot-outs: two engines, point counts, points/s)."""
+    scheduler shoot-outs: three engine rows, point counts, points/s)."""
     problems: list[str] = []
-    for engine in ("batch", "event-horizon"):
+    for engine in ("batch", "batch_sharded", "event-horizon"):
         row = sweep.get(engine)
         if not isinstance(row, dict):
             problems.append(f"batch: missing engine entry {engine!r}")
@@ -89,42 +82,13 @@ def _check_batch_sweep(sweep: dict) -> list[str]:
                 problems.append(
                     f"batch: {engine}.{field} missing or non-positive"
                 )
-    grid = sweep.get("grid", {})
-    if not problems and sweep["batch"]["points"] != grid.get("points"):
-        problems.append(
-            "batch: engine did not cover the full grid: "
-            f"{sweep['batch']['points']} != {grid.get('points')}"
-        )
-    return problems
-
-
-def _check_batch_codegen_sweep(sweep: dict) -> list[str]:
-    """Validate the batch-codegen section: interpreted vs specialized
-    vs sharded runs of the *same* grid, so all three point counts must
-    equal the grid's."""
-    problems: list[str] = []
-    engines = ("batch_interp", "batch_codegen", "batch_codegen_sharded")
-    for engine in engines:
-        row = sweep.get(engine)
-        if not isinstance(row, dict):
-            problems.append(
-                f"batch-codegen: missing engine entry {engine!r}"
-            )
-            continue
-        for field in ("points", "seconds", "points_per_sec"):
-            if not isinstance(row.get(field), (int, float)) \
-                    or row[field] <= 0:
-                problems.append(
-                    f"batch-codegen: {engine}.{field} missing or "
-                    "non-positive"
-                )
     grid_points = sweep.get("grid", {}).get("points")
     if not problems:
-        for engine in engines:
+        for engine in ("batch", "batch_sharded"):
             if sweep[engine]["points"] != grid_points:
                 problems.append(
-                    f"batch-codegen: {engine} did not cover the full "
-                    f"grid: {sweep[engine]['points']} != {grid_points}"
+                    f"batch: {engine} did not cover the full grid: "
+                    f"{sweep[engine]['points']} != {grid_points}"
                 )
     return problems
 
@@ -152,11 +116,6 @@ def check(path: Path) -> list[str]:
         problems.append("missing sweep section 'batch'")
     else:
         problems.extend(_check_batch_sweep(batch_sweep))
-    bc_sweep = sweeps.get("batch-codegen")
-    if not isinstance(bc_sweep, dict):
-        problems.append("missing sweep section 'batch-codegen'")
-    else:
-        problems.extend(_check_batch_codegen_sweep(bc_sweep))
     if problems:
         return problems
 
@@ -184,29 +143,13 @@ def check(path: Path) -> list[str]:
     print(f"batch vs per-point event-horizon: {ratio:.2f}x points/s on "
           f"the fine grid ({batch_sweep['grid']['points']} points) — "
           "informational; gated only by the full benchmark")
-
-    floor = floors.get(BATCH_CODEGEN_FLOOR_KEY)
-    if not isinstance(floor, (int, float)) or floor <= 0:
-        problems.append(f"floors.{BATCH_CODEGEN_FLOOR_KEY} missing")
-    else:
-        ratio = (bc_sweep["batch_codegen"]["points_per_sec"]
-                 / bc_sweep["batch_interp"]["points_per_sec"])
-        grid = bc_sweep["grid"]
-        print(f"batch-codegen vs interpreted batch: {ratio:.2f}x "
-              f"points/s (floor {floor}x) on the fine grid "
-              f"({grid['points']} points)")
-        if ratio < floor:
-            problems.append(
-                f"batch-codegen throughput floor missed: {ratio:.2f}x "
-                f"< {floor}x vs the interpreted batch engine"
-            )
-        sharded = bc_sweep["batch_codegen_sharded"]
-        shard_ratio = (sharded["points_per_sec"]
-                       / bc_sweep["batch_codegen"]["points_per_sec"])
-        print(f"sharded (workers={sharded.get('workers')}) vs "
-              f"in-driver: {shard_ratio:.2f}x points/s on "
-              f"{sharded.get('cpu_count')} core(s) — informational; "
-              "scaling is only gated on multi-core hosts")
+    sharded = batch_sweep["batch_sharded"]
+    shard_ratio = (sharded["points_per_sec"]
+                   / batch_sweep["batch"]["points_per_sec"])
+    print(f"sharded (workers={sharded.get('workers')}) vs in-driver: "
+          f"{shard_ratio:.2f}x points/s on {sharded.get('cpu_count')} "
+          "core(s) — informational; gated only by the full benchmark "
+          "on multi-core hosts")
     return problems
 
 

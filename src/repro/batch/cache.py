@@ -17,20 +17,23 @@ of the key: they live in per-lane arrays the generated code reads at
 run time, so one artifact serves every lane group of the same program —
 that is what makes a 3200-point sweep one compile.
 
-Programs the emitter cannot specialize land in a negative cache so
-``LaneEngine.run`` falls back to the interpreted loop without
-re-attempting emission every group.
+Programs the emitter cannot specialize land in a negative cache, so
+emission is attempted (and the refusal logged) once per key; their lane
+groups run per point (see :func:`repro.batch.dispatch.run_group`).
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
 #: maximum retained compiled steppers; eviction is least-recently-used
 MAX_ENTRIES = 64
+
+_LOG = logging.getLogger("repro.batch")
 
 
 @dataclass
@@ -99,8 +102,7 @@ def cached_artifacts() -> list[LaneArtifact]:
 def get_or_compile(engine) -> LaneArtifact | None:
     """Return the compiled lane stepper for ``engine``'s program pair,
     emitting and compiling on first use; ``None`` when the program
-    cannot be specialized (the caller falls back to the interpreted
-    loop)."""
+    cannot be specialized (its jobs then run per point)."""
     key = artifact_key(engine)
     if key in _UNSUPPORTED:
         return None
@@ -114,9 +116,13 @@ def get_or_compile(engine) -> LaneArtifact | None:
 
     try:
         source = LaneLoopEmitter(engine).generate()
-    except Unsupported:
+    except Unsupported as exc:
         stats.unsupported += 1
         _UNSUPPORTED.add(key)
+        _LOG.warning(
+            "batch emitter refused program %s (%s); its lane groups run "
+            "per point", key[:12], exc,
+        )
         return None
     artifact = compile_source(key, source)
     _CACHE[key] = artifact

@@ -4,9 +4,10 @@ The batch engine steps thousands of lanes — independent machine
 configurations running the *same* access/execute program pair — in
 lockstep with numpy.  Because every lane shares one program, the
 instruction at a given pc is a compile-time constant for the whole
-array: decoding happens once here, and the engine dispatches on plain
-kind tags exactly like the scalar decode caches in
-:mod:`repro.core.access_processor` / :mod:`repro.core.execute_processor`.
+array: decoding happens once here, into plain kind tags like the scalar
+decode caches in :mod:`repro.core.access_processor` /
+:mod:`repro.core.execute_processor`, and :mod:`repro.batch.emitter`
+specializes the lane stepper on them.
 
 Queue operands are resolved to a *global queue id* over the flat queue
 complement (the same order :class:`repro.queues.QueueFile` builds its

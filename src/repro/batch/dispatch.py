@@ -10,6 +10,10 @@ staging one shared memory image, stepping all lanes in lockstep, and
 assembling per-job result dicts with the exact key set and value types
 of the scalar path (:func:`repro.harness.jobs._run_sma`), so cached
 batch results and cached scalar results are interchangeable.
+
+A group whose program pair the batch emitter refuses has no batch
+engine: :func:`run_group` returns ``None`` and :func:`run_batch` leaves
+its jobs out of the mapping, so the harness runs them per point.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from ..harness.jobs import (
     _metrics_armed,
 )
 from ..harness.runner import _fit_memory
+from .emitter import Unsupported
 from .engine import LaneEngine
 
 #: job.machine values the batch engine can execute
@@ -144,21 +149,18 @@ def _collapse_classes(
     return classes
 
 
-def run_group(jobs: list[Job], *, compiled: bool | None = None) -> list[dict]:
+def run_group(jobs: list[Job]) -> list[dict] | None:
     """Run one lane group (all jobs must share a group key); returns one
-    result dict per job, aligned with the input order.
+    result dict per job, aligned with the input order, or ``None`` when
+    the batch emitter refuses the group's program pair (the caller runs
+    those jobs per point).
 
-    ``compiled`` mirrors :meth:`LaneEngine.run`: ``None`` uses the
-    compiled lane stepper when the program specializes (falling back to
-    the interpreted engine), ``False`` forces the interpreter, ``True``
-    demands the compiled path.  When the compiled stepper is available
-    the group is additionally *saturation-collapsed*: for each set of
-    lanes differing only in queue depths, the deepest lane runs as a
-    probe with queue high-water tracking on (alongside the shallow
-    lanes suspected of saturating, in one cohort engine), and every
-    lane whose depths strictly exceed the observed peaks provably
-    reproduces the probe bit-for-bit and is served from its result
-    without running.
+    The group is *saturation-collapsed*: for each set of lanes differing
+    only in queue depths, the deepest lane runs as a probe with queue
+    high-water tracking on (alongside the shallow lanes suspected of
+    saturating, in one cohort engine), and every lane whose depths
+    strictly exceed the observed peaks provably reproduces the probe
+    bit-for-bit and is served from its result without running.
     """
     first = jobs[0]
     use_streams = _BATCH_MACHINES[first.machine]
@@ -210,17 +212,15 @@ def run_group(jobs: list[Job], *, compiled: bool | None = None) -> list[dict]:
     # job position -> (outcome, lane index within that outcome)
     source: list[tuple | None] = [None] * len(jobs)
 
-    collapsed = 0
-    if compiled is None or compiled:
-        collapsed = _run_collapsed(
-            jobs, configs, build_engine, source, compiled
-        )
-    if any(s is None for s in source):
-        idx = [i for i, s in enumerate(source) if s is None]
-        engine = build_engine(idx)
-        outcome = engine.run(compiled=compiled)
-        for lane, i in enumerate(idx):
-            source[i] = (outcome, lane)
+    try:
+        _run_collapsed(configs, build_engine, source)
+        if any(s is None for s in source):
+            idx = [i for i, s in enumerate(source) if s is None]
+            outcome = build_engine(idx).run()
+            for lane, i in enumerate(idx):
+                source[i] = (outcome, lane)
+    except Unsupported:
+        return None
 
     machine_name = "sma" if lowered.uses_streams else "sma-nostream"
     info = lowered.info
@@ -269,9 +269,7 @@ def run_group(jobs: list[Job], *, compiled: bool | None = None) -> list[dict]:
 _COHORT_CUTOFF = 16
 
 
-def _run_collapsed(
-    jobs, configs, build_engine, source, compiled: bool | None
-) -> int:
+def _run_collapsed(configs, build_engine, source) -> None:
     """Saturation-collapse phase of :func:`run_group`.
 
     Runs a single *cohort* engine holding, per collapse class, the
@@ -281,9 +279,8 @@ def _run_collapsed(
     from their own simulation; every remaining member whose capacities
     strictly exceed the probe's observed peaks is served from the
     probe's outcome.  Members the proof doesn't cover stay unfilled and
-    run in the caller's residual engine.  Returns the number of
-    collapsed (probe-served) lanes; on any obstacle (no classes,
-    program not specializable) fills nothing.
+    run in the caller's residual engine; with no collapse classes it
+    fills nothing.
 
     Folding the suspected-saturated members into the probe engine pays
     the fixed per-round stepper overhead once instead of twice: on the
@@ -294,13 +291,12 @@ def _run_collapsed(
     caps ran exactly as if its queues were unbounded; a member whose
     caps strictly exceed those peaks replays the same unbounded run.
     """
-    from .cache import get_or_compile
     from .decode import QueueLayout
 
     qlay = QueueLayout.from_config(configs[0])
     classes = _collapse_classes(configs, qlay)
     if not classes:
-        return 0
+        return
     cohort: list[int] = []
     cohort_lane: list[dict[int, int]] = []  # per class: member -> lane
     for probe, members, caps in classes:
@@ -314,11 +310,8 @@ def _run_collapsed(
                 cohort.append(m)
         cohort_lane.append(lanes)
     engine = build_engine(cohort)
-    if get_or_compile(engine) is None:
-        return 0  # not specializable: peaks would never be tracked
     engine.track_saturation = True
-    outcome = engine.run(compiled=compiled)
-    collapsed = 0
+    outcome = engine.run()
     for (probe, members, caps), lanes in zip(classes, cohort_lane):
         for m, lane in lanes.items():
             if source[m] is None:
@@ -330,30 +323,28 @@ def _run_collapsed(
         for m, ok in zip(members, unsaturated):
             if ok and source[m] is None:
                 source[m] = (outcome, lanes[probe])
-                collapsed += 1
-    return collapsed
 
 
 def run_batch(
     jobs: list[Job],
     *,
     workers: int = 1,
-    compiled: bool | None = None,
     on_result=None,
 ) -> dict[int, dict]:
     """Run every eligible job in ``jobs`` through the batch engine.
 
     Returns ``{index: result_dict}`` for the jobs that ran; indices not
-    in the mapping were ineligible and belong on the scalar path.
+    in the mapping were ineligible or in a lane group whose program the
+    batch emitter refuses, and belong on the per-point path.
 
     ``workers > 1`` shards lane groups across a fingerprint-seeded
     :class:`~concurrent.futures.ProcessPoolExecutor` (the same worker
     bootstrap the scalar sweep pool uses), splitting each group into
     per-worker sub-batches along saturation-class boundaries so the
-    collapse planner keeps one probe per class.  ``compiled`` is passed
-    through to :func:`run_group`.  ``on_result(index, result)``, when
-    given, is invoked as each job's result lands (driver process),
-    letting callers flush incrementally in both modes.
+    collapse planner keeps one probe per class.  ``on_result(index,
+    result)``, when given, is invoked as each job's result lands
+    (driver process), letting callers flush incrementally in both
+    modes.
     """
     out: dict[int, dict] = {}
 
@@ -366,8 +357,7 @@ def run_batch(
     if workers <= 1:
         for group in groups:
             for idx, res in zip(
-                group, run_group([jobs[i] for i in group],
-                                 compiled=compiled)
+                group, run_group([jobs[i] for i in group]) or ()
             ):
                 land(idx, res)
         return out
@@ -387,22 +377,14 @@ def run_batch(
         initargs=(None, code_fingerprint()),
     ) as pool:
         futures = {
-            pool.submit(
-                _run_shard, [jobs[i] for i in shard], compiled
-            ): shard
+            pool.submit(run_group, [jobs[i] for i in shard]): shard
             for shard in shards
         }
         for future in as_completed(futures):
             shard = futures[future]
-            for idx, res in zip(shard, future.result()):
+            for idx, res in zip(shard, future.result() or ()):
                 land(idx, res)
     return out
-
-
-def _run_shard(jobs: list[Job], compiled: bool | None) -> list[dict]:
-    """Pool-worker entry: one sub-batch of a lane group, results in
-    input order (module-level so it pickles)."""
-    return run_group(jobs, compiled=compiled)
 
 
 def _shard_group(

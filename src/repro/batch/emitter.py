@@ -1,17 +1,15 @@
-"""Program-specialized emitter for the SoA batch engine.
+"""Program-specialized lane stepper for the SoA batch engine.
 
-:class:`LaneEngine` interprets: every cycle it re-groups lanes by pc,
-re-reads the same decoded tuples, re-branches on operand tags, and
-probes queues and components the program can never touch.  The emitter
-here walks the decoded access/execute program pair *once* per lane
-group and writes out the exact numpy lane-stepper this program needs,
-fused across the whole lane axis:
+:class:`~repro.batch.engine.LaneEngine` holds the lane state; this
+module is the one place that holds each op's lane semantics.  It walks
+the decoded access/execute program pair *once* per program key and
+writes out the exact numpy lane-stepper this program needs, fused
+across the whole lane axis:
 
-* per-pc interpreted dispatch becomes a table of per-instruction block
-  functions with opcodes, operands, queue ids, stall-cause ids and
-  branch targets baked in as literals (ALU ops become inline numpy
-  expressions with the exact CPython-float semantics of
-  ``engine._alu_eval``);
+* each pc becomes a block function in a per-instruction table, with
+  opcodes, operands, queue ids, stall-cause ids and branch targets
+  baked in as literals (ALU ops become inline numpy expressions with
+  the exact CPython-float semantics of :data:`repro.isa.ALU_FUNCS`);
 * statically dead probes are elided — no store-unit body without a
   ``staddr``, no stream-engine body without a stream op, no completion
   delivery or pending-ring bookkeeping for a program that never issues
@@ -26,22 +24,19 @@ fused across the whole lane axis:
 * each stall site knows its cause statically, so the stall/first-seen
   bookkeeping — including the LOD episode-entry check, which only LOD
   sites emit — is fused into the block, and the per-lane idle-jump
-  replay in the loop tail picks those causes up in closed form exactly
-  as the interpreter does.
+  replay in the loop tail picks those causes up in closed form.
 
 Cold paths that run at most once per stream per lane (descriptor
-creation, descriptor compaction, memory growth, the deadlock
-diagnostic) delegate back to the engine instance; they mutate the same
-arrays the generated locals alias, so the compiled loop and the
-interpreter share one state representation and one
-:class:`~repro.batch.engine.BatchOutcome` shape.
+creation, memory growth, the deadlock diagnostic) delegate back to the
+engine instance; they mutate the same arrays the generated locals
+alias.
 
-The output is bit-identical to ``LaneEngine.run()`` — every
-``lane_dict()`` and the final memory image — property-tested in
-``tests/test_batch_codegen.py``.  Programs the emitter cannot
-specialize raise :class:`Unsupported`; the cache layer
-(:mod:`repro.batch.cache`) negative-caches them and ``run()`` falls
-back to the interpreted loop (see ARCHITECTURE section 20 for the full
+Every ``lane_dict()`` and the final memory image equal the per-point
+path's result for that lane's config, property-tested in
+``tests/test_batch_codegen.py`` and ``tests/test_batch_equivalence.py``.
+Programs the emitter cannot specialize raise :class:`Unsupported`; the
+cache layer (:mod:`repro.batch.cache`) logs and negative-caches them,
+and their jobs run per point (see ARCHITECTURE section 20 for the full
 contract).
 """
 
@@ -56,15 +51,15 @@ from ..isa import Op
 from . import decode as D
 
 #: emission guard: a pathological program would expand into an
-#: unreasonably large module; the interpreter handles it instead
+#: unreasonably large module; its jobs run per point instead
 MAX_PROGRAM_LEN = 2000
 
 
 class Unsupported(Exception):
-    """The program cannot be specialized; fall back to the interpreter."""
+    """The program cannot be specialized; its jobs run per point."""
 
 
-# -- runtime helpers (vectorized twins of the interpreter's) -------------
+# -- runtime helpers called by the generated code ------------------------
 
 _BIG = np.int64(1) << 62
 
@@ -117,9 +112,11 @@ def runtime_namespace() -> dict:
 
 
 def _alu_np_expr(op: Op, a: list[str]) -> str:
-    """Numpy expression with semantics identical to
-    ``engine._alu_eval`` (which itself mirrors ``ALU_FUNCS``).  ``a``
-    holds operand sub-expressions (plain temps or float literals)."""
+    """Numpy expression with the exact semantics of
+    :data:`repro.isa.ALU_FUNCS` (IEEE-754 double throughout; ``min``/
+    ``max`` tie order and the ``%`` sign fold are spelled out where a
+    numpy ufunc would differ).  ``a`` holds operand sub-expressions
+    (plain temps or float literals)."""
 
     def need(k: int) -> None:
         if len(a) != k:
@@ -670,6 +667,20 @@ class LaneLoopEmitter:
                         w("progress[sl] = True")
 
     def _emit_engine_tick(self, w: _Writer) -> None:
+        """Stream-engine tick: pick and issue one request per lane.
+
+        ``StreamEngine.tick`` walks the descriptors round-robin, but
+        with ``issue_per_cycle == 1`` the walk always stops at its
+        first success, its attempt budget covers every live slot, and a
+        failed attempt mutates nothing a job result can observe.  So
+        the walk's outcome is "the first eligible slot in circular
+        order from ``rr``", computed in one vectorized pass over the
+        slot axis, with ``rr' = (rr + fails_before_success [+ 1 if
+        unfinished]) % n``.  One observable difference is tolerated: a
+        non-integral index-queue head raises when its address is
+        computed, which the scalar walk may postpone by a cycle —
+        timing of the raise only, and only for programs that fault.
+        """
         producing = self.stream_kinds & {D.S_LOAD, D.S_GATHER}
         consuming = self.stream_kinds & {D.S_STORE, D.S_SCATTER}
         indexed = self.stream_kinds & {D.S_GATHER, D.S_SCATTER}

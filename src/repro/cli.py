@@ -35,8 +35,11 @@ Commands
     corrupt-cache quarantine actually work.  ``--backend batch`` steps
     the sweep's eligible SMA jobs in lockstep through the SoA batch
     engine (``repro.batch``) — bit-identical results, cached under the
-    same keys.  ``--batch-workers N`` shards the batch lane groups over
-    N fingerprint-seeded worker processes.
+    same keys.  It pays only on lane groups of hundreds of configs of
+    one kernel (``batch KERNEL``); the paper experiments form groups of
+    a few lanes, where the default per-point path is faster.
+    ``--batch-workers N`` shards the batch lane groups over N
+    fingerprint-seeded worker processes.
 
 ``serve``
     Sweep-as-a-service: a stdlib asyncio HTTP server over the harness.
@@ -59,9 +62,10 @@ Commands
     through the batch engine: thousands of timing configurations as
     numpy lanes in one process.  Eligible lane groups run through the
     program-specialized batch codegen stepper (saturation-collapsed,
-    bit-identical to the interpreted engine; see
-    ``repro.batch.emitter``), and ``--batch-workers N`` shards them
-    over N worker processes.  Grid axes take comma-separated values
+    bit-identical to the per-point path; see ``repro.batch.emitter``),
+    a program the emitter refuses runs per point, and
+    ``--batch-workers N`` shards the lane groups over N worker
+    processes.  Grid axes take comma-separated values
     and inclusive ``LO-HI`` ranges (``--latencies 1,2,4-8``); output is
     one CSV row per grid point, with a points/second summary on stderr.
 
@@ -827,8 +831,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--backend", default="scalar",
                          choices=["scalar", "batch"],
                          help="run eligible SMA jobs through the SoA "
-                              "batch engine (bit-identical, much faster "
-                              "on dense grids)")
+                              "batch engine (bit-identical; pays only on "
+                              "groups of hundreds of configs of one "
+                              "kernel, as 'repro batch' runs them, not "
+                              "on the paper experiments)")
     p_sweep.add_argument("--batch-workers", type=int, default=1,
                          metavar="N",
                          help="with --backend batch: shard the batch "

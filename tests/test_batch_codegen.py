@@ -4,15 +4,17 @@ The batch lane stepper (:mod:`repro.batch.emitter`) compiles one
 straight-line numpy loop per decoded AP/EP program pair, and the
 dispatch layer adds saturation collapse (deep-queue lanes served from a
 probe run) and multi-process sharding on top.  None of that may ever
-move a number.  This suite pins:
+move a number.  This suite pins, against the per-point path
+(``run_job``) as the reference:
 
-* compiled vs interpreted vs scalar equivalence on random lane grids
-  (full result dicts, per-lane stats, memory-image digests);
-* every suite kernel specializes (``compiled=True`` never falls back);
+* every lane of random lane grids (full result dicts) and of one
+  multi-lane engine (per-lane stats and memory-image digests);
+* every suite kernel specializes (``run_group`` never returns ``None``
+  and the refusal counter stays put);
 * the saturation-collapse planner only collapses provably-dominated
   lanes, and collapsed results equal per-lane scalar reruns;
-* the fingerprint cache compiles once per program pair and falls back
-  to the interpreter (negative cache) when emission is unsupported;
+* the fingerprint cache compiles once per program pair, and a program
+  the emitter refuses is logged once and runs per point;
 * sharded runs (``workers=2`` / ``--batch-workers``) are result- and
   cache-interchangeable with in-driver runs;
 * two dispatch regressions: speculation-enabled configs stay on the
@@ -20,6 +22,7 @@ move a number.  This suite pins:
 """
 
 import hashlib
+import logging
 
 import numpy as np
 import pytest
@@ -50,7 +53,7 @@ from repro.harness.jobs import (
     run_job,
 )
 from repro.harness.parallel import harness_policy, run_jobs
-from repro.harness.runner import _fit_memory
+from repro.harness.runner import _fit_memory, run_on_sma
 from repro.kernels import all_kernels
 
 KERNELS = ("daxpy", "tridiag", "computed_gather")
@@ -71,7 +74,7 @@ def _grid_config(latency: int, depth: int, banks: int) -> SMAConfig:
 
 
 # ---------------------------------------------------------------------------
-# compiled vs interpreted vs scalar
+# batch lanes vs the per-point path
 # ---------------------------------------------------------------------------
 
 
@@ -81,20 +84,17 @@ def _grid_config(latency: int, depth: int, banks: int) -> SMAConfig:
     st.sampled_from(("sma", "sma-nostream")),
     st.lists(st.integers(1, 96), min_size=1, max_size=3, unique=True),
     st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
-    st.data(),
 )
 def test_random_grid_compiled_interpreted_scalar_agree(
-    kernel, machine, latencies, depths, data
+    kernel, machine, latencies, depths
 ):
+    """Every lane of a random grid (at most 12 lanes) equals the
+    per-point run of its config."""
     jobs = BatchJob(
         kernel, 28, machine=machine,
         latencies=tuple(latencies), queue_depths=tuple(depths),
     ).expand()
-    compiled = run_batch(jobs)
-    interpreted = run_batch(jobs, compiled=False)
-    assert compiled == interpreted
-    lane = data.draw(st.integers(0, len(jobs) - 1))
-    assert compiled[lane] == run_job(jobs[lane])
+    assert run_batch(jobs) == {i: run_job(job) for i, job in enumerate(jobs)}
 
 
 @pytest.mark.parametrize("machine", ["sma", "sma-nostream"])
@@ -102,16 +102,20 @@ def test_random_grid_compiled_interpreted_scalar_agree(
     "kernel", [spec.name for spec in all_kernels()]
 )
 def test_every_suite_program_specializes(kernel, machine):
-    """``compiled=True`` demands the generated stepper — it must exist
-    for every kernel in the suite, on both batch machines, and agree
-    with the scalar interpreter."""
+    """The generated stepper must exist for every kernel in the suite,
+    on both batch machines, and agree with the per-point path."""
     job = Job(machine, kernel, 24, sma_config=_grid_config(8, 4, 8))
-    assert run_group([job], compiled=True)[0] == run_job(job)
+    refused = cache_stats.unsupported
+    results = run_group([job])
+    assert results is not None
+    assert results == [run_job(job)]
+    assert cache_stats.unsupported == refused
 
 
 def _staged_engine(kernel_name, machine, n, configs):
     """Build one multi-lane engine the way ``dispatch.run_group`` does,
-    so digests read the engine's own memory planes, not a re-run."""
+    so digests read the engine's own memory planes, not a re-run.
+    Returns ``(kernel, inputs, lowered, engine)``."""
     use_streams = _BATCH_MACHINES[machine]
     kernel, inputs = _instantiated(kernel_name, n, 12345)
     lowered = _lowered_sma(kernel_name, n, 12345, use_streams)
@@ -140,33 +144,35 @@ def _staged_engine(kernel_name, machine, n, configs):
         lowered.access_program, lowered.execute_program, fitted,
         image, logical_size=size,
     )
-    return kernel, layout, engine
+    return kernel, inputs, lowered, engine
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(
+        np.asarray(values, dtype=np.float64).tobytes()
+    ).hexdigest()
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 def test_compiled_memory_digests_and_lane_dicts_match(kernel):
+    """Each lane of one multi-lane engine equals that lane's per-point
+    run: its ``run_job`` result fields and the sha256 of every output
+    array ``run_on_sma`` produces."""
     depths = (1, 2, 5, 9, 33)
     configs = [_grid_config(11, depth, 4) for depth in depths]
-    spec, layout, compiled_eng = _staged_engine(kernel, "sma", 32, configs)
-    _, _, interp_eng = _staged_engine(kernel, "sma", 32, configs)
-    compiled_out = compiled_eng.run(compiled=True)
-    interp_out = interp_eng.run(compiled=False)
-    for lane in range(len(depths)):
-        assert (compiled_out.stats.lane_dict(lane)
-                == interp_out.stats.lane_dict(lane))
+    spec, inputs, lowered, engine = _staged_engine(
+        kernel, "sma", 32, configs
+    )
+    out = engine.run()
+    layout = lowered.layout
+    for lane, cfg in enumerate(configs):
+        got = out.stats.lane_dict(lane)
+        want = run_job(Job("sma", kernel, 32, sma_config=cfg))
+        assert got == {key: want[key] for key in got}
+        run = run_on_sma(spec, inputs, cfg, True, lowered)
         for decl in spec.arrays:
-            digests = [
-                hashlib.sha256(
-                    np.asarray(
-                        out.dump_array(
-                            lane, layout.base(decl.name), decl.size
-                        ),
-                        dtype=np.float64,
-                    ).tobytes()
-                ).hexdigest()
-                for out in (compiled_out, interp_out)
-            ]
-            assert digests[0] == digests[1], (
+            batch = out.dump_array(lane, layout.base(decl.name), decl.size)
+            assert _digest(batch) == _digest(run.outputs[decl.name]), (
                 f"{kernel}.{decl.name} memory image diverges at lane "
                 f"{lane} (depth {depths[lane]})"
             )
@@ -238,25 +244,33 @@ def test_one_compile_serves_the_whole_grid():
     assert cache_stats.hits >= 1
 
 
-def test_unsupported_program_falls_back_to_interpreter(monkeypatch):
-    from repro.batch.emitter import LaneLoopEmitter, Unsupported
+def test_refused_program_runs_per_point(monkeypatch, caplog):
+    """A program past the emitter's size guard gets no batch engine:
+    ``run_batch`` maps none of its jobs, ``run_jobs`` runs them per
+    point both inline and sharded (the shard path receives ``None``
+    from ``run_group``), and the refusal is logged once."""
+    from repro.batch import emitter
 
     clear_cache()
-
-    def refuse(self):
-        raise Unsupported("forced by test")
-
-    monkeypatch.setattr(LaneLoopEmitter, "generate", refuse)
+    monkeypatch.setattr(emitter, "MAX_PROGRAM_LEN", 1)
+    jobs = BatchJob(
+        "daxpy", 24, latencies=(2, 8), queue_depths=(2, 8),
+    ).expand()
     try:
-        jobs = BatchJob(
-            "daxpy", 24, latencies=(2, 8), queue_depths=(2, 8),
-        ).expand()
-        results = run_batch(jobs)
-        assert cache_stats.unsupported >= 1
-        for i, job in enumerate(jobs):
-            assert results[i] == run_job(job)
+        with caplog.at_level(logging.WARNING, logger="repro.batch"):
+            assert run_batch(jobs) == {}
+            assert run_batch(jobs, workers=2) == {}
+            assert cache_stats.unsupported == 1
+            per_point = run_jobs(jobs)
+            assert run_jobs(jobs, backend="batch") == per_point
+            assert run_jobs(
+                jobs, backend="batch", batch_workers=2
+            ) == per_point
+        refusals = [r for r in caplog.records if r.name == "repro.batch"]
+        assert len(refusals) == 1
+        assert "too large" in refusals[0].getMessage()
     finally:
-        clear_cache()  # drop the poisoned negative-cache entry
+        clear_cache()  # drop the negative-cache entry
 
 
 # ---------------------------------------------------------------------------
