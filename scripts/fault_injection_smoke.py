@@ -12,9 +12,10 @@ small R-F1 slice, end to end through ``run_experiment``:
   retries the sweep must still complete, a ``--resume``-style rerun must
   re-execute **zero** jobs, and the resulting table must be
   byte-identical to a fault-free sweep's.
-* **cache-corrupt** — a flushed cache entry is truncated mid-JSON; the
-  next sweep must quarantine it (``*.json.corrupt``), re-execute only
-  that job, and again produce the byte-identical table.
+* **cache-corrupt** — a flushed cache entry is cut in half; the next
+  sweep must catch it by its digest, quarantine it
+  (``*.result.corrupt``), re-execute only that job, and again produce
+  the byte-identical table.
 
 Exit status is non-zero on any violated expectation.
 """
@@ -106,8 +107,8 @@ def check_cache_corrupt(n: int, workdir: Path, want: str) -> list[str]:
             f"cache-corrupt: re-executed {stats.executed} job(s), "
             "expected exactly the quarantined one"
         )
-    if not list(cache.glob("*.json.corrupt")):
-        problems.append("cache-corrupt: no *.json.corrupt file left "
+    if not list(cache.glob("*.result.corrupt")):
+        problems.append("cache-corrupt: no *.result.corrupt file left "
                         "behind")
     if rerun != want:
         problems.append("cache-corrupt rerun: table differs from "

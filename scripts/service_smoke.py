@@ -14,14 +14,17 @@ subprocess on a duplicate-heavy R-F1 slice:
   exactly once.
 * **bit-identity** — both clients' result sets must be byte-identical
   to a serial in-process ``run_jobs`` of the same grid.
-* **content-addressed dedup** — a second grid varying only a
-  result-irrelevant field (``buckets``) must add index entries but
-  **zero** new blobs.
+* **a second grid** varying only a result-irrelevant field
+  (``buckets``) must match the serial results and add store entries.
 * **worker-kill recovery** — a pool worker is SIGKILLed mid-sweep; the
   scheduler must respawn the pool and finish every job correctly,
   without re-executing results that already reached the store.
 * **clean drain** — ``POST /v1/shutdown`` must drain in-flight work
   and exit the server with status 0.
+* **shared store** — after the drain, an in-process ``run_jobs`` of
+  both grids with ``cache_dir`` set to the server's store must be
+  served entirely from it (every job a hit, none executed), with
+  results equal to the serial run.
 
 Exit status is non-zero on any violated expectation.
 """
@@ -43,7 +46,7 @@ from pathlib import Path
 try:
     from repro.harness.experiments import _configs
     from repro.harness.jobs import Job
-    from repro.harness.parallel import run_jobs
+    from repro.harness.parallel import harness_policy, run_jobs
     from repro.service.client import ServiceClient
 except ImportError:
     print("run with PYTHONPATH=src", file=sys.stderr)
@@ -151,24 +154,18 @@ def main() -> int:
               f"{sweep['hits']} hits, {sweep['respawns']} respawn(s), "
               f"{sweep['retried']} retrie(s)")
 
-        # --- content-addressed dedup across sweeps --------------------
+        # --- a buckets-varied grid: same results, new entries --------
+        varied = grid(args.n, buckets=7)
         before = client.stats()["store"]
-        dup = ServiceClient(url).run(grid(args.n, buckets=7),
-                                     timeout=480)
+        dup = ServiceClient(url).run(varied, timeout=480)
         for got, want in zip(dup, serial):
             if canonical(got) != canonical(want):
                 fail("buckets-varied grid diverges from serial results")
         after = client.stats()["store"]
-        if after["blobs"] != before["blobs"]:
-            fail(f"byte-identical sweep grew the blob set: "
-                 f"{before['blobs']} -> {after['blobs']}")
         if after["results"] <= before["results"]:
-            fail("buckets-varied sweep added no index entries")
-        if after["results"] <= after["blobs"]:
-            fail(f"dedup never fired: {after['results']} results vs "
-                 f"{after['blobs']} blobs")
-        print(f"store dedup ok: {after['results']} results share "
-              f"{after['blobs']} blobs")
+            fail("buckets-varied sweep added no store entries")
+        print(f"buckets-varied grid ok: store holds {after['results']} "
+              "results")
 
         # --- clean drain ----------------------------------------------
         client.shutdown()
@@ -176,6 +173,20 @@ def main() -> int:
         if code != 0:
             fail(f"server exited {code} after drain")
         print("clean drain: server exited 0")
+
+        # --- the server's store is a sweep cache -----------------------
+        both = jobs + varied
+        with harness_policy() as sweep:
+            local = run_jobs(both, cache_dir=tmp / "store")
+        if sweep.hits != len(both) or sweep.executed != 0:
+            fail(f"run_jobs on the server's store: {sweep.summary()}; "
+                 f"expected {len(both)} hits and nothing executed")
+        for i, (got, want) in enumerate(zip(local, serial + serial)):
+            if canonical(got) != canonical(want):
+                fail(f"store entry for job {i} diverges from serial "
+                     "run_jobs")
+        print(f"shared store ok: run_jobs served all {len(both)} jobs "
+              "from the server's store")
         print("service smoke: all checks passed")
         return 0
     finally:

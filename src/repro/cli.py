@@ -45,11 +45,11 @@ Commands
     Sweep-as-a-service: a stdlib asyncio HTTP server over the harness.
     Clients POST job specs; identical in-flight jobs coalesce onto one
     execution, the backlog is bounded (429 on overflow), results land
-    in a content-addressed store (byte-identical results share one
-    blob), and preemptible jobs run in checkpointed slices so a
-    drained or crashed worker's job resumes on another worker without
-    lost cycles.  ``--promote DIR`` seeds the store from an existing
-    ``sweep`` cache.  See ``repro.service``.
+    in the same digest-verified store ``sweep --cache`` writes (a sweep
+    cache directory serves as ``--store`` and back), and preemptible
+    jobs run in checkpointed slices so a drained or crashed worker's
+    job resumes on another worker without lost cycles.  See
+    ``repro.service``.
 
 ``submit ID``
     Run an experiment's simulation jobs through a running ``serve``
@@ -272,6 +272,7 @@ def cmd_sweep(args) -> int:
 
     from .harness import harness_policy
     from .harness.faults import FaultSpec
+    from .harness.store import ResultStore
 
     experiment_id = _normalize_experiment_id(args.id)
     if experiment_id not in EXPERIMENTS:
@@ -292,13 +293,12 @@ def cmd_sweep(args) -> int:
         print("--batch-workers only applies with --backend batch; "
               "ignoring it", file=sys.stderr)
     cache = Path(args.cache)
-    cached_entries = list(cache.glob("*.json")) if cache.is_dir() else []
-    if cached_entries and not args.resume:
-        print(f"cache {cache} already holds {len(cached_entries)} "
+    held = len(ResultStore(cache))
+    if held and not args.resume:
+        print(f"cache {cache} already holds {held} "
               "result(s); pass --resume to continue the sweep or point "
               "--cache at a fresh directory", file=sys.stderr)
         return 2
-    cache.mkdir(parents=True, exist_ok=True)
 
     inject = None
     if args.inject_fault:
@@ -333,16 +333,12 @@ def cmd_serve(args) -> int:
     import asyncio
 
     from .harness.parallel import HarnessPolicy
-    from .service import ContentStore, SweepServer
+    from .harness.store import ResultStore
+    from .service import SweepServer
 
-    store = ContentStore(args.store)
-    if args.promote:
-        imported = store.promote(args.promote)
-        print(f"promoted {imported} cached result(s) from {args.promote}",
-              file=sys.stderr)
     policy = HarnessPolicy(timeout=args.timeout, retries=args.retries)
     server = SweepServer(
-        store,
+        ResultStore(args.store),
         host=args.host,
         port=args.port,
         workers=args.workers,
@@ -787,8 +783,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fan simulation jobs over N worker processes "
                             "(default 1: serial, deterministic)")
     p_exp.add_argument("--cache", default=None, metavar="DIR",
-                       help="cache job results as JSON under DIR, keyed "
-                            "by (kernel, config, code version)")
+                       help="cache job results under DIR, one "
+                            "digest-verified file per (kernel, config, "
+                            "code version)")
     p_exp.add_argument("--n", type=int, default=None,
                        help="override the experiment's problem size")
     p_exp.add_argument("--metrics", action="store_true",
@@ -844,11 +841,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="sweep-as-a-service: asyncio job server with request "
-             "coalescing and a content-addressed result store",
+             "coalescing and a digest-verified result store",
     )
     p_serve.add_argument("--store", required=True, metavar="DIR",
-                         help="content-addressed store root "
-                              "(blobs/ + index/, created if missing)")
+                         help="result store root, created if missing; "
+                              "a 'repro sweep --cache' directory serves "
+                              "as is")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=0,
                          help="listen port (default 0: kernel-assigned; "
@@ -872,9 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="CYCLES",
                          help="checkpoint interval for preemptible jobs "
                               "(default 100000)")
-    p_serve.add_argument("--promote", default=None, metavar="DIR",
-                         help="seed the store from an existing "
-                              "'repro sweep' cache directory")
 
     p_submit = sub.add_parser(
         "submit",

@@ -8,9 +8,10 @@ recover from.  A :class:`FaultSpec` names one failure mode:
     worker (``BrokenProcessPool``) under ``--jobs N``, or a killed
     driver in serial mode.
 ``cache-corrupt``
-    The next flushed cache entry is truncated mid-JSON after it lands,
-    modelling a crash between ``write`` and ``fsync`` on a filesystem
-    that tears the write.  A later sweep must quarantine it, not crash.
+    The next flushed cache entry is cut to its first half after it
+    lands, modelling a crash between ``write`` and ``fsync`` on a
+    filesystem that tears the write.  A later sweep must catch it by
+    its digest and quarantine it, not crash or serve it.
 ``mem-error:p``
     Every SMA job's memory is wrapped in
     :class:`repro.memory.banks.FaultyMemory` with transient-reject

@@ -13,13 +13,14 @@ stale entries instead of serving them.
 
 Crash safety (PR 5):
 
-* **Atomic flushes.**  Each entry is written to a temp file in the cache
+* **Atomic flushes.**  The cache is a :class:`~repro.harness.store.
+  ResultStore`: each entry is written to a temp file in the cache
   directory and ``os.replace``d into place — a kill mid-write can never
   leave a truncated entry under the real key.
-* **Corruption quarantine.**  A cache probe that finds undecodable JSON
-  (torn write from an older harness, disk fault) treats it as a miss,
-  moves the file aside to ``<key>.json.corrupt`` and logs it, instead of
-  crashing the sweep.
+* **Corruption quarantine.**  Every probe re-hashes the entry against
+  the sha256 on its first line.  A torn, bit-flipped or edited entry is
+  treated as a miss, moved aside to ``<key>.result.corrupt`` and logged,
+  instead of crashing the sweep or being served.
 * **Incremental flushes.**  Results are flushed as each job lands — in
   the pool path via completed-future consumption, not a barrier after
   ``pool.map`` — so a crashed worker or killed driver loses only the
@@ -38,10 +39,7 @@ Crash safety (PR 5):
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import os
-import tempfile
 import time
 from collections import deque
 from contextlib import contextmanager
@@ -52,6 +50,7 @@ from typing import Optional, Sequence
 from . import faults
 from .faults import FaultSpec
 from .jobs import Job, run_job
+from .store import ResultStore
 
 _SRC_ROOT = Path(__file__).resolve().parent.parent  # src/repro
 
@@ -201,57 +200,15 @@ def job_key(job: Job) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _cache_path(cache_dir: Path, key: str) -> Path:
-    return cache_dir / f"{key}.json"
-
-
-def _load_cache_entry(path: Path, stats: SweepStats) -> dict | None:
-    """Read one cache entry; undecodable entries are quarantined to
-    ``<name>.corrupt`` (outside the ``*.json`` namespace, so they are
-    never probed again) and treated as a miss."""
-    try:
-        text = path.read_text()
-    except OSError:
-        return None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        quarantine = path.with_name(path.name + ".corrupt")
-        try:
-            os.replace(path, quarantine)
-        except OSError:  # pragma: no cover - racing cleanup
-            pass
-        stats.quarantined += 1
-        _LOG.warning(
-            "quarantined corrupt cache entry %s -> %s",
-            path.name, quarantine.name,
-        )
-        return None
-
-
 def _flush(
-    cache: Path,
+    store: ResultStore,
     key: str,
     result: dict,
     stats: SweepStats,
     inject: FaultSpec | None,
 ) -> None:
-    """Atomically persist one result: temp file in the same directory,
-    then ``os.replace`` (atomic on POSIX within one filesystem)."""
-    path = _cache_path(cache, key)
-    fd, tmp = tempfile.mkstemp(
-        dir=cache, prefix=key[:16] + "-", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(json.dumps(result))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    """Persist one result and fire the flush-time fault hooks."""
+    path = store.put(key, result)
     stats.flushed += 1
     faults.after_flush(inject, path, stats.flushed)
 
@@ -274,8 +231,10 @@ def run_jobs(
     ``workers > 1`` fans uncached jobs over a process pool; ``workers=1``
     (the default) runs them in-process, which keeps CI deterministic and
     lets the per-process compilation memoization in :mod:`.jobs` see the
-    whole sweep.  ``cache_dir``, when given, persists each result as JSON
-    keyed by (code fingerprint, job) and reuses hits on later runs.
+    whole sweep.  ``cache_dir``, when given, is a
+    :class:`~repro.harness.store.ResultStore`: each result is persisted
+    under its (code fingerprint, job) key, and hits whose digest verifies
+    are reused on later runs.
 
     ``backend="batch"`` routes eligible uncached jobs (see
     :func:`repro.batch.batch_eligible`) through the SoA batch engine in
@@ -292,10 +251,10 @@ def run_jobs(
     ``backend="service"`` submits the uncached jobs to a running
     ``repro serve`` instance (``service_url`` argument, or the ambient
     :attr:`HarnessPolicy.service_url`): the server coalesces identical
-    in-flight jobs across clients and serves repeats from its
-    content-addressed store (:mod:`repro.service`).  Results land in the
-    local ``cache_dir`` as they stream back, so a service-backed sweep
-    and a local sweep are resume-interchangeable.
+    in-flight jobs across clients and serves repeats from its result
+    store (:mod:`repro.service`).  Results land in the local
+    ``cache_dir`` as they stream back, so a service-backed sweep and a
+    local sweep are resume-interchangeable.
 
     The keyword-only robustness knobs default to the ambient
     :class:`HarnessPolicy` (see :func:`harness_policy` /
@@ -321,24 +280,17 @@ def run_jobs(
 
     results: list[dict | None] = [None] * len(jobs)
     pending: list[int] = []
-    cache: Path | None = None
+    store: ResultStore | None = None
     if cache_dir is not None:
-        cache = Path(cache_dir)
-        try:
-            cache.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError):
-            raise ValueError(
-                f"result cache path {cache} exists and is not a directory"
-            ) from None
+        store = ResultStore(cache_dir)
         for i, job in enumerate(jobs):
-            entry = _load_cache_entry(
-                _cache_path(cache, job_key(job)), stats
-            )
+            entry = store.get(job_key(job))
             if entry is not None:
                 results[i] = entry
                 stats.hits += 1
             else:
                 pending.append(i)
+        stats.quarantined += store.stats.quarantined
     else:
         pending = list(range(len(jobs)))
 
@@ -351,8 +303,8 @@ def run_jobs(
             i = pending[pos]
             results[i] = result
             stats.executed += 1
-            if cache is not None:
-                _flush(cache, job_key(jobs[i]), result, stats, inject)
+            if store is not None:
+                _flush(store, job_key(jobs[i]), result, stats, inject)
 
         try:
             ran = run_batch(
@@ -396,8 +348,8 @@ def run_jobs(
             i = pending[pos]
             results[i] = result
             stats.executed += 1
-            if cache is not None:
-                _flush(cache, job_key(jobs[i]), result, stats, inject)
+            if store is not None:
+                _flush(store, job_key(jobs[i]), result, stats, inject)
 
         client.run(
             [jobs[i] for i in pending],
@@ -409,19 +361,19 @@ def run_jobs(
     if pending:
         if workers > 1:
             _run_pool(
-                jobs, pending, results, workers, cache, stats,
+                jobs, pending, results, workers, store, stats,
                 timeout, retries, backoff, inject,
             )
         else:
             _run_serial(
-                jobs, pending, results, cache, stats,
+                jobs, pending, results, store, stats,
                 retries, backoff, inject,
             )
     return results  # type: ignore[return-value]
 
 
 def _run_serial(
-    jobs, pending, results, cache, stats, retries, backoff, inject
+    jobs, pending, results, store, stats, retries, backoff, inject
 ) -> None:
     previous = faults.install(inject) if inject is not None else None
     try:
@@ -446,8 +398,8 @@ def _run_serial(
                     time.sleep(backoff * (2 ** attempt))
             results[i] = result
             stats.executed += 1
-            if cache is not None:
-                _flush(cache, job_key(jobs[i]), result, stats, inject)
+            if store is not None:
+                _flush(store, job_key(jobs[i]), result, stats, inject)
     finally:
         if inject is not None:
             faults.install(previous)
@@ -463,7 +415,7 @@ def _kill_pool(pool) -> None:
 
 
 def _run_pool(
-    jobs, pending, results, workers, cache, stats,
+    jobs, pending, results, workers, store, stats,
     timeout, retries, backoff, inject,
 ) -> None:
     """Completed-future consumption with per-job deadlines: each result
@@ -578,9 +530,9 @@ def _run_pool(
                     result = future.result()
                     results[i] = result
                     stats.executed += 1
-                    if cache is not None:
+                    if store is not None:
                         _flush(
-                            cache, job_key(jobs[i]), result, stats, inject
+                            store, job_key(jobs[i]), result, stats, inject
                         )
                 else:
                     failed.append((i, exc))

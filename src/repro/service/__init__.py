@@ -9,13 +9,10 @@ mostly *duplicate* points.  This package wraps the PR 5 harness substrate
 :mod:`~repro.service.protocol`
     The wire format: :class:`~repro.harness.jobs.Job` <-> JSON specs.
     The server keys everything by the same canonical ``repr(Job)`` the
-    harness cache uses (:func:`repro.harness.parallel.job_key`), so
-    service results and local cache entries are interchangeable.
-:mod:`~repro.service.store`
-    Content-addressed result store: blobs keyed by result digest with a
-    ``job_key -> digest`` index, so byte-identical results across
-    different sweeps share one blob.  Promotes an existing
-    fingerprint-keyed harness cache in place.
+    harness cache uses (:func:`repro.harness.parallel.job_key`) and
+    keeps results in the harness's own
+    :class:`~repro.harness.store.ResultStore`, so a ``repro sweep``
+    cache directory and a ``repro serve`` store are one and the same.
 :mod:`~repro.service.slices`
     Preemption-safe job execution: eligible jobs run in bounded cycle
     slices with a machine/cluster snapshot between slices, so a drained
@@ -29,9 +26,9 @@ mostly *duplicate* points.  This package wraps the PR 5 harness substrate
     graceful per-worker drain with checkpoint migration.
 :mod:`~repro.service.server`
     Minimal asyncio HTTP/1.1 front end: ``POST /v1/jobs``,
-    ``GET /v1/jobs/<key>``, blob access, a chunked streaming progress
-    endpoint fed by :class:`~repro.harness.parallel.SweepStats`, drain
-    and shutdown controls.
+    ``GET /v1/jobs/<key>``, a chunked streaming progress endpoint fed by
+    :class:`~repro.harness.parallel.SweepStats`, drain and shutdown
+    controls.
 :mod:`~repro.service.client`
     Blocking stdlib client used by ``repro submit``, the
     ``run_jobs(backend="service")`` route and the CI smoke.
@@ -41,10 +38,8 @@ from .client import ServiceClient, ServiceError
 from .protocol import ProtocolError, job_from_spec, job_to_spec
 from .scheduler import JobScheduler, QueueFullError, SchedulerDraining
 from .server import SweepServer
-from .store import ContentStore
 
 __all__ = [
-    "ContentStore",
     "JobScheduler",
     "ProtocolError",
     "QueueFullError",

@@ -84,12 +84,6 @@ class ServiceClient:
     def stats(self) -> dict:
         return self._request("GET", "/v1/stats")[1]
 
-    def get_blob(self, digest: str) -> dict:
-        status, payload = self._request("GET", f"/v1/blobs/{digest}")
-        if status != 200:
-            raise ServiceError(f"unknown blob {digest[:12]}")
-        return payload
-
     def job_status(self, key: str, wait: float = 0.0) -> dict | None:
         path = f"/v1/jobs/{key}"
         if wait > 0:

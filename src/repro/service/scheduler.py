@@ -13,7 +13,8 @@ One :class:`JobScheduler` owns four things:
   and run them on a shared :class:`~concurrent.futures.
   ProcessPoolExecutor` seeded with the driver's code fingerprint via
   :func:`repro.harness.parallel._pool_init` — exactly like the harness
-  pool path, so service results land under the same cache keys;
+  pool path, so service results land under the same cache keys, in the
+  same :class:`~repro.harness.store.ResultStore` layout;
 * the **failure policy**: per-attempt timeout, retry budget, and
   exponential backoff from :class:`~repro.harness.parallel.
   HarnessPolicy`, with the same charge semantics as
@@ -57,8 +58,8 @@ from ..harness.parallel import (
     code_fingerprint,
     job_key,
 )
+from ..harness.store import ResultStore
 from .slices import run_job_slice, sliceable
-from .store import ContentStore
 
 _LOG = logging.getLogger("repro.service.scheduler")
 
@@ -95,7 +96,7 @@ class _Entry:
 class JobScheduler:
     """Coalescing, backpressured scheduler over a process-pool fleet."""
 
-    store: ContentStore
+    store: ResultStore
     workers: int = 2
     pool_workers: int | None = None  #: pool size; defaults to ``workers``
     max_backlog: int = 256
@@ -204,11 +205,10 @@ class JobScheduler:
         return entry.future if entry is not None else None
 
     def lookup(self, key: str) -> dict | None:
-        """Status of one job key: finished (``{"status": "done",
-        "digest": ...}``), in flight (with progress), or ``None``."""
-        digest = self.store.digest_for(key)
-        if digest is not None:
-            return {"status": "done", "digest": digest}
+        """Status of one job key: stored (``{"status": "done"}``), in
+        flight (with progress), failed, or ``None``."""
+        if key in self.store:
+            return {"status": "done"}
         entry = self._inflight.get(key)
         if entry is None:
             error = self._failed.get(key)
@@ -440,11 +440,8 @@ class JobScheduler:
                 "rejected": self.stats.rejected,
                 "failures": dict(self.stats.failures),
             },
-            "store": {
-                **self.store.stats.to_dict(),
-                "results": self.store.result_count(),
-                "blobs": self.store.blob_count(),
-            },
+            "store": {**vars(self.store.stats),
+                      "results": len(self.store)},
             "backlog": len(self._inflight) - running,
             "running": running,
             "workers": sum(1 for t in self._tasks if not t.done()),

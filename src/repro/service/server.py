@@ -15,9 +15,9 @@ Routes (all JSON bodies):
     whose status says so.
 ``GET /v1/jobs/<key>``
     Job status; ``?wait=<seconds>`` long-polls until the job resolves
-    (capped) and inlines ``result`` when done.
-``GET /v1/blobs/<digest>``
-    One stored result blob, integrity-checked by the store.
+    (capped) and inlines ``result``, digest-verified by the store, when
+    done.  A key that is not a job key (64 lowercase hex characters) is
+    unknown: it never reaches the filesystem.
 ``GET /v1/stats``
     One :meth:`~repro.service.scheduler.JobScheduler.progress`
     snapshot.
@@ -50,9 +50,9 @@ import logging
 from urllib.parse import parse_qs, urlsplit
 
 from ..harness.parallel import HarnessPolicy
+from ..harness.store import ResultStore
 from .protocol import ProtocolError, jobs_from_payload
 from .scheduler import JobScheduler, QueueFullError, SchedulerDraining
-from .store import ContentStore
 
 _LOG = logging.getLogger("repro.service.server")
 
@@ -122,7 +122,7 @@ class SweepServer:
 
     def __init__(
         self,
-        store: ContentStore,
+        store: ResultStore,
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
@@ -315,14 +315,6 @@ class SweepServer:
         if path.startswith("/v1/jobs/") and method == "GET":
             await self._handle_job(writer, path[len("/v1/jobs/"):], query)
             return False
-        if path.startswith("/v1/blobs/") and method == "GET":
-            digest = path[len("/v1/blobs/"):]
-            blob = self.scheduler.store.get_blob(digest)
-            if blob is None:
-                self._respond(writer, 404, {"error": "unknown digest"})
-            else:
-                self._respond(writer, 200, blob)
-            return False
         if path == "/v1/stats" and method == "GET":
             self._respond(writer, 200, self.scheduler.progress())
             return False
@@ -372,7 +364,10 @@ class SweepServer:
         key: str,
         query: dict[str, str],
     ) -> None:
-        wait = min(float(query.get("wait", 0) or 0), MAX_WAIT)
+        try:
+            wait = min(float(query.get("wait", 0) or 0), MAX_WAIT)
+        except ValueError:
+            raise _BadRequest("wait must be a number")
         if wait > 0:
             future = self.scheduler.future_for(key)
             if future is not None:
@@ -386,13 +381,15 @@ class SweepServer:
                     # the shared execution
                     pass
         status = self.scheduler.lookup(key)
+        if status is not None and status["status"] == "done":
+            result = self.scheduler.store.get(key)
+            # a torn or tampered entry is quarantined by the read, which
+            # leaves the key unknown until it is submitted again
+            status = (None if result is None
+                      else {**status, "result": result})
         if status is None:
             self._respond(writer, 404, {"error": "unknown job key"})
             return
-        if status["status"] == "done":
-            result = self.scheduler.store.get_blob(status["digest"])
-            if result is not None:
-                status = {**status, "result": result}
         self._respond(writer, 200, status)
 
     async def _handle_progress(

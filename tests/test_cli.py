@@ -170,3 +170,15 @@ kernel scale(x[n], y[n]):
         path.write_text("kernel k(x[4]):\n    for i in 0 .. 4:\n        x[i] = @")
         with pytest.raises(Exception):
             main(["parse", str(path)])
+
+    def test_sweep_refuses_a_non_empty_cache_without_resume(
+        self, tmp_path, capsys
+    ):
+        cache = str(tmp_path / "cache")
+        sweep = ["sweep", "R-F1", "--n", "16", "--cache", cache]
+        assert main(sweep) == 0
+        capsys.readouterr()
+        assert main(sweep) == 2
+        assert "pass --resume" in capsys.readouterr().err
+        assert main(sweep + ["--resume"]) == 0
+        assert "0 executed" in capsys.readouterr().err

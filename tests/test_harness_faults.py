@@ -7,9 +7,9 @@ completes (or resumes) with results identical to a fault-free run, and
 the result cache never serves a faulty entry for a clean job.
 """
 
-import json
 import logging
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -28,6 +28,7 @@ from repro.harness import (
 )
 from repro.harness.faults import FaultSpec, apply_to_jobs
 from repro.harness.parallel import job_key
+from repro.harness.store import SUFFIX, ResultStore
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -68,15 +69,15 @@ class TestCacheIntegrity:
                                                    caplog):
         jobs = _jobs()
         clean = run_jobs(jobs, cache_dir=tmp_path)
-        (tmp_path / f"{job_key(jobs[0])}.json").write_text("{trunc")
-        (tmp_path / f"{job_key(jobs[1])}.json").write_text("")
+        (tmp_path / f"{job_key(jobs[0])}{SUFFIX}").write_text("{trunc")
+        (tmp_path / f"{job_key(jobs[1])}{SUFFIX}").write_text("")
         with caplog.at_level(logging.WARNING, logger="repro.harness"):
             with harness_policy() as stats:
                 again = run_jobs(jobs, cache_dir=tmp_path)
         assert again == clean
         assert stats.quarantined == 2
         assert stats.hits == 2 and stats.executed == 2
-        assert len(list(tmp_path.glob("*.json.corrupt"))) == 2
+        assert len(list(tmp_path.glob(f"*{SUFFIX}.corrupt"))) == 2
         assert sum("quarantined corrupt cache entry" in rec.message
                    for rec in caplog.records) == 2
         # quarantined entries are out of the way: a third sweep is all
@@ -85,18 +86,40 @@ class TestCacheIntegrity:
             run_jobs(jobs, cache_dir=tmp_path)
         assert stats.hits == len(jobs) and stats.quarantined == 0
 
+    def test_tampered_entry_quarantined(self, tmp_path):
+        # an entry that still parses but no longer holds what was
+        # flushed: one digit of a cached cycle count edited in place
+        jobs = _jobs()
+        clean = run_jobs(jobs, cache_dir=tmp_path)
+        [entry] = tmp_path.glob(f"{job_key(jobs[0])}.*")
+        text = entry.read_text()
+        edited = re.sub(
+            r'("cycles": \d*)(\d)',
+            lambda m: m[1] + str((int(m[2]) + 1) % 10), text, count=1,
+        )
+        assert edited != text
+        entry.write_text(edited)
+        with harness_policy() as stats:
+            again = run_jobs(jobs, cache_dir=tmp_path)
+        assert stats.quarantined == 1
+        assert stats.executed == 1
+        assert again == clean
+
     def test_flushes_are_atomic_renames(self, tmp_path):
-        run_jobs(_jobs(), cache_dir=tmp_path)
+        jobs = _jobs()
+        run_jobs(jobs, cache_dir=tmp_path)
         assert not list(tmp_path.glob("*.tmp"))
-        for entry in tmp_path.glob("*.json"):
-            json.loads(entry.read_text())  # every entry is whole
+        store = ResultStore(tmp_path)
+        for job in jobs:
+            assert store.get(job_key(job)) is not None  # every entry whole
+        assert store.stats.quarantined == 0
 
     def test_serial_failure_keeps_earlier_flushes(self, tmp_path):
         jobs = _jobs()[:2] + [Job("sma", "no_such_kernel", 24)]
         with pytest.raises(KernelError, match="unknown kernel"):
             run_jobs(jobs, cache_dir=tmp_path, retries=0)
         # the two jobs that finished before the crash are on disk
-        assert len(list(tmp_path.glob("*.json"))) == 2
+        assert len(ResultStore(tmp_path)) == 2
         with harness_policy() as stats:
             run_jobs(jobs[:2], cache_dir=tmp_path)
         assert stats.hits == 2 and stats.executed == 0
@@ -110,8 +133,7 @@ class TestCacheIntegrity:
         with pytest.raises(SweepError):
             run_jobs(_jobs(), workers=2, cache_dir=tmp_path,
                      timeout=2.0, retries=0, inject=spec)
-        flushed = list(tmp_path.glob("*.json"))
-        assert 0 < len(flushed) < len(_jobs())
+        assert 0 < len(ResultStore(tmp_path)) < len(_jobs())
 
 
 class TestWorkerRecovery:
@@ -185,10 +207,10 @@ class TestKillResume:
         killed = self._drive(tmp_path, "kill")
         assert killed.returncode == -signal.SIGKILL, killed.stderr
         # died after exactly two flushes: both entries whole on disk
-        entries = list(tmp_path.glob("*.json"))
-        assert len(entries) == 2
-        for entry in entries:
-            json.loads(entry.read_text())
+        store = ResultStore(tmp_path)
+        assert len(store) == 2
+        whole = [job for job in _jobs() if store.get(job_key(job))]
+        assert len(whole) == 2 and store.stats.quarantined == 0
         resumed = self._drive(tmp_path, "resume")
         assert resumed.returncode == 0, resumed.stderr
         assert "executed=2 hits=2" in resumed.stdout

@@ -18,6 +18,7 @@ from repro.harness import experiments as exp
 from repro.harness import parallel
 from repro.harness.jobs import Job, run_job
 from repro.harness.parallel import code_fingerprint, job_key, run_jobs
+from repro.harness.store import SUFFIX, ResultStore
 
 SMA_CFG, SCALAR_CFG = exp._configs(latency=8)
 
@@ -97,9 +98,35 @@ class TestRunJobs:
     def test_cache_round_trip(self, tmp_path):
         jobs = _jobs()
         first = run_jobs(jobs, workers=1, cache_dir=tmp_path)
-        assert len(list(tmp_path.glob("*.json"))) == len(set(jobs))
+        assert len(ResultStore(tmp_path)) == len(set(jobs))
         second = run_jobs(jobs, workers=1, cache_dir=tmp_path)
         assert first == second
+
+    def test_cached_sweep_does_not_import_the_service(self, tmp_path):
+        # the result store lives in the harness: a cached sweep, cold
+        # or warm, never loads the service package
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = (
+            "import sys\n"
+            "from repro.harness import Job, run_jobs\n"
+            "for _ in range(2):\n"
+            "    run_jobs([Job('sma', 'daxpy', 16)], cache_dir=sys.argv[1])\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith('repro.service')))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+        assert len(ResultStore(tmp_path)) == 1
 
     def test_cache_is_actually_used(self, tmp_path, monkeypatch):
         jobs = _jobs()
@@ -179,7 +206,7 @@ class TestHarnessRegressions:
                 retries=1, backoff=backoff,
             )
         elapsed = time.time() - start
-        flushed = list(tmp_path.glob("*.json"))
+        flushed = list(tmp_path.glob(f"*{SUFFIX}"))
         assert len(flushed) == 3  # every good job landed
         latest = max(p.stat().st_mtime for p in flushed)
         assert latest - start < backoff - 0.5, (
@@ -269,17 +296,17 @@ class TestHarnessRegressions:
                          retries=0)
         assert stats.executed == 1
         assert stats.flushed == 1
-        flushed = list(tmp_path.glob("*.json"))
+        flushed = list(tmp_path.glob(f"*{SUFFIX}"))
         assert len(flushed) == 1, (
             "the completed pool-mate of a terminal failure was dropped "
             "without being flushed"
         )
-        assert flushed[0].name == job_key(good) + ".json"
+        assert flushed[0].name == job_key(good) + SUFFIX
         # and a resume run serves the good job from the cache
         with harness_policy() as stats:
-            assert run_jobs([good], cache_dir=tmp_path)[0] == json.loads(
-                flushed[0].read_text()
-            )
+            assert run_jobs([good], cache_dir=tmp_path)[0] == ResultStore(
+                tmp_path
+            ).get(job_key(good))
         assert stats.executed == 0 and stats.hits == 1
 
     def test_batch_shard_failure_goes_through_charging_path(
@@ -363,7 +390,7 @@ class TestExperimentsThroughJobs:
             n=16, latencies=(2, 8), kernels=("daxpy", "inner_product")
         )
         cold = exp.fig1_latency(**kwargs, cache_dir=str(tmp_path))
-        assert list(tmp_path.glob("*.json"))
+        assert len(ResultStore(tmp_path))
         warm = exp.fig1_latency(**kwargs, cache_dir=str(tmp_path))
         assert cold.to_csv() == warm.to_csv()
 

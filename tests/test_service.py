@@ -1,17 +1,20 @@
-"""The sweep service: protocol round-trips, the content-addressed
-store, sliced execution, the coalescing scheduler, and the HTTP server
-end to end.
+"""The sweep service: protocol round-trips, the result store it shares
+with the sweep harness, sliced execution, the coalescing scheduler, and
+the HTTP server end to end.
 
 The e2e class runs a real ``SweepServer`` on a loopback socket with
 real process-pool workers and drives it from blocking clients in
 threads — concurrent duplicate-heavy submissions must coalesce, results
 must be byte-identical to serial :func:`repro.harness.jobs.run_job`,
-byte-identical results must share one blob, and a SIGKILLed pool worker
-must cost at most one retry (never a wrong or lost result).
+and a SIGKILLed pool worker must cost at most one retry (never a wrong
+or lost result).  A ``run_jobs`` cache directory and a server's store
+are the same directory, and neither front end serves a tampered or torn
+entry.
 """
 
 import asyncio
 import json
+import re
 import signal
 import socket
 import threading
@@ -27,10 +30,16 @@ from repro.config import (
     SMAConfig,
     SpeculationConfig,
 )
+from repro.harness import store as store_module
 from repro.harness.jobs import Job, run_job
-from repro.harness.parallel import HarnessPolicy, job_key, run_jobs
+from repro.harness.parallel import (
+    HarnessPolicy,
+    harness_policy,
+    job_key,
+    run_jobs,
+)
+from repro.harness.store import SUFFIX, ResultStore
 from repro.service import (
-    ContentStore,
     JobScheduler,
     ProtocolError,
     QueueFullError,
@@ -44,7 +53,6 @@ from repro.service import (
 from repro.service.protocol import jobs_from_payload
 from repro.service.server import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
 from repro.service.slices import run_job_slice, sliceable
-from repro.service.store import result_digest
 
 
 def canonical(result: dict) -> str:
@@ -111,76 +119,102 @@ class TestProtocol:
         assert jobs == self.JOBS[:2]
 
 
-class TestContentStore:
+def _tamper(path):
+    """Edit the last digit of the entry's first cycle count in place:
+    the entry still parses, but no longer holds what was stored."""
+    text = path.read_text()
+    edited = re.sub(
+        r'("cycles": \d*)(\d)',
+        lambda m: m[1] + str((int(m[2]) + 1) % 10), text, count=1,
+    )
+    assert edited != text
+    path.write_text(edited)
+
+
+def _tear(path):
+    """Cut the entry to its first half, as a torn write leaves it."""
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+class TestResultStore:
+    KEY = job_key(Job("sma", "daxpy", 32))
+
     def test_put_get_round_trip(self, tmp_path):
-        store = ContentStore(tmp_path / "store")
+        store = ResultStore(tmp_path / "store")
         result = run_job(Job("sma", "daxpy", 32))
-        digest = store.put("k1", result)
-        assert store.get("k1") == result
-        assert store.get_blob(digest) == result
-        assert "k1" in store and "k2" not in store
+        path = store.put(self.KEY, result)
+        assert path == store.root / (self.KEY + SUFFIX)
+        got = store.get(self.KEY)
+        assert got == result
+        assert list(got) == list(result)  # insertion order kept
+        assert self.KEY in store and "f" * 64 not in store
+        assert len(store) == 1
+        assert (store.stats.puts, store.stats.gets) == (1, 1)
+        # the entry is the digest line, then exactly json.dumps(result)
+        digest, body = path.read_text().split("\n", 1)
+        assert body == json.dumps(result)
+        assert len(digest) == 64
 
-    def test_identical_results_share_one_blob(self, tmp_path):
-        """Satellite 4: two sweeps whose jobs differ only in fields
-        irrelevant to the result (``buckets`` does not affect an "sma"
-        run) produce distinct job keys but one blob."""
-        store = ContentStore(tmp_path / "store")
-        sweep_a = Job("sma", "daxpy", 32)
-        sweep_b = Job("sma", "daxpy", 32, buckets=9)
-        key_a, key_b = job_key(sweep_a), job_key(sweep_b)
-        assert key_a != key_b
-        result_a, result_b = run_job(sweep_a), run_job(sweep_b)
-        assert canonical(result_a) == canonical(result_b)
-        digest_a = store.put(key_a, result_a)
-        digest_b = store.put(key_b, result_b)
-        assert digest_a == digest_b
-        assert store.result_count() == 2
-        assert store.blob_count() == 1
-        assert store.stats.dedup_hits == 1
+    def test_tampered_entry_quarantined(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        path = store.put(self.KEY, {"cycles": 123})
+        _tamper(path)
+        assert store.get(self.KEY) is None
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+        assert store.stats.quarantined == 1
+        assert self.KEY not in store and len(store) == 0
+        # the quarantined entry is out of the way: a fresh put works
+        store.put(self.KEY, {"cycles": 123})
+        assert store.get(self.KEY) == {"cycles": 123}
 
-    def test_corrupt_blob_quarantined(self, tmp_path):
-        store = ContentStore(tmp_path / "store")
-        digest = store.put("k1", {"cycles": 123})
-        blob = store._blob_path(digest)
-        blob.write_text('{"cycles": 9999}')  # flipped bits
-        assert store.get("k1") is None
-        assert not blob.exists()
-        assert blob.with_name(blob.name + ".corrupt").exists()
-        assert store.stats.quarantined >= 1
-        # the dangling index went too: a fresh put works cleanly
-        store.put("k1", {"cycles": 123})
-        assert store.get("k1") == {"cycles": 123}
+    def test_torn_entry_quarantined(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        # cut after the digest line, inside it, and to nothing
+        for n, cut in enumerate([lambda d: d[: len(d) // 2],
+                                 lambda d: d[:40], lambda d: b""]):
+            key = f"{n:064x}"
+            path = store.put(key, {"cycles": 123, "trace": [1] * 64})
+            path.write_bytes(cut(path.read_bytes()))
+            assert store.get(key) is None
+            assert path.with_name(path.name + ".corrupt").exists()
+            assert store.stats.quarantined == n + 1
 
-    def test_corrupt_index_quarantined(self, tmp_path):
-        store = ContentStore(tmp_path / "store")
-        store.put("k1", {"cycles": 1})
-        index = store._index_path("k1")
-        index.write_text("{ not json")
-        assert store.get("k1") is None
-        assert index.with_name(index.name + ".corrupt").exists()
+    def test_refused_keys_never_reach_the_filesystem(self, tmp_path,
+                                                     monkeypatch):
+        store = ResultStore(tmp_path / "store")
 
-    def test_digest_binds_content(self):
-        assert result_digest({"a": 1, "b": 2}) == result_digest(
-            {"b": 2, "a": 1}
-        )
-        assert result_digest({"a": 1}) != result_digest({"a": 2})
+        def touched(*args, **kwargs):
+            raise AssertionError("filesystem touched for a refused key")
 
-    def test_promote_and_export_interop(self, tmp_path):
-        jobs = [Job("sma", "daxpy", 32), Job("scalar", "daxpy", 32)]
-        cache = tmp_path / "cache"
-        run_jobs(jobs, cache_dir=cache)
-        store = ContentStore(tmp_path / "store")
-        assert store.promote(cache) == 2
-        for job in jobs:
-            assert store.get(job_key(job)) == run_job(job)
-        out = tmp_path / "exported"
-        assert store.export(out) == 2
-        # an exported store serves a harness sweep entirely from cache
-        from repro.harness.parallel import harness_policy
-        with harness_policy() as sweep:
-            results = run_jobs(jobs, cache_dir=out)
-        assert sweep.hits == 2 and sweep.executed == 0
-        assert results == [run_job(j) for j in jobs]
+        monkeypatch.setattr(store_module, "open", touched, raising=False)
+        monkeypatch.setattr(store_module.os.path, "isfile", touched)
+        monkeypatch.setattr(store_module.tempfile, "mkstemp", touched)
+        for key in ["../victim", "../../victim", self.KEY[:63],
+                    self.KEY.upper(), self.KEY + "\n", "", "k1"]:
+            assert store.get(key) is None
+            assert key not in store
+            with pytest.raises(ValueError, match="not a job key"):
+                store.put(key, {"cycles": 1})
+
+    def test_other_layouts_read_as_misses(self, tmp_path):
+        # an old harness cache entry and an old blob/index store under
+        # the same root are never probed, so never quarantined
+        root = tmp_path / "store"
+        (root / "index").mkdir(parents=True)
+        old = root / f"{self.KEY}.json"
+        old.write_text('{"cycles": 1}')
+        (root / "index" / f"{self.KEY}.json").write_text("{}")
+        store = ResultStore(root)
+        assert store.get(self.KEY) is None and self.KEY not in store
+        assert len(store) == 0 and store.stats.quarantined == 0
+        assert old.read_text() == '{"cycles": 1}'
+
+    def test_root_must_be_a_directory(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        with pytest.raises(ValueError, match="not a directory"):
+            ResultStore(tmp_path / "file")
 
 
 class TestSlices:
@@ -249,7 +283,7 @@ def drive(coro):
 class TestScheduler:
     def test_coalescing_and_store_hits(self, tmp_path):
         async def scenario():
-            store = ContentStore(tmp_path / "store")
+            store = ResultStore(tmp_path / "store")
             sched = JobScheduler(store, workers=2)
             await sched.start()
             try:
@@ -276,7 +310,7 @@ class TestScheduler:
 
     def test_backpressure_rejects_when_full(self, tmp_path):
         async def scenario():
-            store = ContentStore(tmp_path / "store")
+            store = ResultStore(tmp_path / "store")
             sched = JobScheduler(store, workers=1, max_backlog=2)
             await sched.start()
             try:
@@ -302,7 +336,7 @@ class TestScheduler:
 
     def test_draining_gate(self, tmp_path):
         async def scenario():
-            store = ContentStore(tmp_path / "store")
+            store = ResultStore(tmp_path / "store")
             sched = JobScheduler(store, workers=1)
             await sched.start()
             try:
@@ -322,7 +356,7 @@ class TestScheduler:
         the surviving worker finishes it bit-identically."""
 
         async def scenario():
-            store = ContentStore(tmp_path / "store")
+            store = ResultStore(tmp_path / "store")
             sched = JobScheduler(store, workers=2, slice_cycles=40)
             await sched.start()
             try:
@@ -348,7 +382,7 @@ class TestScheduler:
 
     def test_last_worker_never_drains(self, tmp_path):
         async def scenario():
-            store = ContentStore(tmp_path / "store")
+            store = ResultStore(tmp_path / "store")
             sched = JobScheduler(store, workers=1)
             await sched.start()
             try:
@@ -360,7 +394,7 @@ class TestScheduler:
 
     def test_terminal_failure_reported_and_resubmittable(self, tmp_path):
         async def scenario():
-            store = ContentStore(tmp_path / "store")
+            store = ResultStore(tmp_path / "store")
             sched = JobScheduler(
                 store, workers=1,
                 policy=HarnessPolicy(retries=1, backoff=0.01),
@@ -410,7 +444,7 @@ class TestServiceEndToEnd:
 
     def test_concurrent_clients_coalesce_and_match_serial(self, tmp_path):
         async def scenario():
-            store = ContentStore(tmp_path / "store")
+            store = ResultStore(tmp_path / "store")
             server = SweepServer(store, workers=2, slice_cycles=10_000)
             host, port = await server.start()
             url = f"http://{host}:{port}"
@@ -442,7 +476,7 @@ class TestServiceEndToEnd:
 
     def test_http_surface(self, tmp_path):
         async def scenario():
-            store = ContentStore(tmp_path / "store")
+            store = ResultStore(tmp_path / "store")
             server = SweepServer(store, workers=1)
             host, port = await server.start()
             url = f"http://{host}:{port}"
@@ -460,8 +494,6 @@ class TestServiceEndToEnd:
                 key = status["key"]
                 done = client.job_status(key, wait=60)
                 assert done["status"] == "done"
-                blob = client.get_blob(done["digest"])
-                assert blob == done["result"]
                 stats = client.stats()
                 assert stats["sweep"]["executed"] == 1
                 # unknown routes and keys 404 without wedging keep-alive
@@ -500,7 +532,7 @@ class TestServiceEndToEnd:
         are served from the store — never re-executed."""
 
         async def scenario():
-            store = ContentStore(tmp_path / "store")
+            store = ResultStore(tmp_path / "store")
             server = SweepServer(
                 store, workers=2, slice_cycles=2_000,
                 policy=HarnessPolicy(retries=3, backoff=0.05),
@@ -545,6 +577,74 @@ class TestServiceEndToEnd:
         # the kill cost retries, not correctness; flushed results were
         # never re-executed (executed counts one landing per job)
         assert sweep["executed"] == len(jobs)
+
+
+class TestSharedStore:
+    """``run_jobs(cache_dir=D)`` and a server on ``ResultStore(D)``
+    share one directory both ways, and neither serves a tampered or
+    torn entry."""
+
+    SWEPT = [Job("sma", "daxpy", 32), Job("scalar", "daxpy", 32)]
+    SERVED = [Job("sma", "hydro", 32), Job("scalar", "hydro", 32)]
+
+    def test_sweep_cache_and_service_store_are_one_directory(
+        self, tmp_path
+    ):
+        shared = tmp_path / "shared"
+        swept = run_jobs(self.SWEPT, cache_dir=shared)
+
+        def entry(job):
+            return shared / (job_key(job) + SUFFIX)
+
+        async def scenario():
+            server = SweepServer(ResultStore(shared), workers=1)
+            host, port = await server.start()
+            url = f"http://{host}:{port}"
+
+            def clients():
+                client = ServiceClient(url)
+                # what run_jobs flushed is answered from the store
+                statuses = client.submit(self.SWEPT)
+                assert [s["status"] for s in statuses] == ["cached"] * 2
+                assert [client.job_status(s["key"])["result"]
+                        for s in statuses] == swept
+                assert client.stats()["sweep"]["executed"] == 0
+                served = client.run(self.SERVED, timeout=240)
+                # a tampered sweep entry and a torn server entry are
+                # executed again, never served: the job route's read
+                # quarantines one, the submission's read the other
+                _tamper(entry(self.SWEPT[0]))
+                _tear(entry(self.SERVED[0]))
+                assert client.job_status(statuses[0]["key"]) is None
+                again = [self.SWEPT[0], self.SERVED[0]]
+                statuses = client.submit(again)
+                assert [s["status"] for s in statuses] == ["queued"] * 2
+                return served, client.run(again, timeout=240), \
+                    client.stats()
+
+            try:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, clients
+                )
+            finally:
+                await server.stop()
+
+        served, rerun, stats = drive(scenario())
+        assert served == [run_job(job) for job in self.SERVED]
+        assert rerun == [swept[0], served[0]]
+        assert stats["sweep"]["executed"] == len(self.SERVED) + 2
+        assert stats["store"]["quarantined"] == 2
+        # what the server stored is a hit for run_jobs
+        both = self.SWEPT + self.SERVED
+        with harness_policy() as sweep:
+            assert run_jobs(both, cache_dir=shared) == swept + served
+        assert sweep.hits == len(both) and sweep.executed == 0
+        # and run_jobs serves no tampered or torn entry either
+        _tamper(entry(self.SERVED[1]))
+        _tear(entry(self.SWEPT[1]))
+        with harness_policy() as sweep:
+            assert run_jobs(both, cache_dir=shared) == swept + served
+        assert sweep.quarantined == 2 and sweep.executed == 2
 
 
 def _raw_exchange(host, port, payload: bytes) -> bytes:
@@ -608,7 +708,7 @@ class TestRequestFraming:
         payload, status = self.CASES[case]
 
         async def scenario():
-            server = SweepServer(ContentStore(tmp_path / "store"),
+            server = SweepServer(ResultStore(tmp_path / "store"),
                                  workers=1)
             host, port = await server.start()
             loop = asyncio.get_running_loop()
@@ -639,7 +739,7 @@ class TestRequestFraming:
         payload = _post_head(f"Content-Length: {len(body)}") + body
 
         async def scenario():
-            server = SweepServer(ContentStore(tmp_path / "store"),
+            server = SweepServer(ResultStore(tmp_path / "store"),
                                  workers=1)
             host, port = await server.start()
             loop = asyncio.get_running_loop()
@@ -660,7 +760,7 @@ class TestRequestFraming:
         usable for the next request."""
 
         async def scenario():
-            server = SweepServer(ContentStore(tmp_path / "store"),
+            server = SweepServer(ResultStore(tmp_path / "store"),
                                  workers=1)
             host, port = await server.start()
             loop = asyncio.get_running_loop()
@@ -682,3 +782,73 @@ class TestRequestFraming:
 
         reply = drive(scenario())
         assert reply.count(b"HTTP/1.1 200 OK") == 2
+
+    def test_non_numeric_wait_answered_400(self, tmp_path):
+        """``?wait=abc`` is a bad request, not a dropped connection;
+        the connection then serves the next request."""
+        request = (f"GET /v1/jobs/{'f' * 64}?wait=abc HTTP/1.1\r\n"
+                   "Host: x\r\n\r\n").encode()
+        closing = _HEALTHZ.replace(
+            b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n"
+        )
+
+        async def scenario():
+            server = SweepServer(ResultStore(tmp_path / "store"),
+                                 workers=1)
+            host, port = await server.start()
+            loop = asyncio.get_running_loop()
+            try:
+                return await loop.run_in_executor(
+                    None, _raw_exchange, host, port, request + closing
+                )
+            finally:
+                await server.stop()
+
+        reply = drive(scenario())
+        first, second = reply.split(b"HTTP/1.1 ")[1:]
+        assert first.startswith(b"400")
+        assert b"wait must be a number" in first
+        assert second.startswith(b"200")
+
+
+class TestJobRoutePaths:
+    def test_job_keys_never_name_paths_outside_the_store(self, tmp_path):
+        """URL text that is not a job key answers 404 and touches no
+        file, not even one beside the store that a joined path would
+        reach."""
+        key = job_key(Job("sma", "daxpy", 32))
+        victims = {
+            tmp_path / "victim.json": "not a store entry",
+            tmp_path / f"victim{SUFFIX}": "not a store entry either",
+        }
+        for path, text in victims.items():
+            path.write_text(text)
+        ResultStore(tmp_path / "store").put(key, {"cycles": 1})
+        paths = ["../victim", "../../victim", key[:63], key.upper()]
+
+        async def scenario():
+            server = SweepServer(ResultStore(tmp_path / "store"),
+                                 workers=1)
+            host, port = await server.start()
+            loop = asyncio.get_running_loop()
+            try:
+                replies = []
+                for path in paths + [key]:
+                    request = (f"GET /v1/jobs/{path} HTTP/1.1\r\n"
+                               "Host: x\r\nConnection: close\r\n\r\n")
+                    replies.append(await loop.run_in_executor(
+                        None, _raw_exchange, host, port, request.encode()
+                    ))
+                return replies
+            finally:
+                await server.stop()
+
+        *refused, stored = drive(scenario())
+        for path, reply in zip(paths, refused):
+            assert reply.split(b" ", 2)[1] == b"404", path
+        assert stored.split(b" ", 2)[1] == b"200"
+        for path, text in victims.items():
+            assert path.read_text() == text
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["store", *(p.name for p in victims)]
+        )
