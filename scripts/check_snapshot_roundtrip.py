@@ -5,14 +5,19 @@ Usage::
 
     PYTHONPATH=src python scripts/check_snapshot_roundtrip.py [--n N]
 
-For a small R-T5 kernel slice, runs each kernel partway, snapshots the
-machine, restores the snapshot (after a JSON round-trip) into a freshly
-built machine, and requires
+For a small R-T5 kernel slice and one 2-node cluster, runs each
+simulator partway with ``step_cycles``, snapshots it, restores the
+snapshot (after a JSON round-trip) into a freshly built one, and
+requires
 
-* the restored machine's state digest to equal the source machine's, and
-* the resumed run — under **every** scheduler — to finish with the same
-  cycle count, memory image, and final state digest as the same run
-  left uninterrupted.
+* the restored state digest to equal the source's, and
+* the resumed run to finish with the same cycle count, memory image,
+  and final state digest as the same run left uninterrupted.
+
+Every check runs once per loop in ``SMAMachine.SCHEDULERS``: the cut is
+taken with that loop as the process-wide default (``set_fast_forward``)
+and the resumed and uninterrupted runs use it too, so both a
+naive-ticked and an event-horizon cut are gated.
 
 Exit status is non-zero on any mismatch, so the workflow fails loudly
 when a new piece of mutable machine state is added without teaching
@@ -34,20 +39,33 @@ REPO_SRC_HINT = (
 try:
     from repro.config import MemoryConfig, QueueConfig, SMAConfig
     from repro.core import SMAMachine
+    from repro.core.machine import set_fast_forward
     from repro.harness.experiments import PREFETCH_REPS
-    from repro.harness.runner import _fit_memory, _load_inputs
+    from repro.harness.runner import (
+        _fit_memory,
+        _load_inputs,
+        _prepare_cluster,
+    )
     from repro.kernels import get_kernel, lower_sma
 except ImportError as exc:  # pragma: no cover - CI misconfiguration
     raise SystemExit(f"cannot import repro ({exc}); {REPO_SRC_HINT}")
 
 #: checkpoint cycle as a fraction of the uninterrupted run
 CUT_FRACTIONS = (0.25, 0.75)
+#: the nodes of the cluster checked beside the single machines
+CLUSTER_KERNELS = ("daxpy", "hydro")
 
 
-def build(kernel_name: str, n: int, latency: int = 8) -> SMAMachine:
-    kernel, inputs = get_kernel(kernel_name).instantiate(n)
-    lowered = lower_sma(kernel)
+def build(names: tuple[str, ...], n: int, latency: int = 8):
+    """A loaded machine for one kernel name; a loaded cluster, one node
+    per name, built as ``run_cluster`` builds it, for several."""
     mem = MemoryConfig(latency=latency, bank_busy=max(1, latency // 2))
+    if len(names) > 1:
+        jobs = [get_kernel(name).instantiate(n) for name in names]
+        cfg = SMAConfig(memory=mem, queues=QueueConfig())
+        return _prepare_cluster(jobs, cfg)[0]
+    kernel, inputs = get_kernel(names[0]).instantiate(n)
+    lowered = lower_sma(kernel)
     cfg = SMAConfig(memory=_fit_memory(mem, lowered.layout),
                     queues=QueueConfig())
     machine = SMAMachine(lowered.access_program, lowered.execute_program,
@@ -56,20 +74,24 @@ def build(kernel_name: str, n: int, latency: int = 8) -> SMAMachine:
     return machine
 
 
-def check_kernel(kernel_name: str, n: int) -> list[str]:
+def check_kernel(names: tuple[str, ...], n: int) -> list[str]:
     problems: list[str] = []
     for scheduler in SMAMachine.SCHEDULERS:
-        straight = build(kernel_name, n)
+        straight = build(names, n)
         want = straight.run(scheduler=scheduler)
         for fraction in CUT_FRACTIONS:
             cut = max(1, int(want.cycles * fraction))
-            source = build(kernel_name, n)
-            source.step_cycles(cut)
+            source = build(names, n)
+            previous = set_fast_forward(scheduler != "naive")
+            try:
+                source.step_cycles(cut)
+            finally:
+                set_fast_forward(previous)
             snap = json.loads(json.dumps(source.snapshot()))
 
-            resumed = build(kernel_name, n)
+            resumed = build(names, n)
             resumed.restore(snap)
-            where = f"{kernel_name}/{scheduler}@{cut}"
+            where = f"{'+'.join(names)}/{scheduler}@{cut}"
             if resumed.state_digest() != source.state_digest():
                 problems.append(f"{where}: digest differs after restore")
                 continue
@@ -93,11 +115,12 @@ def main(argv: list[str] | None = None) -> int:
                         help="problem size (default 48)")
     args = parser.parse_args(argv)
 
+    cases = [(name,) for name in PREFETCH_REPS] + [CLUSTER_KERNELS]
     problems: list[str] = []
-    for kernel_name in PREFETCH_REPS:
-        kernel_problems = check_kernel(kernel_name, args.n)
+    for names in cases:
+        kernel_problems = check_kernel(names, args.n)
         status = "ok" if not kernel_problems else "FAIL"
-        print(f"  {kernel_name:<16} {status}")
+        print(f"  {'+'.join(names):<16} {status}")
         problems.extend(kernel_problems)
 
     if problems:
@@ -106,8 +129,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {problem}", file=sys.stderr)
         return 1
     cuts = " and ".join(f"{int(100 * f)}%" for f in CUT_FRACTIONS)
-    print(f"\nsnapshot round-trip ok: {len(PREFETCH_REPS)} kernels x "
-          f"{len(SMAMachine.SCHEDULERS)} schedulers, cuts at {cuts}")
+    print(f"\nsnapshot round-trip ok: {len(PREFETCH_REPS)} machines and "
+          f"a {len(CLUSTER_KERNELS)}-node cluster x "
+          f"{len(SMAMachine.SCHEDULERS)} loops, cuts at {cuts}")
     return 0
 
 

@@ -102,7 +102,8 @@ def main() -> int:
         outcomes: dict[str, list] = {}
 
         def run_client(tag: str) -> None:
-            outcomes[tag] = ServiceClient(url).run(jobs, timeout=480)
+            with ServiceClient(url) as own:
+                outcomes[tag] = own.run(jobs, timeout=480)
 
         threads = [
             threading.Thread(target=run_client, args=(tag,))
@@ -157,7 +158,8 @@ def main() -> int:
         # --- a buckets-varied grid: same results, new entries --------
         varied = grid(args.n, buckets=7)
         before = client.stats()["store"]
-        dup = ServiceClient(url).run(varied, timeout=480)
+        with ServiceClient(url) as other:
+            dup = other.run(varied, timeout=480)
         for got, want in zip(dup, serial):
             if canonical(got) != canonical(want):
                 fail("buckets-varied grid diverges from serial results")

@@ -342,7 +342,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        pool_workers=args.pool_workers,
         max_backlog=args.max_backlog,
         policy=policy,
         slice_cycles=args.slice_cycles,
@@ -374,7 +373,9 @@ def cmd_submit(args) -> int:
         print(f"unknown experiment {args.id!r}; "
               f"known: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    if not ServiceClient(args.url).healthz():
+    with ServiceClient(args.url) as probe:
+        alive = probe.healthz()
+    if not alive:
         print(f"no sweep service answering at {args.url}",
               file=sys.stderr)
         return 2
@@ -852,10 +853,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="listen port (default 0: kernel-assigned; "
                               "the bound URL is printed on stdout)")
     p_serve.add_argument("--workers", type=int, default=2, metavar="N",
-                         help="scheduler fleet size (default 2)")
-    p_serve.add_argument("--pool-workers", type=int, default=None,
-                         metavar="N",
-                         help="process-pool size (default: --workers)")
+                         help="scheduler fleet size and process-pool "
+                              "width (default 2)")
     p_serve.add_argument("--max-backlog", type=int, default=256,
                          metavar="N",
                          help="distinct jobs in flight before further "

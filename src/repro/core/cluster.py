@@ -33,7 +33,9 @@ Everything stays bit-identical to naive ticking (property-tested in
 ``attach_metrics`` works in cluster mode because the node classifiers
 replay in closed form just as they do standalone.  The naive loop
 (``_run_naive``) is the reference: every cycle it ticks the memory and
-steps every running node through its reference ``step_cycle``.
+steps every running node through its reference ``step_cycle``.  ``run``
+and ``step_cycles`` pick their loop through the nodes'
+:meth:`SMAMachine._effective_scheduler`.
 
 Used by experiment R-F8 (`bench_fig8_multiprocessor.py`).
 """
@@ -48,7 +50,6 @@ from ..config import SMAConfig
 from ..errors import SimulationError
 from ..isa import Program
 from ..memory import BankedMemory, MainMemory
-from . import machine as machine_mod
 from .machine import SMAMachine, SMAResult
 
 
@@ -144,9 +145,6 @@ class SMACluster:
 
         A node whose ``done()`` flips during (or before) its step is
         recorded in ``finish_cycles`` *immediately* at the current cycle.
-        (The old code deferred recording to the node's next visit, one
-        cycle late under naive ticking and a whole jump late under
-        fast-forward.)
         """
         now = self.cycle
         self.banked.tick(now)
@@ -169,15 +167,6 @@ class SMACluster:
             if self.finish_cycles[index] is None and node.done():
                 self.finish_cycles[index] = node.cycle
         self.cycle = now + 1
-
-    def step_cycles(self, count: int) -> int:
-        """Step up to ``count`` cluster cycles (stopping early when every
-        node is done); returns the number actually simulated."""
-        stepped = 0
-        while stepped < count and not self.done():
-            self._step_all()
-            stepped += 1
-        return stepped
 
     # -- checkpoint / restore --------------------------------------------
 
@@ -232,36 +221,37 @@ class SMACluster:
     ) -> ClusterResult:
         """Run every node to completion under shared-memory contention.
 
-        ``scheduler`` picks the loop exactly as in
-        :meth:`SMAMachine.run` — ``"naive"`` or ``"event-horizon"``, any
-        key of :data:`SMAMachine.SCHEDULERS`; ``None`` follows the
-        process-wide :data:`repro.core.machine.FAST_FORWARD`.  Cycle
-        counts and every per-node statistic are bit-identical under
-        both.  Fault injection narrows the choice as for one machine
-        (:meth:`SMAMachine._effective_scheduler`), and each node builds
-        its own speculation engine there.
+        ``scheduler`` picks the loop exactly as in :meth:`SMAMachine.run`,
+        through each node's :meth:`SMAMachine._effective_scheduler`
+        (where it also builds its speculation engine).  Cycle counts and
+        every per-node statistic are bit-identical under both loops.
         """
-        if scheduler is None:
-            scheduler = (
-                "event-horizon" if machine_mod.FAST_FORWARD else "naive"
-            )
-        elif scheduler not in SMAMachine.SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                + ", ".join(SMAMachine.SCHEDULERS)
-            )
+        self._advance(max_cycles, max_cycles, deadlock_window, scheduler)
+        return self._collect()
+
+    def step_cycles(self, count: int) -> int:
+        """Advance up to ``count`` cluster cycles, bit-identically to
+        ``count`` :meth:`_step_all` calls, as :meth:`SMAMachine.step_cycles`
+        does (its watchdog window restarting at each call)."""
+        start = self.cycle
+        self._advance(start + count)
+        return self.cycle - start
+
+    def _advance(self, stop: int, max_cycles: int = 10_000_000,
+                 deadlock_window: int = 10_000,
+                 scheduler: str | None = None) -> None:
+        """Run the selected loop until completion or cycle ``stop``; the
+        one path from ``run`` and ``step_cycles`` to a loop."""
         for node in self.nodes:
             # the nodes share this memory and configuration, so they all
             # narrow alike
             scheduler = node._effective_scheduler(scheduler)
-        if scheduler == "event-horizon":
-            self._run_event_horizon(max_cycles, deadlock_window)
-        else:
-            self._run_naive(max_cycles, deadlock_window)
-        return self._collect()
+        loop = (self._run_event_horizon if scheduler == "event-horizon"
+                else self._run_naive)
+        loop(min(stop, max_cycles), max_cycles, deadlock_window)
 
     def _run_event_horizon(
-        self, max_cycles: int, deadlock_window: int
+        self, stop: int, max_cycles: int, deadlock_window: int
     ) -> None:
         """Contract-driven cluster loop: every running node steps the way
         :meth:`SMAMachine._event_horizon_loop` steps one machine.
@@ -289,8 +279,8 @@ class SMACluster:
           exactly when that tuple would.
 
         Everything stays bit-identical to naive ticking, including the
-        rotating service order, per-node finish cycles and the deadlock
-        and cycle-budget diagnostics.
+        rotating service order, per-node finish cycles and the stop,
+        deadlock and cycle-budget exits.
         """
         with ExitStack() as stack:
             clocks = []
@@ -298,10 +288,10 @@ class SMACluster:
                 clock = [node.cycle]
                 stack.enter_context(node.lazy_occupancy(clock))
                 clocks.append(clock)
-            self._event_horizon_loop(max_cycles, deadlock_window, clocks)
+            self._event_horizon_loop(stop, max_cycles, deadlock_window, clocks)
 
     def _event_horizon_loop(
-        self, max_cycles: int, deadlock_window: int, clocks: list
+        self, stop: int, max_cycles: int, deadlock_window: int, clocks: list
     ) -> None:
         """The body of :meth:`_run_event_horizon`; ``clocks[i]`` is node
         ``i``'s lazy-occupancy clock cell."""
@@ -349,10 +339,10 @@ class SMACluster:
         p_last = -1
         while live or comps:
             now = self.cycle
-            if now >= max_cycles:
-                raise SimulationError(
-                    f"exceeded cycle budget {max_cycles}"
-                )
+            if now >= stop:
+                if stop < max_cycles:
+                    return
+                raise SimulationError(f"exceeded cycle budget {max_cycles}")
             delivered = False
             while comps and comps[0][0] <= now:
                 _, _, callback, result = pop(comps)
@@ -421,8 +411,8 @@ class SMACluster:
                 bound = last_progress + deadlock_window + 1
                 if target is None or target > bound:
                     target = bound
-                if target > max_cycles:
-                    target = max_cycles
+                if target > stop:
+                    target = stop
                 skipped = target - self.cycle
                 if skipped > 0:
                     for node, snapshot in snapshots:
@@ -434,12 +424,16 @@ class SMACluster:
                     + self._deadlock_reports()
                 )
 
-    def _run_naive(self, max_cycles: int, deadlock_window: int) -> None:
+    def _run_naive(
+        self, stop: int, max_cycles: int, deadlock_window: int
+    ) -> None:
         """The reference loop: :meth:`_step_all` every cluster cycle."""
         last_state: tuple = ()
         last_progress = 0
         while not self.done():
-            if self.cycle >= max_cycles:
+            if self.cycle >= stop:
+                if stop < max_cycles:
+                    return
                 raise SimulationError(f"exceeded cycle budget {max_cycles}")
             self._step_all()
             state = self._progress_state()
@@ -466,10 +460,7 @@ class SMACluster:
             memory_utilization=mstats.utilization(
                 cycles, self.config.memory.num_banks
             ),
-            finish_cycles=[
-                finish if finish is not None else self.cycle
-                for finish in self.finish_cycles
-            ],
+            finish_cycles=list(self.finish_cycles),
         )
 
     def _deadlock_reports(self) -> str:

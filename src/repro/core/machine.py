@@ -17,10 +17,10 @@ aborts with a diagnostic if no forward progress happens for
 always indicates a miscompiled program (e.g. EP pops a queue the AP never
 feeds), and the stall-cause breakdown in the exception message says which.
 
-**Two loops.**  ``run`` drives the machine through one of the two
-bit-identical loops in :attr:`SMAMachine.SCHEDULERS`.  ``"naive"`` is
-the reference: it calls :meth:`SMAMachine.step_cycle` once per cycle and
-hands every cycle to an optional observer (the trace collectors' hook).
+**Two loops.**  ``run`` and ``step_cycles`` drive the machine through
+one of the two bit-identical loops in :attr:`SMAMachine.SCHEDULERS`.
+``"naive"`` is the reference: it calls :meth:`SMAMachine.step_cycle`
+once per cycle and hands every cycle to an optional observer.
 ``"event-horizon"``, the default, steps the components' decode-cached
 fast paths, keeps queue occupancy in lazy event-driven form, and — when
 both processors are blocked — asks each component's ``next_event_time``
@@ -312,16 +312,6 @@ class SMAMachine:
         self._spec = SpeculationEngine(self, spec_cfg, oracle=oracle)
         self.ap._spec = self._spec
 
-    def step_cycles(self, count: int) -> int:
-        """Step up to ``count`` cycles (stopping early at completion);
-        returns the number actually simulated.  Convenience for taking
-        mid-run checkpoints at a known cycle."""
-        stepped = 0
-        while stepped < count and not self.done():
-            self.step_cycle()
-            stepped += 1
-        return stepped
-
     # -- checkpoint / restore --------------------------------------------
 
     def snapshot(self) -> dict:
@@ -400,7 +390,7 @@ class SMAMachine:
     # -- the simulation loops --------------------------------------------
     #
     # ``SCHEDULERS`` maps each loop name to its unbound loop method,
-    # ``(machine, max_cycles, deadlock_window, observer) -> SMAResult``.
+    # ``(machine, stop, max_cycles, deadlock_window, observer) -> None``.
     # The CLI (``--scheduler`` choices), the cluster and the benchmark
     # shoot-out all iterate this mapping, so registering a loop here is
     # the single step needed to surface it everywhere.
@@ -431,25 +421,35 @@ class SMAMachine:
         loop drives it and reports skipped spans through the observer's
         optional ``on_replay(machine, start_cycle, count)`` hook.
         """
-        if scheduler is None:
-            scheduler = "event-horizon" if FAST_FORWARD else "naive"
-        elif scheduler not in self.SCHEDULERS:
-            raise ValueError(
-                f"unknown scheduler {scheduler!r}; expected one of "
-                + ", ".join(self.SCHEDULERS)
-            )
-        scheduler = self._effective_scheduler(scheduler)
-        if observer is not None and getattr(
-            observer, "wants_every_cycle", True
-        ):
-            scheduler = "naive"
-        return self.SCHEDULERS[scheduler](
-            self, max_cycles, deadlock_window, observer
-        )
+        self._advance(max_cycles, max_cycles, deadlock_window, observer,
+                      scheduler)
+        return self.collect_result()
 
-    def _effective_scheduler(self, scheduler: str) -> str:
+    def step_cycles(self, count: int) -> int:
+        """Advance up to ``count`` cycles (stopping early at completion)
+        on ``run()``'s default loop, budget and deadlock window, whose
+        window restarts at each call as after a restore; returns the
+        number simulated.  The state reached, lazy occupancy settled, is
+        bit-identical to ``count`` :meth:`step_cycle` calls."""
+        start = self.cycle
+        self._advance(start + count)
+        return self.cycle - start
+
+    def _advance(self, stop: int, max_cycles: int = 10_000_000,
+                 deadlock_window: int = 10_000, observer=None,
+                 scheduler: str | None = None) -> None:
+        """Run the selected loop until completion or cycle ``stop``; the
+        one path from ``run`` and ``step_cycles`` to a loop."""
+        scheduler = self._effective_scheduler(scheduler, observer)
+        self.SCHEDULERS[scheduler](self, min(stop, max_cycles), max_cycles,
+                                   deadlock_window, observer)
+
+    def _effective_scheduler(self, scheduler: str | None,
+                             observer=None) -> str:
         """The loop that runs when ``scheduler`` is asked for.
 
+        ``None`` follows :data:`FAST_FORWARD`; an every-cycle observer
+        (see :meth:`run`) runs naive.
         Fault injection runs naive: event-horizon inlines memory
         acceptance (``tick_fast`` / ``step_fast``), bypassing the fault
         overrides, and jumps over cycles in which the deterministic
@@ -457,15 +457,25 @@ class SMAMachine:
         (:mod:`repro.core.speculation`) builds its engine here, before
         the loop runs, so its oracle pre-run sees the loaded inputs.
         """
-        if self.banked.fault_injection:
+        if scheduler is None:
+            scheduler = "event-horizon" if FAST_FORWARD else "naive"
+        elif scheduler not in self.SCHEDULERS:
+            raise ValueError(
+                f"unknown scheduler {scheduler!r}; expected one of "
+                + ", ".join(self.SCHEDULERS)
+            )
+        if self.banked.fault_injection or (
+            observer is not None
+            and getattr(observer, "wants_every_cycle", True)
+        ):
             scheduler = "naive"
         if not self._spec_ready:
             self._ensure_speculation()
         return scheduler
 
     def _run_naive(
-        self, max_cycles: int, deadlock_window: int, observer=None
-    ) -> SMAResult:
+        self, stop: int, max_cycles: int, deadlock_window: int, observer
+    ) -> None:
         """The reference loop: :meth:`step_cycle` every cycle, then
         ``observer(machine, cycle)`` if one is attached.
 
@@ -484,10 +494,10 @@ class SMAMachine:
         last_progress_cycle = 0
         p_ap = p_ep = p_req = p_st = p_mem = -1
         while not done():
-            if self.cycle >= max_cycles:
-                raise SimulationError(
-                    f"exceeded cycle budget {max_cycles}"
-                )
+            if self.cycle >= stop:
+                if stop < max_cycles:
+                    return
+                raise SimulationError(f"exceeded cycle budget {max_cycles}")
             step()
             if observer is not None:
                 observer(self, self.cycle - 1)
@@ -512,7 +522,6 @@ class SMAMachine:
                     f"{deadlock_window} cycles at cycle {self.cycle}; "
                     + self.deadlock_report()
                 )
-        return self.collect_result()
 
     # -- event-horizon scheduling ----------------------------------------
 
@@ -537,8 +546,8 @@ class SMAMachine:
         return best
 
     def _run_event_horizon(
-        self, max_cycles: int, deadlock_window: int, observer=None
-    ) -> SMAResult:
+        self, stop: int, max_cycles: int, deadlock_window: int, observer
+    ) -> None:
         """The event-horizon simulation loop (see module docstring).
 
         Queue-occupancy statistics switch to lazy (event-driven)
@@ -551,9 +560,8 @@ class SMAMachine:
         clock = [self.cycle]
         with self.lazy_occupancy(clock):
             self._event_horizon_loop(
-                max_cycles, deadlock_window, clock, observer
+                stop, max_cycles, deadlock_window, clock, observer
             )
-        return self.collect_result()
 
     #: accepted values for ``run(scheduler=...)``, reference first (the
     #: loop every other entry must match bit for bit)
@@ -592,7 +600,7 @@ class SMAMachine:
                 self._occupancy_max = agg.max_seen
 
     def _event_horizon_loop(
-        self, max_cycles: int, deadlock_window: int, clock, observer
+        self, stop: int, max_cycles: int, deadlock_window: int, clock, observer
     ) -> None:
         """One fused loop: inlined completion delivery, fast component
         step paths, and contract-driven jumps.
@@ -605,8 +613,8 @@ class SMAMachine:
         flags can be stale (e.g. the EP freed a queue after the AP's
         stall was recorded), so a contract miss downgrades to a skipped
         jump, never a wrong one.  Replayed spans go through
-        :meth:`_replay_fast`; deadlock and cycle-budget diagnostics fire
-        at the identical cycle as naive ticking.
+        :meth:`_replay_fast`, clamped to ``stop``; every exit fires at
+        the identical cycle as naive ticking.
 
         A speculative machine steps the reference component methods,
         the only ones that hide poisoned queue heads and call the
@@ -660,10 +668,10 @@ class SMAMachine:
             and not frames
         ):
             now = self.cycle
-            if now >= max_cycles:
-                raise SimulationError(
-                    f"exceeded cycle budget {max_cycles}"
-                )
+            if now >= stop:
+                if stop < max_cycles:
+                    return
+                raise SimulationError(f"exceeded cycle budget {max_cycles}")
             clock[0] = now
             delivered = False
             while comps and comps[0][0] <= now:
@@ -718,8 +726,8 @@ class SMAMachine:
                 bound = last_progress_cycle + deadlock_window + 1
                 if target is None or target > bound:
                     target = bound
-                if target > max_cycles:
-                    target = max_cycles
+                if target > stop:
+                    target = stop
                 count = target - self.cycle
                 if count > 0:
                     start = self.cycle

@@ -342,7 +342,6 @@ def run_jobs(
                 "backend='service' needs a service URL (pass "
                 "service_url= or set HarnessPolicy.service_url)"
             )
-        client = ServiceClient(service_url)
 
         def _land_remote(pos: int, result: dict) -> None:
             i = pending[pos]
@@ -351,11 +350,12 @@ def run_jobs(
             if store is not None:
                 _flush(store, job_key(jobs[i]), result, stats, inject)
 
-        client.run(
-            [jobs[i] for i in pending],
-            on_result=_land_remote,
-            timeout=timeout,
-        )
+        with ServiceClient(service_url) as client:
+            client.run(
+                [jobs[i] for i in pending],
+                on_result=_land_remote,
+                timeout=timeout,
+            )
         pending = []
 
     if pending:

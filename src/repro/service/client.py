@@ -1,10 +1,11 @@
 """Blocking stdlib client for a running ``repro serve`` instance.
 
 This is what ``repro submit`` and ``run_jobs(backend="service")`` speak
-through: plain :mod:`urllib.request` over the JSON routes in
-:mod:`~repro.service.server`.  The server computes job keys under its
-*own* code fingerprint and returns them in the submit response, so the
-client never assumes both ends run identical sources.
+through: plain :mod:`http.client` over the JSON routes in
+:mod:`~repro.service.server`, on one kept-alive connection per client.
+The server computes job keys under its *own* code fingerprint and
+returns them in the submit response, so the client never assumes both
+ends run identical sources.
 
 The one non-trivial behavior is :meth:`ServiceClient.run`: submit all
 jobs in one POST, then long-poll each returned key, invoking
@@ -17,12 +18,12 @@ submissions are retried with exponential backoff rather than failed.
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Callable, Sequence
+from urllib.parse import urlsplit
 
 from ..harness.jobs import Job
 from .protocol import job_to_spec
@@ -40,11 +41,38 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Thin blocking wrapper over one server's ``/v1`` routes."""
+    """Thin blocking wrapper over one server's ``/v1`` routes.
+
+    Every request travels on one kept-alive
+    :class:`http.client.HTTPConnection`, which :meth:`close` (or leaving
+    a ``with`` block) releases; a reused connection the server has
+    meanwhile closed is replaced, and the request resent, once.  A
+    connection carries one request at a time, so each thread makes its
+    own client, as perfbench's client threads,
+    ``scripts/service_smoke.py``'s threads and
+    ``run_jobs(backend="service")`` do.
+    """
 
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urlsplit(self.base_url)
+        self._address = (url.hostname, url.port)
+        self._prefix = url.path
+        self._conn: http.client.HTTPConnection | None = None
+
+    def close(self) -> None:
+        """Close the kept-alive connection; the next request opens a
+        new one."""
+        if self._conn is not None:
+            self._conn.close()
+            self._conn = None
+
+    def __enter__(self) -> ServiceClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- raw http ----------------------------------------------------------
 
@@ -52,32 +80,41 @@ class ServiceClient:
         self, method: str, path: str, payload: dict | None = None
     ) -> tuple[int, dict]:
         body = None if payload is None else json.dumps(payload).encode()
-        request = urllib.request.Request(
-            self.base_url + path,
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.timeout
-            ) as response:
-                return response.status, json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            # 4xx/5xx still carry a JSON body with per-job statuses
+        while True:
+            reused = self._conn is not None
+            if not reused:
+                self._conn = http.client.HTTPConnection(
+                    *self._address, timeout=self.timeout
+                )
             try:
-                return exc.code, json.loads(exc.read())
-            except (json.JSONDecodeError, OSError):
-                raise ServiceError(
-                    f"{method} {path} -> HTTP {exc.code}"
-                ) from exc
+                self._conn.request(
+                    method, self._prefix + path, body,
+                    {"Content-Type": "application/json"},
+                )
+                response = self._conn.getresponse()
+                data = response.read()
+            except BaseException as exc:
+                self.close()
+                if reused and isinstance(exc, ConnectionError):
+                    continue  # the server dropped it while it was idle
+                raise
+            if response.will_close:
+                self.close()
+            break
+        # 4xx/5xx still carry a JSON body with per-job statuses
+        try:
+            return response.status, json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise ServiceError(
+                f"{method} {path} -> HTTP {response.status}"
+            ) from exc
 
     # -- simple routes -----------------------------------------------------
 
     def healthz(self) -> bool:
         try:
             status, payload = self._request("GET", "/v1/healthz")
-        except (urllib.error.URLError, OSError):
+        except (OSError, http.client.HTTPException):
             return False
         return status == 200 and payload.get("ok") is True
 

@@ -97,8 +97,7 @@ class JobScheduler:
     """Coalescing, backpressured scheduler over a process-pool fleet."""
 
     store: ResultStore
-    workers: int = 2
-    pool_workers: int | None = None  #: pool size; defaults to ``workers``
+    workers: int = 2  #: fleet size, and the process pool's width
     max_backlog: int = 256
     policy: HarnessPolicy = field(default_factory=HarnessPolicy)
     slice_cycles: int = DEFAULT_SLICE_CYCLES
@@ -128,7 +127,7 @@ class JobScheduler:
         from concurrent.futures import ProcessPoolExecutor
 
         return ProcessPoolExecutor(
-            max_workers=self.pool_workers or self.workers,
+            max_workers=self.workers,
             initializer=_pool_init,
             initargs=(self.policy.inject, code_fingerprint()),
         )

@@ -39,7 +39,8 @@ request line or ``Content-Length`` does not parse, is answered — 400
 malformed, 413 body too large, 414 request line too long, 431 header
 line too long or too many headers — without reading its body, and its
 connection is closed: the bytes after it cannot be trusted to frame
-another request.
+another request.  A response after which the server closes the
+connection of its own accord says ``Connection: close``.
 """
 
 from __future__ import annotations
@@ -126,7 +127,6 @@ class SweepServer:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 2,
-        pool_workers: int | None = None,
         max_backlog: int = 256,
         policy: HarnessPolicy | None = None,
         slice_cycles: int | None = None,
@@ -134,7 +134,6 @@ class SweepServer:
         kwargs = dict(
             store=store,
             workers=workers,
-            pool_workers=pool_workers,
             max_backlog=max_backlog,
             policy=policy or HarnessPolicy(),
         )
@@ -145,6 +144,8 @@ class SweepServer:
         self.port = port
         self._server: asyncio.AbstractServer | None = None
         self._shutdown = asyncio.Event()
+        #: open connections; stop() closes them, idle kept-alive ones too
+        self._writers: set[asyncio.StreamWriter] = set()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -172,6 +173,8 @@ class SweepServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            for writer in self._writers:
+                writer.close()
             await self._server.wait_closed()
             self._server = None
         await self.scheduler.stop()
@@ -181,6 +184,7 @@ class SweepServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        self._writers.add(writer)
         try:
             while True:
                 try:
@@ -211,6 +215,7 @@ class SweepServer:
         ):
             pass
         finally:
+            self._writers.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -256,7 +261,7 @@ class SweepServer:
         and discard what the client still sends for at most
         :data:`LINGER_SECONDS`, so the caller's close does not reset the
         connection before the client has read the answer."""
-        self._respond(writer, exc.status, {"error": str(exc)})
+        self._respond(writer, exc.status, {"error": str(exc)}, close=True)
         await writer.drain()
         if writer.can_write_eof():
             writer.write_eof()
@@ -274,6 +279,7 @@ class SweepServer:
         writer: asyncio.StreamWriter,
         status: int,
         payload: dict,
+        close: bool = False,
     ) -> None:
         body = json.dumps(payload).encode()
         reason = {
@@ -289,7 +295,8 @@ class SweepServer:
                 f"HTTP/1.1 {status} {reason}\r\n"
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
-                "\r\n"
+                + ("Connection: close\r\n" if close else "")
+                + "\r\n"
             ).encode()
             + body
         )
@@ -325,7 +332,7 @@ class SweepServer:
             self._handle_drain(writer, body)
             return False
         if path == "/v1/shutdown" and method == "POST":
-            self._respond(writer, 202, {"draining": True})
+            self._respond(writer, 202, {"draining": True}, close=True)
             self._shutdown.set()
             return True
         if path.startswith("/v1/"):
@@ -403,6 +410,7 @@ class SweepServer:
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
             b"Transfer-Encoding: chunked\r\n"
+            b"Connection: close\r\n"
             b"\r\n"
         )
 

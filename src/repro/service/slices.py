@@ -6,11 +6,13 @@ The scheduler's migration story rests on one function:
 of a job, starting either fresh or from a checkpoint taken by a
 previous slice (possibly in a different worker process), and returns
 either the finished result dict — byte-identical to
-:func:`repro.harness.jobs.run_job` — or a new checkpoint.  Because the
-checkpoint is the PR 5 ``snapshot()`` JSON form, it is picklable,
-process-portable, and fingerprint-checked on restore: a slice sequence
-spread across a drained worker, a crashed worker, and a respawned pool
-replays to the same bits as one uninterrupted run
+:func:`repro.harness.jobs.run_job` — or a new checkpoint.  Like
+``run_job`` it calls the fault hook first; a slice is one
+``step_cycles`` call, on ``run()``'s loop, cycle budget and deadlock
+watchdog.  Because the checkpoint is the ``snapshot()`` JSON form, it
+is picklable, process-portable, and fingerprint-checked on restore: a
+slice sequence spread across a drained worker, a crashed worker, and a
+respawned pool replays to the same bits as one uninterrupted run
 (``tests/test_service.py::TestSlices``).
 
 Eligibility (:func:`sliceable`) is conservative: plain SMA and cluster
@@ -27,7 +29,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..config import SMAConfig
-from ..errors import CheckpointError, SimulationError
+from ..errors import CheckpointError
+from ..harness.faults import before_job
 from ..harness.jobs import (
     Job,
     _instantiated,
@@ -39,9 +42,6 @@ from ..harness.jobs import (
 
 #: job machine kinds with a snapshot()/restore() contract
 SLICE_MACHINES = ("sma", "sma-nostream", "cluster")
-
-#: hard ceiling matching run_on_sma/run_cluster's max_cycles default
-MAX_TOTAL_CYCLES = 10_000_000
 
 
 def sliceable(job: Job) -> bool:
@@ -88,7 +88,7 @@ def _finish_sma(job: Job, machine, lowered, kernel) -> dict:
 
     # the machine is done: run() returns immediately with the collected
     # SMAResult, exactly as an uninterrupted run would have
-    result = machine.run(max_cycles=MAX_TOTAL_CYCLES)
+    result = machine.run()
     run = KernelRun(
         kernel,
         "sma" if lowered.uses_streams else "sma-nostream",
@@ -112,7 +112,7 @@ def _build_cluster(job: Job):
 def _finish_cluster_job(job: Job, cluster, lowered, workloads, cfg) -> dict:
     from ..harness.runner import _finish_cluster
 
-    cluster_result = cluster.run(max_cycles=MAX_TOTAL_CYCLES)
+    cluster_result = cluster.run()
     run = _finish_cluster(
         cluster, lowered, workloads, cfg, cluster_result,
         job.check, None,
@@ -134,6 +134,7 @@ def run_job_slice(job: Job, state: dict | None, max_cycles: int) -> dict:
     """
     if max_cycles < 1:
         raise ValueError("slice budget must be >= 1 cycle")
+    before_job(job)
     if job.machine == "cluster":
         cluster, lowered, workloads, cfg = _build_cluster(job)
         sim = cluster
@@ -154,13 +155,7 @@ def run_job_slice(job: Job, state: dict | None, max_cycles: int) -> dict:
         except CheckpointError:
             # stale checkpoint (code or config drift): restart fresh
             pass
-    if not sim.done():
-        if sim.cycle >= MAX_TOTAL_CYCLES:
-            raise SimulationError(
-                f"job exceeded {MAX_TOTAL_CYCLES} cycles without "
-                "completing"
-            )
-        sim.step_cycles(max_cycles)
+    sim.step_cycles(max_cycles)
     if sim.done():
         return {"done": True, "result": finish()}
     return {"done": False, "state": sim.snapshot(), "cycle": sim.cycle}

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.config import MemoryConfig, QueueConfig, SMAConfig
-from repro.core import SMAMachine, snapshot_digest
+from repro.core import SMAMachine, SMAResult, snapshot_digest
+from repro.core import machine as machine_mod
 from repro.core.cluster import SMACluster
 from repro.errors import CheckpointError
 from repro.harness.runner import _fit_memory, _load_inputs
@@ -23,10 +24,10 @@ from repro.kernels import get_kernel, lower_sma
 
 
 def _build(kernel_name="daxpy", n=48, latency=8, seed=12345,
-           metrics=False):
+           metrics=False, lod_variant=None):
     spec = get_kernel(kernel_name)
     kernel, inputs = spec.instantiate(n, seed)
-    lowered = lower_sma(kernel)
+    lowered = lower_sma(kernel, lod_variant=lod_variant)
     mem = MemoryConfig(latency=latency, bank_busy=max(1, latency // 2))
     cfg = SMAConfig(memory=_fit_memory(mem, lowered.layout),
                     queues=QueueConfig())
@@ -38,12 +39,13 @@ def _build(kernel_name="daxpy", n=48, latency=8, seed=12345,
     return machine
 
 
-def _build_cluster(n=24, latency=8):
+def _build_cluster(n=24, latency=8, names=("daxpy", "hydro"),
+                   metrics=False, lod_variant=None):
     base = 16
     lowered = []
-    for i, name in enumerate(("daxpy", "hydro")):
+    for i, name in enumerate(names):
         kernel, inputs = get_kernel(name).instantiate(n, 100 + i)
-        low = lower_sma(kernel, base=base)
+        low = lower_sma(kernel, base=base, lod_variant=lod_variant)
         lowered.append((low, kernel, inputs))
         base = low.layout.end + 16
     mem = MemoryConfig(latency=latency, bank_busy=max(1, latency // 2),
@@ -53,6 +55,8 @@ def _build_cluster(n=24, latency=8):
          for low, _, _ in lowered],
         SMAConfig(memory=mem, queues=QueueConfig()),
     )
+    if metrics:
+        cluster.attach_metrics()
     for low, kernel, inputs in lowered:
         for decl in kernel.arrays:
             cluster.load_array(low.layout.base(decl.name),
@@ -122,6 +126,67 @@ class TestMachineRoundTrip:
         stepped = machine.step_cycles(10 ** 9)
         assert machine.done() and stepped < 10 ** 9
         assert machine.step_cycles(10) == 0
+
+
+def _tick(sim, count):
+    """The reference ``step_cycles``: ``count`` single cycles through
+    ``step_cycle`` (machine) or ``_step_all`` (cluster), stopping early
+    at completion."""
+    step = sim._step_all if isinstance(sim, SMACluster) else sim.step_cycle
+    ticked = 0
+    while ticked < count and not sim.done():
+        step()
+        ticked += 1
+    return ticked
+
+
+def _outcome(result):
+    if isinstance(result, SMAResult):
+        return result.to_dict()
+    return (result.cycles, result.finish_cycles, result.contention(),
+            [node.to_dict() for node in result.nodes])
+
+
+class TestStepCycles:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kernels=st.lists(
+            st.sampled_from(["daxpy", "hydro", "tridiag", "pic_gather",
+                             "computed_gather"]),
+            min_size=1, max_size=3,
+        ),
+        cluster=st.booleans(),
+        lod_variant=st.sampled_from([None, "addr", "branch"]),
+        latency=st.sampled_from([1, 8, 32, 64]),
+        count=st.integers(min_value=1, max_value=600),
+        metrics=st.booleans(),
+        fast=st.booleans(),
+    )
+    def test_matches_single_cycle_ticking(self, kernels, cluster,
+                                          lod_variant, latency, count,
+                                          metrics, fast):
+        """``step_cycles(k)``, twice, on either default loop lands each
+        time on the cycle and state of ``k`` reference ticks, and both
+        twins then run to equal results."""
+        def build():
+            if cluster:
+                return _build_cluster(n=24, latency=latency, names=kernels,
+                                      metrics=metrics,
+                                      lod_variant=lod_variant)
+            return _build(kernels[0], n=24, latency=latency,
+                          metrics=metrics, lod_variant=lod_variant)
+
+        previous = machine_mod.set_fast_forward(fast)
+        try:
+            stepped, ticked = build(), build()
+            for _cut in range(2):
+                assert stepped.step_cycles(count) == _tick(ticked, count)
+                assert stepped.cycle == ticked.cycle
+                assert stepped.state_digest() == ticked.state_digest()
+            assert _outcome(stepped.run()) == _outcome(ticked.run())
+        finally:
+            machine_mod.set_fast_forward(previous)
+        assert stepped.state_digest() == ticked.state_digest()
 
 
 class TestRestoreRejects:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.config import MemoryConfig, SMAConfig
 from repro.core import SMACluster
+from repro.core import machine as machine_mod
 from repro.errors import SimulationError
 from repro.isa import assemble
 from repro.kernels import get_kernel, run_reference
@@ -62,6 +63,20 @@ class TestClusterBasics:
         cluster = SMACluster([(ap, ep)], SMAConfig())
         with pytest.raises(SimulationError, match="cluster deadlock"):
             cluster.run(deadlock_window=100)
+
+    @pytest.mark.parametrize("fast", (False, True))
+    def test_step_cycles_deadlock_detection(self, fast, monkeypatch):
+        """``step_cycles`` raises the deadlock ``run()`` raises, at the
+        same cycle, instead of ticking the whole count."""
+        monkeypatch.setattr(machine_mod, "FAST_FORWARD", fast)
+        programs = [(assemble("halt"), assemble("mov x1, lq0\nhalt"))]
+        cluster = SMACluster(programs, SMAConfig())
+        with pytest.raises(SimulationError, match="cluster deadlock"):
+            cluster.step_cycles(200_000)
+        reference = SMACluster(programs, SMAConfig())
+        with pytest.raises(SimulationError, match="cluster deadlock"):
+            reference.run()
+        assert cluster.cycle == reference.cycle == 10_002
 
     def test_summary(self):
         cfg = SMAConfig(memory=MemoryConfig(size=2048))

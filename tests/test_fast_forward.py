@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import MemoryConfig, QueueConfig, SMAConfig
 from repro.core import SMAMachine
+from repro.core import machine as machine_mod
 from repro.errors import SimulationError
 from repro.harness.runner import _fit_memory, _load_inputs
 from repro.isa import Instruction, Op, Program, Queue, QueueSpace, Reg
@@ -246,6 +247,21 @@ def test_deadlock_detected_identically(fast):
     assert dict(machine.ep.stats.stall_cycles) == dict(
         reference.ep.stats.stall_cycles
     )
+
+
+@pytest.mark.parametrize("fast", (False, True))
+def test_step_cycles_keeps_the_watchdog(fast, monkeypatch):
+    """``step_cycles`` runs ``run()``'s loop under its deadlock window,
+    so a starved machine raises at the cycle ``run()`` raises at, not
+    after ticking the whole count, whichever loop is the default."""
+    monkeypatch.setattr(machine_mod, "FAST_FORWARD", fast)
+    machine = _starved_machine()
+    with pytest.raises(SimulationError, match="deadlock"):
+        machine.step_cycles(200_000)
+    reference = _starved_machine()
+    with pytest.raises(SimulationError, match="deadlock"):
+        reference.run()
+    assert machine.cycle == reference.cycle == 10_002
 
 
 @pytest.mark.parametrize("fast", (False, True))

@@ -31,9 +31,11 @@ from repro.config import (
     SpeculationConfig,
 )
 from repro.harness import store as store_module
+from repro.harness.faults import FaultSpec
 from repro.harness.jobs import Job, run_job
 from repro.harness.parallel import (
     HarnessPolicy,
+    SweepError,
     harness_policy,
     job_key,
     run_jobs,
@@ -392,6 +394,35 @@ class TestScheduler:
 
         drive(scenario())
 
+    @pytest.mark.parametrize("job", [
+        Job("sma", "daxpy", 32),
+        Job("cluster", "daxpy", 32, nodes=2),
+        Job("scalar", "daxpy", 32),
+    ], ids=lambda j: j.machine)
+    def test_armed_sleep_charges_a_timeout(self, tmp_path, job):
+        """The pool's fault hooks fire on sliced jobs as on atomic ones:
+        an armed ``sleep`` longer than the timeout charges the job a
+        timeout, whichever path runs it."""
+
+        async def scenario():
+            sched = JobScheduler(
+                ResultStore(tmp_path / "store"), workers=1,
+                policy=HarnessPolicy(timeout=0.5, retries=0,
+                                     inject=FaultSpec("sleep", 10.0)),
+            )
+            await sched.start()
+            try:
+                _key, future, _status = sched.submit(job)
+                with pytest.raises(SweepError, match="timed out"):
+                    await future
+                return sched.stats
+            finally:
+                await sched.stop()
+
+        stats = drive(scenario())
+        assert stats.failures == {"Timeout": 1}
+        assert stats.executed == 0
+
     def test_terminal_failure_reported_and_resubmittable(self, tmp_path):
         async def scenario():
             store = ResultStore(tmp_path / "store")
@@ -421,13 +452,13 @@ class TestScheduler:
 
 
 def _client_run(url, jobs, landed=None, timeout=240):
-    client = ServiceClient(url)
-    return client.run(
-        jobs,
-        on_result=(lambda i, r: landed.append(i))
-        if landed is not None else None,
-        timeout=timeout,
-    )
+    with ServiceClient(url) as client:
+        return client.run(
+            jobs,
+            on_result=(lambda i, r: landed.append(i))
+            if landed is not None else None,
+            timeout=timeout,
+        )
 
 
 class TestServiceEndToEnd:
@@ -483,38 +514,26 @@ class TestServiceEndToEnd:
             loop = asyncio.get_running_loop()
 
             def poke():
-                import urllib.error
-                import urllib.request
-
-                client = ServiceClient(url)
-                assert client.healthz()
-                job = Job("sma", "daxpy", 48)
-                [status] = client.submit([job])
-                assert status["status"] == "queued"
-                key = status["key"]
-                done = client.job_status(key, wait=60)
-                assert done["status"] == "done"
-                stats = client.stats()
-                assert stats["sweep"]["executed"] == 1
-                # unknown routes and keys 404 without wedging keep-alive
-                try:
-                    urllib.request.urlopen(url + "/v1/nope")
-                    raise AssertionError("expected 404")
-                except urllib.error.HTTPError as exc:
-                    assert exc.code == 404
-                assert client.job_status("f" * 64) is None
-                # malformed spec -> 400 with a ProtocolError message
-                try:
-                    urllib.request.urlopen(urllib.request.Request(
-                        url + "/v1/jobs",
-                        data=json.dumps(
-                            {"jobs": [{"machine": "abacus"}]}
-                        ).encode(),
-                        method="POST",
-                    ))
-                    raise AssertionError("expected 400")
-                except urllib.error.HTTPError as exc:
-                    assert exc.code == 400
+                with ServiceClient(url) as client:
+                    assert client.healthz()
+                    job = Job("sma", "daxpy", 48)
+                    [status] = client.submit([job])
+                    assert status["status"] == "queued"
+                    key = status["key"]
+                    done = client.job_status(key, wait=60)
+                    assert done["status"] == "done"
+                    stats = client.stats()
+                    assert stats["sweep"]["executed"] == 1
+                    # unknown routes and keys 404 without wedging the
+                    # kept-alive connection
+                    assert client._request("GET", "/v1/nope")[0] == 404
+                    assert client.job_status("f" * 64) is None
+                    # malformed spec -> 400 with a ProtocolError message
+                    code, reply = client._request(
+                        "POST", "/v1/jobs", {"jobs": [{"machine": "abacus"}]}
+                    )
+                    assert code == 400 and "error" in reply
+                    assert client.healthz()
                 return done["result"]
 
             try:
@@ -579,6 +598,77 @@ class TestServiceEndToEnd:
         assert sweep["executed"] == len(jobs)
 
 
+class _CountingServer(SweepServer):
+    """Keeps the writer of every client connection it accepts."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.connections = []
+
+    async def _handle(self, reader, writer):
+        self.connections.append(writer)
+        await super()._handle(reader, writer)
+
+
+class TestClientConnection:
+    """``ServiceClient`` keeps one connection open across requests and
+    replaces it once when the server has dropped it."""
+
+    def test_one_connection_carries_every_request(self, tmp_path):
+        async def scenario():
+            server = _CountingServer(ResultStore(tmp_path / "store"),
+                                     workers=2)
+            host, port = await server.start()
+            client = ServiceClient(f"http://{host}:{port}")
+
+            def requests():
+                [status] = client.submit([Job("sma", "daxpy", 32)])
+                done = client.job_status(status["key"], wait=60)
+                return done, client.stats(), client.drain_workers(1)
+
+            try:
+                out = await asyncio.get_running_loop().run_in_executor(
+                    None, requests
+                )
+                return out, len(server.connections)
+            finally:
+                client.close()
+                await server.stop()
+
+        (done, stats, drained), connections = drive(scenario())
+        assert done["status"] == "done"
+        assert canonical(done["result"]) == canonical(
+            run_job(Job("sma", "daxpy", 32))
+        )
+        assert stats["sweep"]["executed"] == 1
+        assert drained == 1
+        assert connections == 1
+
+    def test_request_after_the_server_dropped_the_connection(
+        self, tmp_path
+    ):
+        async def scenario():
+            server = _CountingServer(ResultStore(tmp_path / "store"),
+                                     workers=1)
+            host, port = await server.start()
+            client = ServiceClient(f"http://{host}:{port}")
+            loop = asyncio.get_running_loop()
+            try:
+                before = await loop.run_in_executor(None, client.stats)
+                for writer in server.connections:
+                    writer.close()
+                await asyncio.sleep(0.1)
+                after = await loop.run_in_executor(None, client.stats)
+                return before, after, len(server.connections)
+            finally:
+                client.close()
+                await server.stop()
+
+        before, after, connections = drive(scenario())
+        assert after["sweep"] == before["sweep"]
+        assert connections == 2
+
+
 class TestSharedStore:
     """``run_jobs(cache_dir=D)`` and a server on ``ResultStore(D)``
     share one directory both ways, and neither serves a tampered or
@@ -602,7 +692,10 @@ class TestSharedStore:
             url = f"http://{host}:{port}"
 
             def clients():
-                client = ServiceClient(url)
+                with ServiceClient(url) as client:
+                    return share(client)
+
+            def share(client):
                 # what run_jobs flushed is answered from the store
                 statuses = client.submit(self.SWEPT)
                 assert [s["status"] for s in statuses] == ["cached"] * 2
