@@ -12,6 +12,9 @@ small R-F1 slice, end to end through ``run_experiment``:
   retries the sweep must still complete, a ``--resume``-style rerun must
   re-execute **zero** jobs, and the resulting table must be
   byte-identical to a fault-free sweep's.
+* **hung-job** — one job sleeps far past the per-job timeout; the pool
+  must be recycled, that job charged exactly one ``Timeout`` and
+  retried, and the table must again be byte-identical.
 * **cache-corrupt** — a flushed cache entry is cut in half; the next
   sweep must catch it by its digest, quarantine it
   (``*.result.corrupt``), re-execute only that job, and again produce
@@ -79,6 +82,27 @@ def check_worker_kill(n: int, workdir: Path, want: str) -> list[str]:
     return problems
 
 
+def check_hung_job(n: int, workdir: Path, want: str) -> list[str]:
+    problems: list[str] = []
+    cache = workdir / "hung-job"
+    cache.mkdir()
+    spec = FaultSpec("sleep", 30.0,
+                     token_path=str(cache / ".fault-token"))
+    with harness_policy(inject=spec, timeout=3.0, retries=2) as stats:
+        table = run_experiment(EXPERIMENT, n=n, jobs=2,
+                               cache_dir=str(cache)).to_csv()
+    print(f"  hung-job sweep: {stats.summary()}")
+    if stats.respawns < 1:
+        problems.append("hung-job: no pool respawn observed (the "
+                        "timeout did not recycle the pool)")
+    if stats.failures != {"Timeout": 1}:
+        problems.append(f"hung-job: failures {stats.failures}, "
+                        "expected exactly one Timeout")
+    if table != want:
+        problems.append("hung-job: table differs from fault-free run")
+    return problems
+
+
 def check_cache_corrupt(n: int, workdir: Path, want: str) -> list[str]:
     problems: list[str] = []
     cache = workdir / "cache-corrupt"
@@ -128,6 +152,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{EXPERIMENT} @ n={args.n}")
         want = clean_table(args.n, workdir)
         problems += check_worker_kill(args.n, workdir, want)
+        problems += check_hung_job(args.n, workdir, want)
         problems += check_cache_corrupt(args.n, workdir, want)
 
     if problems:
@@ -136,8 +161,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {problem}", file=sys.stderr)
         return 1
     print("\nfault-injection smoke ok: worker-kill recovered, resume "
-          "re-executed nothing, corrupt entry quarantined, all tables "
-          "identical to the fault-free sweep")
+          "re-executed nothing, hung job timed out and retried, corrupt "
+          "entry quarantined, all tables identical to the fault-free "
+          "sweep")
     return 0
 
 

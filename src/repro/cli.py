@@ -27,12 +27,12 @@ Commands
 
 ``sweep ID``
     Crash-safe experiment sweep: ``experiment`` plus a mandatory result
-    cache, per-job ``--timeout``, bounded ``--retries`` with pool
-    recovery, and ``--resume`` to continue an interrupted sweep (only
-    uncached jobs re-execute).  ``--inject-fault MODE[:VALUE]``
-    exercises the recovery paths on purpose (see
-    ``repro.harness.faults``); CI uses it to prove kill-resume and
-    corrupt-cache quarantine actually work.  ``--backend batch`` steps
+    cache, per-job ``--timeout`` (with ``--jobs 2`` or more), bounded
+    ``--retries`` with pool recovery, and ``--resume`` to continue an
+    interrupted sweep (only uncached jobs re-execute).
+    ``--inject-fault MODE[:VALUE]`` exercises the recovery paths on
+    purpose (see ``repro.harness.faults``); CI uses it to prove
+    kill-resume and corrupt-cache quarantine actually work.  ``--backend batch`` steps
     the sweep's eligible SMA jobs in lockstep through the SoA batch
     engine (``repro.batch``) — bit-identical results, cached under the
     same keys.  It pays only on lane groups of hundreds of configs of
@@ -292,6 +292,11 @@ def cmd_sweep(args) -> int:
     elif args.batch_workers != 1:
         print("--batch-workers only applies with --backend batch; "
               "ignoring it", file=sys.stderr)
+    if args.timeout is not None and args.jobs < 2:
+        print("--timeout needs --jobs 2 or more: a serial sweep runs "
+              "each job in this process and cannot interrupt it",
+              file=sys.stderr)
+        return 2
     cache = Path(args.cache)
     held = len(ResultStore(cache))
     if held and not args.resume:
@@ -815,7 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "uncached jobs execute)")
     p_sweep.add_argument("--timeout", type=float, default=None,
                          metavar="SECONDS",
-                         help="per-job wall-clock timeout (pool mode)")
+                         help="per-job wall-clock timeout; needs "
+                              "--jobs 2 or more")
     p_sweep.add_argument("--retries", type=int, default=2, metavar="K",
                          help="retry a failed/timed-out/killed job up to "
                               "K times (default 2)")

@@ -270,8 +270,8 @@ def sma_result_dict(job: Job, run, info) -> dict:
     """Assemble the flat SMA result dict from a finished
     :class:`~repro.harness.runner.KernelRun`.
 
-    Shared between :func:`_run_sma` and the service's sliced executor
-    (:mod:`repro.service.slices`), which finishes a checkpoint-migrated
+    Shared between :func:`_run_sma` and the scheduler's sliced executor
+    (:mod:`repro.harness.slices`), which finishes a checkpoint-migrated
     run and must produce a byte-identical dict.
     """
     if job.check:

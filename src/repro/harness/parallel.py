@@ -3,15 +3,16 @@
 :func:`run_jobs` is the one entry point: it takes the declarative job
 list an experiment built, optionally consults an on-disk result cache,
 runs the remaining jobs either serially (the default — deterministic and
-dependency-free, what CI uses) or across a :class:`concurrent.futures.
-ProcessPoolExecutor`, and returns results in job order.
+dependency-free, what CI uses) or on a local
+:class:`~repro.harness.scheduler.JobScheduler` whose workers share one
+process pool, and returns results in job order.
 
 The cache key binds each result to the *code* as well as the job: a
 sha256 over every ``src/repro`` Python source (:func:`code_fingerprint`)
 is mixed into the key, so editing the simulator silently invalidates
 stale entries instead of serving them.
 
-Crash safety (PR 5):
+Crash safety:
 
 * **Atomic flushes.**  The cache is a :class:`~repro.harness.store.
   ResultStore`: each entry is written to a temp file in the cache
@@ -21,15 +22,20 @@ Crash safety (PR 5):
   the sha256 on its first line.  A torn, bit-flipped or edited entry is
   treated as a miss, moved aside to ``<key>.result.corrupt`` and logged,
   instead of crashing the sweep or being served.
-* **Incremental flushes.**  Results are flushed as each job lands — in
-  the pool path via completed-future consumption, not a barrier after
-  ``pool.map`` — so a crashed worker or killed driver loses only the
-  jobs still in flight; a ``--resume`` rerun skips everything flushed.
+* **Incremental flushes.**  Results are flushed by the calling process
+  as each job lands — in the pool path as each scheduler future
+  resolves, not at a barrier after the sweep — so a crashed worker or
+  killed driver loses only the jobs still in flight, and every landed
+  result is flushed before a job out of retries raises its error; a
+  ``--resume`` rerun skips everything flushed.
 * **Timeout / retry / respawn.**  A :class:`HarnessPolicy` adds a
   per-job timeout, bounded retries with exponential backoff, and
-  ``BrokenProcessPool`` recovery that respawns the pool and requeues
-  only unfinished jobs.  All default off (``retries=0``), preserving
-  the seed harness's fail-fast behavior and cost.
+  ``BrokenProcessPool`` recovery.  In pool mode the scheduler applies
+  it: a crashed or wedged pool is respawned, only the victim is
+  charged a retry, its pool-mates are requeued free, and a sliceable
+  SMA or cluster job retries from its last slice checkpoint.  All
+  default off (``retries=0``), preserving the seed harness's fail-fast
+  behavior and cost.
 * **Fault injection.**  ``policy.inject`` (a
   :class:`repro.harness.faults.FaultSpec`) arms the failure the CI
   smoke wants to prove recovery from; workers receive it through the
@@ -41,7 +47,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -55,9 +60,6 @@ from .store import ResultStore
 _SRC_ROOT = Path(__file__).resolve().parent.parent  # src/repro
 
 _LOG = logging.getLogger("repro.harness")
-
-#: how often the pool loop wakes to check per-job deadlines (seconds)
-_DEADLINE_POLL = 0.1
 
 
 class SweepError(RuntimeError):
@@ -74,8 +76,8 @@ class SweepStats:
     retried: int = 0      #: job re-executions (failure or timeout)
     respawns: int = 0     #: process pools rebuilt after a crash/timeout
     quarantined: int = 0  #: corrupt cache entries moved aside
-    #: identical concurrent submissions folded onto one execution
-    #: (service scheduler only; see :mod:`repro.service`)
+    #: identical submissions folded onto one execution (pool sweeps and
+    #: the service; see :mod:`repro.harness.scheduler`)
     coalesced: int = 0
     #: submissions bounced by queue backpressure (service scheduler only)
     rejected: int = 0
@@ -117,9 +119,8 @@ class HarnessPolicy:
     retries: int = 0
     #: base of the exponential retry backoff (seconds); retry ``k`` of a
     #: job is held back ``backoff * 2**(k-1)`` before resubmission.  In
-    #: pool mode the delay is a per-job not-before timestamp, never a
-    #: sleep, so deadline polling keeps its cadence while a job backs
-    #: off.
+    #: pool mode the scheduler requeues the job after the delay instead
+    #: of sleeping, so other jobs keep running while it backs off.
     backoff: float = 0.25
     #: fault to inject (see :mod:`repro.harness.faults`).
     inject: FaultSpec | None = None
@@ -228,10 +229,14 @@ def run_jobs(
 ) -> list[dict]:
     """Run ``jobs`` and return their result dicts in the same order.
 
-    ``workers > 1`` fans uncached jobs over a process pool; ``workers=1``
-    (the default) runs them in-process, which keeps CI deterministic and
-    lets the per-process compilation memoization in :mod:`.jobs` see the
-    whole sweep.  ``cache_dir``, when given, is a
+    ``workers > 1`` runs uncached jobs on a local
+    :class:`~repro.harness.scheduler.JobScheduler` with ``workers``
+    workers sharing one process pool: duplicate jobs coalesce onto one
+    execution, and a sliceable SMA or cluster job that times out or
+    loses its worker retries from its last slice checkpoint.
+    ``workers=1`` (the default) runs them in-process, which keeps CI
+    deterministic and lets the per-process compilation memoization in
+    :mod:`.jobs` see the whole sweep.  ``cache_dir``, when given, is a
     :class:`~repro.harness.store.ResultStore`: each result is persisted
     under its (code fingerprint, job) key, and hits whose digest verifies
     are reused on later runs.
@@ -254,7 +259,8 @@ def run_jobs(
     in-flight jobs across clients and serves repeats from its result
     store (:mod:`repro.service`).  Results land in the local
     ``cache_dir`` as they stream back, so a service-backed sweep and a
-    local sweep are resume-interchangeable.
+    local sweep are resume-interchangeable.  Fault injection runs only
+    locally, so a fault armed for a service sweep is a ``ValueError``.
 
     The keyword-only robustness knobs default to the ambient
     :class:`HarnessPolicy` (see :func:`harness_policy` /
@@ -274,6 +280,12 @@ def run_jobs(
     service_url = (policy.service_url if service_url is None
                    else service_url)
     stats = policy.stats if policy.stats is not None else SweepStats()
+    if backend == "service" and inject is not None:
+        raise ValueError(
+            f"backend='service' cannot inject the fault {inject.mode!r}: "
+            "the service runs the jobs outside this sweep's fault hooks; "
+            "drop the fault or run the sweep locally"
+        )
 
     if inject is not None:
         jobs = faults.apply_to_jobs(jobs, inject)
@@ -334,7 +346,7 @@ def run_jobs(
                 i for pos, i in enumerate(pending) if pos not in ran
             ]
 
-    if pending and backend == "service" and inject is None:
+    if pending and backend == "service":
         from ..service.client import ServiceClient
 
         if service_url is None:
@@ -360,9 +372,10 @@ def run_jobs(
 
     if pending:
         if workers > 1:
-            _run_pool(
+            _run_scheduled(
                 jobs, pending, results, workers, store, stats,
-                timeout, retries, backoff, inject,
+                HarnessPolicy(timeout=timeout, retries=retries,
+                              backoff=backoff, inject=inject),
             )
         else:
             _run_serial(
@@ -405,174 +418,55 @@ def _run_serial(
             faults.install(previous)
 
 
-def _kill_pool(pool) -> None:
-    """Tear a pool down without waiting on wedged workers."""
-    processes = dict(getattr(pool, "_processes", None) or {})
-    for proc in processes.values():
-        if proc.is_alive():
-            proc.kill()
-    pool.shutdown(wait=False, cancel_futures=True)
+def _run_scheduled(jobs, pending, results, workers, store, stats,
+                   policy) -> None:
+    """Run ``pending`` on a local :class:`~.scheduler.JobScheduler`
+    without a store, flushing each result as its future resolves."""
+    import asyncio
 
+    from .scheduler import JobScheduler
 
-def _run_pool(
-    jobs, pending, results, workers, store, stats,
-    timeout, retries, backoff, inject,
-) -> None:
-    """Completed-future consumption with per-job deadlines: each result
-    is flushed as it lands, a crashed pool is respawned with only the
-    unfinished jobs requeued, and a job past its deadline costs one
-    retry while its innocent pool-mates are requeued for free."""
-    from concurrent.futures import (
-        FIRST_COMPLETED,
-        ProcessPoolExecutor,
-        wait,
-    )
-    from concurrent.futures.process import BrokenProcessPool
-
-    def new_pool():
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(inject, code_fingerprint()),
+    async def sweep() -> None:
+        scheduler = JobScheduler(
+            None, workers=workers, max_backlog=len(pending),
+            policy=policy, stats=stats,
         )
-
-    queue = deque(pending)
-    attempts = dict.fromkeys(pending, 0)
-    #: earliest monotonic time a charged job may be resubmitted — the
-    #: retry backoff lives here, at submit time, instead of a sleep in
-    #: the completed-future loop (which stalled the _DEADLINE_POLL
-    #: cadence and let unrelated in-flight jobs blow their deadlines
-    #: unobserved)
-    not_before = dict.fromkeys(pending, 0.0)
-    pool = new_pool()
-    inflight: dict = {}  # future -> (job index, deadline or None)
-
-    def charge(i: int, why: str, cause: BaseException | None) -> None:
-        """One failed execution of job ``i``; raises when the retry
-        budget is gone."""
-        stats.record_failure(
-            type(cause).__name__ if cause is not None else "Timeout"
-        )
-        attempts[i] += 1
-        if attempts[i] > retries:
-            if cause is not None and not isinstance(
-                cause, (BrokenProcessPool, TimeoutError)
-            ):
-                raise cause  # genuine job failure: propagate unchanged
-            raise SweepError(
-                f"job {i} failed {attempts[i]} time(s) ({why}) with "
-                f"retries={retries}"
-            ) from cause
-        stats.retried += 1
-        _LOG.warning(
-            "job %d %s; retry %d/%d", i, why, attempts[i], retries
-        )
-        if backoff:
-            not_before[i] = (
-                time.monotonic() + backoff * (2 ** (attempts[i] - 1))
-            )
-        queue.append(i)
+        await scheduler.start()
+        try:
+            waiting: dict = {}  # future -> (job key, indices sharing it)
+            for i in pending:
+                key, future, _status = scheduler.submit(jobs[i])
+                waiting.setdefault(future, (key, []))[1].append(i)
+            while waiting:
+                done, _ = await asyncio.wait(
+                    waiting, return_when=asyncio.FIRST_COMPLETED
+                )
+                # flush every landed result before raising a failure,
+                # so a --resume rerun does not re-execute finished work
+                failed = {}  # first job index -> its terminal error
+                for future in done:
+                    key, indices = waiting.pop(future)
+                    if future.exception() is not None:
+                        failed[indices[0]] = future.exception()
+                        continue
+                    for i in indices:
+                        results[i] = future.result()
+                    if store is not None:
+                        _flush(store, key, future.result(), stats,
+                               policy.inject)
+                if failed:
+                    raise failed[min(failed)]
+        finally:
+            await scheduler.stop()
 
     try:
-        while queue or inflight:
-            now = time.monotonic()
-            for _ in range(len(queue)):
-                if len(inflight) >= workers:
-                    break
-                i = queue.popleft()
-                if not_before[i] > now:
-                    queue.append(i)  # still backing off: rotate past it
-                    continue
-                deadline = now + timeout if timeout is not None else None
-                try:
-                    future = pool.submit(run_job, jobs[i])
-                except BrokenProcessPool:
-                    # pool died between loop iterations; respawn and
-                    # retry the submit on the fresh pool
-                    queue.appendleft(i)
-                    for other, (j, _deadline) in inflight.items():
-                        queue.append(j)
-                    inflight.clear()
-                    _kill_pool(pool)
-                    pool = new_pool()
-                    stats.respawns += 1
-                    continue
-                inflight[future] = (i, deadline)
-            if not inflight:
-                if queue:
-                    # everything queued is backing off; sleep until the
-                    # earliest becomes eligible instead of spinning
-                    wake = min(not_before[i] for i in queue)
-                    time.sleep(max(0.0, wake - time.monotonic()))
-                continue
-            poll = _DEADLINE_POLL if timeout is not None else None
-            if queue and len(inflight) < workers:
-                # a queued job is only held back by its backoff window;
-                # wake when the earliest becomes submittable
-                wake = min(not_before[i] for i in queue)
-                delay = max(0.0, wake - time.monotonic())
-                poll = delay if poll is None else min(poll, delay)
-            done, _ = wait(
-                list(inflight),
-                timeout=poll,
-                return_when=FIRST_COMPLETED,
-            )
-            # record and flush every success in this wait round *before*
-            # touching the failures: charge() raises once a job's retry
-            # budget is gone, and the already-completed pool-mates in the
-            # same `done` set used to be dropped unrecorded — a --resume
-            # rerun then re-executed finished work
-            failed = []
-            for future in done:
-                i, _deadline = inflight.pop(future)
-                exc = future.exception()
-                if exc is None:
-                    result = future.result()
-                    results[i] = result
-                    stats.executed += 1
-                    if store is not None:
-                        _flush(
-                            store, job_key(jobs[i]), result, stats, inject
-                        )
-                else:
-                    failed.append((i, exc))
-            broken = None
-            for i, exc in failed:
-                if isinstance(exc, BrokenProcessPool):
-                    broken = exc
-                    charge(i, "lost to a crashed worker", exc)
-                else:
-                    charge(i, f"raised {type(exc).__name__}", exc)
-            if broken is not None or getattr(pool, "_broken", False):
-                # every other in-flight job is collateral: requeue
-                # without charging a retry
-                for future, (i, _deadline) in inflight.items():
-                    queue.append(i)
-                inflight.clear()
-                _kill_pool(pool)
-                pool = new_pool()
-                stats.respawns += 1
-                continue
-            if timeout is not None and inflight:
-                now = time.monotonic()
-                overdue = [
-                    (future, i)
-                    for future, (i, deadline) in inflight.items()
-                    if deadline is not None and now > deadline
-                ]
-                if overdue:
-                    # a wedged worker cannot be cancelled; recycle the
-                    # whole pool, charging only the overdue jobs
-                    overdue_set = {future for future, _i in overdue}
-                    for future, (i, _deadline) in inflight.items():
-                        if future not in overdue_set:
-                            queue.append(i)
-                    inflight.clear()
-                    _kill_pool(pool)
-                    pool = new_pool()
-                    stats.respawns += 1
-                    for _future, i in overdue:
-                        charge(i, f"timed out after {timeout:g}s", None)
-        pool.shutdown(wait=True)
-    finally:
-        _kill_pool(pool)
+        asyncio.get_running_loop()
+    except RuntimeError:  # the usual case: no event loop in this thread
+        asyncio.run(sweep())
+        return
+    # called from a coroutine (a notebook cell, say): asyncio.run cannot
+    # nest, so the sweep's own loop runs on a helper thread
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as helper:
+        helper.submit(asyncio.run, sweep()).result()

@@ -251,8 +251,8 @@ def _prepare_cluster(
 ):
     """Build the loaded cluster a :func:`run_cluster` call simulates.
 
-    Split out so the service's sliced executor
-    (:mod:`repro.service.slices`) can rebuild the *identical* cluster —
+    Split out so the scheduler's sliced executor
+    (:mod:`repro.harness.slices`) can rebuild the *identical* cluster —
     construction order included, which the snapshot fingerprint check
     depends on — restore a checkpoint into it, and keep stepping.
     Returns ``(cluster, lowered, cfg, node_metrics)``.

@@ -1,28 +1,32 @@
-"""The asyncio job scheduler behind the sweep service.
+"""The asyncio job scheduler behind ``run_jobs(workers=N)`` and the
+sweep service.
 
 One :class:`JobScheduler` owns four things:
 
 * an **inflight map** ``job_key -> _Entry``: every submission of a job
   already queued or running *coalesces* onto the first one's future —
-  N clients sweeping overlapping grids cost one execution per distinct
-  job, not N;
+  N clients sweeping overlapping grids, or one sweep listing a job
+  twice, cost one execution per distinct job, not N;
 * a **bounded backlog**: once ``max_backlog`` distinct jobs are pending,
   further submissions raise :class:`QueueFullError` (the HTTP layer
   maps it to 429) instead of growing an unbounded queue;
 * a **worker fleet**: asyncio tasks that pull entries off the backlog
   and run them on a shared :class:`~concurrent.futures.
   ProcessPoolExecutor` seeded with the driver's code fingerprint via
-  :func:`repro.harness.parallel._pool_init` — exactly like the harness
-  pool path, so service results land under the same cache keys, in the
-  same :class:`~repro.harness.store.ResultStore` layout;
+  :func:`repro.harness.parallel._pool_init`, so results land under the
+  same cache keys a serial sweep uses;
 * the **failure policy**: per-attempt timeout, retry budget, and
   exponential backoff from :class:`~repro.harness.parallel.
-  HarnessPolicy`, with the same charge semantics as
-  ``run_jobs(workers=N)`` — a crashed or wedged pool is killed and
-  respawned, the victim charged one retry, innocent pool-mates requeued
-  for free.
+  HarnessPolicy` — a crashed or wedged pool is killed and respawned,
+  the victim charged one retry, innocent pool-mates requeued for free.
 
-Jobs that :func:`~repro.service.slices.sliceable` approves run in
+With a :class:`~repro.harness.store.ResultStore` the scheduler answers
+repeats from it and stores each result as it lands (``repro serve``).
+With ``store=None`` a result lives only in its future: that is how
+:func:`~repro.harness.parallel.run_jobs` runs a pool sweep, probing and
+flushing its own cache.
+
+Jobs that :func:`~repro.harness.slices.sliceable` approves run in
 bounded cycle slices with a checkpoint between slices.  That checkpoint
 is what makes preemption cheap everywhere it appears:
 
@@ -48,25 +52,33 @@ import functools
 import logging
 from dataclasses import dataclass, field
 
-from ..harness.jobs import Job, run_job
-from ..harness.parallel import (
+from .jobs import Job, run_job
+from .parallel import (
     HarnessPolicy,
     SweepError,
     SweepStats,
-    _kill_pool,
     _pool_init,
     code_fingerprint,
     job_key,
 )
-from ..harness.store import ResultStore
 from .slices import run_job_slice, sliceable
+from .store import ResultStore
 
-_LOG = logging.getLogger("repro.service.scheduler")
+_LOG = logging.getLogger("repro.harness.scheduler")
 
 #: default cycle budget per slice; big enough that slicing overhead
 #: (machine rebuild + snapshot) stays negligible, small enough that
 #: drain and timeout react within one slice
 DEFAULT_SLICE_CYCLES = 100_000
+
+
+def _kill_pool(pool) -> None:
+    """Tear a pool down without waiting on wedged workers."""
+    processes = dict(getattr(pool, "_processes", None) or {})
+    for proc in processes.values():
+        if proc.is_alive():
+            proc.kill()
+    pool.shutdown(wait=False, cancel_futures=True)
 
 
 class QueueFullError(RuntimeError):
@@ -96,7 +108,7 @@ class _Entry:
 class JobScheduler:
     """Coalescing, backpressured scheduler over a process-pool fleet."""
 
-    store: ResultStore
+    store: ResultStore | None  #: ``None``: results live in futures only
     workers: int = 2  #: fleet size, and the process pool's width
     max_backlog: int = 256
     policy: HarnessPolicy = field(default_factory=HarnessPolicy)
@@ -170,7 +182,7 @@ class JobScheduler:
         decides per-job what a partial rejection means.
         """
         key = job_key(job)
-        result = self.store.get(key)
+        result = self.store.get(key) if self.store is not None else None
         if result is not None:
             self.stats.hits += 1
             future = asyncio.get_running_loop().create_future()
@@ -322,7 +334,7 @@ class JobScheduler:
         except BrokenProcessPool as exc:
             # if another worker already respawned the pool since this
             # attempt started, this job is collateral of that crash:
-            # requeue it for free, exactly like the harness pool path
+            # requeue it for free
             if self._pool_gen != gen:
                 self._requeue(entry, 0.0)
             else:
@@ -355,9 +367,10 @@ class JobScheduler:
                      self._pool_gen)
 
     def _land(self, entry: _Entry, result: dict) -> None:
-        self.store.put(entry.key, result)
+        if self.store is not None:
+            self.store.put(entry.key, result)
+            self.stats.flushed += 1
         self.stats.executed += 1
-        self.stats.flushed += 1
         if not entry.future.done():
             entry.future.set_result(result)
         self._finish(entry)

@@ -1,11 +1,11 @@
 """Preemption-safe job execution: run in bounded cycle slices, snapshot
 between slices, finish anywhere.
 
-The scheduler's migration story rests on one function:
-:func:`run_job_slice` executes *up to* ``max_cycles`` simulated cycles
-of a job, starting either fresh or from a checkpoint taken by a
-previous slice (possibly in a different worker process), and returns
-either the finished result dict — byte-identical to
+The migration and retry story of :mod:`repro.harness.scheduler` rests
+on one function: :func:`run_job_slice` executes *up to* ``max_cycles``
+simulated cycles of a job, starting either fresh or from a checkpoint
+taken by a previous slice (possibly in a different worker process), and
+returns either the finished result dict — byte-identical to
 :func:`repro.harness.jobs.run_job` — or a new checkpoint.  Like
 ``run_job`` it calls the fault hook first; a slice is one
 ``step_cycles`` call, on ``run()``'s loop, cycle budget and deadlock
@@ -30,8 +30,8 @@ from dataclasses import replace
 
 from ..config import SMAConfig
 from ..errors import CheckpointError
-from ..harness.faults import before_job
-from ..harness.jobs import (
+from .faults import before_job
+from .jobs import (
     Job,
     _instantiated,
     _lowered_sma,
@@ -54,7 +54,7 @@ def sliceable(job: Job) -> bool:
         # snapshots are refused mid-speculation, and a slice boundary
         # can land inside an open frame
         return False
-    from ..harness.jobs import _metrics_armed
+    from .jobs import _metrics_armed
 
     if _metrics_armed():
         # an armed RunReport capture adds result keys the sliced path
@@ -68,7 +68,7 @@ def _build_sma(job: Job):
     for this job — same lowering, config fit and load order, so a
     snapshot taken from one is restorable into the other."""
     from ..core import SMAMachine
-    from ..harness.runner import _fit_memory, _load_inputs
+    from .runner import _fit_memory, _load_inputs
 
     use_streams = job.machine == "sma"
     kernel, inputs = _instantiated(job.kernel, job.n, job.seed)
@@ -84,7 +84,7 @@ def _build_sma(job: Job):
 
 
 def _finish_sma(job: Job, machine, lowered, kernel) -> dict:
-    from ..harness.runner import KernelRun, _dump_outputs
+    from .runner import KernelRun, _dump_outputs
 
     # the machine is done: run() returns immediately with the collected
     # SMAResult, exactly as an uninterrupted run would have
@@ -100,7 +100,7 @@ def _finish_sma(job: Job, machine, lowered, kernel) -> dict:
 
 
 def _build_cluster(job: Job):
-    from ..harness.runner import _prepare_cluster
+    from .runner import _prepare_cluster
 
     workloads = cluster_workloads(job)
     cluster, lowered, cfg, _metrics = _prepare_cluster(
@@ -110,7 +110,7 @@ def _build_cluster(job: Job):
 
 
 def _finish_cluster_job(job: Job, cluster, lowered, workloads, cfg) -> dict:
-    from ..harness.runner import _finish_cluster
+    from .runner import _finish_cluster
 
     cluster_result = cluster.run()
     run = _finish_cluster(

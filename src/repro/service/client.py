@@ -134,9 +134,6 @@ class ServiceClient:
         )
         return payload.get("drained_workers", 0)
 
-    def drain_intake(self) -> None:
-        self._request("POST", "/v1/drain", {})
-
     def shutdown(self) -> None:
         self._request("POST", "/v1/shutdown", {})
 

@@ -1,4 +1,4 @@
-"""Minimal asyncio HTTP/1.1 front end over :class:`~repro.service.
+"""Minimal asyncio HTTP/1.1 front end over :class:`~repro.harness.
 scheduler.JobScheduler` — stdlib only, keep-alive, chunked streaming.
 
 Routes (all JSON bodies):
@@ -19,7 +19,7 @@ Routes (all JSON bodies):
     done.  A key that is not a job key (64 lowercase hex characters) is
     unknown: it never reaches the filesystem.
 ``GET /v1/stats``
-    One :meth:`~repro.service.scheduler.JobScheduler.progress`
+    One :meth:`~repro.harness.scheduler.JobScheduler.progress`
     snapshot.
 ``GET /v1/progress``
     Chunked ``application/x-ndjson`` stream of progress snapshots every
@@ -28,8 +28,7 @@ Routes (all JSON bodies):
     :class:`~repro.harness.parallel.SweepStats`.
 ``POST /v1/drain``
     Body ``{"workers": k}`` retires ``k`` fleet workers with checkpoint
-    migration; an empty body (or ``{"intake": false}``) gates intake so
-    the backlog runs dry.
+    migration; a body without a positive integer ``"workers"`` is a 400.
 ``POST /v1/shutdown``
     Graceful exit: gate intake, wait for in-flight jobs, stop.
 
@@ -51,9 +50,13 @@ import logging
 from urllib.parse import parse_qs, urlsplit
 
 from ..harness.parallel import HarnessPolicy
+from ..harness.scheduler import (
+    JobScheduler,
+    QueueFullError,
+    SchedulerDraining,
+)
 from ..harness.store import ResultStore
 from .protocol import ProtocolError, jobs_from_payload
-from .scheduler import JobScheduler, QueueFullError, SchedulerDraining
 
 _LOG = logging.getLogger("repro.service.server")
 
@@ -445,16 +448,12 @@ class SweepServer:
             raise _BadRequest(f"request body is not JSON: {exc}")
         if not isinstance(payload, dict):
             raise _BadRequest("drain body must be an object")
-        if "workers" in payload:
-            count = payload["workers"]
-            if not isinstance(count, int) or count < 1:
-                raise _BadRequest('"workers" must be a positive integer')
-            granted = self.scheduler.drain_workers(count)
-            self._respond(
-                writer, 200,
-                {"drained_workers": granted,
-                 "workers": self.scheduler.progress()["workers"]},
-            )
-            return
-        self.scheduler.begin_drain()
-        self._respond(writer, 200, {"intake": "draining"})
+        count = payload.get("workers")
+        if not isinstance(count, int) or count < 1:
+            raise _BadRequest('"workers" must be a positive integer')
+        granted = self.scheduler.drain_workers(count)
+        self._respond(
+            writer, 200,
+            {"drained_workers": granted,
+             "workers": self.scheduler.progress()["workers"]},
+        )

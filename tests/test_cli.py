@@ -182,3 +182,13 @@ kernel scale(x[n], y[n]):
         assert "pass --resume" in capsys.readouterr().err
         assert main(sweep + ["--resume"]) == 0
         assert "0 executed" in capsys.readouterr().err
+
+    def test_sweep_timeout_needs_a_pool(self, tmp_path, capsys):
+        # the serial sweep runs each job in the calling process and
+        # cannot interrupt it, so a timeout there would be ignored
+        cache = tmp_path / "cache"
+        sweep = ["sweep", "R-F1", "--n", "16", "--cache", str(cache),
+                 "--timeout", "0.001"]
+        assert main(sweep) == 2
+        assert "--jobs 2" in capsys.readouterr().err
+        assert not list(cache.glob("*.result"))

@@ -102,9 +102,34 @@ class TestRunJobs:
         second = run_jobs(jobs, workers=1, cache_dir=tmp_path)
         assert first == second
 
+    def test_pool_coalesces_duplicate_jobs(self):
+        from repro.harness import harness_policy
+
+        a = Job("sma", "daxpy", 32, sma_config=SMA_CFG)
+        b = Job("scalar", "daxpy", 32, scalar_config=SCALAR_CFG)
+        with harness_policy() as stats:
+            got = run_jobs([a, b, a], workers=2)
+        assert got == run_jobs([a, b, a], workers=1)
+        assert stats.executed == 2
+        assert stats.coalesced == 1
+
+    def test_pool_sweep_from_a_running_event_loop(self):
+        # a coroutine (a notebook cell, say) may run a pool sweep even
+        # though the sweep's own event loop cannot nest inside it
+        import asyncio
+
+        jobs = _jobs()[:2]
+
+        async def cell():
+            return run_jobs(jobs, workers=2)
+
+        assert asyncio.run(cell()) == run_jobs(jobs)
+
     def test_cached_sweep_does_not_import_the_service(self, tmp_path):
-        # the result store lives in the harness: a cached sweep, cold
-        # or warm, never loads the service package
+        # the result store and the pool's scheduler live in the harness:
+        # a cached sweep, cold or warm, and a pool sweep never load the
+        # service package; the serial and batch paths never load asyncio
+        # or the scheduler either
         import os
         import subprocess
         import sys
@@ -112,9 +137,17 @@ class TestRunJobs:
 
         script = (
             "import sys\n"
+            "from repro.batch import batch_eligible\n"
             "from repro.harness import Job, run_jobs\n"
             "for _ in range(2):\n"
             "    run_jobs([Job('sma', 'daxpy', 16)], cache_dir=sys.argv[1])\n"
+            "batched = Job('sma', 'daxpy', 16, seed=2)\n"
+            "assert batch_eligible(batched)\n"
+            "run_jobs([batched], backend='batch')\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('repro.service', 'asyncio',\n"
+            "                              'repro.harness.scheduler'))))\n"
+            "run_jobs([Job('sma', 'daxpy', 16, seed=3)], workers=2)\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.startswith('repro.service')))\n"
         )
@@ -125,7 +158,7 @@ class TestRunJobs:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.split() == ["[]", "[]"]
         assert len(ResultStore(tmp_path)) == 1
 
     def test_cache_is_actually_used(self, tmp_path, monkeypatch):
@@ -253,8 +286,8 @@ class TestHarnessRegressions:
         # terminal failure.  The failure used to raise out of the
         # completed-future loop before the success was recorded, so a
         # --resume rerun re-executed finished work.  A fake pool pins
-        # the ordering: wait() hands back [failure, success], the worst
-        # case for the old single-pass loop.
+        # the ordering: it runs each job as it is submitted, failure
+        # first, so both have landed when run_jobs looks.
         import concurrent.futures as cf
 
         from repro.errors import KernelError
@@ -266,10 +299,10 @@ class TestHarnessRegressions:
                 if initializer is not None:
                     initializer(*initargs)
 
-            def submit(self, fn, job):
+            def submit(self, fn, *args):
                 future = cf.Future()
                 try:
-                    future.set_result(fn(job))
+                    future.set_result(fn(*args))
                 except BaseException as exc:
                     future.set_exception(exc)
                 return future
@@ -277,16 +310,7 @@ class TestHarnessRegressions:
             def shutdown(self, wait=True, cancel_futures=False):
                 pass
 
-        def fake_wait(futures, timeout=None, return_when=None):
-            # every inflight future is already done; order the failing
-            # one first so charge() raises before the success is seen
-            ordered = sorted(
-                futures, key=lambda f: f.exception() is None
-            )
-            return ordered, set()
-
         monkeypatch.setattr(cf, "ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(cf, "wait", fake_wait)
 
         good = Job("scalar", "daxpy", 16, scalar_config=SCALAR_CFG)
         bad = Job("sma", "no-such-kernel", 16)

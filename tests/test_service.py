@@ -40,6 +40,7 @@ from repro.harness.parallel import (
     job_key,
     run_jobs,
 )
+from repro.harness.slices import run_job_slice, sliceable
 from repro.harness.store import SUFFIX, ResultStore
 from repro.service import (
     JobScheduler,
@@ -54,7 +55,6 @@ from repro.service import (
 )
 from repro.service.protocol import jobs_from_payload
 from repro.service.server import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
-from repro.service.slices import run_job_slice, sliceable
 
 
 def canonical(result: dict) -> str:
@@ -533,6 +533,11 @@ class TestServiceEndToEnd:
                         "POST", "/v1/jobs", {"jobs": [{"machine": "abacus"}]}
                     )
                     assert code == 400 and "error" in reply
+                    # a drain names its workers; nothing gates intake
+                    code, reply = client._request("POST", "/v1/drain", {})
+                    assert code == 400 and "workers" in reply["error"]
+                    [status] = client.submit([Job("sma", "daxpy", 32)])
+                    assert status["status"] == "queued"
                     assert client.healthz()
                 return done["result"]
 
@@ -544,6 +549,36 @@ class TestServiceEndToEnd:
 
         result = drive(scenario())
         assert canonical(result) == canonical(run_job(Job("sma", "daxpy", 48)))
+
+    def test_submit_prints_the_experiment_table(self, tmp_path, capsys):
+        """``repro submit`` runs an experiment's jobs on the server
+        (``run_jobs(backend="service")``) and prints the table ``repro
+        experiment`` prints."""
+        from repro.cli import main
+
+        with harness_policy() as local:
+            assert main(["experiment", "R-F1", "--n", "16"]) == 0
+        want = capsys.readouterr().out
+
+        async def scenario():
+            server = SweepServer(ResultStore(tmp_path / "store"),
+                                 workers=2)
+            host, port = await server.start()
+            argv = ["submit", "R-F1", "--n", "16",
+                    "--url", f"http://{host}:{port}"]
+            try:
+                code = await asyncio.get_running_loop().run_in_executor(
+                    None, main, argv
+                )
+                return code, server.scheduler.progress()
+            finally:
+                await server.stop()
+
+        code, progress = drive(scenario())
+        assert code == 0
+        # `experiment` ends each table with a blank line, `submit` not
+        assert capsys.readouterr().out + "\n" == want
+        assert progress["sweep"]["executed"] == local.executed > 0
 
     def test_pool_worker_kill_recovers_without_reexecution(self, tmp_path):
         """SIGKILL a pool process mid-sweep: the scheduler respawns the
@@ -596,6 +631,20 @@ class TestServiceEndToEnd:
         # the kill cost retries, not correctness; flushed results were
         # never re-executed (executed counts one landing per job)
         assert sweep["executed"] == len(jobs)
+
+
+def test_service_backend_refuses_an_armed_fault():
+    # the fault hooks run in this process and its pool, never on the
+    # server: a service sweep with a fault armed would run unfaulted
+    job = Job("sma", "daxpy", 16)
+    spec = FaultSpec("sleep", 0.0)
+    with pytest.raises(ValueError, match="cannot inject"):
+        run_jobs([job], backend="service",
+                 service_url="http://127.0.0.1:9", inject=spec)
+    with harness_policy(inject=spec):
+        with pytest.raises(ValueError, match="cannot inject"):
+            run_jobs([job], backend="service",
+                     service_url="http://127.0.0.1:9")
 
 
 class _CountingServer(SweepServer):
