@@ -19,6 +19,9 @@ subprocess on a duplicate-heavy R-F1 slice:
 * **worker-kill recovery** — a pool worker is SIGKILLed mid-sweep; the
   scheduler must respawn the pool and finish every job correctly,
   without re-executing results that already reached the store.
+* **submit** — ``python -m repro submit R-T4 --n 16`` against the
+  server must print the table ``repro experiment R-T4 --n 16`` prints,
+  and the server must execute its jobs (its ``executed`` grows).
 * **clean drain** — ``POST /v1/shutdown`` must drain in-flight work
   and exit the server with status 0.
 * **shared store** — after the drain, an in-process ``run_jobs`` of
@@ -82,12 +85,13 @@ def main() -> int:
     args = parser.parse_args()
 
     tmp = Path(tempfile.mkdtemp(prefix="service-smoke-"))
+    env = {**os.environ, "PYTHONPATH": "src"}
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--store", str(tmp / "store"), "--workers", "2",
          "--retries", "3", "--slice-cycles", "2000"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        env={**os.environ, "PYTHONPATH": "src"},
+        env=env,
     )
     try:
         line = server.stdout.readline().strip()
@@ -168,6 +172,29 @@ def main() -> int:
             fail("buckets-varied sweep added no store entries")
         print(f"buckets-varied grid ok: store holds {after['results']} "
               "results")
+
+        # --- repro submit runs a whole experiment on the server -------
+        def repro(*argv: str) -> subprocess.CompletedProcess:
+            return subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                capture_output=True, text=True, env=env, timeout=480,
+            )
+
+        local = repro("experiment", "R-T4", "--n", "16")
+        before = client.stats()["sweep"]["executed"]
+        remote = repro("submit", "R-T4", "--n", "16", "--url", url)
+        if local.returncode != 0 or remote.returncode != 0:
+            fail(f"experiment/submit R-T4 exited {local.returncode}/"
+                 f"{remote.returncode}: {remote.stderr.strip()}")
+        # `experiment` ends each table with a blank line, `submit` not
+        if remote.stdout + "\n" != local.stdout:
+            fail("submit R-T4 printed a table that differs from "
+                 "'repro experiment R-T4'")
+        executed = client.stats()["sweep"]["executed"] - before
+        if executed <= 0:
+            fail("submit R-T4 executed no job on the server")
+        print(f"submit ok: R-T4 table identical to 'repro experiment', "
+              f"{executed} job(s) executed on the server")
 
         # --- clean drain ----------------------------------------------
         client.shutdown()

@@ -32,14 +32,11 @@ Commands
     interrupted sweep (only uncached jobs re-execute).
     ``--inject-fault MODE[:VALUE]`` exercises the recovery paths on
     purpose (see ``repro.harness.faults``); CI uses it to prove
-    kill-resume and corrupt-cache quarantine actually work.  ``--backend batch`` steps
-    the sweep's eligible SMA jobs in lockstep through the SoA batch
-    engine (``repro.batch``) — bit-identical results, cached under the
-    same keys.  It pays only on lane groups of hundreds of configs of
-    one kernel (``batch KERNEL``); the paper experiments form groups of
-    a few lanes, where the default per-point path is faster.
-    ``--batch-workers N`` shards the batch lane groups over N
-    fingerprint-seeded worker processes.
+    kill-resume and corrupt-cache quarantine actually work.  Every job
+    runs per point, in this process or on ``--jobs`` workers; the batch
+    engine pays only on lane groups of hundreds of configs of one
+    kernel, which ``batch KERNEL`` builds and the paper experiments
+    do not.
 
 ``serve``
     Sweep-as-a-service: a stdlib asyncio HTTP server over the harness.
@@ -52,10 +49,12 @@ Commands
     ``repro.service``.
 
 ``submit ID``
-    Run an experiment's simulation jobs through a running ``serve``
-    instance (``run_jobs(backend="service")``): results stream back as
-    they land and can be flushed into a local ``--cache`` for offline
-    reuse.
+    Run any experiment's simulation jobs through a running ``serve``
+    instance (a ``HarnessPolicy.service_url`` scope around the
+    experiment, which sends every uncached job there): results stream
+    back as they land and can be flushed into a local ``--cache`` for
+    offline reuse.  The server applies its own ``--timeout`` and
+    ``--retries`` to each job.
 
 ``batch KERNEL``
     Dense (latency × queue-depth × bank-count) sweep of one kernel
@@ -267,7 +266,6 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import inspect
     from pathlib import Path
 
     from .harness import harness_policy
@@ -279,19 +277,6 @@ def cmd_sweep(args) -> int:
         print(f"unknown experiment {args.id!r}; "
               f"known: {sorted(EXPERIMENTS)}", file=sys.stderr)
         return 2
-    backend_kwargs = {}
-    if args.backend != "scalar":
-        fn = EXPERIMENTS[experiment_id]
-        if "backend" in inspect.signature(fn).parameters:
-            backend_kwargs["backend"] = args.backend
-            if args.batch_workers != 1:
-                backend_kwargs["batch_workers"] = args.batch_workers
-        else:
-            print(f"{experiment_id} has no dense SMA sweep; "
-                  f"ignoring --backend {args.backend}", file=sys.stderr)
-    elif args.batch_workers != 1:
-        print("--batch-workers only applies with --backend batch; "
-              "ignoring it", file=sys.stderr)
     if args.timeout is not None and args.jobs < 2:
         print("--timeout needs --jobs 2 or more: a serial sweep runs "
               "each job in this process and cannot interrupt it",
@@ -317,7 +302,7 @@ def cmd_sweep(args) -> int:
             print(str(exc), file=sys.stderr)
             return 2
 
-    kwargs = {"cache_dir": str(cache), **backend_kwargs}
+    kwargs = {"cache_dir": str(cache)}
     if args.jobs != 1:
         kwargs["jobs"] = args.jobs
     if args.n is not None:
@@ -368,8 +353,6 @@ def cmd_serve(args) -> int:
 
 
 def cmd_submit(args) -> int:
-    import inspect
-
     from .harness import harness_policy
     from .service.client import ServiceClient, ServiceError
 
@@ -384,13 +367,7 @@ def cmd_submit(args) -> int:
         print(f"no sweep service answering at {args.url}",
               file=sys.stderr)
         return 2
-    kwargs = {"backend": "service"}
-    if "backend" not in inspect.signature(
-        EXPERIMENTS[experiment_id]
-    ).parameters:
-        print(f"{experiment_id} does not forward a backend; its jobs "
-              "run locally", file=sys.stderr)
-        kwargs = {}
+    kwargs = {}
     if args.cache:
         kwargs["cache_dir"] = args.cache
     if args.n is not None:
@@ -832,18 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "driver-kill:k, sleep:s")
     p_sweep.add_argument("--csv", action="store_true",
                          help="emit CSV instead of the aligned table")
-    p_sweep.add_argument("--backend", default="scalar",
-                         choices=["scalar", "batch"],
-                         help="run eligible SMA jobs through the SoA "
-                              "batch engine (bit-identical; pays only on "
-                              "groups of hundreds of configs of one "
-                              "kernel, as 'repro batch' runs them, not "
-                              "on the paper experiments)")
-    p_sweep.add_argument("--batch-workers", type=int, default=1,
-                         metavar="N",
-                         help="with --backend batch: shard the batch "
-                              "lane groups over N worker processes "
-                              "(default 1: in-driver)")
 
     p_serve = sub.add_parser(
         "serve",

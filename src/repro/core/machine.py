@@ -390,7 +390,8 @@ class SMAMachine:
     # -- the simulation loops --------------------------------------------
     #
     # ``SCHEDULERS`` maps each loop name to its unbound loop method,
-    # ``(machine, stop, max_cycles, deadlock_window, observer) -> None``.
+    # ``(machine, stop, max_cycles, deadlock_window) -> None``; only the
+    # reference loop also takes an observer.
     # The CLI (``--scheduler`` choices), the cluster and the benchmark
     # shoot-out all iterate this mapping, so registering a loop here is
     # the single step needed to surface it everywhere.
@@ -416,10 +417,9 @@ class SMAMachine:
         ``observer``, if given, is called as ``observer(machine, cycle)``
         once per simulated cycle after all components have stepped — the
         hook the trace collectors in :mod:`repro.trace` attach through.
-        An observer forces naive ticking unless it declares
-        ``wants_every_cycle = False``, in which case the event-horizon
-        loop drives it and reports skipped spans through the observer's
-        optional ``on_replay(machine, start_cycle, count)`` hook.
+        Only the naive loop calls it: with ``scheduler=None`` an observer
+        selects naive, and ``scheduler="event-horizon"`` with an
+        observer is a ``ValueError``.
         """
         self._advance(max_cycles, max_cycles, deadlock_window, observer,
                       scheduler)
@@ -441,15 +441,20 @@ class SMAMachine:
         """Run the selected loop until completion or cycle ``stop``; the
         one path from ``run`` and ``step_cycles`` to a loop."""
         scheduler = self._effective_scheduler(scheduler, observer)
-        self.SCHEDULERS[scheduler](self, min(stop, max_cycles), max_cycles,
-                                   deadlock_window, observer)
+        stop = min(stop, max_cycles)
+        if observer is None:
+            self.SCHEDULERS[scheduler](self, stop, max_cycles,
+                                       deadlock_window)
+        else:  # _effective_scheduler chose the reference loop
+            self._run_naive(stop, max_cycles, deadlock_window, observer)
 
     def _effective_scheduler(self, scheduler: str | None,
                              observer=None) -> str:
         """The loop that runs when ``scheduler`` is asked for.
 
-        ``None`` follows :data:`FAST_FORWARD`; an every-cycle observer
-        (see :meth:`run`) runs naive.
+        ``None`` follows :data:`FAST_FORWARD`, except that an observer
+        (see :meth:`run`) selects naive; an observer with any other loop
+        asked for is a ``ValueError``.
         Fault injection runs naive: event-horizon inlines memory
         acceptance (``tick_fast`` / ``step_fast``), bypassing the fault
         overrides, and jumps over cycles in which the deterministic
@@ -458,23 +463,28 @@ class SMAMachine:
         the loop runs, so its oracle pre-run sees the loaded inputs.
         """
         if scheduler is None:
-            scheduler = "event-horizon" if FAST_FORWARD else "naive"
+            scheduler = ("event-horizon" if FAST_FORWARD and observer is None
+                         else "naive")
         elif scheduler not in self.SCHEDULERS:
             raise ValueError(
                 f"unknown scheduler {scheduler!r}; expected one of "
                 + ", ".join(self.SCHEDULERS)
             )
-        if self.banked.fault_injection or (
-            observer is not None
-            and getattr(observer, "wants_every_cycle", True)
-        ):
+        elif observer is not None and scheduler != "naive":
+            raise ValueError(
+                f"an observer runs only on the naive loop, not on "
+                f"{scheduler!r}, which skips cycles; pass "
+                "scheduler='naive' or None"
+            )
+        if self.banked.fault_injection:
             scheduler = "naive"
         if not self._spec_ready:
             self._ensure_speculation()
         return scheduler
 
     def _run_naive(
-        self, stop: int, max_cycles: int, deadlock_window: int, observer
+        self, stop: int, max_cycles: int, deadlock_window: int,
+        observer=None,
     ) -> None:
         """The reference loop: :meth:`step_cycle` every cycle, then
         ``observer(machine, cycle)`` if one is attached.
@@ -546,7 +556,7 @@ class SMAMachine:
         return best
 
     def _run_event_horizon(
-        self, stop: int, max_cycles: int, deadlock_window: int, observer
+        self, stop: int, max_cycles: int, deadlock_window: int
     ) -> None:
         """The event-horizon simulation loop (see module docstring).
 
@@ -559,9 +569,8 @@ class SMAMachine:
         """
         clock = [self.cycle]
         with self.lazy_occupancy(clock):
-            self._event_horizon_loop(
-                stop, max_cycles, deadlock_window, clock, observer
-            )
+            self._event_horizon_loop(stop, max_cycles, deadlock_window,
+                                     clock)
 
     #: accepted values for ``run(scheduler=...)``, reference first (the
     #: loop every other entry must match bit for bit)
@@ -600,7 +609,7 @@ class SMAMachine:
                 self._occupancy_max = agg.max_seen
 
     def _event_horizon_loop(
-        self, stop: int, max_cycles: int, deadlock_window: int, clock, observer
+        self, stop: int, max_cycles: int, deadlock_window: int, clock
     ) -> None:
         """One fused loop: inlined completion delivery, fast component
         step paths, and contract-driven jumps.
@@ -653,10 +662,6 @@ class SMAMachine:
             frames = spec.stack
         horizon = self.next_event_time
         take_snapshot = self.stall_snapshot
-        on_replay = (
-            getattr(observer, "on_replay", None)
-            if observer is not None else None
-        )
         last_progress_cycle = 0
         p_ap = p_ep = p_req = p_st = p_mem = -1
         # the loop condition is self.done() spelled out over the hoisted
@@ -703,8 +708,6 @@ class SMAMachine:
             if metrics is not None:
                 metrics.on_cycle(self, now)
             self.cycle = now + 1
-            if observer is not None:
-                observer(self, now)
             mem = mstats.reads + mstats.writes
             ap_i = ap_stats.instructions
             ep_i = ep_stats.instructions
@@ -730,10 +733,7 @@ class SMAMachine:
                     target = stop
                 count = target - self.cycle
                 if count > 0:
-                    start = self.cycle
                     self._replay_fast(snapshot, count)
-                    if on_replay is not None:
-                        on_replay(self, start, count)
             if self.cycle - last_progress_cycle > deadlock_window:
                 raise SimulationError(
                     "deadlock: no forward progress for "

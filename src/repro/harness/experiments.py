@@ -12,10 +12,11 @@ over worker processes and/or an on-disk result cache — the ``jobs=`` and
 ``cache_dir=`` keywords every experiment accepts), then *assembles* the
 table from the returned measurement dicts.  With the defaults
 (``jobs=1``, no cache) everything runs serially in-process, so results
-are deterministic for CI.  Experiments dominated by dense SMA sweeps
-also take ``backend="batch"``, which steps all eligible grid points in
-lockstep through :mod:`repro.batch` — bit-identical results, a fraction
-of the cost.
+are deterministic for CI.  Where the jobs run is decided by
+``run_jobs`` and the ambient
+:class:`~repro.harness.parallel.HarnessPolicy` alone: a policy
+``service_url`` (``repro submit``) sends every experiment's uncached
+jobs to a ``repro serve`` instance.
 
 Identifiers:
 
@@ -98,7 +99,6 @@ def _configs(
 
 def table1_mix(
     n: int = 256, jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
 ) -> Table:
     """Instruction mix per kernel: how the SMA split redistributes work.
 
@@ -120,10 +120,7 @@ def table1_mix(
             Job("scalar", spec.name, n, scalar_config=scalar_cfg)
         )
         joblist.append(Job("sma", spec.name, n, sma_config=sma_cfg))
-    results = run_jobs(
-        joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
-    )
+    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
     for spec, scalar, sma in zip(specs, results[::2], results[1::2]):
         t.add_row(
             spec.name,
@@ -150,7 +147,6 @@ def table1_mix(
 def table2_speedup(
     n: int = 256, latency: int = 8,
     jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
 ) -> Table:
     """SMA vs scalar baseline over the whole suite (the headline result)."""
     t = Table(
@@ -169,10 +165,7 @@ def table2_speedup(
         joblist.append(
             Job("sma", spec.name, n, sma_config=sma_cfg, check=True)
         )
-    results = run_jobs(
-        joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
-    )
+    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
     for spec, scalar, sma in zip(specs, results[::2], results[1::2]):
         t.add_row(
             spec.name,
@@ -403,7 +396,6 @@ def fig1_latency(
     latencies: Sequence[int] = (1, 2, 4, 8, 16, 32),
     kernels: Sequence[str] = LATENCY_REPS,
     jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
 ) -> Table:
     """Speedup vs memory latency: the decoupled machine's latency
     tolerance is the paper's central claim — speedup *grows* with latency
@@ -423,10 +415,7 @@ def fig1_latency(
             joblist.append(
                 Job("scalar", name, n, scalar_config=scalar_cfg, check=True)
             )
-    results = run_jobs(
-        joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
-    )
+    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
     stride = 2 * len(kernels)  # jobs per latency point
     for i, latency in enumerate(latencies):
         point = results[i * stride:(i + 1) * stride]
@@ -449,7 +438,6 @@ def fig2_queue_depth(
     kernels: Sequence[str] = STREAMING_REPS,
     latency: int = 8,
     jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
 ) -> Table:
     """SMA cycles vs architectural queue depth: a handful of entries
     (≈ memory latency) buys nearly all of the decoupling."""
@@ -463,10 +451,7 @@ def fig2_queue_depth(
         sma_cfg, _ = _configs(latency=latency, queue_depth=depth)
         for name in kernels:
             joblist.append(Job("sma", name, n, sma_config=sma_cfg))
-    results = run_jobs(
-        joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
-    )
+    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
     width = len(kernels)
     for i, depth in enumerate(depths):
         point = results[i * width:(i + 1) * width]
@@ -517,7 +502,6 @@ def fig4_banks(
     kernels: Sequence[str] = BANK_REPS,
     latency: int = 8,
     jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
 ) -> Table:
     """Words per cycle vs interleaving degree, for strides 1/2/5/8: the
     stride-vs-banks aliasing structure is the classic interleave result."""
@@ -531,10 +515,7 @@ def fig4_banks(
         sma_cfg, _ = _configs(latency=latency, banks=nb)
         for name in kernels:
             joblist.append(Job("sma", name, n, sma_config=sma_cfg))
-    results = run_jobs(
-        joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
-    )
+    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
     width = len(kernels)
     for i, nb in enumerate(banks):
         point = results[i * width:(i + 1) * width]
@@ -557,7 +538,6 @@ def fig4_banks(
 def fig5_ablation(
     n: int = 256, kernels: Sequence[str] = ABLATION_REPS,
     jobs: int = 1, cache_dir: str | None = None,
-    backend: str = "scalar", batch_workers: int = 1,
 ) -> Table:
     """Structured descriptors ON vs OFF (per-element DAE): the access
     processor's instruction bandwidth becomes the bottleneck without
@@ -573,10 +553,7 @@ def fig5_ablation(
     for name in kernels:
         joblist.append(Job("sma", name, n, sma_config=sma_cfg))
         joblist.append(Job("sma-nostream", name, n, sma_config=sma_cfg))
-    results = run_jobs(
-        joblist, workers=jobs, cache_dir=cache_dir, backend=backend,
-        batch_workers=batch_workers,
-    )
+    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
     for name, stream, elem in zip(kernels, results[::2], results[1::2]):
         t.add_row(
             name,

@@ -2,10 +2,12 @@
 
 :func:`run_jobs` is the one entry point: it takes the declarative job
 list an experiment built, optionally consults an on-disk result cache,
-runs the remaining jobs either serially (the default — deterministic and
-dependency-free, what CI uses) or on a local
+runs the remaining jobs serially (the default — deterministic and
+dependency-free, what CI uses), on a local
 :class:`~repro.harness.scheduler.JobScheduler` whose workers share one
-process pool, and returns results in job order.
+process pool, or on a ``repro serve`` instance the ambient
+:class:`HarnessPolicy` names, and returns results in job order.  It
+and the policy are the only place that decides where jobs run.
 
 The cache key binds each result to the *code* as well as the job: a
 sha256 over every ``src/repro`` Python source (:func:`code_fingerprint`)
@@ -50,7 +52,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import faults
 from .faults import FaultSpec
@@ -112,8 +114,8 @@ class HarnessPolicy:
     """Sweep robustness knobs; the defaults reproduce the fail-fast
     seed behavior exactly (no timeout, no retry, no injection)."""
 
-    #: per-job wall-clock timeout in seconds (pool mode only); ``None``
-    #: waits forever.
+    #: per-job wall-clock timeout in seconds (pool mode only; refused
+    #: beside ``service_url``); ``None`` waits forever.
     timeout: float | None = None
     #: how many times a failed or timed-out job is re-executed.
     retries: int = 0
@@ -124,9 +126,10 @@ class HarnessPolicy:
     backoff: float = 0.25
     #: fault to inject (see :mod:`repro.harness.faults`).
     inject: FaultSpec | None = None
-    #: base URL of a running ``repro serve`` instance; what
-    #: ``run_jobs(backend="service")`` submits to when no explicit
-    #: ``service_url`` argument is given.
+    #: base URL of a running ``repro serve`` instance; when set,
+    #: :func:`run_jobs` sends every uncached job in the policy's scope
+    #: there (``repro submit`` sets it), and refuses an armed fault, a
+    #: ``timeout`` or ``backend="batch"`` beside it.
     service_url: str | None = None
     #: shared stats sink; ``run_jobs`` accumulates into it when set.
     stats: SweepStats | None = field(default=None, compare=False)
@@ -221,72 +224,62 @@ def run_jobs(
     *,
     backend: str = "scalar",
     batch_workers: int = 1,
-    service_url: str | None = None,
-    timeout: float | None = None,
-    retries: int | None = None,
-    backoff: float | None = None,
-    inject: FaultSpec | None = None,
 ) -> list[dict]:
     """Run ``jobs`` and return their result dicts in the same order.
 
-    ``workers > 1`` runs uncached jobs on a local
-    :class:`~repro.harness.scheduler.JobScheduler` with ``workers``
-    workers sharing one process pool: duplicate jobs coalesce onto one
-    execution, and a sliceable SMA or cluster job that times out or
-    loses its worker retries from its last slice checkpoint.
-    ``workers=1`` (the default) runs them in-process, which keeps CI
-    deterministic and lets the per-process compilation memoization in
-    :mod:`.jobs` see the whole sweep.  ``cache_dir``, when given, is a
-    :class:`~repro.harness.store.ResultStore`: each result is persisted
-    under its (code fingerprint, job) key, and hits whose digest verifies
-    are reused on later runs.
+    This function and the ambient :class:`HarnessPolicy` (see
+    :func:`harness_policy` / :func:`set_policy`) are the one place that
+    decides where a sweep's jobs run: the experiments pass only
+    ``workers`` and ``cache_dir`` through.  ``cache_dir``, when given,
+    is a :class:`~repro.harness.store.ResultStore`: each result is
+    persisted under its (code fingerprint, job) key, and hits whose
+    digest verifies are reused on later runs.  The uncached jobs run
 
-    ``backend="batch"`` routes eligible uncached jobs (see
+    * on a running ``repro serve`` instance when the policy sets
+      :attr:`HarnessPolicy.service_url` (``repro submit`` does): the
+      server coalesces identical in-flight jobs across clients, serves
+      repeats from its result store and applies its own per-job
+      timeout and retries (:mod:`repro.service`).  Results land in the
+      local ``cache_dir`` as they stream back, so a service sweep and a
+      local sweep are resume-interchangeable;
+    * otherwise, with ``workers > 1``, on a local
+      :class:`~repro.harness.scheduler.JobScheduler` with ``workers``
+      workers sharing one process pool: duplicate jobs coalesce onto
+      one execution, and a sliceable SMA or cluster job that times out
+      or loses its worker retries from its last slice checkpoint;
+    * otherwise in-process (``workers=1``, the default), which keeps CI
+      deterministic and lets the per-process compilation memoization in
+      :mod:`.jobs` see the whole sweep.
+
+    ``backend="batch"`` first routes eligible uncached jobs (see
     :func:`repro.batch.batch_eligible`) through the SoA batch engine in
     the driver process — thousands of timing configurations stepped in
-    lockstep — and only the remainder through the scalar path.  Batch
-    results are flushed under the same :func:`job_key`, so a cached batch
-    sweep and a cached scalar sweep are interchangeable.
+    lockstep — and only the remainder down the local paths above.
+    Batch results are flushed under the same :func:`job_key`, so a
+    cached batch sweep and a cached scalar sweep are interchangeable.
     ``batch_workers > 1`` additionally shards the batch lane groups
     across a fingerprint-seeded process pool (one sub-batch per worker,
     split along saturation-class lines); results are flushed to the
     cache as each shard lands, so a killed sweep loses at most the
-    in-flight shards.
+    in-flight shards.  The engine pays only on lane groups of hundreds
+    of configs of one kernel, as ``repro batch`` builds them.
 
-    ``backend="service"`` submits the uncached jobs to a running
-    ``repro serve`` instance (``service_url`` argument, or the ambient
-    :attr:`HarnessPolicy.service_url`): the server coalesces identical
-    in-flight jobs across clients and serves repeats from its result
-    store (:mod:`repro.service`).  Results land in the local
-    ``cache_dir`` as they stream back, so a service-backed sweep and a
-    local sweep are resume-interchangeable.  Fault injection runs only
-    locally, so a fault armed for a service sweep is a ``ValueError``.
-
-    The keyword-only robustness knobs default to the ambient
-    :class:`HarnessPolicy` (see :func:`harness_policy` /
-    :func:`set_policy`); genuine job exceptions propagate unchanged once
-    the retry budget is exhausted.
+    A policy setting the chosen route would drop is a ``ValueError``,
+    raised before the cache is probed: a fault armed for the batch
+    engine or the service (neither runs this sweep's fault hooks), a
+    per-job timeout on the service route (the server times each job
+    with its own ``repro serve --timeout``), and ``backend="batch"`` on
+    the service route.  Genuine job exceptions propagate unchanged once
+    the policy's retry budget is exhausted.
     """
-    if backend not in ("scalar", "batch", "service"):
+    if backend not in ("scalar", "batch"):
         raise ValueError(
-            f"unknown backend {backend!r}; "
-            f"known: 'scalar', 'batch', 'service'"
+            f"unknown backend {backend!r}; known: 'scalar', 'batch'"
         )
     policy = _POLICY
-    timeout = policy.timeout if timeout is None else timeout
-    retries = policy.retries if retries is None else retries
-    backoff = policy.backoff if backoff is None else backoff
-    inject = policy.inject if inject is None else inject
-    service_url = (policy.service_url if service_url is None
-                   else service_url)
+    _refuse_dropped_settings(policy, backend)
     stats = policy.stats if policy.stats is not None else SweepStats()
-    if backend == "service" and inject is not None:
-        raise ValueError(
-            f"backend='service' cannot inject the fault {inject.mode!r}: "
-            "the service runs the jobs outside this sweep's fault hooks; "
-            "drop the fault or run the sweep locally"
-        )
-
+    inject = policy.inject
     if inject is not None:
         jobs = faults.apply_to_jobs(jobs, inject)
 
@@ -306,21 +299,22 @@ def run_jobs(
     else:
         pending = list(range(len(jobs)))
 
-    if pending and backend == "batch" and inject is None:
+    def land(i: int, result: dict) -> None:
+        results[i] = result
+        stats.executed += 1
+        if store is not None:
+            _flush(store, job_key(jobs[i]), result, stats, inject)
+
+    def land_pending(pos: int, result: dict) -> None:
+        land(pending[pos], result)
+
+    if pending and backend == "batch":
         from ..batch import run_batch
-
-        batch_jobs = [jobs[i] for i in pending]
-
-        def _land(pos: int, result: dict) -> None:
-            i = pending[pos]
-            results[i] = result
-            stats.executed += 1
-            if store is not None:
-                _flush(store, job_key(jobs[i]), result, stats, inject)
 
         try:
             ran = run_batch(
-                batch_jobs, workers=batch_workers, on_result=_land
+                [jobs[i] for i in pending], workers=batch_workers,
+                on_result=land_pending,
             )
         except (KeyboardInterrupt, SystemExit):
             raise
@@ -332,62 +326,64 @@ def run_jobs(
             # timeout/retry policy — for whatever has not landed yet
             stats.record_failure(type(exc).__name__)
             pending = [i for i in pending if results[i] is None]
-            if retries <= 0:
+            if policy.retries <= 0:
                 raise
             stats.retried += 1
-            retries -= 1
+            policy = replace(policy, retries=policy.retries - 1)
             _LOG.warning(
                 "batch backend failed (%s: %s); falling back to the "
                 "scalar path for %d job(s) with %d retrie(s) left",
-                type(exc).__name__, exc, len(pending), retries,
+                type(exc).__name__, exc, len(pending), policy.retries,
             )
         else:
             pending = [
                 i for pos, i in enumerate(pending) if pos not in ran
             ]
 
-    if pending and backend == "service":
+    if pending and policy.service_url is not None:
         from ..service.client import ServiceClient
 
-        if service_url is None:
-            raise ValueError(
-                "backend='service' needs a service URL (pass "
-                "service_url= or set HarnessPolicy.service_url)"
-            )
-
-        def _land_remote(pos: int, result: dict) -> None:
-            i = pending[pos]
-            results[i] = result
-            stats.executed += 1
-            if store is not None:
-                _flush(store, job_key(jobs[i]), result, stats, inject)
-
-        with ServiceClient(service_url) as client:
-            client.run(
-                [jobs[i] for i in pending],
-                on_result=_land_remote,
-                timeout=timeout,
-            )
-        pending = []
-
-    if pending:
-        if workers > 1:
-            _run_scheduled(
-                jobs, pending, results, workers, store, stats,
-                HarnessPolicy(timeout=timeout, retries=retries,
-                              backoff=backoff, inject=inject),
-            )
-        else:
-            _run_serial(
-                jobs, pending, results, store, stats,
-                retries, backoff, inject,
-            )
+        with ServiceClient(policy.service_url) as client:
+            client.run([jobs[i] for i in pending], on_result=land_pending)
+    elif pending and workers > 1:
+        _run_scheduled(jobs, pending, results, workers, store, stats,
+                       policy)
+    elif pending:
+        _run_serial(jobs, pending, land, stats, policy)
     return results  # type: ignore[return-value]
 
 
-def _run_serial(
-    jobs, pending, results, store, stats, retries, backoff, inject
-) -> None:
+def _refuse_dropped_settings(policy: HarnessPolicy, backend: str) -> None:
+    """Raise ``ValueError`` for a policy setting that the route
+    :func:`run_jobs` takes would silently drop."""
+    url = policy.service_url
+    if policy.inject is not None and (backend == "batch" or url is not None):
+        where = ("backend='batch'" if backend == "batch"
+                 else f"the service at {url}")
+        raise ValueError(
+            f"{where} cannot inject the fault {policy.inject.mode!r}: "
+            "it runs the jobs outside this sweep's fault hooks; drop "
+            "the fault or run the sweep in this process on the default "
+            "backend"
+        )
+    if url is not None and policy.timeout is not None:
+        raise ValueError(
+            f"the service at {url} cannot take a per-job timeout of "
+            f"{policy.timeout:g}s from this sweep: the server times each "
+            "job with its own 'repro serve --timeout'"
+        )
+    if url is not None and backend == "batch":
+        raise ValueError(
+            "backend='batch' runs jobs in this process, but the policy "
+            f"sends every job to the service at {url}; drop one of them"
+        )
+
+
+def _run_serial(jobs, pending, land, stats, policy) -> None:
+    """Run ``pending`` one by one in this process under ``policy``'s
+    retries, backoff and fault, handing each result to ``land``."""
+    inject = policy.inject
+    retries = policy.retries
     previous = faults.install(inject) if inject is not None else None
     try:
         for i in pending:
@@ -408,11 +404,8 @@ def _run_serial(
                         "job %d failed (%s: %s); retry %d/%d",
                         i, type(exc).__name__, exc, attempt + 1, retries,
                     )
-                    time.sleep(backoff * (2 ** attempt))
-            results[i] = result
-            stats.executed += 1
-            if store is not None:
-                _flush(store, job_key(jobs[i]), result, stats, inject)
+                    time.sleep(policy.backoff * (2 ** attempt))
+            land(i, result)
     finally:
         if inject is not None:
             faults.install(previous)

@@ -22,8 +22,8 @@ stdlib-only HTTP service:
     :class:`~repro.harness.parallel.SweepStats`, per-worker drain with
     checkpoint migration, and shutdown.
 :mod:`~repro.service.client`
-    Blocking stdlib client used by ``repro submit``, the
-    ``run_jobs(backend="service")`` route and the CI smoke.
+    Blocking stdlib client used by ``repro submit``, ``run_jobs``
+    under a ``HarnessPolicy.service_url`` and the CI smoke.
 """
 
 from ..harness.scheduler import (

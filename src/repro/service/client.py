@@ -1,8 +1,9 @@
 """Blocking stdlib client for a running ``repro serve`` instance.
 
-This is what ``repro submit`` and ``run_jobs(backend="service")`` speak
-through: plain :mod:`http.client` over the JSON routes in
-:mod:`~repro.service.server`, on one kept-alive connection per client.
+This is what ``repro submit`` and ``run_jobs`` under a
+``HarnessPolicy.service_url`` speak through: plain :mod:`http.client`
+over the JSON routes in :mod:`~repro.service.server`, on one
+kept-alive connection per client.
 The server computes job keys under its *own* code fingerprint and
 returns them in the submit response, so the client never assumes both
 ends run identical sources.
@@ -10,9 +11,9 @@ ends run identical sources.
 The one non-trivial behavior is :meth:`ServiceClient.run`: submit all
 jobs in one POST, then long-poll each returned key, invoking
 ``on_result`` as results land — the callback signature matches the
-harness's internal landing hook, which is how the ``backend="service"``
-branch of :func:`repro.harness.parallel.run_jobs` streams remote
-results into the local cache as they finish.  Backpressured (429)
+harness's internal landing hook, which is how the service route of
+:func:`repro.harness.parallel.run_jobs` streams remote results into
+the local cache as they finish.  Backpressured (429)
 submissions are retried with exponential backoff rather than failed.
 """
 
@@ -50,7 +51,7 @@ class ServiceClient:
     connection carries one request at a time, so each thread makes its
     own client, as perfbench's client threads,
     ``scripts/service_smoke.py``'s threads and
-    ``run_jobs(backend="service")`` do.
+    ``run_jobs``' service route do.
     """
 
     def __init__(self, base_url: str, timeout: float = 60.0) -> None:

@@ -19,14 +19,8 @@ the tool that makes the decoupling *visible*: the access column finishes
 within a few lines while the execute column keeps consuming, with the
 engine column streaming between them.
 
-A recorder built with ``every_cycle=False`` declares
-``wants_every_cycle = False``, so :meth:`repro.core.SMAMachine.run` keeps
-the event-horizon scheduler active instead of dropping to naive ticking:
-live cycles arrive through the normal callback, and each fast-forwarded
-stall span arrives as a single *compressed* record (``repeat > 1``)
-through :meth:`TimelineRecorder.on_replay` — a coarse timeline of a
-billion-cycle run costs memory proportional to the interesting cycles, not
-the idle ones.
+An observer runs only on the naive loop, which ticks every cycle, so
+the recording has one record per cycle (up to ``max_cycles``).
 """
 
 from __future__ import annotations
@@ -41,14 +35,6 @@ class CycleRecord:
     ep_event: str
     engine_issues: int
     store_issued: bool
-    #: number of consecutive identical cycles this record stands for
-    #: (``> 1`` only for fast-forwarded stall spans, which repeat the
-    #: preceding template cycle exactly)
-    repeat: int = 1
-
-    @property
-    def last_cycle(self) -> int:
-        return self.cycle + self.repeat - 1
 
 
 class TimelineRecorder:
@@ -59,12 +45,8 @@ class TimelineRecorder:
     program counter pointed at when the cycle began.
     """
 
-    def __init__(self, max_cycles: int = 100_000, every_cycle: bool = True):
+    def __init__(self, max_cycles: int = 100_000):
         self.max_cycles = max_cycles
-        #: consumed by SMAMachine.run: True forces naive ticking so every
-        #: cycle is observed; False keeps event-horizon scheduling active
-        #: and compresses skipped stall spans via on_replay
-        self.wants_every_cycle = every_cycle
         self.records: list[CycleRecord] = []
         # snapshot at the end of the previous cycle; a fresh machine
         # always begins at (pc=0, zero counters), so cycle 0 is recorded
@@ -107,27 +89,6 @@ class TimelineRecorder:
         self._prev_ap_stalls = dict(ap.stats.stall_cycles)
         self._prev_ep_stalls = dict(ep.stats.stall_cycles)
 
-    def on_replay(self, machine, start_cycle: int, count: int) -> None:
-        """Record a fast-forwarded stall span (event-horizon scheduling
-        only): cycles ``start_cycle .. start_cycle + count - 1`` repeated
-        the immediately preceding live cycle exactly, so they compress
-        into one record.  The closed-form replay has already scaled the
-        stall counters, so the previous-cycle stall snapshots must be
-        re-synced here or the next live cycle would mis-attribute the
-        whole span's increments to itself."""
-        if self.records and len(self.records) < self.max_cycles:
-            template = self.records[-1]
-            self.records.append(CycleRecord(
-                cycle=start_cycle,
-                ap_event=template.ap_event,
-                ep_event=template.ep_event,
-                engine_issues=0,
-                store_issued=False,
-                repeat=count,
-            ))
-        self._prev_ap_stalls = dict(machine.ap.stats.stall_cycles)
-        self._prev_ep_stalls = dict(machine.ep.stats.stall_cycles)
-
     @staticmethod
     def _stall_delta(stalls: dict[str, int], prev: dict[str, int]) -> str | None:
         """The cause whose counter incremented this cycle (a processor
@@ -161,7 +122,7 @@ class TimelineRecorder:
         """Render cycles ``[first, last]`` as a text table."""
         rows = [
             r for r in self.records
-            if r.last_cycle >= first and (last is None or r.cycle <= last)
+            if r.cycle >= first and (last is None or r.cycle <= last)
         ]
         if not rows:
             return "(no cycles recorded in range)"
@@ -187,9 +148,4 @@ class TimelineRecorder:
                 f"{r.cycle:5d} | {clip(r.ap_event)} | {clip(r.ep_event)} "
                 f"| {engine} | {store}"
             )
-            if r.repeat > 1:
-                lines.append(
-                    f"      | ... repeated through cycle {r.last_cycle} "
-                    f"({r.repeat} cycles)"
-                )
         return "\n".join(lines)

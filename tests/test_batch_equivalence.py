@@ -13,9 +13,10 @@ three directions:
   subsamples lanes against per-lane scalar reruns, exercising the
   divergent-lane masking (different lanes finish thousands of cycles
   apart).
-* The experiments that route through ``backend="batch"`` must
-  reproduce ``golden_experiments.json`` bit-identically, same as the
-  scalar path.
+* Two experiments with the largest lane groups, their ``run_jobs``
+  calls forced onto ``backend="batch"``, must reproduce
+  ``golden_experiments.json`` bit-identically, same as the scalar
+  path.
 """
 
 import hashlib
@@ -206,9 +207,19 @@ def test_batchjob_expand_is_latency_major_with_builtin_ints():
 
 
 @pytest.mark.parametrize("eid", ["R-T1", "R-F1"])
-def test_batch_backend_reproduces_golden(eid):
+def test_batch_backend_reproduces_golden(eid, monkeypatch):
+    from repro.harness import experiments
+
+    calls = []
+
+    def batch_run_jobs(jobs, workers=1, cache_dir=None):
+        calls.append(len(jobs))
+        return run_jobs(jobs, workers, cache_dir, backend="batch")
+
+    monkeypatch.setattr(experiments, "run_jobs", batch_run_jobs)
     want = GOLDEN["tables"][eid]
-    table = EXPERIMENTS[eid](backend="batch", **want["kwargs"])
+    table = EXPERIMENTS[eid](**want["kwargs"])
+    assert calls, f"{eid} did not reach the wrapped run_jobs"
     assert list(table.columns) == want["columns"]
     got_rows = json.loads(json.dumps([list(row) for row in table.rows]))
     assert got_rows == want["rows"], (

@@ -173,7 +173,7 @@ def test_fast_forward_identical_without_streams():
 
 
 # ---------------------------------------------------------------------------
-# observer disables the fast path
+# an observer runs only on the naive loop
 # ---------------------------------------------------------------------------
 
 
@@ -189,6 +189,18 @@ def test_observer_sees_every_cycle():
     # and the traced run matches the fast run's statistics exactly
     fast = _machine(kernel, inputs, latency=64, depth=8, banks=8)
     assert fast.run(scheduler="event-horizon").to_dict() == result.to_dict()
+
+
+def test_observer_refuses_the_event_horizon_loop():
+    """Asking for event-horizon with an observer is an error, not a
+    silent switch to naive ticking; the machine is left untouched."""
+    kernel, inputs = get_kernel("daxpy").instantiate(32)
+    machine = _machine(kernel, inputs, latency=64, depth=8, banks=8)
+    seen = []
+    with pytest.raises(ValueError, match="only on the naive loop"):
+        machine.run(observer=lambda m, cycle: seen.append(cycle),
+                    scheduler="event-horizon")
+    assert seen == [] and machine.cycle == 0
 
 
 # ---------------------------------------------------------------------------

@@ -116,8 +116,9 @@ class TestCacheIntegrity:
 
     def test_serial_failure_keeps_earlier_flushes(self, tmp_path):
         jobs = _jobs()[:2] + [Job("sma", "no_such_kernel", 24)]
-        with pytest.raises(KernelError, match="unknown kernel"):
-            run_jobs(jobs, cache_dir=tmp_path, retries=0)
+        with harness_policy(retries=0):
+            with pytest.raises(KernelError, match="unknown kernel"):
+                run_jobs(jobs, cache_dir=tmp_path)
         # the two jobs that finished before the crash are on disk
         assert len(ResultStore(tmp_path)) == 2
         with harness_policy() as stats:
@@ -130,9 +131,9 @@ class TestCacheIntegrity:
         # check the other worker's results reached disk anyway
         spec = FaultSpec("sleep", 30.0,
                          token_path=str(tmp_path / "tok"))
-        with pytest.raises(SweepError):
-            run_jobs(_jobs(), workers=2, cache_dir=tmp_path,
-                     timeout=2.0, retries=0, inject=spec)
+        with harness_policy(timeout=2.0, retries=0, inject=spec):
+            with pytest.raises(SweepError):
+                run_jobs(_jobs(), workers=2, cache_dir=tmp_path)
         assert 0 < len(ResultStore(tmp_path)) < len(_jobs())
 
 
@@ -141,9 +142,8 @@ class TestWorkerRecovery:
         clean = run_jobs(_jobs())
         spec = FaultSpec("worker-kill",
                          token_path=str(tmp_path / "tok"))
-        with harness_policy(inject=spec) as stats:
-            got = run_jobs(_jobs(), workers=2,
-                           cache_dir=tmp_path / "cache", retries=2)
+        with harness_policy(inject=spec, retries=2) as stats:
+            got = run_jobs(_jobs(), workers=2, cache_dir=tmp_path / "cache")
         assert got == clean
         assert stats.respawns >= 1 and stats.retried >= 1
         # resume executes nothing: every result was flushed
@@ -154,24 +154,25 @@ class TestWorkerRecovery:
     def test_worker_kill_without_retries_raises(self, tmp_path):
         spec = FaultSpec("worker-kill",
                          token_path=str(tmp_path / "tok"))
-        with pytest.raises(SweepError, match="worker"):
-            run_jobs(_jobs(), workers=2, retries=0, inject=spec)
+        with harness_policy(retries=0, inject=spec):
+            with pytest.raises(SweepError, match="worker"):
+                run_jobs(_jobs(), workers=2)
 
     def test_hung_job_times_out_and_retries(self, tmp_path):
         clean = run_jobs(_jobs())
         spec = FaultSpec("sleep", 30.0,
                          token_path=str(tmp_path / "tok"))
-        with harness_policy(inject=spec) as stats:
-            got = run_jobs(_jobs(), workers=2, timeout=1.0, retries=2)
+        with harness_policy(inject=spec, timeout=1.0, retries=2) as stats:
+            got = run_jobs(_jobs(), workers=2)
         assert got == clean
         assert stats.retried >= 1
 
     def test_hung_job_without_retries_raises(self, tmp_path):
         spec = FaultSpec("sleep", 30.0,
                          token_path=str(tmp_path / "tok"))
-        with pytest.raises(SweepError, match="timed out"):
-            run_jobs(_jobs(), workers=2, timeout=1.0, retries=0,
-                     inject=spec)
+        with harness_policy(timeout=1.0, retries=0, inject=spec):
+            with pytest.raises(SweepError, match="timed out"):
+                run_jobs(_jobs(), workers=2)
 
 
 _DRIVER = textwrap.dedent("""

@@ -17,7 +17,12 @@ from repro.config import MemoryConfig, QueueConfig, ScalarConfig, SMAConfig
 from repro.harness import experiments as exp
 from repro.harness import parallel
 from repro.harness.jobs import Job, run_job
-from repro.harness.parallel import code_fingerprint, job_key, run_jobs
+from repro.harness.parallel import (
+    code_fingerprint,
+    harness_policy,
+    job_key,
+    run_jobs,
+)
 from repro.harness.store import SUFFIX, ResultStore
 
 SMA_CFG, SCALAR_CFG = exp._configs(latency=8)
@@ -103,8 +108,6 @@ class TestRunJobs:
         assert first == second
 
     def test_pool_coalesces_duplicate_jobs(self):
-        from repro.harness import harness_policy
-
         a = Job("sma", "daxpy", 32, sma_config=SMA_CFG)
         b = Job("scalar", "daxpy", 32, scalar_config=SCALAR_CFG)
         with harness_policy() as stats:
@@ -233,11 +236,9 @@ class TestHarnessRegressions:
         from repro.errors import KernelError
 
         start = time.time()
-        with pytest.raises(KernelError):
-            run_jobs(
-                jobs, workers=2, cache_dir=tmp_path,
-                retries=1, backoff=backoff,
-            )
+        with harness_policy(retries=1, backoff=backoff):
+            with pytest.raises(KernelError):
+                run_jobs(jobs, workers=2, cache_dir=tmp_path)
         elapsed = time.time() - start
         flushed = list(tmp_path.glob(f"*{SUFFIX}"))
         assert len(flushed) == 3  # every good job landed
@@ -291,7 +292,6 @@ class TestHarnessRegressions:
         import concurrent.futures as cf
 
         from repro.errors import KernelError
-        from repro.harness import harness_policy
 
         class FakePool:
             def __init__(self, max_workers=None, initializer=None,
@@ -314,10 +314,9 @@ class TestHarnessRegressions:
 
         good = Job("scalar", "daxpy", 16, scalar_config=SCALAR_CFG)
         bad = Job("sma", "no-such-kernel", 16)
-        with harness_policy() as stats:
+        with harness_policy(retries=0) as stats:
             with pytest.raises(KernelError):
-                run_jobs([bad, good], workers=2, cache_dir=tmp_path,
-                         retries=0)
+                run_jobs([bad, good], workers=2, cache_dir=tmp_path)
         assert stats.executed == 1
         assert stats.flushed == 1
         flushed = list(tmp_path.glob(f"*{SUFFIX}"))
@@ -343,7 +342,6 @@ class TestHarnessRegressions:
         from concurrent.futures.process import BrokenProcessPool
 
         from repro import batch as batch_mod
-        from repro.harness import harness_policy
 
         def exploding_run_batch(jobs, workers=1, on_result=None):
             raise BrokenProcessPool("batch shard worker died")
@@ -353,18 +351,29 @@ class TestHarnessRegressions:
             Job("sma", "daxpy", 16, sma_config=SMA_CFG),
             Job("scalar", "daxpy", 16, scalar_config=SCALAR_CFG),
         ]
-        with harness_policy() as stats:
-            results = run_jobs(jobs, backend="batch", retries=1,
-                               backoff=0.0)
+        with harness_policy(retries=1, backoff=0.0) as stats:
+            results = run_jobs(jobs, backend="batch")
         assert results[0]["cycles"] > 0 and results[1]["cycles"] > 0
         assert stats.failures.get("BrokenProcessPool") == 1
         assert stats.retried == 1
         # fail-fast behavior is preserved when the budget is zero
-        with harness_policy() as stats:
+        with harness_policy(retries=0) as stats:
             with pytest.raises(BrokenProcessPool):
-                run_jobs(jobs, backend="batch", retries=0)
+                run_jobs(jobs, backend="batch")
         assert stats.failures.get("BrokenProcessPool") == 1
         assert stats.retried == 0
+
+    def test_batch_backend_refuses_an_armed_fault(self, tmp_path):
+        # the batch engine runs outside the fault hooks: an armed fault
+        # is refused before the cache is probed, never run per point
+        from repro.harness.faults import FaultSpec
+
+        jobs = [Job("sma", "daxpy", 16, sma_config=SMA_CFG)]
+        with harness_policy(inject=FaultSpec("sleep", 0.0)):
+            with pytest.raises(ValueError, match="fault 'sleep'"):
+                run_jobs(jobs, cache_dir=tmp_path / "cache",
+                         backend="batch")
+        assert not (tmp_path / "cache").exists()
 
 
 class TestSerialFailureHandling:
@@ -372,12 +381,10 @@ class TestSerialFailureHandling:
         # the serial retry loop must both retry a genuinely raising job
         # and leave an audit trail of *what* raised in the sweep stats
         from repro.errors import KernelError
-        from repro.harness import harness_policy
 
-        with harness_policy() as stats:
+        with harness_policy(retries=2, backoff=0.0) as stats:
             with pytest.raises(KernelError, match="unknown kernel"):
-                run_jobs([Job("sma", "no-such-kernel", 16)],
-                         retries=2, backoff=0.0)
+                run_jobs([Job("sma", "no-such-kernel", 16)])
         assert stats.failures == {"KernelError": 3}
         assert stats.retried == 2
         assert "KernelError×3" in stats.summary()
@@ -388,16 +395,13 @@ class TestSerialFailureHandling:
         # ctrl-C (or a SystemExit from a signal handler) must escape the
         # serial path immediately — not be swallowed and retried like an
         # ordinary job failure
-        from repro.harness import harness_policy
-
         def boom(job):
             raise abort()
 
         monkeypatch.setattr(parallel, "run_job", boom)
-        with harness_policy() as stats:
+        with harness_policy(retries=3, backoff=0.0) as stats:
             with pytest.raises(abort):
-                run_jobs([Job("sma", "daxpy", 16, sma_config=SMA_CFG)],
-                         retries=3, backoff=0.0)
+                run_jobs([Job("sma", "daxpy", 16, sma_config=SMA_CFG)])
         assert stats.retried == 0
         assert stats.failures == {}
 

@@ -550,21 +550,23 @@ class TestServiceEndToEnd:
         result = drive(scenario())
         assert canonical(result) == canonical(run_job(Job("sma", "daxpy", 48)))
 
-    def test_submit_prints_the_experiment_table(self, tmp_path, capsys):
-        """``repro submit`` runs an experiment's jobs on the server
-        (``run_jobs(backend="service")``) and prints the table ``repro
-        experiment`` prints."""
+    @pytest.mark.parametrize("eid", ["R-F1", "R-T4"])
+    def test_submit_prints_the_experiment_table(self, tmp_path, capsys,
+                                                eid):
+        """``repro submit`` runs every job of an experiment on the
+        server (a ``HarnessPolicy.service_url`` scope) and prints the
+        table ``repro experiment`` prints."""
         from repro.cli import main
 
         with harness_policy() as local:
-            assert main(["experiment", "R-F1", "--n", "16"]) == 0
+            assert main(["experiment", eid, "--n", "16"]) == 0
         want = capsys.readouterr().out
 
         async def scenario():
             server = SweepServer(ResultStore(tmp_path / "store"),
                                  workers=2)
             host, port = await server.start()
-            argv = ["submit", "R-F1", "--n", "16",
+            argv = ["submit", eid, "--n", "16",
                     "--url", f"http://{host}:{port}"]
             try:
                 code = await asyncio.get_running_loop().run_in_executor(
@@ -633,18 +635,50 @@ class TestServiceEndToEnd:
         assert sweep["executed"] == len(jobs)
 
 
-def test_service_backend_refuses_an_armed_fault():
+def _refuse_to_connect(monkeypatch):
+    """Make any client connection attempt fail the test."""
+    def connect(*args, **kwargs):
+        raise AssertionError("the sweep opened a connection")
+
+    monkeypatch.setattr(socket, "create_connection", connect)
+
+
+def test_service_backend_refuses_an_armed_fault(tmp_path, monkeypatch):
     # the fault hooks run in this process and its pool, never on the
     # server: a service sweep with a fault armed would run unfaulted
+    _refuse_to_connect(monkeypatch)
     job = Job("sma", "daxpy", 16)
     spec = FaultSpec("sleep", 0.0)
-    with pytest.raises(ValueError, match="cannot inject"):
-        run_jobs([job], backend="service",
-                 service_url="http://127.0.0.1:9", inject=spec)
-    with harness_policy(inject=spec):
+    with harness_policy(service_url="http://127.0.0.1:9", inject=spec):
         with pytest.raises(ValueError, match="cannot inject"):
-            run_jobs([job], backend="service",
-                     service_url="http://127.0.0.1:9")
+            run_jobs([job])
+        with pytest.raises(ValueError, match="cannot inject"):
+            run_jobs([job], workers=2, cache_dir=tmp_path / "cache")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_service_route_refuses_a_per_job_timeout(tmp_path, monkeypatch):
+    # the server times each job with its own `repro serve --timeout`;
+    # on the client a policy timeout could only bound the whole
+    # submission, so it is refused before any connection
+    _refuse_to_connect(monkeypatch)
+    with harness_policy(service_url="http://127.0.0.1:9", timeout=0.2):
+        with pytest.raises(ValueError, match="repro serve --timeout"):
+            run_jobs([Job("sma", "daxpy", 16)],
+                     cache_dir=tmp_path / "cache")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_service_route_refuses_the_batch_backend(monkeypatch):
+    # the service is a policy route, not a backend, and the batch
+    # engine runs in this process, so it cannot share that route
+    _refuse_to_connect(monkeypatch)
+    job = Job("sma", "daxpy", 16)
+    with pytest.raises(ValueError, match="unknown backend 'service'"):
+        run_jobs([job], backend="service")
+    with harness_policy(service_url="http://127.0.0.1:9"):
+        with pytest.raises(ValueError, match="backend='batch'"):
+            run_jobs([job], backend="batch")
 
 
 class _CountingServer(SweepServer):
