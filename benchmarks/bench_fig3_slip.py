@@ -1,10 +1,10 @@
 """R-F3: achieved run-ahead (slip) per kernel."""
 
-from repro.harness.experiments import fig3_slip
+from repro.harness.experiments import run_experiment
 
 
 def test_fig3_slip(run_and_print):
-    table = run_and_print(fig3_slip, n=256)
+    table = run_and_print(run_experiment, "R-F3", n=256)
     rows = table.row_map("kernel")
     cols = list(table.columns)
     mean = cols.index("mean_outstanding")

@@ -1,10 +1,10 @@
 """R-F4: memory throughput vs interleaving degree."""
 
-from repro.harness.experiments import fig4_banks
+from repro.harness.experiments import run_experiment
 
 
 def test_fig4_banks(run_and_print):
-    table = run_and_print(fig4_banks, n=256)
+    table = run_and_print(run_experiment, "R-F4", n=256)
     by_banks = table.row_map("banks")
     cols = list(table.columns)
     daxpy = cols.index("daxpy")

@@ -1,10 +1,10 @@
 """R-F8 (extension): SMA nodes sharing one banked memory."""
 
-from repro.harness.experiments import fig8_multiprocessor
+from repro.harness.experiments import run_experiment
 
 
 def test_fig8_multiprocessor(run_and_print):
-    table = run_and_print(fig8_multiprocessor, n=192)
+    table = run_and_print(run_experiment, "R-F8", n=192)
     by_nodes = table.row_map("nodes")
     cols = list(table.columns)
     one_port = cols.index("ports1")

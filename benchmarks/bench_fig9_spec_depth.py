@@ -1,10 +1,10 @@
 """R-F9: speculation run-ahead depth sweep."""
 
-from repro.harness.experiments import fig9_spec_depth
+from repro.harness.experiments import run_experiment
 
 
 def test_fig9_spec_depth(run_and_print):
-    table = run_and_print(fig9_spec_depth, n=256)
+    table = run_and_print(run_experiment, "R-F9", n=256)
     cols = list(table.columns)
     cyc = cols.index("cycles")
     by_kernel: dict[str, list] = {}

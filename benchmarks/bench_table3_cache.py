@@ -1,10 +1,10 @@
 """R-T3: SMA queues vs a conventional data cache on the baseline."""
 
-from repro.harness.experiments import table3_cache
+from repro.harness.experiments import run_experiment
 
 
 def test_table3_cache(run_and_print):
-    table = run_and_print(table3_cache, n=256)
+    table = run_and_print(run_experiment, "R-T3", n=256)
     cols = list(table.columns)
     for row in table.rows:
         # SMA beats even the largest swept cache on these kernels

@@ -1,10 +1,10 @@
 """R-T5 (extension): SMA vs hardware prefetching on the baseline."""
 
-from repro.harness.experiments import table5_prefetch
+from repro.harness.experiments import run_experiment
 
 
 def test_table5_prefetch(run_and_print):
-    table = run_and_print(table5_prefetch, n=256)
+    table = run_and_print(run_experiment, "R-T5", n=256)
     cols = list(table.columns)
     rows = table.row_map("kernel")
     # the RPT covers almost all strided misses ...

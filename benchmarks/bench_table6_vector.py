@@ -1,10 +1,10 @@
 """R-T6 (extension): SMA vs a CRAY-flavoured vector machine."""
 
-from repro.harness.experiments import table6_vector
+from repro.harness.experiments import run_experiment
 
 
 def test_table6_vector(run_and_print):
-    table = run_and_print(table6_vector, n=256)
+    table = run_and_print(run_experiment, "R-T6", n=256)
     cols = list(table.columns)
     rows = table.row_map("kernel")
     ratio = cols.index("sma_vs_vector")

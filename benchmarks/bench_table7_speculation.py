@@ -1,10 +1,10 @@
 """R-T7: speculative AP vs prediction accuracy."""
 
-from repro.harness.experiments import table7_speculation
+from repro.harness.experiments import run_experiment
 
 
 def test_table7_speculation(run_and_print):
-    table = run_and_print(table7_speculation, n=256)
+    table = run_and_print(run_experiment, "R-T7", n=256)
     cols = list(table.columns)
     cyc, spd = cols.index("cycles"), cols.index("recovered_speedup")
     lod = cols.index("lod_stall_cycles")

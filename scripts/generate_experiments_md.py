@@ -5,10 +5,10 @@ Run from the repository root::
 
     python scripts/generate_experiments_md.py
 
-Every table is produced by the same harness entries the benchmarks use
-(`repro.harness.experiments.EXPERIMENTS`), and the headline numbers in
-the commentary are interpolated from the measured tables, so the document
-can never go stale relative to the code.
+Every table comes from one sweep over the same harness entries the
+benchmarks use (`repro.harness.experiments.run_suite`), and the headline
+numbers in the commentary are interpolated from the measured tables, so
+the document can never go stale relative to the code.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import pathlib
 import sys
 
-from repro.harness.experiments import EXPERIMENTS
+from repro.harness.experiments import run_suite
 
 ORDER = ["R-T1", "R-T2", "R-T3", "R-T4", "R-T5", "R-T6", "R-T7",
          "R-F1", "R-F2", "R-F3", "R-F4", "R-F5", "R-F6", "R-F7", "R-F8",
@@ -291,7 +291,7 @@ interference."""
 
 
 def main() -> int:
-    tables = {eid: EXPERIMENTS[eid]() for eid in ORDER}
+    tables = dict(zip(ORDER, run_suite(ORDER)))
     out = ["""# EXPERIMENTS — measured results vs committed expectations
 
 Provenance reminder (see DESIGN.md): the 1983 paper's own tables/figures

@@ -88,11 +88,11 @@ def main(argv=None) -> int:
                         help="directory for the captured RunReports")
     args = parser.parse_args(argv)
 
-    from repro.harness.experiments import fig8_multiprocessor
+    from repro.harness.experiments import run_experiment
     from repro.metrics import capture_reports
 
     with capture_reports(args.out) as collector:
-        table = fig8_multiprocessor(n=args.n, node_counts=(args.nodes,))
+        table = run_experiment("R-F8", n=args.n, node_counts=(args.nodes,))
         print(table.to_text())
         print(f"captured {len(collector.reports)} RunReport(s) "
               f"under {args.out}")

@@ -19,9 +19,10 @@ subprocess on a duplicate-heavy R-F1 slice:
 * **worker-kill recovery** — a pool worker is SIGKILLed mid-sweep; the
   scheduler must respawn the pool and finish every job correctly,
   without re-executing results that already reached the store.
-* **submit** — ``python -m repro submit R-T4 --n 16`` against the
-  server must print the table ``repro experiment R-T4 --n 16`` prints,
-  and the server must execute its jobs (its ``executed`` grows).
+* **experiment --url** — ``python -m repro experiment all --n 16
+  --url URL`` must print byte for byte what ``repro experiment all
+  --n 16`` prints, and the server's ``executed`` must grow by the local
+  run's ``executed`` (one execution per distinct job of the suite).
 * **clean drain** — ``POST /v1/shutdown`` must drain in-flight work
   and exit the server with status 0.
 * **shared store** — after the drain, an in-process ``run_jobs`` of
@@ -29,7 +30,9 @@ subprocess on a duplicate-heavy R-F1 slice:
   served entirely from it (every job a hit, none executed), with
   results equal to the serial run.
 
-Exit status is non-zero on any violated expectation.
+Exit status is non-zero on any violated expectation.  ``repro serve``
+runs in its own session, and its whole process group (the server and
+its pool workers) is killed on the way out, pass or fail.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -91,7 +95,7 @@ def main() -> int:
          "--store", str(tmp / "store"), "--workers", "2",
          "--retries", "3", "--slice-cycles", "2000"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
-        env=env,
+        env=env, start_new_session=True,
     )
     try:
         line = server.stdout.readline().strip()
@@ -173,28 +177,30 @@ def main() -> int:
         print(f"buckets-varied grid ok: store holds {after['results']} "
               "results")
 
-        # --- repro submit runs a whole experiment on the server -------
+        # --- repro experiment --url runs the whole suite on the server
         def repro(*argv: str) -> subprocess.CompletedProcess:
             return subprocess.run(
                 [sys.executable, "-m", "repro", *argv],
                 capture_output=True, text=True, env=env, timeout=480,
             )
 
-        local = repro("experiment", "R-T4", "--n", "16")
+        local = repro("experiment", "all", "--n", "16")
         before = client.stats()["sweep"]["executed"]
-        remote = repro("submit", "R-T4", "--n", "16", "--url", url)
+        remote = repro("experiment", "all", "--n", "16", "--url", url)
         if local.returncode != 0 or remote.returncode != 0:
-            fail(f"experiment/submit R-T4 exited {local.returncode}/"
-                 f"{remote.returncode}: {remote.stderr.strip()}")
-        # `experiment` ends each table with a blank line, `submit` not
-        if remote.stdout + "\n" != local.stdout:
-            fail("submit R-T4 printed a table that differs from "
-                 "'repro experiment R-T4'")
+            fail(f"experiment all exited {local.returncode} locally, "
+                 f"{remote.returncode} with --url: "
+                 f"{remote.stderr.strip()}")
+        if remote.stdout != local.stdout:
+            fail("experiment all --url printed tables that differ from "
+                 "'repro experiment all'")
+        want = int(re.search(r"(\d+) executed", local.stderr).group(1))
         executed = client.stats()["sweep"]["executed"] - before
-        if executed <= 0:
-            fail("submit R-T4 executed no job on the server")
-        print(f"submit ok: R-T4 table identical to 'repro experiment', "
-              f"{executed} job(s) executed on the server")
+        if executed != want:
+            fail(f"experiment all --url executed {executed} job(s) on "
+                 f"the server; the local run executed {want}")
+        print(f"experiment --url ok: all 16 tables identical to the "
+              f"local run, {executed} job(s) executed on the server")
 
         # --- clean drain ----------------------------------------------
         client.shutdown()
@@ -219,9 +225,12 @@ def main() -> int:
         print("service smoke: all checks passed")
         return 0
     finally:
-        if server.poll() is None:
-            server.kill()
-            server.wait()
+        # the server's pool workers share its process group
+        try:
+            os.killpg(server.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        server.wait()
 
 
 if __name__ == "__main__":

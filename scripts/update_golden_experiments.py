@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from repro.harness.experiments import EXPERIMENTS
+from repro.harness.experiments import EXPERIMENTS, run_experiment
 
 #: reduced-size kwargs per experiment — small enough for tier-1, large
 #: enough that every kernel still executes its steady-state loop.
@@ -31,7 +31,7 @@ GOLDEN_KWARGS["R-F8"] = {"n": 48, "node_counts": [1, 2], "ports": [1, 2]}
 def build() -> dict:
     tables = {}
     for eid in sorted(EXPERIMENTS):
-        table = EXPERIMENTS[eid](**GOLDEN_KWARGS[eid])
+        table = run_experiment(eid, **GOLDEN_KWARGS[eid])
         tables[eid] = {
             "kwargs": GOLDEN_KWARGS[eid],
             "columns": list(table.columns),

@@ -17,44 +17,38 @@ Commands
     Run reconstructed experiments by identifier (``R-T1`` .. ``R-F8``,
     ``all``; spelling is forgiving — ``rf8`` selects ``R-F8``); figure
     experiments can add ``--plot`` for an ASCII chart,
-    and ``--csv`` emits machine-readable output.  ``--jobs N`` fans the
-    experiment's simulation jobs over N worker processes; ``--cache DIR``
-    reuses results across invocations (keyed by kernel, config, and code
-    version).  ``--metrics`` captures a RunReport (stall attribution +
-    counters) per simulation job, ``--metrics-dir DIR`` persists them as
+    and ``--csv`` emits machine-readable output.  Every id is checked
+    before anything runs, then all of them run as one sweep
+    (``repro.harness.experiments.run_suite``): each distinct simulation
+    job runs once, however many experiments list it, and a
+    ``SweepStats`` summary goes to stderr.  ``--jobs N`` fans the
+    sweep over one pool of N worker processes; ``--url URL`` sends it
+    to a running ``serve`` instance in one submission (the server
+    applies its own ``--timeout`` and ``--retries`` to each job).
+    ``--cache DIR`` keeps every result in a digest-verified store keyed
+    by kernel, config and code version, and a non-empty ``DIR`` needs
+    ``--resume``, which continues an interrupted sweep (only uncached
+    jobs execute).  The crash-safety flags: per-job ``--timeout`` (with
+    ``--jobs 2`` or more), bounded ``--retries`` with pool recovery,
+    and ``--inject-fault MODE[:VALUE]`` (with ``--cache``) to exercise
+    the recovery paths on purpose (see ``repro.harness.faults``); CI
+    uses it to prove kill-resume and corrupt-cache quarantine actually
+    work.  ``--metrics`` captures a RunReport (stall attribution +
+    counters) per executed job, ``--metrics-dir DIR`` persists them as
     JSON, and ``--n`` overrides the problem size (what the CI metrics
-    smoke step uses).
-
-``sweep ID``
-    Crash-safe experiment sweep: ``experiment`` plus a mandatory result
-    cache, per-job ``--timeout`` (with ``--jobs 2`` or more), bounded
-    ``--retries`` with pool recovery, and ``--resume`` to continue an
-    interrupted sweep (only uncached jobs re-execute).
-    ``--inject-fault MODE[:VALUE]`` exercises the recovery paths on
-    purpose (see ``repro.harness.faults``); CI uses it to prove
-    kill-resume and corrupt-cache quarantine actually work.  Every job
-    runs per point, in this process or on ``--jobs`` workers; the batch
-    engine pays only on lane groups of hundreds of configs of one
-    kernel, which ``batch KERNEL`` builds and the paper experiments
-    do not.
+    smoke step uses).  Every job runs per point; the batch engine pays
+    only on lane groups of hundreds of configs of one kernel, which
+    ``batch KERNEL`` builds and the paper experiments do not.
 
 ``serve``
     Sweep-as-a-service: a stdlib asyncio HTTP server over the harness.
     Clients POST job specs; identical in-flight jobs coalesce onto one
     execution, the backlog is bounded (429 on overflow), results land
-    in the same digest-verified store ``sweep --cache`` writes (a sweep
-    cache directory serves as ``--store`` and back), and preemptible
-    jobs run in checkpointed slices so a drained or crashed worker's
-    job resumes on another worker without lost cycles.  See
+    in the same digest-verified store ``experiment --cache`` writes (an
+    experiment cache directory serves as ``--store`` and back), and
+    preemptible jobs run in checkpointed slices so a drained or crashed
+    worker's job resumes on another worker without lost cycles.  See
     ``repro.service``.
-
-``submit ID``
-    Run any experiment's simulation jobs through a running ``serve``
-    instance (a ``HarnessPolicy.service_url`` scope around the
-    experiment, which sends every uncached job there): results stream
-    back as they land and can be flushed into a local ``--cache`` for
-    offline reuse.  The server applies its own ``--timeout`` and
-    ``--retries`` to each job.
 
 ``batch KERNEL``
     Dense (latency × queue-depth × bank-count) sweep of one kernel
@@ -120,7 +114,7 @@ import numpy as np
 
 from .config import MemoryConfig, QueueConfig, ScalarConfig, SMAConfig
 from .errors import KernelError
-from .harness import EXPERIMENTS, compare_spec, run_experiment
+from .harness import EXPERIMENTS, compare_spec, run_suite
 from .harness.plot import render_plot
 from .kernels import (
     all_kernels,
@@ -212,110 +206,110 @@ def _normalize_experiment_id(raw: str) -> str:
     return raw
 
 
+def _experiment_refusal(args) -> str | None:
+    """Why the ``experiment`` flags cannot run together, or ``None``."""
+    from .harness.store import ResultStore
+
+    if args.timeout is not None and args.jobs < 2:
+        return ("--timeout needs --jobs 2 or more: a serial sweep runs "
+                "each job in this process and cannot interrupt it")
+    if args.inject_fault and not args.cache:
+        return ("--inject-fault needs --cache: the fault's once-only "
+                "token file lives in the cache")
+    if args.metrics and args.url:
+        return (f"--metrics cannot capture the jobs the service at "
+                f"{args.url} runs; drop one of them")
+    if args.cache and not args.resume:
+        held = len(ResultStore(args.cache))
+        if held:
+            return (f"cache {args.cache} already holds {held} result(s); "
+                    "pass --resume to continue the sweep or point "
+                    "--cache at a fresh directory")
+    return None
+
+
 def cmd_experiment(args) -> int:
     from contextlib import nullcontext
+    from pathlib import Path
+
+    from .harness import harness_policy
+    from .harness.faults import FaultSpec
 
     if "all" in args.ids:
         ids = list(EXPERIMENTS)
     else:
         ids = [_normalize_experiment_id(raw) for raw in args.ids]
-    metrics = getattr(args, "metrics", False)
-    if metrics:
-        from .metrics import capture_reports
-
-        if getattr(args, "jobs", 1) != 1:
-            print("--metrics capture is serial; ignoring --jobs",
-                  file=sys.stderr)
-            args.jobs = 1
-        context = capture_reports(args.metrics_dir)
-    else:
-        context = nullcontext(None)
-    with context as collector:
-        for experiment_id in ids:
-            if experiment_id not in EXPERIMENTS:
-                print(f"unknown experiment {experiment_id!r}; "
-                      f"known: {sorted(EXPERIMENTS)} or 'all'",
-                      file=sys.stderr)
-                return 2
-            # only pass harness kwargs when requested, so experiment
-            # callables that don't take them keep working
-            kwargs = {}
-            if getattr(args, "jobs", 1) != 1:
-                kwargs["jobs"] = args.jobs
-            if getattr(args, "cache", None):
-                kwargs["cache_dir"] = args.cache
-            if getattr(args, "n", None) is not None:
-                kwargs["n"] = args.n
-            table = run_experiment(experiment_id, **kwargs)
-            if args.csv:
-                print(table.to_csv(), end="")
-            else:
-                print(table.to_text())
-            if args.plot and experiment_id.startswith("R-F"):
-                try:
-                    print()
-                    print(render_plot(table))
-                except ValueError as exc:
-                    print(f"  (no plot: {exc})")
-            print()
-        if collector is not None:
-            where = (f" under {collector.directory}"
-                     if collector.directory is not None else "")
-            print(f"captured {len(collector.reports)} RunReport(s){where}")
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    from pathlib import Path
-
-    from .harness import harness_policy
-    from .harness.faults import FaultSpec
-    from .harness.store import ResultStore
-
-    experiment_id = _normalize_experiment_id(args.id)
-    if experiment_id not in EXPERIMENTS:
-        print(f"unknown experiment {args.id!r}; "
-              f"known: {sorted(EXPERIMENTS)}", file=sys.stderr)
+    unknown = [eid for eid in ids if eid not in EXPERIMENTS]
+    if unknown:
+        print(f"unknown experiment {unknown[0]!r}; "
+              f"known: {sorted(EXPERIMENTS)} or 'all'", file=sys.stderr)
         return 2
-    if args.timeout is not None and args.jobs < 2:
-        print("--timeout needs --jobs 2 or more: a serial sweep runs "
-              "each job in this process and cannot interrupt it",
+    if args.metrics and args.jobs != 1:
+        print("--metrics capture is serial; ignoring --jobs",
               file=sys.stderr)
+        args.jobs = 1
+    refusal = _experiment_refusal(args)
+    if refusal is not None:
+        print(refusal, file=sys.stderr)
         return 2
-    cache = Path(args.cache)
-    held = len(ResultStore(cache))
-    if held and not args.resume:
-        print(f"cache {cache} already holds {held} "
-              "result(s); pass --resume to continue the sweep or point "
-              "--cache at a fresh directory", file=sys.stderr)
-        return 2
-
     inject = None
     if args.inject_fault:
         try:
             # the token file makes one-shot faults fire once per sweep
             # even across pool workers (and across --resume reruns)
             inject = FaultSpec.parse(
-                args.inject_fault, token_path=str(cache / ".fault-token")
+                args.inject_fault,
+                token_path=str(Path(args.cache) / ".fault-token"),
             )
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+    service_failure: tuple | type = ()  # nothing to catch without --url
+    if args.url:
+        from .service.client import ServiceClient, ServiceError
 
-    kwargs = {"cache_dir": str(cache)}
-    if args.jobs != 1:
-        kwargs["jobs"] = args.jobs
-    if args.n is not None:
-        kwargs["n"] = args.n
-    with harness_policy(
-        timeout=args.timeout, retries=args.retries, inject=inject
-    ) as stats:
-        table = run_experiment(experiment_id, **kwargs)
-    if args.csv:
-        print(table.to_csv(), end="")
-    else:
-        print(table.to_text())
-    print(f"\nsweep {experiment_id}: {stats.summary()}", file=sys.stderr)
+        with ServiceClient(args.url) as probe:
+            alive = probe.healthz()
+        if not alive:
+            print(f"no sweep service answering at {args.url}",
+                  file=sys.stderr)
+            return 2
+        service_failure = ServiceError
+
+    params = {} if args.n is None else {"n": args.n}
+    capture = nullcontext(None)
+    if args.metrics:
+        from .metrics import capture_reports
+
+        capture = capture_reports(args.metrics_dir)
+    try:
+        with capture as collector, harness_policy(
+            timeout=args.timeout, retries=args.retries, inject=inject,
+            service_url=args.url,
+        ) as stats:
+            tables = run_suite(ids, jobs=args.jobs, cache_dir=args.cache,
+                               **params)
+    except service_failure as exc:
+        print(f"service run failed: {exc}", file=sys.stderr)
+        return 1
+    for experiment_id, table in zip(ids, tables):
+        if args.csv:
+            print(table.to_csv(), end="")
+        else:
+            print(table.to_text())
+        if args.plot and experiment_id.startswith("R-F"):
+            try:
+                print()
+                print(render_plot(table))
+            except ValueError as exc:
+                print(f"  (no plot: {exc})")
+        print()
+    if collector is not None:
+        where = (f" under {collector.directory}"
+                 if collector.directory is not None else "")
+        print(f"captured {len(collector.reports)} RunReport(s){where}")
+    print(f"experiment {' '.join(args.ids)}: {stats.summary()}",
+          file=sys.stderr)
     return 0
 
 
@@ -349,40 +343,6 @@ def cmd_serve(args) -> int:
     except KeyboardInterrupt:
         print("interrupted; store is consistent (atomic writes)",
               file=sys.stderr)
-    return 0
-
-
-def cmd_submit(args) -> int:
-    from .harness import harness_policy
-    from .service.client import ServiceClient, ServiceError
-
-    experiment_id = _normalize_experiment_id(args.id)
-    if experiment_id not in EXPERIMENTS:
-        print(f"unknown experiment {args.id!r}; "
-              f"known: {sorted(EXPERIMENTS)}", file=sys.stderr)
-        return 2
-    with ServiceClient(args.url) as probe:
-        alive = probe.healthz()
-    if not alive:
-        print(f"no sweep service answering at {args.url}",
-              file=sys.stderr)
-        return 2
-    kwargs = {}
-    if args.cache:
-        kwargs["cache_dir"] = args.cache
-    if args.n is not None:
-        kwargs["n"] = args.n
-    try:
-        with harness_policy(service_url=args.url) as stats:
-            table = run_experiment(experiment_id, **kwargs)
-    except ServiceError as exc:
-        print(f"service run failed: {exc}", file=sys.stderr)
-        return 1
-    if args.csv:
-        print(table.to_csv(), end="")
-    else:
-        print(table.to_text())
-    print(f"\nsubmit {experiment_id}: {stats.summary()}", file=sys.stderr)
     return 0
 
 
@@ -453,10 +413,12 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def _checkpoint_machine(kernel_name: str, n: int, seed: int, latency: int):
-    """Build the (machine, spec) a ``checkpoint`` snapshot belongs to —
-    save and load must construct it identically for the fingerprint
-    check to pass."""
+def _sma_machine(kernel_name: str, n: int, latency: int,
+                 seed: int = 12345):
+    """Build one suite kernel's loaded SMA machine at the CLI's config
+    for ``latency``; returns ``(machine, spec)``.  ``checkpoint save``
+    and ``load`` both build through here, so a snapshot's fingerprint
+    check passes."""
     from dataclasses import replace as _replace
 
     from .core import SMAMachine
@@ -482,8 +444,8 @@ def cmd_checkpoint(args) -> int:
     from .errors import CheckpointError
 
     if args.action == "save":
-        machine, spec = _checkpoint_machine(
-            args.kernel, args.n, args.seed, args.latency
+        machine, spec = _sma_machine(
+            args.kernel, args.n, args.latency, args.seed
         )
         stepped = machine.step_cycles(args.cycles)
         snap = machine.snapshot()
@@ -510,9 +472,9 @@ def cmd_checkpoint(args) -> int:
               file=sys.stderr)
         return 2
     try:
-        machine, spec = _checkpoint_machine(
-            payload["kernel"], payload["n"], payload["seed"],
-            payload["latency"],
+        machine, spec = _sma_machine(
+            payload["kernel"], payload["n"], payload["latency"],
+            payload["seed"],
         )
         machine.restore(payload["snapshot"])
     except (KeyError, TypeError) as exc:
@@ -566,20 +528,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_timeline(args) -> int:
-    from .core import SMAMachine
-    from .harness.runner import _fit_memory, _load_inputs
     from .trace import TimelineRecorder
-    from dataclasses import replace as _replace
 
-    spec = get_kernel(args.kernel)
-    kernel, inputs = spec.instantiate(args.n)
-    lowered = lower_sma(kernel)
-    sma_cfg, _ = _configs(args.latency)
-    cfg = _replace(sma_cfg, memory=_fit_memory(sma_cfg.memory,
-                                               lowered.layout))
-    machine = SMAMachine(lowered.access_program, lowered.execute_program,
-                         cfg)
-    _load_inputs(machine, lowered.layout, kernel, inputs)
+    machine, spec = _sma_machine(args.kernel, args.n, args.latency)
     recorder = TimelineRecorder()
     result = machine.run(observer=recorder)
     print(f"{spec.name}: {result.cycles} cycles "
@@ -631,20 +582,8 @@ def cmd_profile(args) -> int:
     import os
     import pstats
     import time
-    from dataclasses import replace as _replace
 
-    from .core import SMAMachine
-    from .harness.runner import _fit_memory, _load_inputs
-
-    spec = get_kernel(args.kernel)
-    kernel, inputs = spec.instantiate(args.n)
-    lowered = lower_sma(kernel)
-    sma_cfg, _ = _configs(args.latency)
-    cfg = _replace(sma_cfg, memory=_fit_memory(sma_cfg.memory,
-                                               lowered.layout))
-    machine = SMAMachine(lowered.access_program, lowered.execute_program,
-                         cfg)
-    _load_inputs(machine, lowered.layout, kernel, inputs)
+    machine, spec = _sma_machine(args.kernel, args.n, args.latency)
 
     profiler = cProfile.Profile()
     start = time.perf_counter()
@@ -763,52 +702,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--csv", action="store_true",
                        help="emit CSV instead of the aligned table")
     p_exp.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="fan simulation jobs over N worker processes "
-                            "(default 1: serial, deterministic)")
+                       help="fan the sweep's distinct jobs over one pool "
+                            "of N worker processes (default 1: serial, "
+                            "deterministic)")
     p_exp.add_argument("--cache", default=None, metavar="DIR",
                        help="cache job results under DIR, one "
                             "digest-verified file per (kernel, config, "
-                            "code version)")
+                            "code version); a non-empty DIR needs "
+                            "--resume")
+    p_exp.add_argument("--resume", action="store_true",
+                       help="continue into a non-empty cache (only "
+                            "uncached jobs execute)")
     p_exp.add_argument("--n", type=int, default=None,
-                       help="override the experiment's problem size")
+                       help="override the experiments' problem size")
+    p_exp.add_argument("--timeout", type=float, default=None,
+                       metavar="SECONDS",
+                       help="per-job wall-clock timeout; needs --jobs 2 "
+                            "or more")
+    p_exp.add_argument("--retries", type=int, default=0, metavar="K",
+                       help="retry a failed/timed-out/killed job up to "
+                            "K times (default 0)")
+    p_exp.add_argument("--inject-fault", default=None,
+                       metavar="MODE[:VALUE]",
+                       help="inject a fault to exercise recovery (needs "
+                            "--cache): worker-kill, cache-corrupt, "
+                            "mem-error:p, driver-kill:k, sleep:s")
+    p_exp.add_argument("--url", default=None,
+                       help="run the jobs on the 'repro serve' instance "
+                            "at this base URL, e.g. "
+                            "http://127.0.0.1:8141")
     p_exp.add_argument("--metrics", action="store_true",
                        help="capture a RunReport (stall attribution + "
-                            "counters) for every simulation job")
+                            "counters) for every executed job")
     p_exp.add_argument("--metrics-dir", default=None, metavar="DIR",
                        help="write captured RunReports as JSON under DIR")
-
-    p_sweep = sub.add_parser(
-        "sweep",
-        help="crash-safe experiment sweep: cached, resumable, with "
-             "per-job timeouts, bounded retries, and fault injection",
-    )
-    p_sweep.add_argument(
-        "id", help=f"experiment id ({_experiment_id_summary()})"
-    )
-    p_sweep.add_argument("--cache", required=True, metavar="DIR",
-                         help="result cache directory (required: it is "
-                              "what makes the sweep resumable)")
-    p_sweep.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="fan jobs over N worker processes")
-    p_sweep.add_argument("--n", type=int, default=None,
-                         help="override the experiment's problem size")
-    p_sweep.add_argument("--resume", action="store_true",
-                         help="continue into a non-empty cache (only "
-                              "uncached jobs execute)")
-    p_sweep.add_argument("--timeout", type=float, default=None,
-                         metavar="SECONDS",
-                         help="per-job wall-clock timeout; needs "
-                              "--jobs 2 or more")
-    p_sweep.add_argument("--retries", type=int, default=2, metavar="K",
-                         help="retry a failed/timed-out/killed job up to "
-                              "K times (default 2)")
-    p_sweep.add_argument("--inject-fault", default=None,
-                         metavar="MODE[:VALUE]",
-                         help="inject a fault to exercise recovery: "
-                              "worker-kill, cache-corrupt, mem-error:p, "
-                              "driver-kill:k, sleep:s")
-    p_sweep.add_argument("--csv", action="store_true",
-                         help="emit CSV instead of the aligned table")
 
     p_serve = sub.add_parser(
         "serve",
@@ -817,8 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--store", required=True, metavar="DIR",
                          help="result store root, created if missing; "
-                              "a 'repro sweep --cache' directory serves "
-                              "as is")
+                              "a 'repro experiment --cache' directory "
+                              "serves as is")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=0,
                          help="listen port (default 0: kernel-assigned; "
@@ -840,25 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="CYCLES",
                          help="checkpoint interval for preemptible jobs "
                               "(default 100000)")
-
-    p_submit = sub.add_parser(
-        "submit",
-        help="run an experiment's simulation jobs through a running "
-             "'repro serve' instance",
-    )
-    p_submit.add_argument(
-        "id", help=f"experiment id ({_experiment_id_summary()})"
-    )
-    p_submit.add_argument("--url", required=True,
-                          help="service base URL, e.g. "
-                               "http://127.0.0.1:8141")
-    p_submit.add_argument("--cache", default=None, metavar="DIR",
-                          help="also flush results into a local harness "
-                               "cache as they stream back")
-    p_submit.add_argument("--n", type=int, default=None,
-                          help="override the experiment's problem size")
-    p_submit.add_argument("--csv", action="store_true",
-                          help="emit CSV instead of the aligned table")
 
     p_batch = sub.add_parser(
         "batch",
@@ -974,9 +882,7 @@ _COMMANDS = {
     "run": cmd_run,
     "compile": cmd_compile,
     "experiment": cmd_experiment,
-    "sweep": cmd_sweep,
     "serve": cmd_serve,
-    "submit": cmd_submit,
     "batch": cmd_batch,
     "checkpoint": cmd_checkpoint,
     "report": cmd_report,

@@ -1,6 +1,6 @@
 """Experiment harness: runners, sweeps, tables for every figure/table."""
 
-from .experiments import EXPERIMENTS, run_experiment
+from .experiments import EXPERIMENTS, run_experiment, run_suite
 from .faults import FaultSpec
 from .jobs import Job, run_job
 from .parallel import (
@@ -41,5 +41,6 @@ __all__ = [
     "run_on_scalar",
     "run_on_sma",
     "run_spec_reference",
+    "run_suite",
     "set_policy",
 ]

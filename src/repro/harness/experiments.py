@@ -1,22 +1,25 @@
 """The reconstructed evaluation: one function per table / figure.
 
 Each experiment (see DESIGN.md §3 for the index and EXPERIMENTS.md for
-measured-vs-expected) returns a :class:`repro.harness.tables.Table`; the
-``benchmarks/`` tree has one pytest-benchmark module per experiment that
-runs it and prints the table.
+measured-vs-expected) produces a :class:`repro.harness.tables.Table`;
+the ``benchmarks/`` tree has one pytest-benchmark module per experiment
+that runs it through :func:`run_experiment` and prints the table.
 
-Every experiment is split into two pure halves: it first *declares* its
-sweep as a list of :class:`repro.harness.jobs.Job` descriptions, hands
-the list to :func:`repro.harness.parallel.run_jobs` (which can fan jobs
-over worker processes and/or an on-disk result cache — the ``jobs=`` and
-``cache_dir=`` keywords every experiment accepts), then *assembles* the
-table from the returned measurement dicts.  With the defaults
+Every experiment is a generator in two pure halves: it first
+*declares* its sweep as one list of :class:`repro.harness.jobs.Job`
+descriptions and yields it (``results = yield joblist``), then
+*assembles* its table from the measurement dicts it is sent back, in
+job order.  Only :func:`run_suite` drives the generators: it plans every
+requested experiment, hands the concatenated job lists to one
+:func:`repro.harness.parallel.run_jobs` call, and sends each experiment
+its slice of the results.  ``run_jobs`` runs each distinct job once, so
+a job that several experiments share is simulated once per suite.
+:func:`run_experiment` is the one-experiment case.  With the defaults
 (``jobs=1``, no cache) everything runs serially in-process, so results
-are deterministic for CI.  Where the jobs run is decided by
-``run_jobs`` and the ambient
-:class:`~repro.harness.parallel.HarnessPolicy` alone: a policy
-``service_url`` (``repro submit``) sends every experiment's uncached
-jobs to a ``repro serve`` instance.
+are deterministic for CI.  Where the jobs run is decided by ``run_jobs``
+and the ambient :class:`~repro.harness.parallel.HarnessPolicy` alone: a
+policy ``service_url`` (``repro experiment --url``) sends the suite's
+uncached jobs to a ``repro serve`` instance in one submission.
 
 Identifiers:
 
@@ -46,7 +49,7 @@ Sweeps keep the classic era relationship ``bank_busy = latency / 2``
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 from ..config import (
     CacheConfig,
@@ -60,6 +63,10 @@ from ..kernels import all_kernels
 from .jobs import Job
 from .parallel import run_jobs
 from .tables import Table
+
+#: an experiment's generator: yields its job list once, is sent the
+#: results in job order, and returns its table
+Plan = Generator[list[Job], list[dict], Table]
 
 #: kernels used where a sweep would be too expensive over the full suite
 STREAMING_REPS = ("hydro", "daxpy", "state_eqn", "first_diff")
@@ -97,9 +104,7 @@ def _configs(
 # ---------------------------------------------------------------------------
 
 
-def table1_mix(
-    n: int = 256, jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+def table1_mix(n: int = 256) -> Plan:
     """Instruction mix per kernel: how the SMA split redistributes work.
 
     For the scalar machine we report dynamic instructions and memory
@@ -120,7 +125,7 @@ def table1_mix(
             Job("scalar", spec.name, n, scalar_config=scalar_cfg)
         )
         joblist.append(Job("sma", spec.name, n, sma_config=sma_cfg))
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     for spec, scalar, sma in zip(specs, results[::2], results[1::2]):
         t.add_row(
             spec.name,
@@ -146,8 +151,7 @@ def table1_mix(
 
 def table2_speedup(
     n: int = 256, latency: int = 8,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """SMA vs scalar baseline over the whole suite (the headline result)."""
     t = Table(
         "R-T2",
@@ -165,7 +169,7 @@ def table2_speedup(
         joblist.append(
             Job("sma", spec.name, n, sma_config=sma_cfg, check=True)
         )
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     for spec, scalar, sma in zip(specs, results[::2], results[1::2]):
         t.add_row(
             spec.name,
@@ -189,8 +193,7 @@ def table3_cache(
     n: int = 256,
     cache_sizes: Sequence[int] = (128, 256, 512, 1024, 4096),
     kernels: Sequence[str] = CACHE_REPS,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Does a conventional data cache close the gap?
 
     Streaming kernels have no reuse, so the cache only helps through its
@@ -217,7 +220,7 @@ def table3_cache(
                                   associativity=2),
             )
             joblist.append(Job("scalar", name, n, scalar_config=cached_cfg))
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     for i, name in enumerate(kernels):
         sma, scalar, *cached = results[i * stride:(i + 1) * stride]
         t.add_row(
@@ -236,8 +239,7 @@ def table3_cache(
 
 def table4_lod(
     n: int = 256, kernels: Sequence[str] = LOD_REPS,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Where decoupling collapses: EP-fed addresses and branches force the
     AP to the EP's speed; structured gathers (index from *memory*) do not."""
     t = Table(
@@ -253,7 +255,7 @@ def table4_lod(
         joblist.append(
             Job("scalar", name, n, scalar_config=scalar_cfg, check=True)
         )
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     for name, sma, scalar in zip(kernels, results[::2], results[1::2]):
         t.add_row(
             name,
@@ -277,8 +279,7 @@ PREFETCH_REPS = ("daxpy", "saxpy_strided", "stride8_copy", "hydro",
 
 def table5_prefetch(
     n: int = 256, kernels: Sequence[str] = PREFETCH_REPS,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Extension: how close does *speculative* hardware prefetching get to
     the SMA's *exact* (descriptor-driven) prefetching?
 
@@ -315,7 +316,7 @@ def table5_prefetch(
         for cfg in variants:
             joblist.append(Job("scalar", name, n, scalar_config=cfg))
         joblist.append(Job("sma", name, n, sma_config=sma_cfg))
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     for i, name in enumerate(kernels):
         uncached, plain, obl, rpt, sma = results[i * stride:(i + 1) * stride]
         t.add_row(
@@ -339,8 +340,7 @@ VECTOR_REPS = ("hydro", "daxpy", "inner_product", "stencil2d",  # vectorize
 
 def table6_vector(
     n: int = 256, kernels: Sequence[str] = VECTOR_REPS,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Extension: the era's second comparator — a CRAY-flavoured vector
     machine with perfect chaining (charitable: free scalar bookkeeping).
 
@@ -365,7 +365,7 @@ def table6_vector(
         joblist.append(
             Job("vector", name, n, memory_config=scalar_cfg.memory)
         )
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     for name, sma, scalar, vector in zip(
         kernels, results[::3], results[1::3], results[2::3]
     ):
@@ -395,8 +395,7 @@ def fig1_latency(
     n: int = 256,
     latencies: Sequence[int] = (1, 2, 4, 8, 16, 32),
     kernels: Sequence[str] = LATENCY_REPS,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Speedup vs memory latency: the decoupled machine's latency
     tolerance is the paper's central claim — speedup *grows* with latency
     for streaming kernels, and saturates for recurrences."""
@@ -415,7 +414,7 @@ def fig1_latency(
             joblist.append(
                 Job("scalar", name, n, scalar_config=scalar_cfg, check=True)
             )
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     stride = 2 * len(kernels)  # jobs per latency point
     for i, latency in enumerate(latencies):
         point = results[i * stride:(i + 1) * stride]
@@ -437,8 +436,7 @@ def fig2_queue_depth(
     depths: Sequence[int] = (1, 2, 4, 8, 16, 32, 64),
     kernels: Sequence[str] = STREAMING_REPS,
     latency: int = 8,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """SMA cycles vs architectural queue depth: a handful of entries
     (≈ memory latency) buys nearly all of the decoupling."""
     t = Table(
@@ -451,7 +449,7 @@ def fig2_queue_depth(
         sma_cfg, _ = _configs(latency=latency, queue_depth=depth)
         for name in kernels:
             joblist.append(Job("sma", name, n, sma_config=sma_cfg))
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     width = len(kernels)
     for i, depth in enumerate(depths):
         point = results[i * width:(i + 1) * width]
@@ -464,9 +462,7 @@ def fig2_queue_depth(
 # ---------------------------------------------------------------------------
 
 
-def fig3_slip(
-    n: int = 256, jobs: int = 1, cache_dir: str | None = None
-) -> Table:
+def fig3_slip(n: int = 256) -> Plan:
     """Achieved run-ahead (mean outstanding loads) per kernel — how far
     the access processor actually gets ahead of execution."""
     t = Table(
@@ -478,7 +474,7 @@ def fig3_slip(
     sma_cfg, _ = _configs()
     specs = all_kernels()
     joblist = [Job("sma", spec.name, n, sma_config=sma_cfg) for spec in specs]
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     for spec, res in zip(specs, results):
         empty = res["ep_stalls"].get("lq_empty", 0)
         t.add_row(
@@ -501,8 +497,7 @@ def fig4_banks(
     banks: Sequence[int] = (1, 2, 4, 8, 16),
     kernels: Sequence[str] = BANK_REPS,
     latency: int = 8,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Words per cycle vs interleaving degree, for strides 1/2/5/8: the
     stride-vs-banks aliasing structure is the classic interleave result."""
     t = Table(
@@ -515,7 +510,7 @@ def fig4_banks(
         sma_cfg, _ = _configs(latency=latency, banks=nb)
         for name in kernels:
             joblist.append(Job("sma", name, n, sma_config=sma_cfg))
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     width = len(kernels)
     for i, nb in enumerate(banks):
         point = results[i * width:(i + 1) * width]
@@ -537,8 +532,7 @@ def fig4_banks(
 
 def fig5_ablation(
     n: int = 256, kernels: Sequence[str] = ABLATION_REPS,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Structured descriptors ON vs OFF (per-element DAE): the access
     processor's instruction bandwidth becomes the bottleneck without
     whole-stream descriptors."""
@@ -553,7 +547,7 @@ def fig5_ablation(
     for name in kernels:
         joblist.append(Job("sma", name, n, sma_config=sma_cfg))
         joblist.append(Job("sma-nostream", name, n, sma_config=sma_cfg))
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     for name, stream, elem in zip(kernels, results[::2], results[1::2]):
         t.add_row(
             name,
@@ -574,21 +568,15 @@ def fig5_ablation(
 
 def fig6_occupancy(
     kernel_name: str = "hydro", n: int = 512, buckets: int = 32,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Load/store queue occupancy over a run — the decoupling 'profile':
     load queues fill within one memory latency of start and stay near
     capacity until the stream tail drains."""
     sma_cfg, _ = _configs()
-    [res] = run_jobs(
-        [
-            Job(
-                "sma-occupancy", kernel_name, n,
-                sma_config=sma_cfg, buckets=buckets,
-            )
-        ],
-        workers=jobs, cache_dir=cache_dir,
-    )
+    [res] = yield [
+        Job("sma-occupancy", kernel_name, n, sma_config=sma_cfg,
+            buckets=buckets)
+    ]
     t = Table(
         "R-F6",
         f"Queue occupancy over time ({kernel_name}, n={n})",
@@ -610,8 +598,7 @@ def fig7_ports(
     n: int = 256,
     ports: Sequence[int] = (1, 2, 4),
     kernels: Sequence[str] = ("daxpy", "hydro", "state_eqn"),
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Design ablation: does a *single* SMA node need a wider memory port
     (and a faster stream engine)?
 
@@ -637,7 +624,7 @@ def fig7_ports(
         )
         for name in kernels:
             joblist.append(Job("sma", name, n, sma_config=cfg))
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     stride = len(kernels)
     for i, width in enumerate(ports):
         point = results[i * stride:(i + 1) * stride]
@@ -666,8 +653,7 @@ def fig8_multiprocessor(
     node_counts: Sequence[int] = (1, 2, 4, 8),
     ports: Sequence[int] = (1, 2, 4),
     kernel: str = "daxpy",
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Future-work extension: N identical SMA nodes sharing one banked
     memory.  Reports the mean per-node slowdown versus running alone.
 
@@ -693,7 +679,7 @@ def fig8_multiprocessor(
                 Job("cluster", kernel, n, sma_config=cfg, check=True,
                     nodes=count)
             )
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     width = len(ports)
     for i, count in enumerate(node_counts):
         point = results[i * width:(i + 1) * width]
@@ -723,8 +709,7 @@ def _spec_sma(speculation: SpeculationConfig | None) -> SMAConfig:
 def table7_speculation(
     n: int = 256, reps: Sequence[tuple[str, str]] = SPECULATION_REPS,
     accuracies: Sequence[float] = SPEC_ACCURACIES,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Extension: recovering LOD-collapsed speedup with a speculative AP.
 
     On the ``addr``/``branch`` lowerings the AP stalls on EAQ/EBQ every
@@ -750,7 +735,7 @@ def table7_speculation(
                 SpeculationConfig(accuracy=acc, max_depth=SPEC_DEPTH)))
         for name, variant in reps for acc in accuracies
     ]
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     stride = len(accuracies)
     for i, (name, variant) in enumerate(reps):
         rows = results[i * stride:(i + 1) * stride]
@@ -775,8 +760,7 @@ SPEC_DEPTHS = (1, 2, 4, 8, 16)
 def fig9_spec_depth(
     n: int = 256, reps: Sequence[tuple[str, str]] = SPECULATION_REPS,
     depths: Sequence[int] = SPEC_DEPTHS,
-    jobs: int = 1, cache_dir: str | None = None,
-) -> Table:
+) -> Plan:
     """Extension: how much run-ahead does recovery need?  Perfect
     predictor, sweeping the maximum number of unresolved predictions the
     AP may hold.  Expected shape: cycles fall as depth grows until the
@@ -803,7 +787,7 @@ def fig9_spec_depth(
                     sma_config=_spec_sma(
                         SpeculationConfig(mode="perfect", max_depth=depth)))
             )
-    results = run_jobs(joblist, workers=jobs, cache_dir=cache_dir)
+    results = yield joblist
     stride = len(depths) + 1
     for i, (name, variant) in enumerate(reps):
         base, *rows = results[i * stride:(i + 1) * stride]
@@ -822,7 +806,7 @@ def fig9_spec_depth(
 
 # ---------------------------------------------------------------------------
 
-EXPERIMENTS: dict[str, Callable[..., Table]] = {
+EXPERIMENTS: dict[str, Callable[..., Plan]] = {
     "R-T1": table1_mix,
     "R-T2": table2_speedup,
     "R-T3": table3_cache,
@@ -842,13 +826,52 @@ EXPERIMENTS: dict[str, Callable[..., Table]] = {
 }
 
 
-def run_experiment(experiment_id: str, **kwargs) -> Table:
-    """Run one experiment by its DESIGN.md identifier."""
-    try:
-        fn = EXPERIMENTS[experiment_id]
-    except KeyError:
+def run_suite(
+    ids: Sequence[str], *, jobs: int = 1, cache_dir: str | None = None,
+    **params,
+) -> list[Table]:
+    """Run the experiments ``ids`` (DESIGN.md identifiers) as one sweep
+    and return their tables in the same order.
+
+    Every id is checked before any experiment is planned.  Each
+    experiment is called with ``params`` and plans its job list; the
+    lists are concatenated into one :func:`run_jobs` call (``jobs``
+    workers, result cache ``cache_dir``), and each experiment is sent
+    its own slice of the results to assemble its table.
+    """
+    unknown = [eid for eid in ids if eid not in EXPERIMENTS]
+    if unknown:
         raise KeyError(
-            f"unknown experiment {experiment_id!r}; "
+            f"unknown experiment {unknown[0]!r}; "
             f"known: {sorted(EXPERIMENTS)}"
-        ) from None
-    return fn(**kwargs)
+        )
+    plans = [EXPERIMENTS[eid](**params) for eid in ids]
+    joblists = [next(plan) for plan in plans]
+    results = run_jobs(
+        [job for joblist in joblists for job in joblist],
+        workers=jobs, cache_dir=cache_dir,
+    )
+    tables = []
+    start = 0
+    for eid, plan, joblist in zip(ids, plans, joblists):
+        stop = start + len(joblist)
+        try:
+            plan.send(results[start:stop])
+        except StopIteration as done:
+            tables.append(done.value)
+        else:
+            raise RuntimeError(f"{eid} yielded more than one job list")
+        start = stop
+    return tables
+
+
+def run_experiment(
+    experiment_id: str, *, jobs: int = 1, cache_dir: str | None = None,
+    **params,
+) -> Table:
+    """Run one experiment by its DESIGN.md identifier: the one-id case
+    of :func:`run_suite`."""
+    [table] = run_suite(
+        [experiment_id], jobs=jobs, cache_dir=cache_dir, **params
+    )
+    return table

@@ -1,12 +1,12 @@
 """Fault-tolerant job fan-out and result caching for the sweep harness.
 
 :func:`run_jobs` is the one entry point: it takes the declarative job
-list an experiment built, optionally consults an on-disk result cache,
-runs the remaining jobs serially (the default — deterministic and
-dependency-free, what CI uses), on a local
+list the requested experiments planned, optionally consults an on-disk
+result cache, runs each remaining distinct job once — serially (the
+default — deterministic and dependency-free, what CI uses), on a local
 :class:`~repro.harness.scheduler.JobScheduler` whose workers share one
 process pool, or on a ``repro serve`` instance the ambient
-:class:`HarnessPolicy` names, and returns results in job order.  It
+:class:`HarnessPolicy` names — and returns results in job order.  It
 and the policy are the only place that decides where jobs run.
 
 The cache key binds each result to the *code* as well as the job: a
@@ -70,7 +70,7 @@ class SweepError(RuntimeError):
 
 @dataclass
 class SweepStats:
-    """What a sweep did — surfaced by ``repro sweep`` and the tests."""
+    """What a sweep did — printed by ``repro experiment`` on stderr."""
 
     hits: int = 0         #: results served from the cache
     executed: int = 0     #: jobs actually simulated
@@ -78,8 +78,9 @@ class SweepStats:
     retried: int = 0      #: job re-executions (failure or timeout)
     respawns: int = 0     #: process pools rebuilt after a crash/timeout
     quarantined: int = 0  #: corrupt cache entries moved aside
-    #: identical submissions folded onto one execution (pool sweeps and
-    #: the service; see :mod:`repro.harness.scheduler`)
+    #: repeats of a job key within one ``run_jobs`` call, and (in the
+    #: service) submissions folded onto an identical in-flight job;
+    #: see :mod:`repro.harness.scheduler`
     coalesced: int = 0
     #: submissions bounced by queue backpressure (service scheduler only)
     rejected: int = 0
@@ -128,8 +129,9 @@ class HarnessPolicy:
     inject: FaultSpec | None = None
     #: base URL of a running ``repro serve`` instance; when set,
     #: :func:`run_jobs` sends every uncached job in the policy's scope
-    #: there (``repro submit`` sets it), and refuses an armed fault, a
-    #: ``timeout`` or ``backend="batch"`` beside it.
+    #: there (``repro experiment --url`` sets it), and refuses an armed
+    #: fault, a ``timeout``, ``retries``, ``workers > 1`` or
+    #: ``backend="batch"`` beside it.
     service_url: str | None = None
     #: shared stats sink; ``run_jobs`` accumulates into it when set.
     stats: SweepStats | None = field(default=None, compare=False)
@@ -229,24 +231,29 @@ def run_jobs(
 
     This function and the ambient :class:`HarnessPolicy` (see
     :func:`harness_policy` / :func:`set_policy`) are the one place that
-    decides where a sweep's jobs run: the experiments pass only
-    ``workers`` and ``cache_dir`` through.  ``cache_dir``, when given,
-    is a :class:`~repro.harness.store.ResultStore`: each result is
-    persisted under its (code fingerprint, job) key, and hits whose
-    digest verifies are reused on later runs.  The uncached jobs run
+    decides where a sweep's jobs run: :func:`~repro.harness.
+    experiments.run_suite` passes only ``workers`` and ``cache_dir``
+    through.  Each job's key (:func:`job_key`) is computed once, and
+    each distinct key runs once on every route: a repeat gets the
+    first job's result and counts in :attr:`SweepStats.coalesced`.
+    ``cache_dir``, when given, is a
+    :class:`~repro.harness.store.ResultStore`: each result is persisted
+    under its key, and hits whose digest verifies are reused on later
+    runs.  The uncached jobs run
 
     * on a running ``repro serve`` instance when the policy sets
-      :attr:`HarnessPolicy.service_url` (``repro submit`` does): the
-      server coalesces identical in-flight jobs across clients, serves
+      :attr:`HarnessPolicy.service_url` (``repro experiment --url``
+      does): the server coalesces identical in-flight jobs across
+      clients, serves
       repeats from its result store and applies its own per-job
       timeout and retries (:mod:`repro.service`).  Results land in the
       local ``cache_dir`` as they stream back, so a service sweep and a
       local sweep are resume-interchangeable;
     * otherwise, with ``workers > 1``, on a local
       :class:`~repro.harness.scheduler.JobScheduler` with ``workers``
-      workers sharing one process pool: duplicate jobs coalesce onto
-      one execution, and a sliceable SMA or cluster job that times out
-      or loses its worker retries from its last slice checkpoint;
+      workers sharing one process pool: a sliceable SMA or cluster job
+      that times out or loses its worker retries from its last slice
+      checkpoint;
     * otherwise in-process (``workers=1``, the default), which keeps CI
       deterministic and lets the per-process compilation memoization in
       :mod:`.jobs` see the whole sweep.
@@ -268,8 +275,10 @@ def run_jobs(
     raised before the cache is probed: a fault armed for the batch
     engine or the service (neither runs this sweep's fault hooks), a
     per-job timeout on the service route (the server times each job
-    with its own ``repro serve --timeout``), and ``backend="batch"`` on
-    the service route.  Genuine job exceptions propagate unchanged once
+    with its own ``repro serve --timeout``), ``backend="batch"`` on
+    the service route, and on the service route the policy's
+    ``retries`` (the server applies its own ``repro serve --retries``)
+    and ``workers > 1``.  Genuine job exceptions propagate unchanged once
     the policy's retry budget is exhausted.
     """
     if backend not in ("scalar", "batch"):
@@ -277,33 +286,33 @@ def run_jobs(
             f"unknown backend {backend!r}; known: 'scalar', 'batch'"
         )
     policy = _POLICY
-    _refuse_dropped_settings(policy, backend)
+    _refuse_dropped_settings(policy, backend, workers)
     stats = policy.stats if policy.stats is not None else SweepStats()
     inject = policy.inject
     if inject is not None:
         jobs = faults.apply_to_jobs(jobs, inject)
 
+    keys = [job_key(job) for job in jobs]
+    first: dict[str, int] = {}  # job key -> index of its first job
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    stats.coalesced += len(jobs) - len(first)
     results: list[dict | None] = [None] * len(jobs)
-    pending: list[int] = []
+    pending = list(first.values())
     store: ResultStore | None = None
     if cache_dir is not None:
         store = ResultStore(cache_dir)
-        for i, job in enumerate(jobs):
-            entry = store.get(job_key(job))
-            if entry is not None:
-                results[i] = entry
-                stats.hits += 1
-            else:
-                pending.append(i)
+        for i in pending:
+            results[i] = store.get(keys[i])
+        stats.hits += sum(results[i] is not None for i in pending)
         stats.quarantined += store.stats.quarantined
-    else:
-        pending = list(range(len(jobs)))
+        pending = [i for i in pending if results[i] is None]
 
     def land(i: int, result: dict) -> None:
         results[i] = result
         stats.executed += 1
         if store is not None:
-            _flush(store, job_key(jobs[i]), result, stats, inject)
+            _flush(store, keys[i], result, stats, inject)
 
     def land_pending(pos: int, result: dict) -> None:
         land(pending[pos], result)
@@ -350,12 +359,14 @@ def run_jobs(
                        policy)
     elif pending:
         _run_serial(jobs, pending, land, stats, policy)
-    return results  # type: ignore[return-value]
+    return [results[first[key]] for key in keys]
 
 
-def _refuse_dropped_settings(policy: HarnessPolicy, backend: str) -> None:
-    """Raise ``ValueError`` for a policy setting that the route
-    :func:`run_jobs` takes would silently drop."""
+def _refuse_dropped_settings(
+    policy: HarnessPolicy, backend: str, workers: int
+) -> None:
+    """Raise ``ValueError`` for a policy setting or a ``workers`` count
+    that the route :func:`run_jobs` takes would silently drop."""
     url = policy.service_url
     if policy.inject is not None and (backend == "batch" or url is not None):
         where = ("backend='batch'" if backend == "batch"
@@ -376,6 +387,18 @@ def _refuse_dropped_settings(policy: HarnessPolicy, backend: str) -> None:
         raise ValueError(
             "backend='batch' runs jobs in this process, but the policy "
             f"sends every job to the service at {url}; drop one of them"
+        )
+    if url is not None and policy.retries > 0:
+        raise ValueError(
+            f"the service at {url} cannot take {policy.retries} "
+            "retrie(s) from this sweep: the server retries each job "
+            "with its own 'repro serve --retries'"
+        )
+    if url is not None and workers > 1:
+        raise ValueError(
+            f"workers={workers} runs jobs on a local pool, but the "
+            f"policy sends every job to the service at {url}; drop one "
+            "of them"
         )
 
 
@@ -413,8 +436,9 @@ def _run_serial(jobs, pending, land, stats, policy) -> None:
 
 def _run_scheduled(jobs, pending, results, workers, store, stats,
                    policy) -> None:
-    """Run ``pending`` on a local :class:`~.scheduler.JobScheduler`
-    without a store, flushing each result as its future resolves."""
+    """Run ``pending`` (distinct jobs) on a local
+    :class:`~.scheduler.JobScheduler` without a store, flushing each
+    result as its future resolves."""
     import asyncio
 
     from .scheduler import JobScheduler
@@ -426,24 +450,23 @@ def _run_scheduled(jobs, pending, results, workers, store, stats,
         )
         await scheduler.start()
         try:
-            waiting: dict = {}  # future -> (job key, indices sharing it)
+            waiting = {}  # future -> (job key, job index)
             for i in pending:
                 key, future, _status = scheduler.submit(jobs[i])
-                waiting.setdefault(future, (key, []))[1].append(i)
+                waiting[future] = key, i
             while waiting:
                 done, _ = await asyncio.wait(
                     waiting, return_when=asyncio.FIRST_COMPLETED
                 )
                 # flush every landed result before raising a failure,
                 # so a --resume rerun does not re-execute finished work
-                failed = {}  # first job index -> its terminal error
+                failed = {}  # job index -> its terminal error
                 for future in done:
-                    key, indices = waiting.pop(future)
+                    key, i = waiting.pop(future)
                     if future.exception() is not None:
-                        failed[indices[0]] = future.exception()
+                        failed[i] = future.exception()
                         continue
-                    for i in indices:
-                        results[i] = future.result()
+                    results[i] = future.result()
                     if store is not None:
                         _flush(store, key, future.result(), stats,
                                policy.inject)

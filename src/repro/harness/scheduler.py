@@ -5,8 +5,9 @@ One :class:`JobScheduler` owns four things:
 
 * an **inflight map** ``job_key -> _Entry``: every submission of a job
   already queued or running *coalesces* onto the first one's future —
-  N clients sweeping overlapping grids, or one sweep listing a job
-  twice, cost one execution per distinct job, not N;
+  N clients sweeping overlapping grids cost one execution per
+  distinct job, not N (``run_jobs`` drops its own repeats before it
+  submits);
 * a **bounded backlog**: once ``max_backlog`` distinct jobs are pending,
   further submissions raise :class:`QueueFullError` (the HTTP layer
   maps it to 429) instead of growing an unbounded queue;

@@ -1,8 +1,9 @@
 """The result store: one digest-verified file per job key.
 
 ``run_jobs(cache_dir=...)`` and ``repro serve --store`` keep their
-results in the same layout, so a ``repro sweep --cache D`` directory is
-a ``repro serve --store D`` directory and back, with no conversion::
+results in the same layout, so a ``repro experiment --cache D``
+directory is a ``repro serve --store D`` directory and back, with no
+conversion::
 
     root/<job_key>.result    # line 1: sha256 hex of the rest
                              # rest:   json.dumps(result)

@@ -6,9 +6,12 @@ every on-disk cache key and leak reports through the process pool.
 Instead, capture is ambient: ``with capture_reports(dir):`` arms a
 process-local collector, and the job runners (``_run_sma`` /
 ``_run_scalar``) check :func:`active_capture` and route each run's
-RunReport into it.  Capture is inherently serial — worker processes do
-not see the parent's collector, so the CLI forces ``jobs=1`` while
-``--metrics`` is active.
+RunReport into it, one per job that actually runs: ``run_jobs`` runs
+each distinct job once, so a job several experiments list yields one
+report, and a cache hit yields none.  Capture is inherently serial —
+worker processes and a ``repro serve`` instance do not see the
+parent's collector, so ``repro experiment --metrics`` forces
+``--jobs 1`` and is refused beside ``--url``.
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ stdlib-only HTTP service:
     The server keys everything by the same canonical ``repr(Job)`` the
     harness cache uses (:func:`repro.harness.parallel.job_key`) and
     keeps results in the harness's own
-    :class:`~repro.harness.store.ResultStore`, so a ``repro sweep``
-    cache directory and a ``repro serve`` store are one and the same.
+    :class:`~repro.harness.store.ResultStore`, so a
+    ``repro experiment --cache`` directory and a ``repro serve`` store
+    are one and the same.
 :mod:`~repro.service.server`
     Minimal asyncio HTTP/1.1 front end over one scheduler with a
     :class:`~repro.harness.store.ResultStore`: ``POST /v1/jobs``,
@@ -22,8 +23,9 @@ stdlib-only HTTP service:
     :class:`~repro.harness.parallel.SweepStats`, per-worker drain with
     checkpoint migration, and shutdown.
 :mod:`~repro.service.client`
-    Blocking stdlib client used by ``repro submit``, ``run_jobs``
-    under a ``HarnessPolicy.service_url`` and the CI smoke.
+    Blocking stdlib client used by ``run_jobs`` under a
+    ``HarnessPolicy.service_url`` (``repro experiment --url``) and the
+    CI smoke.
 """
 
 from ..harness.scheduler import (

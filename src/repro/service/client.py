@@ -1,7 +1,7 @@
 """Blocking stdlib client for a running ``repro serve`` instance.
 
-This is what ``repro submit`` and ``run_jobs`` under a
-``HarnessPolicy.service_url`` speak through: plain :mod:`http.client`
+This is what ``run_jobs`` under a ``HarnessPolicy.service_url``
+(``repro experiment --url``) speaks through: plain :mod:`http.client`
 over the JSON routes in :mod:`~repro.service.server`, on one
 kept-alive connection per client.
 The server computes job keys under its *own* code fingerprint and

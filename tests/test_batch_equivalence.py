@@ -31,7 +31,7 @@ from repro.batch import run_batch
 from repro.batch.dispatch import _BATCH_MACHINES, batch_eligible
 from repro.batch.engine import LaneEngine
 from repro.config import MemoryConfig, QueueConfig, SMAConfig
-from repro.harness.experiments import EXPERIMENTS
+from repro.harness.experiments import run_experiment
 from repro.harness.jobs import (
     BatchJob,
     Job,
@@ -218,7 +218,7 @@ def test_batch_backend_reproduces_golden(eid, monkeypatch):
 
     monkeypatch.setattr(experiments, "run_jobs", batch_run_jobs)
     want = GOLDEN["tables"][eid]
-    table = EXPERIMENTS[eid](**want["kwargs"])
+    table = run_experiment(eid, **want["kwargs"])
     assert calls, f"{eid} did not reach the wrapped run_jobs"
     assert list(table.columns) == want["columns"]
     got_rows = json.loads(json.dumps([list(row) for row in table.rows]))

@@ -175,7 +175,7 @@ kernel scale(x[n], y[n]):
         self, tmp_path, capsys
     ):
         cache = str(tmp_path / "cache")
-        sweep = ["sweep", "R-F1", "--n", "16", "--cache", cache]
+        sweep = ["experiment", "R-F1", "--n", "16", "--cache", cache]
         assert main(sweep) == 0
         capsys.readouterr()
         assert main(sweep) == 2
@@ -187,8 +187,47 @@ kernel scale(x[n], y[n]):
         # the serial sweep runs each job in the calling process and
         # cannot interrupt it, so a timeout there would be ignored
         cache = tmp_path / "cache"
-        sweep = ["sweep", "R-F1", "--n", "16", "--cache", str(cache),
+        sweep = ["experiment", "R-F1", "--n", "16", "--cache", str(cache),
                  "--timeout", "0.001"]
         assert main(sweep) == 2
         assert "--jobs 2" in capsys.readouterr().err
         assert not list(cache.glob("*.result"))
+
+    @pytest.mark.parametrize("flags, message", [
+        # the fault's once-only token file lives in the cache
+        (["--inject-fault", "worker-kill"], "--inject-fault needs --cache"),
+        # the server's runs would capture nothing here
+        (["--metrics", "--url", "http://127.0.0.1:9"], "--metrics"),
+    ])
+    def test_experiment_refuses_flags_it_would_drop(self, flags, message,
+                                                    capsys, monkeypatch):
+        from repro.harness import experiments as exp
+
+        monkeypatch.setattr(exp, "run_jobs", None)  # any call would fail
+        assert main(["experiment", "R-T4", "--n", "16", *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and message in err
+
+    def test_experiment_checks_every_id_before_running(self, capsys):
+        assert main(["experiment", "R-T4", "R-T99"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown experiment 'R-T99'" in err
+
+    def test_experiment_runs_every_id_in_one_sweep(self, capsys,
+                                                   monkeypatch):
+        from repro.harness import experiments as exp
+
+        calls = []
+        real = exp.run_jobs
+
+        def counted(jobs, workers=1, cache_dir=None):
+            calls.append(len(jobs))
+            return real(jobs, workers, cache_dir)
+
+        monkeypatch.setattr(exp, "run_jobs", counted)
+        assert main(["experiment", "R-T4", "R-F5", "--n", "16"]) == 0
+        out, err = capsys.readouterr()
+        assert calls == [10 + 12]
+        assert out.index("[R-T4]") < out.index("[R-F5]")
+        assert "experiment R-T4 R-F5: 0 cached, 22 executed" in err

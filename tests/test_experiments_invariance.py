@@ -19,7 +19,7 @@ import pathlib
 
 import pytest
 
-from repro.harness.experiments import EXPERIMENTS
+from repro.harness.experiments import EXPERIMENTS, run_experiment
 
 GOLDEN = json.loads(
     (pathlib.Path(__file__).parent / "golden_experiments.json").read_text()
@@ -33,7 +33,7 @@ def test_golden_covers_every_experiment():
 @pytest.mark.parametrize("eid", sorted(GOLDEN["tables"]))
 def test_experiment_numbers_pinned(eid):
     want = GOLDEN["tables"][eid]
-    table = EXPERIMENTS[eid](**want["kwargs"])
+    table = run_experiment(eid, **want["kwargs"])
     assert list(table.columns) == want["columns"]
     got_rows = json.loads(json.dumps([list(row) for row in table.rows]))
     assert got_rows == want["rows"], (

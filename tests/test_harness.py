@@ -4,16 +4,6 @@ reconstructed experiment (small n to stay fast)."""
 import pytest
 
 from repro.harness import EXPERIMENTS, Table, run_experiment
-from repro.harness.experiments import (
-    fig1_latency,
-    fig2_queue_depth,
-    fig4_banks,
-    fig5_ablation,
-    fig6_occupancy,
-    table2_speedup,
-    table3_cache,
-    table4_lod,
-)
 
 
 class TestTable:
@@ -66,7 +56,7 @@ class TestTrends:
     (see DESIGN.md); these assertions are the committed claims."""
 
     def test_t2_streaming_speedups(self):
-        t = table2_speedup(n=64)
+        t = run_experiment("R-T2", n=64)
         rows = t.row_map("kernel")
         speedup_col = list(t.columns).index("speedup")
         for name in ("hydro", "daxpy", "first_diff"):
@@ -75,7 +65,8 @@ class TestTrends:
         assert min(t.column("speedup")) >= 1.0
 
     def test_t3_cache_narrows_but_does_not_close_gap_for_streams(self):
-        t = table3_cache(n=64, cache_sizes=(256,), kernels=("hydro",))
+        t = run_experiment("R-T3", n=64, cache_sizes=(256,),
+                           kernels=("hydro",))
         row = t.rows[0]
         cols = list(t.columns)
         sma = row[cols.index("sma_cycles")]
@@ -85,25 +76,29 @@ class TestTrends:
         assert sma < cached               # ...but SMA still wins streaming
 
     def test_t4_lod_dominates_computed_gather(self):
-        t = table4_lod(n=64, kernels=("computed_gather", "hydro"))
+        t = run_experiment("R-T4", n=64,
+                           kernels=("computed_gather", "hydro"))
         rows = t.row_map("kernel")
         frac = list(t.columns).index("lod_frac")
         assert rows["computed_gather"][frac] > 0.3
         assert rows["hydro"][frac] == 0
 
     def test_f1_latency_tolerance(self):
-        t = fig1_latency(n=64, latencies=(2, 8, 24), kernels=("daxpy",))
+        t = run_experiment("R-F1", n=64, latencies=(2, 8, 24),
+                           kernels=("daxpy",))
         speedups = t.column("daxpy")
         assert speedups[0] < speedups[1] < speedups[2]
 
     def test_f2_queue_depth_saturates(self):
-        t = fig2_queue_depth(n=64, depths=(1, 8, 32), kernels=("daxpy",))
+        t = run_experiment("R-F2", n=64, depths=(1, 8, 32),
+                           kernels=("daxpy",))
         cycles = t.column("daxpy")
         assert cycles[0] > cycles[1]          # depth 1 hurts
         assert cycles[1] == cycles[2]         # saturation by depth 8
 
     def test_f4_bank_aliasing(self):
-        t = fig4_banks(n=64, banks=(1, 8), kernels=("daxpy", "stride8_copy"))
+        t = run_experiment("R-F4", n=64, banks=(1, 8),
+                           kernels=("daxpy", "stride8_copy"))
         by_banks = t.row_map("banks")
         cols = list(t.columns)
         daxpy = cols.index("daxpy")
@@ -113,11 +108,11 @@ class TestTrends:
         assert by_banks[8][s8] < 1.5 * by_banks[1][s8]
 
     def test_f5_descriptors_beat_per_element(self):
-        t = fig5_ablation(n=64, kernels=("daxpy", "hydro"))
+        t = run_experiment("R-F5", n=64, kernels=("daxpy", "hydro"))
         assert min(t.column("benefit")) > 1.2
 
     def test_f6_occupancy_profile(self):
-        t = fig6_occupancy("hydro", n=128, buckets=16)
+        t = run_experiment("R-F6", kernel_name="hydro", n=128, buckets=16)
         occ = t.column("load_occupancy")
         assert len(occ) >= 8
         assert max(occ) > 2.0   # queues actually fill mid-run

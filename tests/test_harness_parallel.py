@@ -9,6 +9,7 @@ either path.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,13 +108,31 @@ class TestRunJobs:
         second = run_jobs(jobs, workers=1, cache_dir=tmp_path)
         assert first == second
 
-    def test_pool_coalesces_duplicate_jobs(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pool_coalesces_duplicate_jobs(self, workers):
+        # every route runs each distinct job key once; the serial one
+        # used to run a repeated job again
         a = Job("sma", "daxpy", 32, sma_config=SMA_CFG)
         b = Job("scalar", "daxpy", 32, scalar_config=SCALAR_CFG)
         with harness_policy() as stats:
-            got = run_jobs([a, b, a], workers=2)
-        assert got == run_jobs([a, b, a], workers=1)
+            got = run_jobs([a, b, a], workers=workers)
+        assert got == [run_job(a), run_job(b), run_job(a)]
         assert stats.executed == 2
+        assert stats.coalesced == 1
+
+    def test_cached_sweep_hashes_each_job_once(self, tmp_path,
+                                               monkeypatch):
+        # one key per job, reused for the probe and the flush
+        jobs = _jobs()[:2]
+        jobs.append(jobs[0])
+        hashed = []
+        real = parallel.job_key
+        monkeypatch.setattr(parallel, "job_key",
+                            lambda job: hashed.append(job) or real(job))
+        with harness_policy() as stats:
+            run_jobs(jobs, cache_dir=tmp_path)
+        assert hashed == jobs
+        assert stats.executed == stats.flushed == 2
         assert stats.coalesced == 1
 
     def test_pool_sweep_from_a_running_event_loop(self):
@@ -409,22 +428,60 @@ class TestSerialFailureHandling:
 class TestExperimentsThroughJobs:
     def test_experiment_identical_serial_vs_parallel(self):
         kwargs = dict(n=16, depths=(1, 4), kernels=("daxpy",))
-        serial = exp.fig2_queue_depth(**kwargs, jobs=1)
-        parallel = exp.fig2_queue_depth(**kwargs, jobs=2)
+        serial = exp.run_experiment("R-F2", **kwargs, jobs=1)
+        parallel = exp.run_experiment("R-F2", **kwargs, jobs=2)
         assert serial.to_csv() == parallel.to_csv()
 
     def test_experiment_identical_with_cache(self, tmp_path):
         kwargs = dict(
             n=16, latencies=(2, 8), kernels=("daxpy", "inner_product")
         )
-        cold = exp.fig1_latency(**kwargs, cache_dir=str(tmp_path))
+        cold = exp.run_experiment("R-F1", **kwargs, cache_dir=str(tmp_path))
         assert len(ResultStore(tmp_path))
-        warm = exp.fig1_latency(**kwargs, cache_dir=str(tmp_path))
+        warm = exp.run_experiment("R-F1", **kwargs, cache_dir=str(tmp_path))
         assert cold.to_csv() == warm.to_csv()
 
-    def test_every_experiment_accepts_harness_kwargs(self):
-        import inspect
+    @pytest.mark.parametrize("eid", sorted(exp.EXPERIMENTS))
+    def test_every_experiment_yields_one_job_list(self, eid):
+        # the plan contract run_suite relies on: one job list out, the
+        # results in, a table back after a single send
+        plan = exp.EXPERIMENTS[eid](n=16)
+        joblist = next(plan)
+        assert joblist and all(isinstance(job, Job) for job in joblist)
+        with pytest.raises(StopIteration) as done:
+            plan.send(run_jobs(joblist))
+        assert isinstance(done.value.value, exp.Table)
+        assert done.value.value.experiment_id == eid
 
-        for name, fn in exp.EXPERIMENTS.items():
-            params = inspect.signature(fn).parameters
-            assert "jobs" in params and "cache_dir" in params, name
+
+def test_suite_runs_each_distinct_job_once():
+    """One ``run_suite`` over every experiment reproduces the golden
+    tables and simulates each distinct job key once."""
+    golden = json.loads(
+        (Path(__file__).parent / "golden_experiments.json").read_text()
+    )["tables"]
+    ids = list(exp.EXPERIMENTS)
+    planned = [job for eid in ids
+               for job in next(exp.EXPERIMENTS[eid](n=32))]
+    distinct = {job_key(job) for job in planned}
+    with harness_policy() as stats:
+        tables = exp.run_suite(ids, n=32)
+    assert stats.executed == len(distinct) < len(planned)
+    assert stats.coalesced == len(planned) - len(distinct)
+    for eid, table in zip(ids, tables):
+        want = golden[eid]
+        if want["kwargs"] != {"n": 32}:
+            # pinned at other sizes; the per-experiment run is the
+            # reference there
+            want = exp.run_experiment(eid, n=32)
+            want = {"columns": list(want.columns),
+                    "rows": [list(row) for row in want.rows]}
+        assert list(table.columns) == want["columns"], eid
+        rows = json.loads(json.dumps([list(row) for row in table.rows]))
+        assert rows == json.loads(json.dumps(want["rows"])), eid
+
+
+def test_suite_refuses_an_unknown_id_before_running(monkeypatch):
+    monkeypatch.setattr(exp, "run_jobs", None)  # any call would fail
+    with pytest.raises(KeyError, match="unknown experiment 'R-T99'"):
+        exp.run_suite(["R-T4", "R-T99"])

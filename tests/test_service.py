@@ -553,20 +553,22 @@ class TestServiceEndToEnd:
     @pytest.mark.parametrize("eid", ["R-F1", "R-T4"])
     def test_submit_prints_the_experiment_table(self, tmp_path, capsys,
                                                 eid):
-        """``repro submit`` runs every job of an experiment on the
-        server (a ``HarnessPolicy.service_url`` scope) and prints the
-        table ``repro experiment`` prints."""
+        """``repro experiment --url`` submits every job of an
+        experiment to the server (a ``HarnessPolicy.service_url``
+        scope) and prints the table ``repro experiment`` prints."""
+        import re
+
         from repro.cli import main
 
-        with harness_policy() as local:
-            assert main(["experiment", eid, "--n", "16"]) == 0
-        want = capsys.readouterr().out
+        assert main(["experiment", eid, "--n", "16"]) == 0
+        want, err = capsys.readouterr()
+        executed = int(re.search(r"(\d+) executed", err).group(1))
 
         async def scenario():
             server = SweepServer(ResultStore(tmp_path / "store"),
                                  workers=2)
             host, port = await server.start()
-            argv = ["submit", eid, "--n", "16",
+            argv = ["experiment", eid, "--n", "16",
                     "--url", f"http://{host}:{port}"]
             try:
                 code = await asyncio.get_running_loop().run_in_executor(
@@ -578,9 +580,8 @@ class TestServiceEndToEnd:
 
         code, progress = drive(scenario())
         assert code == 0
-        # `experiment` ends each table with a blank line, `submit` not
-        assert capsys.readouterr().out + "\n" == want
-        assert progress["sweep"]["executed"] == local.executed > 0
+        assert capsys.readouterr().out == want
+        assert progress["sweep"]["executed"] == executed > 0
 
     def test_pool_worker_kill_recovers_without_reexecution(self, tmp_path):
         """SIGKILL a pool process mid-sweep: the scheduler respawns the
@@ -665,6 +666,28 @@ def test_service_route_refuses_a_per_job_timeout(tmp_path, monkeypatch):
     with harness_policy(service_url="http://127.0.0.1:9", timeout=0.2):
         with pytest.raises(ValueError, match="repro serve --timeout"):
             run_jobs([Job("sma", "daxpy", 16)],
+                     cache_dir=tmp_path / "cache")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_service_route_refuses_policy_retries(tmp_path, monkeypatch):
+    # the server retries each job with its own `repro serve --retries`;
+    # this sweep's retry budget would make one attempt and say nothing
+    _refuse_to_connect(monkeypatch)
+    with harness_policy(service_url="http://127.0.0.1:9", retries=3):
+        with pytest.raises(ValueError, match="repro serve --retries"):
+            run_jobs([Job("sma", "daxpy", 16)],
+                     cache_dir=tmp_path / "cache")
+    assert not (tmp_path / "cache").exists()
+
+
+def test_service_route_refuses_local_workers(tmp_path, monkeypatch):
+    # the server runs the jobs on its own pool; a local pool of four
+    # workers would never start
+    _refuse_to_connect(monkeypatch)
+    with harness_policy(service_url="http://127.0.0.1:9"):
+        with pytest.raises(ValueError, match="workers=4"):
+            run_jobs([Job("sma", "daxpy", 16)], workers=4,
                      cache_dir=tmp_path / "cache")
     assert not (tmp_path / "cache").exists()
 
