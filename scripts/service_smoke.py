@@ -93,7 +93,7 @@ def main() -> int:
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
          "--store", str(tmp / "store"), "--workers", "2",
-         "--retries", "3", "--slice-cycles", "2000"],
+         "--retries", "3"],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         env=env, start_new_session=True,
     )

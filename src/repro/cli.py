@@ -34,21 +34,22 @@ Commands
     the recovery paths on purpose (see ``repro.harness.faults``); CI
     uses it to prove kill-resume and corrupt-cache quarantine actually
     work.  ``--metrics`` captures a RunReport (stall attribution +
-    counters) per executed job, ``--metrics-dir DIR`` persists them as
-    JSON, and ``--n`` overrides the problem size (what the CI metrics
-    smoke step uses).  Every job runs per point; the batch engine pays
-    only on lane groups of hundreds of configs of one kernel, which
-    ``batch KERNEL`` builds and the paper experiments do not.
+    counters) per job this process executes, so it refuses ``--jobs``
+    of 2 or more, ``--cache`` and ``--url``; ``--metrics-dir DIR``
+    persists them as JSON, and ``--n`` overrides the problem size (what
+    the CI metrics smoke step uses).  Every job runs per point; the
+    batch engine pays only on lane groups of hundreds of configs of one
+    kernel, which ``batch KERNEL`` builds and the paper experiments do
+    not.
 
 ``serve``
     Sweep-as-a-service: a stdlib asyncio HTTP server over the harness.
     Clients POST job specs; identical in-flight jobs coalesce onto one
     execution, the backlog is bounded (429 on overflow), results land
     in the same digest-verified store ``experiment --cache`` writes (an
-    experiment cache directory serves as ``--store`` and back), and
-    preemptible jobs run in checkpointed slices so a drained or crashed
-    worker's job resumes on another worker without lost cycles.  See
-    ``repro.service``.
+    experiment cache directory serves as ``--store`` and back), and a
+    job lost to a crashed or timed-out worker runs again from its start
+    under ``--retries``.  See ``repro.service``.
 
 ``batch KERNEL``
     Dense (latency × queue-depth × bank-count) sweep of one kernel
@@ -219,6 +220,15 @@ def _experiment_refusal(args) -> str | None:
     if args.metrics and args.url:
         return (f"--metrics cannot capture the jobs the service at "
                 f"{args.url} runs; drop one of them")
+    if args.metrics and args.jobs >= 2:
+        return ("--metrics captures reports in this process only, and "
+                f"--jobs {args.jobs} runs the jobs in pool workers; "
+                "drop one of them")
+    if args.metrics and args.cache:
+        return ("--metrics cannot share --cache: a cached result carries "
+                "no report, and a captured run would file its report "
+                "fields under the keys a plain run reads; drop one of "
+                "them")
     if args.cache and not args.resume:
         held = len(ResultStore(args.cache))
         if held:
@@ -244,10 +254,6 @@ def cmd_experiment(args) -> int:
         print(f"unknown experiment {unknown[0]!r}; "
               f"known: {sorted(EXPERIMENTS)} or 'all'", file=sys.stderr)
         return 2
-    if args.metrics and args.jobs != 1:
-        print("--metrics capture is serial; ignoring --jobs",
-              file=sys.stderr)
-        args.jobs = 1
     refusal = _experiment_refusal(args)
     if refusal is not None:
         print(refusal, file=sys.stderr)
@@ -328,7 +334,6 @@ def cmd_serve(args) -> int:
         workers=args.workers,
         max_backlog=args.max_backlog,
         policy=policy,
-        slice_cycles=args.slice_cycles,
     )
 
     async def serve() -> None:
@@ -763,10 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--retries", type=int, default=2, metavar="K",
                          help="retry a failed/timed-out/killed job up "
                               "to K times (default 2)")
-    p_serve.add_argument("--slice-cycles", type=int, default=None,
-                         metavar="CYCLES",
-                         help="checkpoint interval for preemptible jobs "
-                              "(default 100000)")
 
     p_batch = sub.add_parser(
         "batch",

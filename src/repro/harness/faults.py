@@ -128,8 +128,8 @@ def _claim(spec: FaultSpec) -> bool:
 
 
 def before_job(job) -> None:
-    """Hook :func:`repro.harness.jobs.run_job` and each service slice
-    call as a job starts, in whichever process runs it."""
+    """Hook :func:`repro.harness.jobs.run_job` as a job starts, in
+    whichever process runs it."""
     spec = _ACTIVE
     if spec is None:
         return

@@ -263,20 +263,10 @@ def _run_sma(job: Job, use_streams: bool) -> dict:
         kernel, inputs, job.sma_config, use_streams=use_streams,
         lowered=lowered, metrics=_metrics_armed(),
     )
-    return sma_result_dict(job, run, lowered.info)
-
-
-def sma_result_dict(job: Job, run, info) -> dict:
-    """Assemble the flat SMA result dict from a finished
-    :class:`~repro.harness.runner.KernelRun`.
-
-    Shared between :func:`_run_sma` and the scheduler's sliced executor
-    (:mod:`repro.harness.slices`), which finishes a checkpoint-migrated
-    run and must produce a byte-identical dict.
-    """
     if job.check:
         _check_outputs(job, run.machine, run.outputs)
     res = run.result
+    info = lowered.info
     spec = {"speculation": res.speculation} if res.speculation else {}
     return {
         **spec,
@@ -369,13 +359,6 @@ def _run_cluster(job: Job) -> dict:
     result = run_cluster(
         workloads, job.sma_config, check=job.check, metrics=metrics
     )
-    return cluster_result_dict(job, result, metrics)
-
-
-def cluster_result_dict(job: Job, result, metrics: bool = False) -> dict:
-    """Assemble the flat cluster result dict from a finished
-    :class:`~repro.harness.runner.ClusterKernelRun` (shared with the
-    service's sliced executor)."""
     slowdowns = result.interference_slowdowns
     out = {
         "cluster_cycles": result.cluster_cycles,

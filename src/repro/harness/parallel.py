@@ -34,10 +34,9 @@ Crash safety:
   per-job timeout, bounded retries with exponential backoff, and
   ``BrokenProcessPool`` recovery.  In pool mode the scheduler applies
   it: a crashed or wedged pool is respawned, only the victim is
-  charged a retry, its pool-mates are requeued free, and a sliceable
-  SMA or cluster job retries from its last slice checkpoint.  All
-  default off (``retries=0``), preserving the seed harness's fail-fast
-  behavior and cost.
+  charged a retry (it runs again from its start), and its pool-mates
+  are requeued free.  All default off (``retries=0``), preserving the
+  seed harness's fail-fast behavior and cost.
 * **Fault injection.**  ``policy.inject`` (a
   :class:`repro.harness.faults.FaultSpec`) arms the failure the CI
   smoke wants to prove recovery from; workers receive it through the
@@ -56,7 +55,7 @@ from typing import Sequence
 
 from . import faults
 from .faults import FaultSpec
-from .jobs import Job, run_job
+from .jobs import Job, _metrics_armed, run_job
 from .store import ResultStore
 
 _SRC_ROOT = Path(__file__).resolve().parent.parent  # src/repro
@@ -251,9 +250,8 @@ def run_jobs(
       local sweep are resume-interchangeable;
     * otherwise, with ``workers > 1``, on a local
       :class:`~repro.harness.scheduler.JobScheduler` with ``workers``
-      workers sharing one process pool: a sliceable SMA or cluster job
-      that times out or loses its worker retries from its last slice
-      checkpoint;
+      workers sharing one process pool, each attempt one
+      :func:`~repro.harness.jobs.run_job` call;
     * otherwise in-process (``workers=1``, the default), which keeps CI
       deterministic and lets the per-process compilation memoization in
       :mod:`.jobs` see the whole sweep.
@@ -278,8 +276,13 @@ def run_jobs(
     with its own ``repro serve --timeout``), ``backend="batch"`` on
     the service route, and on the service route the policy's
     ``retries`` (the server applies its own ``repro serve --retries``)
-    and ``workers > 1``.  Genuine job exceptions propagate unchanged once
-    the policy's retry budget is exhausted.
+    and ``workers > 1``.  So is an armed RunReport capture
+    (:func:`repro.metrics.capture_reports`) beside ``cache_dir``,
+    ``workers > 1`` or a service URL: a cache hit yields no report and a
+    captured result would be filed under the key a plain run reads, and
+    pool workers and the server fill no collector in this process.
+    Genuine job exceptions propagate unchanged once the policy's retry
+    budget is exhausted.
     """
     if backend not in ("scalar", "batch"):
         raise ValueError(
@@ -287,6 +290,7 @@ def run_jobs(
         )
     policy = _POLICY
     _refuse_dropped_settings(policy, backend, workers)
+    _refuse_lost_reports(policy, workers, cache_dir)
     stats = policy.stats if policy.stats is not None else SweepStats()
     inject = policy.inject
     if inject is not None:
@@ -399,6 +403,32 @@ def _refuse_dropped_settings(
             f"workers={workers} runs jobs on a local pool, but the "
             f"policy sends every job to the service at {url}; drop one "
             "of them"
+        )
+
+
+def _refuse_lost_reports(
+    policy: HarnessPolicy, workers: int, cache_dir: str | Path | None
+) -> None:
+    """Raise ``ValueError`` when an armed RunReport capture would lose
+    reports on the route :func:`run_jobs` takes, or misfile results."""
+    if not _metrics_armed():
+        return
+    if cache_dir is not None:
+        raise ValueError(
+            f"an armed RunReport capture cannot use the cache {cache_dir}: "
+            "a cache hit yields no report, and a captured result carries "
+            "report fields under the key a plain run reads"
+        )
+    if workers > 1:
+        raise ValueError(
+            f"an armed RunReport capture cannot see workers={workers}: "
+            "pool processes add their reports to their own copy of the "
+            "collector"
+        )
+    if policy.service_url is not None:
+        raise ValueError(
+            "an armed RunReport capture cannot see the jobs the service "
+            f"at {policy.service_url} runs"
         )
 
 

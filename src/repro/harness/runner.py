@@ -239,53 +239,6 @@ def run_cluster(
         jobs, config, metrics=metrics
     )
     cluster_result = cluster.run(max_cycles=max_cycles)
-    return _finish_cluster(
-        cluster, lowered, jobs, cfg, cluster_result, check, node_metrics
-    )
-
-
-def _prepare_cluster(
-    jobs: list[tuple[Kernel, Mapping[str, np.ndarray]]],
-    config: SMAConfig | None,
-    metrics: bool = False,
-):
-    """Build the loaded cluster a :func:`run_cluster` call simulates.
-
-    Split out so the scheduler's sliced executor
-    (:mod:`repro.harness.slices`) can rebuild the *identical* cluster —
-    construction order included, which the snapshot fingerprint check
-    depends on — restore a checkpoint into it, and keep stepping.
-    Returns ``(cluster, lowered, cfg, node_metrics)``.
-    """
-    from ..core.cluster import SMACluster
-    from ..kernels import lower_sma as _lower_sma
-
-    cfg = config or SMAConfig()
-    lowered = []
-    base = 16
-    for kernel, _inputs in jobs:
-        low = _lower_sma(kernel, base=base)
-        lowered.append(low)
-        base = low.layout.end + 16
-    cfg = replace(
-        cfg, memory=replace(cfg.memory, size=max(cfg.memory.size, base + 16))
-    )
-    cluster = SMACluster(
-        [(low.access_program, low.execute_program) for low in lowered],
-        cfg,
-    )
-    node_metrics = cluster.attach_metrics() if metrics else None
-    for (kernel, inputs), low in zip(jobs, lowered):
-        for decl in kernel.arrays:
-            cluster.load_array(low.layout.base(decl.name), inputs[decl.name])
-    return cluster, lowered, cfg, node_metrics
-
-
-def _finish_cluster(
-    cluster, lowered, jobs, cfg, cluster_result, check, node_metrics
-) -> ClusterKernelRun:
-    """Assemble the :class:`ClusterKernelRun` from a finished cluster
-    (the other half of the :func:`_prepare_cluster` split)."""
     reports: list = []
     contention: dict = {}
     if node_metrics is not None:
@@ -338,6 +291,43 @@ def _finish_cluster(
         reports=reports,
         contention=contention,
     )
+
+
+def _prepare_cluster(
+    jobs: list[tuple[Kernel, Mapping[str, np.ndarray]]],
+    config: SMAConfig | None,
+    metrics: bool = False,
+):
+    """Build the loaded cluster a :func:`run_cluster` call simulates.
+
+    Split out so a script can build the *identical* cluster —
+    construction order included, which the snapshot fingerprint check
+    depends on — and drive it itself (``scripts/rf8_smoke.py`` compares
+    loops on it, ``scripts/check_snapshot_roundtrip.py`` cuts and
+    restores it).  Returns ``(cluster, lowered, cfg, node_metrics)``.
+    """
+    from ..core.cluster import SMACluster
+    from ..kernels import lower_sma as _lower_sma
+
+    cfg = config or SMAConfig()
+    lowered = []
+    base = 16
+    for kernel, _inputs in jobs:
+        low = _lower_sma(kernel, base=base)
+        lowered.append(low)
+        base = low.layout.end + 16
+    cfg = replace(
+        cfg, memory=replace(cfg.memory, size=max(cfg.memory.size, base + 16))
+    )
+    cluster = SMACluster(
+        [(low.access_program, low.execute_program) for low in lowered],
+        cfg,
+    )
+    node_metrics = cluster.attach_metrics() if metrics else None
+    for (kernel, inputs), low in zip(jobs, lowered):
+        for decl in kernel.arrays:
+            cluster.load_array(low.layout.base(decl.name), inputs[decl.name])
+    return cluster, lowered, cfg, node_metrics
 
 
 @dataclass(frozen=True)

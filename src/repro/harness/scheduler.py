@@ -27,29 +27,24 @@ With ``store=None`` a result lives only in its future: that is how
 :func:`~repro.harness.parallel.run_jobs` runs a pool sweep, probing and
 flushing its own cache.
 
-Jobs that :func:`~repro.harness.slices.sliceable` approves run in
-bounded cycle slices with a checkpoint between slices.  That checkpoint
-is what makes preemption cheap everywhere it appears:
-
-* a **timeout or pool crash** mid-job retries *from the last completed
-  slice*, not from cycle zero;
-* :meth:`JobScheduler.drain_workers` retires fleet members gracefully —
-  each finishes its current slice, requeues the job *with its
-  checkpoint*, and exits, so the job resumes on another worker without
-  losing cycles (checkpoint migration);
-* :meth:`JobScheduler.begin_drain` stops intake (submissions raise
-  :class:`SchedulerDraining`) while the backlog runs dry for a clean
-  shutdown.
+Every attempt is one :func:`~repro.harness.jobs.run_job` call on the
+pool, the function the serial path calls, so a job's result is the same
+dict whichever route ran it.  A timeout or pool crash mid-job retries it
+from cycle 0, which costs little: a suite job runs for at most a few
+thousand simulated cycles.
+:meth:`JobScheduler.drain_workers` retires fleet members between jobs,
+and :meth:`JobScheduler.begin_drain` stops intake (submissions raise
+:class:`SchedulerDraining`) while the backlog runs dry for a clean
+shutdown.
 
 Everything is accounted in a :class:`~repro.harness.parallel.
 SweepStats` (plus the store's own counters), surfaced through
-:meth:`JobScheduler.progress` for the streaming endpoint.
+:meth:`JobScheduler.progress` for ``GET /v1/stats``.
 """
 
 from __future__ import annotations
 
 import asyncio
-import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -62,15 +57,9 @@ from .parallel import (
     code_fingerprint,
     job_key,
 )
-from .slices import run_job_slice, sliceable
 from .store import ResultStore
 
 _LOG = logging.getLogger("repro.harness.scheduler")
-
-#: default cycle budget per slice; big enough that slicing overhead
-#: (machine rebuild + snapshot) stays negligible, small enough that
-#: drain and timeout react within one slice
-DEFAULT_SLICE_CYCLES = 100_000
 
 
 def _kill_pool(pool) -> None:
@@ -100,8 +89,6 @@ class _Entry:
     future: asyncio.Future
     attempts: int = 0
     waiters: int = 1          #: submissions coalesced onto this entry
-    state: dict | None = None  #: latest slice checkpoint (migratable)
-    cycle: int = 0            #: simulated cycles completed so far
     running: bool = False     #: picked up by a worker (vs backlogged)
 
 
@@ -113,7 +100,6 @@ class JobScheduler:
     workers: int = 2  #: fleet size, and the process pool's width
     max_backlog: int = 256
     policy: HarnessPolicy = field(default_factory=HarnessPolicy)
-    slice_cycles: int = DEFAULT_SLICE_CYCLES
     stats: SweepStats = field(default_factory=SweepStats)
 
     def __post_init__(self) -> None:
@@ -121,8 +107,6 @@ class JobScheduler:
             raise ValueError("need at least one worker")
         if self.max_backlog < 1:
             raise ValueError("max_backlog must be >= 1")
-        if self.slice_cycles < 1:
-            raise ValueError("slice_cycles must be >= 1")
         self._queue: asyncio.Queue[_Entry] = asyncio.Queue()
         self._inflight: dict[str, _Entry] = {}
         self._failed: dict[str, str] = {}  #: key -> terminal error text
@@ -155,10 +139,9 @@ class JobScheduler:
             )
 
     async def stop(self) -> None:
-        """Hard stop: cancel the fleet and kill the pool.  Unfinished
-        entries keep their checkpoints only in memory — callers wanting
-        a graceful exit use :meth:`begin_drain` + :meth:`drained`
-        first."""
+        """Hard stop: cancel the fleet and kill the pool, abandoning
+        unfinished entries — callers wanting a graceful exit use
+        :meth:`begin_drain` + :meth:`drained` first."""
         for task in self._tasks:
             task.cancel()
         for task in self._tasks:
@@ -218,7 +201,7 @@ class JobScheduler:
 
     def lookup(self, key: str) -> dict | None:
         """Status of one job key: stored (``{"status": "done"}``), in
-        flight (with progress), failed, or ``None``."""
+        flight (with its attempts and waiters), failed, or ``None``."""
         if key in self.store:
             return {"status": "done"}
         entry = self._inflight.get(key)
@@ -231,7 +214,6 @@ class JobScheduler:
             "status": "running" if entry.running else "queued",
             "attempts": entry.attempts,
             "waiters": entry.waiters,
-            "cycle": entry.cycle,
         }
 
     # -- drain -------------------------------------------------------------
@@ -245,12 +227,13 @@ class JobScheduler:
         await self._idle.wait()
 
     def drain_workers(self, count: int = 1) -> int:
-        """Retire up to ``count`` fleet workers at their next slice
-        boundary; their in-progress jobs are requeued *with their
-        checkpoints* and resume on the remaining workers.  At least one
-        worker always survives.  Returns the number actually retired."""
+        """Retire up to ``count`` fleet workers, each as it finishes a
+        job.  At least one worker always survives.  Returns the number
+        actually retired."""
         alive = sum(1 for t in self._tasks if not t.done())
-        granted = max(0, min(count, alive - 1))
+        # a worker leaves only after its next job, so retirements
+        # granted earlier still count against the survivors
+        granted = max(0, min(count, alive - 1 - self._drain_requests))
         self._drain_requests += granted
         return granted
 
@@ -270,66 +253,29 @@ class JobScheduler:
                 continue
             entry.running = True
             try:
-                migrated = await self._attempt(entry)
+                await self._attempt(entry)
             except asyncio.CancelledError:
                 entry.running = False
                 self._queue.put_nowait(entry)
                 raise
             entry.running = False
-            if migrated:
-                # this worker was asked to drain: hand the checkpointed
-                # entry back and leave the fleet
-                self._queue.put_nowait(entry)
-                _LOG.info(
-                    "worker %d drained; requeued %s at cycle %d",
-                    n, entry.key[:12], entry.cycle,
-                )
-                return
             if self._take_drain():
-                # atomic jobs cannot be preempted; drain between jobs
                 _LOG.info("worker %d drained", n)
                 return
 
-    async def _attempt(self, entry: _Entry) -> bool:
-        """Run one attempt of ``entry`` to completion, failure, or (for
-        a draining worker) a slice boundary.  Returns True when the
-        entry was preempted for migration."""
+    async def _attempt(self, entry: _Entry) -> None:
+        """Run one attempt of ``entry`` to completion or failure."""
         from concurrent.futures.process import BrokenProcessPool
 
         loop = asyncio.get_running_loop()
         timeout = self.policy.timeout
-        deadline = (
-            loop.time() + timeout if timeout is not None else None
-        )
-        sliced = sliceable(entry.job)
         gen = self._pool_gen
         try:
-            while True:
-                budget = None
-                if deadline is not None:
-                    budget = deadline - loop.time()
-                    if budget <= 0:
-                        raise TimeoutError
-                if sliced:
-                    call = functools.partial(
-                        run_job_slice, entry.job, entry.state,
-                        self.slice_cycles,
-                    )
-                else:
-                    call = functools.partial(run_job, entry.job)
-                out = await asyncio.wait_for(
-                    loop.run_in_executor(self._pool, call), budget
-                )
-                if not sliced:
-                    self._land(entry, out)
-                    return False
-                if out["done"]:
-                    self._land(entry, out["result"])
-                    return False
-                entry.state = out["state"]
-                entry.cycle = out["cycle"]
-                if self._take_drain():
-                    return True
+            result = await asyncio.wait_for(
+                loop.run_in_executor(self._pool, run_job, entry.job),
+                timeout,
+            )
+            self._land(entry, result)
         except (asyncio.CancelledError, KeyboardInterrupt):
             raise
         except BrokenProcessPool as exc:
@@ -352,7 +298,6 @@ class JobScheduler:
             )
         except Exception as exc:
             self._charge(entry, f"raised {type(exc).__name__}", exc)
-        return False
 
     def _respawn(self, gen_seen: int) -> None:
         """Kill and rebuild the pool (once per crash: callers race on
@@ -379,8 +324,8 @@ class JobScheduler:
     def _charge(self, entry: _Entry, why: str,
                 cause: BaseException | None) -> None:
         """One failed execution; fail the future once the retry budget
-        is gone, else back off and requeue.  A sliced entry keeps its
-        checkpoint, so the retry resumes from the last completed slice."""
+        is gone, else back off and requeue the job to run again from
+        cycle 0."""
         from concurrent.futures.process import BrokenProcessPool
 
         self.stats.record_failure(
@@ -439,8 +384,7 @@ class JobScheduler:
         return sorted(getattr(self._pool, "_processes", None) or {})
 
     def progress(self) -> dict:
-        """One JSON-clean snapshot for ``/v1/stats`` and the streaming
-        progress endpoint."""
+        """One JSON-clean snapshot for ``GET /v1/stats``."""
         running = sum(1 for e in self._inflight.values() if e.running)
         return {
             "sweep": {

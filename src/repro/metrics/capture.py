@@ -8,10 +8,13 @@ process-local collector, and the job runners (``_run_sma`` /
 ``_run_scalar``) check :func:`active_capture` and route each run's
 RunReport into it, one per job that actually runs: ``run_jobs`` runs
 each distinct job once, so a job several experiments list yields one
-report, and a cache hit yields none.  Capture is inherently serial —
-worker processes and a ``repro serve`` instance do not see the
-parent's collector, so ``repro experiment --metrics`` forces
-``--jobs 1`` and is refused beside ``--url``.
+report, and a cache hit yields none.  Capture is inherently serial and
+uncached — worker processes and a ``repro serve`` instance do not see
+the parent's collector, and a cached result would carry no report — so
+``run_jobs`` raises ``ValueError`` for an armed capture beside a
+``cache_dir``, ``workers > 1`` or a service URL, and
+``repro experiment --metrics`` is refused beside ``--jobs`` of 2 or
+more, ``--cache`` and ``--url``.
 """
 
 from __future__ import annotations

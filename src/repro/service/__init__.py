@@ -5,7 +5,7 @@ The paper's experiment tables are thousands of near-identical
 *duplicate* points.  This package puts the harness's
 :class:`~repro.harness.scheduler.JobScheduler` — the one that runs
 ``run_jobs(workers=N)``: request coalescing, per-job timeout/retry,
-checkpointed slices (:mod:`repro.harness.slices`) — behind a
+one :func:`~repro.harness.jobs.run_job` call per attempt — behind a
 stdlib-only HTTP service:
 
 :mod:`~repro.service.protocol`
@@ -19,9 +19,9 @@ stdlib-only HTTP service:
 :mod:`~repro.service.server`
     Minimal asyncio HTTP/1.1 front end over one scheduler with a
     :class:`~repro.harness.store.ResultStore`: ``POST /v1/jobs``,
-    ``GET /v1/jobs/<key>``, a chunked streaming progress endpoint fed by
-    :class:`~repro.harness.parallel.SweepStats`, per-worker drain with
-    checkpoint migration, and shutdown.
+    ``GET /v1/jobs/<key>``, ``GET /v1/stats`` (the scheduler's
+    :class:`~repro.harness.parallel.SweepStats` and store counters),
+    per-worker drain between jobs, and shutdown.
 :mod:`~repro.service.client`
     Blocking stdlib client used by ``run_jobs`` under a
     ``HarnessPolicy.service_url`` (``repro experiment --url``) and the

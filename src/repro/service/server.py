@@ -1,5 +1,5 @@
 """Minimal asyncio HTTP/1.1 front end over :class:`~repro.harness.
-scheduler.JobScheduler` — stdlib only, keep-alive, chunked streaming.
+scheduler.JobScheduler` — stdlib only, keep-alive.
 
 Routes (all JSON bodies):
 
@@ -20,15 +20,12 @@ Routes (all JSON bodies):
     unknown: it never reaches the filesystem.
 ``GET /v1/stats``
     One :meth:`~repro.harness.scheduler.JobScheduler.progress`
-    snapshot.
-``GET /v1/progress``
-    Chunked ``application/x-ndjson`` stream of progress snapshots every
-    ``?interval=`` seconds (default 0.5) until the client disconnects
-    or the server shuts down — the service-side face of
+    snapshot: the service-side face of
     :class:`~repro.harness.parallel.SweepStats`.
 ``POST /v1/drain``
-    Body ``{"workers": k}`` retires ``k`` fleet workers with checkpoint
-    migration; a body without a positive integer ``"workers"`` is a 400.
+    Body ``{"workers": k}`` retires ``k`` fleet workers, each as it
+    finishes a job; a body without a positive integer ``"workers"`` is
+    a 400.
 ``POST /v1/shutdown``
     Graceful exit: gate intake, wait for in-flight jobs, stop.
 
@@ -132,17 +129,13 @@ class SweepServer:
         workers: int = 2,
         max_backlog: int = 256,
         policy: HarnessPolicy | None = None,
-        slice_cycles: int | None = None,
     ) -> None:
-        kwargs = dict(
-            store=store,
+        self.scheduler = JobScheduler(
+            store,
             workers=workers,
             max_backlog=max_backlog,
             policy=policy or HarnessPolicy(),
         )
-        if slice_cycles is not None:
-            kwargs["slice_cycles"] = slice_cycles
-        self.scheduler = JobScheduler(**kwargs)
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
@@ -328,9 +321,6 @@ class SweepServer:
         if path == "/v1/stats" and method == "GET":
             self._respond(writer, 200, self.scheduler.progress())
             return False
-        if path == "/v1/progress" and method == "GET":
-            await self._handle_progress(writer, query)
-            return True  # the stream consumed the connection
         if path == "/v1/drain" and method == "POST":
             self._handle_drain(writer, body)
             return False
@@ -401,43 +391,6 @@ class SweepServer:
             self._respond(writer, 404, {"error": "unknown job key"})
             return
         self._respond(writer, 200, status)
-
-    async def _handle_progress(
-        self, writer: asyncio.StreamWriter, query: dict[str, str]
-    ) -> None:
-        try:
-            interval = max(0.05, float(query.get("interval", 0.5)))
-        except ValueError:
-            raise _BadRequest("interval must be a number")
-        writer.write(
-            b"HTTP/1.1 200 OK\r\n"
-            b"Content-Type: application/x-ndjson\r\n"
-            b"Transfer-Encoding: chunked\r\n"
-            b"Connection: close\r\n"
-            b"\r\n"
-        )
-
-        def chunk(payload: dict) -> bytes:
-            line = json.dumps(payload).encode() + b"\n"
-            return f"{len(line):x}\r\n".encode() + line + b"\r\n"
-
-        try:
-            while True:
-                writer.write(chunk(self.scheduler.progress()))
-                await writer.drain()
-                if self._shutdown.is_set():
-                    break
-                try:
-                    await asyncio.wait_for(
-                        self._shutdown.wait(), interval
-                    )
-                    writer.write(chunk(self.scheduler.progress()))
-                    break
-                except asyncio.TimeoutError:
-                    continue
-        except (ConnectionResetError, BrokenPipeError):
-            return
-        writer.write(b"0\r\n\r\n")
 
     def _handle_drain(
         self, writer: asyncio.StreamWriter, body: bytes

@@ -198,15 +198,23 @@ kernel scale(x[n], y[n]):
         (["--inject-fault", "worker-kill"], "--inject-fault needs --cache"),
         # the server's runs would capture nothing here
         (["--metrics", "--url", "http://127.0.0.1:9"], "--metrics"),
+        # pool workers capture into their own copy of the collector
+        (["--metrics", "--jobs", "2"], "--jobs 2"),
+        # hits carry no report; captured results would carry report
+        # fields under the keys a plain run reads
+        (["--metrics", "--cache", "cache"], "--cache"),
     ])
     def test_experiment_refuses_flags_it_would_drop(self, flags, message,
-                                                    capsys, monkeypatch):
+                                                    capsys, monkeypatch,
+                                                    tmp_path):
         from repro.harness import experiments as exp
 
+        monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(exp, "run_jobs", None)  # any call would fail
         assert main(["experiment", "R-T4", "--n", "16", *flags]) == 2
         out, err = capsys.readouterr()
         assert out == "" and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_experiment_checks_every_id_before_running(self, capsys):
         assert main(["experiment", "R-T4", "R-T99"]) == 2

@@ -367,6 +367,29 @@ class TestCapture:
                 with capture_reports():
                     pass  # pragma: no cover
 
+    def test_run_jobs_refuses_a_cache_beside_a_capture(self, tmp_path):
+        # a hit yields no report, and a captured result would be filed
+        # under the key a plain run reads
+        from repro.harness.parallel import run_jobs
+
+        with capture_reports() as collector:
+            with pytest.raises(ValueError, match="RunReport capture"):
+                run_jobs([Job("sma", "daxpy", n=16)],
+                         cache_dir=tmp_path / "cache")
+        assert collector.reports == []
+        assert not (tmp_path / "cache").exists()
+
+    def test_run_jobs_refuses_a_pool_beside_a_capture(self):
+        # pool workers add their reports to their own copy of the
+        # collector
+        from repro.harness.parallel import run_jobs
+
+        with capture_reports() as collector:
+            with pytest.raises(ValueError, match="workers=2"):
+                run_jobs([Job("sma", "daxpy", n=16),
+                          Job("scalar", "daxpy", n=16)], workers=2)
+        assert collector.reports == []
+
 
 # ---------------------------------------------------------------------------
 # CLI surface

@@ -1,6 +1,6 @@
 """The sweep service: protocol round-trips, the result store it shares
-with the sweep harness, sliced execution, the coalescing scheduler, and
-the HTTP server end to end.
+with the sweep harness, the coalescing scheduler, and the HTTP server
+end to end.
 
 The e2e class runs a real ``SweepServer`` on a loopback socket with
 real process-pool workers and drives it from blocking clients in
@@ -40,7 +40,6 @@ from repro.harness.parallel import (
     job_key,
     run_jobs,
 )
-from repro.harness.slices import run_job_slice, sliceable
 from repro.harness.store import SUFFIX, ResultStore
 from repro.service import (
     JobScheduler,
@@ -219,64 +218,6 @@ class TestResultStore:
             ResultStore(tmp_path / "file")
 
 
-class TestSlices:
-    CASES = [
-        Job("sma", "daxpy", 64, check=True),
-        Job("sma", "pic_gather", 48, lod_variant="addr"),
-        Job("sma-nostream", "tridiag", 32, lod_variant="branch"),
-        Job("cluster", "daxpy", 32, nodes=2, check=True),
-    ]
-
-    @pytest.mark.parametrize(
-        "job", CASES, ids=lambda j: f"{j.machine}-{j.kernel}"
-    )
-    def test_sliced_run_bit_identical(self, job):
-        direct = run_job(job)
-        state, hops = None, 0
-        while True:
-            out = run_job_slice(job, state, 41)
-            if out["done"]:
-                sliced = out["result"]
-                break
-            state, hops = out["state"], hops + 1
-            assert out["cycle"] > 0
-        assert hops > 1, "slice budget must actually split the run"
-        assert canonical(sliced) == canonical(direct)
-
-    def test_snapshot_is_json_portable(self):
-        """Checkpoints cross process (and machine) boundaries as JSON;
-        a round-trip through the serializer must not change the run."""
-        job = Job("sma", "daxpy", 64)
-        direct = run_job(job)
-        out = run_job_slice(job, None, 50)
-        assert not out["done"]
-        state = json.loads(json.dumps(out["state"]))
-        while not out["done"]:
-            out = run_job_slice(job, state, 50)
-            state = out.get("state")
-        assert canonical(out["result"]) == canonical(direct)
-
-    def test_stale_checkpoint_restarts_fresh(self):
-        job = Job("sma", "daxpy", 64)
-        out = run_job_slice(job, None, 50)
-        state = dict(out["state"])
-        state["fingerprint"] = "not-this-machine"
-        redo = run_job_slice(job, state, 10 ** 7)
-        assert redo["done"]
-        assert canonical(redo["result"]) == canonical(run_job(job))
-
-    def test_sliceable_gates(self):
-        assert sliceable(Job("sma", "daxpy", 64))
-        assert sliceable(Job("cluster", "daxpy", 32, nodes=2))
-        assert not sliceable(Job("scalar", "daxpy", 64))
-        assert not sliceable(Job("vector", "daxpy", 64))
-        assert not sliceable(Job("sma-occupancy", "daxpy", 64))
-        spec = SMAConfig(speculation=SpeculationConfig(accuracy=0.5))
-        assert not sliceable(Job("sma", "daxpy", 64, sma_config=spec))
-        off = SMAConfig(speculation=SpeculationConfig(mode="never"))
-        assert sliceable(Job("sma", "daxpy", 64, sma_config=off))
-
-
 def drive(coro):
     """Run one async scheduler scenario to completion."""
     return asyncio.run(asyncio.wait_for(coro, timeout=300))
@@ -353,23 +294,25 @@ class TestScheduler:
 
         drive(scenario())
 
-    def test_worker_drain_migrates_checkpoint(self, tmp_path):
-        """A drained worker requeues its sliced job with the checkpoint;
-        the surviving worker finishes it bit-identically."""
+    def test_worker_drain_retires_between_jobs(self, tmp_path):
+        """A worker drained while it runs a job lands that job, then
+        leaves the fleet; the result is the one ``run_job`` returns."""
 
         async def scenario():
             store = ResultStore(tmp_path / "store")
-            sched = JobScheduler(store, workers=2, slice_cycles=40)
+            # the armed sleep holds the job in its pool process long
+            # enough to drain while it runs
+            sched = JobScheduler(
+                store, workers=2,
+                policy=HarnessPolicy(inject=FaultSpec("sleep", 0.2)),
+            )
             await sched.start()
             try:
                 job = Job("sma", "daxpy", 64)
                 _k, future, _s = sched.submit(job)
-                # let the first slice land, then retire a worker
-                while True:
-                    await asyncio.sleep(0.01)
-                    entry = sched._inflight.get(job_key(job))
-                    if entry is None or entry.state is not None:
-                        break
+                while sched.progress()["running"] == 0:
+                    await asyncio.sleep(0.001)
+                assert not future.done()
                 assert sched.drain_workers(1) == 1
                 result = await future
                 assert sched.progress()["workers"] == 1
@@ -391,6 +334,20 @@ class TestScheduler:
                 assert sched.drain_workers(3) == 0
             finally:
                 await sched.stop()
+            # an idle worker leaves only after its next job, so a
+            # second drain before then must not retire the survivor
+            sched = JobScheduler(store, workers=2)
+            await sched.start()
+            try:
+                assert sched.drain_workers(1) == 1
+                assert sched.drain_workers(1) == 0
+                _k, future, _s = sched.submit(Job("sma", "daxpy", 16))
+                await future
+                _k, future, _s = sched.submit(Job("sma", "daxpy", 24))
+                await future
+                assert sched.progress()["workers"] == 1
+            finally:
+                await sched.stop()
 
         drive(scenario())
 
@@ -400,9 +357,8 @@ class TestScheduler:
         Job("scalar", "daxpy", 32),
     ], ids=lambda j: j.machine)
     def test_armed_sleep_charges_a_timeout(self, tmp_path, job):
-        """The pool's fault hooks fire on sliced jobs as on atomic ones:
-        an armed ``sleep`` longer than the timeout charges the job a
-        timeout, whichever path runs it."""
+        """The pool's fault hook fires on every machine kind: an armed
+        ``sleep`` longer than the timeout charges the job a timeout."""
 
         async def scenario():
             sched = JobScheduler(
@@ -476,7 +432,7 @@ class TestServiceEndToEnd:
     def test_concurrent_clients_coalesce_and_match_serial(self, tmp_path):
         async def scenario():
             store = ResultStore(tmp_path / "store")
-            server = SweepServer(store, workers=2, slice_cycles=10_000)
+            server = SweepServer(store, workers=2)
             host, port = await server.start()
             url = f"http://{host}:{port}"
             loop = asyncio.get_running_loop()
@@ -527,6 +483,7 @@ class TestServiceEndToEnd:
                     # unknown routes and keys 404 without wedging the
                     # kept-alive connection
                     assert client._request("GET", "/v1/nope")[0] == 404
+                    assert client._request("GET", "/v1/progress")[0] == 404
                     assert client.job_status("f" * 64) is None
                     # malformed spec -> 400 with a ProtocolError message
                     code, reply = client._request(
@@ -591,7 +548,7 @@ class TestServiceEndToEnd:
         async def scenario():
             store = ResultStore(tmp_path / "store")
             server = SweepServer(
-                store, workers=2, slice_cycles=2_000,
+                store, workers=2,
                 policy=HarnessPolicy(retries=3, backoff=0.05),
             )
             host, port = await server.start()
@@ -690,6 +647,19 @@ def test_service_route_refuses_local_workers(tmp_path, monkeypatch):
             run_jobs([Job("sma", "daxpy", 16)], workers=4,
                      cache_dir=tmp_path / "cache")
     assert not (tmp_path / "cache").exists()
+
+
+def test_service_route_refuses_an_armed_capture(monkeypatch):
+    # the server's runs fill no collector in this process
+    from repro.metrics import capture_reports
+
+    _refuse_to_connect(monkeypatch)
+    with capture_reports() as collector, harness_policy(
+        service_url="http://127.0.0.1:9"
+    ):
+        with pytest.raises(ValueError, match="RunReport capture"):
+            run_jobs([Job("sma", "daxpy", 16)])
+    assert collector.reports == []
 
 
 def test_service_route_refuses_the_batch_backend(monkeypatch):
