@@ -22,6 +22,11 @@ to end, on the LOD-collapsed lowerings R-T7 uses:
   coin-0.5 predictor, a run on the default (event-horizon) scheduler
   must match ``scheduler="naive"`` exactly: cycles, AP/EP stall causes,
   the stall-bucket partition, speculation counters and memory digest.
+* **the default scheduler stays on the fast paths** — under both
+  predictors the default run calls none of the reference
+  ``ExecuteProcessor.step``, ``StreamEngine.tick`` or
+  ``StoreUnit.tick`` (the naive run must call them, so the count is
+  live): a silent fall-back to the slow path fails here.
 
 Exit status is non-zero on any violated expectation.
 """
@@ -31,10 +36,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from collections import Counter
+from contextlib import contextmanager
 
 try:
     from repro.config import MemoryConfig, SMAConfig, SpeculationConfig
+    from repro.core.descriptors import StreamEngine
+    from repro.core.execute_processor import ExecuteProcessor
     from repro.core.machine import set_fast_forward
+    from repro.core.store_unit import StoreUnit
     from repro.harness.runner import run_on_sma
     from repro.kernels import get_kernel, lower_sma
 except ImportError as exc:  # pragma: no cover - CI misconfiguration
@@ -45,6 +55,9 @@ except ImportError as exc:  # pragma: no cover - CI misconfiguration
 
 CASES = (("pic_gather", "addr"), ("tridiag", "branch"))
 MEM = MemoryConfig(latency=16, bank_busy=8)
+#: the reference steps only the naive loop may call
+REFERENCE_STEPS = ((ExecuteProcessor, "step"), (StreamEngine, "tick"),
+                   (StoreUnit, "tick"))
 
 
 def _run(name, variant, speculation, n, seed=7, metrics=False):
@@ -54,14 +67,36 @@ def _run(name, variant, speculation, n, seed=7, metrics=False):
     return run_on_sma(kernel, inputs, cfg, lowered=lowered, metrics=metrics)
 
 
+@contextmanager
+def _reference_step_calls():
+    """Count the calls of every method in :data:`REFERENCE_STEPS`."""
+    calls = Counter()
+    saved = [(cls, method, getattr(cls, method))
+             for cls, method in REFERENCE_STEPS]
+    for cls, method, real in saved:
+        def spy(unit, now, real=real, label=f"{cls.__name__}.{method}"):
+            calls[label] += 1
+            return real(unit, now)
+
+        setattr(cls, method, spy)
+    try:
+        yield calls
+    finally:
+        for cls, method, real in saved:
+            setattr(cls, method, real)
+
+
 def _default_matches_naive(name, variant, speculation, n):
     """Run once on the default scheduler and once with naive made the
-    default; compare everything a speculative run reports."""
+    default; compare everything a speculative run reports.  Returns
+    the verdict and each run's reference-step calls."""
     runs = []
+    calls = []
     for fast in (True, False):
         previous = set_fast_forward(fast)
         try:
-            run = _run(name, variant, speculation, n, metrics=True)
+            with _reference_step_calls() as counted:
+                run = _run(name, variant, speculation, n, metrics=True)
         finally:
             set_fast_forward(previous)
         runs.append(_fingerprint(run) + (
@@ -69,7 +104,8 @@ def _default_matches_naive(name, variant, speculation, n):
             run.result.stall_breakdown,
             run.result.speculation,
         ))
-    return runs[0] == runs[1]
+        calls.append(counted)
+    return runs[0] == runs[1], calls[0], calls[1]
 
 
 def _fingerprint(run):
@@ -140,11 +176,15 @@ def main() -> int:
             ("perfect", SpeculationConfig(mode="perfect", max_depth=16)),
             ("coin-0.5", coin),
         ):
-            check(_default_matches_naive(name, variant, speculation,
-                                         args.n),
+            same, default_calls, naive_calls = _default_matches_naive(
+                name, variant, speculation, args.n)
+            check(same,
                   f"default scheduler == naive under the {label} "
                   "predictor (cycles, stall buckets, speculation "
                   "counters, memory digest)")
+            check(not default_calls and naive_calls["ExecuteProcessor.step"],
+                  f"default scheduler called no reference step under the "
+                  f"{label} predictor (naive: {dict(naive_calls)})")
 
     print("speculation smoke passed")
     return 0

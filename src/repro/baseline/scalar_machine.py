@@ -32,6 +32,61 @@ from ..isa.operands import NUM_REGS
 from ..memory import BankedMemory, DataCache, MainMemory
 from ..memory.main_memory import as_address
 
+# decoded-instruction kinds (first element of each decode tuple), most
+# frequent first; plain ints so run() dispatches on integer compares, not
+# enum hashing
+(_S_ALU2, _S_LOAD, _S_STORE, _S_DECBNZ, _S_ALU1, _S_BR, _S_JMP, _S_ALUN,
+ _S_NOP, _S_HALT, _S_BAD) = range(11)
+
+
+def _decode(instr):
+    """Decode one instruction into a kind-tagged tuple for
+    :meth:`ScalarMachine.run`.  Each register-or-immediate source becomes
+    two fields, ``is_reg`` and the register index or immediate value.
+    An instruction whose execution is bound to fail decodes to
+    ``(_S_BAD, error_class, args)``: the error the undecoded interpreter
+    raised, first unreadable source first, then a non-register
+    destination, raised when the instruction executes."""
+    op = instr.op
+    if op not in SCALAR_OPS:
+        raise SimulationError(f"{op.value} is not a valid scalar-machine op")
+    if op is Op.HALT:
+        return (_S_HALT,)
+    if op is Op.NOP:
+        return (_S_NOP,)
+    if op is Op.JMP:
+        return (_S_JMP, instr.branch_target())
+    dest = instr.dest
+    if op is Op.DECBNZ:
+        if not isinstance(dest, Reg):
+            return (_S_BAD, AssertionError, ())
+        return (_S_DECBNZ, dest.index, instr.branch_target())
+    branch = op in (Op.BEQZ, Op.BNEZ)
+    operands = []
+    for src in instr.srcs[:1] if branch else instr.srcs:
+        if isinstance(src, Reg):
+            operands += (True, src.index)
+        elif isinstance(src, Imm):
+            operands += (False, src.value)
+        else:
+            return (_S_BAD, SimulationError,
+                    (f"scalar machine cannot read operand {src}",))
+    if branch:
+        return (_S_BR, op is Op.BEQZ, instr.branch_target(), *operands)
+    if op is Op.STORE:
+        return (_S_STORE, *operands)
+    if not isinstance(dest, Reg):
+        return (_S_BAD, AssertionError, ())
+    if op is Op.LOAD:
+        return (_S_LOAD, dest.index, *operands)
+    assert op in ALU_OPS  # exhaustive over SCALAR_OPS
+    if len(operands) == 4:
+        return (_S_ALU2, ALU_FUNCS[op], dest.index, *operands)
+    if len(operands) == 2:
+        return (_S_ALU1, ALU_FUNCS[op], dest.index, *operands)
+    return (_S_ALUN, ALU_FUNCS[op], dest.index,
+            tuple(zip(operands[::2], operands[1::2])))
+
 
 @dataclass
 class ScalarResult:
@@ -135,11 +190,7 @@ class ScalarMachine:
         }
         for base, values in program.data:
             self.memory.load_array(base, values)
-        for instr in program:
-            if instr.op not in SCALAR_OPS:
-                raise SimulationError(
-                    f"{instr.op.value} is not a valid scalar-machine op"
-                )
+        self._decoded = [_decode(instr) for instr in program]
 
     # -- workload I/O ------------------------------------------------------
 
@@ -174,123 +225,170 @@ class ScalarMachine:
         self._metrics_registry = reg
         return reg
 
-    # -- memory helpers ----------------------------------------------------
-
-    def _wait_for_bank(self, addr: int) -> None:
-        assert self.banked is not None
-        banked = self.banked
-        waited = 0
-        while not banked.can_accept(addr, self.cycle):
-            # jump straight to the cycle the bank frees up; a same-cycle
-            # port reject clears after a single cycle.  Equivalent to
-            # ticking one cycle at a time (the processor is blocked, so
-            # no other state advances while it waits).
-            free_at = banked.bank_free_time(addr)
-            target = free_at if free_at > self.cycle else self.cycle + 1
-            waited += target - self.cycle
-            self.cycle = target
-        if waited:
-            self._stats["conflict_waits"] += waited
-            self._stats["memory_stall_cycles"] += waited
-
-    def _do_load(self, addr) -> float:
-        a = as_address(addr)
-        self._stats["loads"] += 1
-        if self.cache is not None:
-            cost = self.cache.access(a, is_write=False, now=self.cycle, pc=self.pc)
-            # the issue cycle itself is charged by the main loop
-            self.cycle += cost - 1
-            self._stats["memory_stall_cycles"] += cost - 1
-            return self.memory.read(a)
-        self._wait_for_bank(a)
-        assert self.banked is not None
-        accepted = self.banked.try_issue(a, self.cycle)
-        assert accepted
-        latency = self.config.memory.latency
-        self.cycle += latency  # blocking load: wait for the data
-        self._stats["memory_stall_cycles"] += latency
-        return self.memory.read(a)
-
-    def _do_store(self, addr, value) -> None:
-        a = as_address(addr)
-        self._stats["stores"] += 1
-        if self.cache is not None:
-            cost = self.cache.access(a, is_write=True, now=self.cycle, pc=self.pc)
-            self.cycle += cost - 1
-            self._stats["memory_stall_cycles"] += cost - 1
-            self.memory.write(a, value)
-            return
-        self._wait_for_bank(a)
-        assert self.banked is not None
-        accepted = self.banked.try_issue(a, self.cycle, is_write=True, value=value)
-        assert accepted
-
     # -- execution ---------------------------------------------------------
 
-    def _read(self, operand) -> float:
-        if isinstance(operand, Reg):
-            return self.registers[operand.index]
-        if isinstance(operand, Imm):
-            return operand.value
-        raise SimulationError(
-            f"scalar machine cannot read operand {operand}"
-        )
-
     def run(self, max_cycles: int = 100_000_000) -> ScalarResult:
-        """Run to HALT; returns the collected statistics."""
-        while not self.halted:
-            if self.cycle >= max_cycles:
-                raise SimulationError(f"exceeded cycle budget {max_cycles}")
-            if self.pc >= len(self.program):
-                raise SimulationError(
-                    f"ran off the end of program {self.program.name!r}"
-                )
-            instr = self.program[self.pc]
-            op = instr.op
-            next_pc = self.pc + 1
-            if op in ALU_OPS:
-                args = [self._read(s) for s in instr.srcs]
-                assert isinstance(instr.dest, Reg)
-                self.registers[instr.dest.index] = ALU_FUNCS[op](*args)
-            elif op is Op.LOAD:
-                addr = self._read(instr.srcs[0]) + self._read(instr.srcs[1])
-                assert isinstance(instr.dest, Reg)
-                self.registers[instr.dest.index] = self._do_load(addr)
-            elif op is Op.STORE:
-                value = self._read(instr.srcs[0])
-                addr = self._read(instr.srcs[1]) + self._read(instr.srcs[2])
-                self._do_store(addr, value)
-            elif op is Op.JMP:
-                next_pc = instr.branch_target()
-            elif op in (Op.BEQZ, Op.BNEZ):
-                value = self._read(instr.srcs[0])
-                if (value == 0) == (op is Op.BEQZ):
-                    next_pc = instr.branch_target()
-            elif op is Op.DECBNZ:
-                assert isinstance(instr.dest, Reg)
-                self.registers[instr.dest.index] -= 1
-                if self.registers[instr.dest.index] != 0:
-                    next_pc = instr.branch_target()
-            elif op is Op.HALT:
-                self.halted = True
-            elif op is Op.NOP:
-                pass
-            else:  # pragma: no cover - exhaustive over SCALAR_OPS
-                raise SimulationError(f"unhandled scalar op {op}")
-            self.cycle += 1  # issue cycle of this instruction
-            self._stats["instructions"] += 1
-            self.pc = next_pc
+        """Run to HALT; returns the collected statistics.
+
+        Steps the decode cache built at construction.  ``pc``, ``cycle``
+        and the instruction count live in locals and are written back on
+        every exit, raised errors included.  The uncached bank path
+        (bank wait, accept bookkeeping, storage access) is inlined; the
+        cached path calls :meth:`DataCache.access` with the cycle and pc
+        that R-T5's prefetchers train on, and with ``self.cycle`` and
+        ``self.pc`` current during the call.
+        """
+        decoded = self._decoded
+        plen = len(decoded)
+        registers = self.registers
+        stats = self._stats
+        cache = self.cache
+        memory = self.memory
+        words = memory._words
+        msize = memory.size
+        banked = self.banked
+        if banked is not None:
+            bank_free = banked._bank_free_at
+            mstats = banked.stats
+            nbanks = banked.config.num_banks
+            accepts = banked.config.accepts_per_cycle
+            bank_busy = banked.config.bank_busy
+            latency = self.config.memory.latency
+        halted = self.halted
+        pc = self.pc
+        cycle = self.cycle
+        executed = 0
+        try:
+            while not halted:
+                if cycle >= max_cycles:
+                    raise SimulationError(
+                        f"exceeded cycle budget {max_cycles}"
+                    )
+                if pc >= plen:
+                    raise SimulationError(
+                        f"ran off the end of program {self.program.name!r}"
+                    )
+                entry = decoded[pc]
+                kind = entry[0]
+                if kind == _S_ALU2:
+                    _, func, dest, r0, v0, r1, v1 = entry
+                    registers[dest] = func(
+                        registers[v0] if r0 else v0,
+                        registers[v1] if r1 else v1,
+                    )
+                    pc += 1
+                elif kind == _S_LOAD or kind == _S_STORE:
+                    if kind == _S_LOAD:
+                        _, dest, r0, v0, r1, v1 = entry
+                        a = as_address((registers[v0] if r0 else v0)
+                                       + (registers[v1] if r1 else v1))
+                        stats["loads"] += 1
+                    else:
+                        _, r0, v0, r1, v1, r2, v2 = entry
+                        value = registers[v0] if r0 else v0
+                        a = as_address((registers[v1] if r1 else v1)
+                                       + (registers[v2] if r2 else v2))
+                        stats["stores"] += 1
+                    if cache is not None:
+                        self.cycle = cycle
+                        self.pc = pc
+                        cost = cache.access(a, is_write=kind == _S_STORE,
+                                            now=cycle, pc=pc)
+                        # the issue cycle itself is charged below
+                        cycle += cost - 1
+                        stats["memory_stall_cycles"] += cost - 1
+                        if kind == _S_LOAD:
+                            registers[dest] = memory.read(a)
+                        else:
+                            memory.write(a, value)
+                    else:
+                        # wait for the bank: jump straight to the cycle it
+                        # frees up; a same-cycle port reject clears after
+                        # one cycle.  Equivalent to ticking one cycle at a
+                        # time (the processor is blocked, so no other
+                        # state advances while it waits).
+                        bank = a % nbanks
+                        cyc, cnt = banked._issues_at
+                        start = cycle
+                        while (cyc == cycle and cnt >= accepts) or \
+                                bank_free[bank] > cycle:
+                            free_at = bank_free[bank]
+                            cycle = free_at if free_at > cycle else cycle + 1
+                        if cycle != start:
+                            stats["conflict_waits"] += cycle - start
+                            stats["memory_stall_cycles"] += cycle - start
+                        # accept (mirrors BankedMemory.try_issue)
+                        banked._issues_at = (
+                            (cycle, cnt + 1) if cyc == cycle else (cycle, 1)
+                        )
+                        bank_free[bank] = cycle + bank_busy
+                        mstats.busy_bank_cycles += bank_busy
+                        mstats.per_bank_accesses[bank] += 1
+                        if kind == _S_LOAD:
+                            # blocking load: wait for the data
+                            mstats.reads += 1
+                            if memory.observer is None and 0 <= a < msize:
+                                cycle += latency
+                                registers[dest] = float(words[a])
+                            else:
+                                # the observer sees the issue-time read
+                                # and the value read, as try_issue and
+                                # the register write each read once; an
+                                # out-of-range address raises here
+                                memory.read(a)
+                                cycle += latency
+                                registers[dest] = memory.read(a)
+                            stats["memory_stall_cycles"] += latency
+                        else:
+                            mstats.writes += 1
+                            if memory.observer is None and 0 <= a < msize:
+                                words[a] = value
+                            else:
+                                memory.write(a, value)
+                    pc += 1
+                elif kind == _S_DECBNZ:
+                    index = entry[1]
+                    registers[index] -= 1
+                    pc = entry[2] if registers[index] != 0 else pc + 1
+                elif kind == _S_ALU1:
+                    _, func, dest, r0, v0 = entry
+                    registers[dest] = func(registers[v0] if r0 else v0)
+                    pc += 1
+                elif kind == _S_BR:
+                    _, beqz, target, r0, v0 = entry
+                    value = registers[v0] if r0 else v0
+                    pc = target if (value == 0) == beqz else pc + 1
+                elif kind == _S_JMP:
+                    pc = entry[1]
+                elif kind == _S_ALUN:
+                    registers[entry[2]] = entry[1](*[
+                        registers[v] if r else v for r, v in entry[3]
+                    ])
+                    pc += 1
+                elif kind == _S_NOP:
+                    pc += 1
+                elif kind == _S_HALT:
+                    halted = self.halted = True
+                    pc += 1
+                else:  # _S_BAD
+                    raise entry[1](*entry[2])
+                cycle += 1  # issue cycle of this instruction
+                executed += 1
+        finally:
+            self.pc = pc
+            self.cycle = cycle
+            stats["instructions"] += executed
         drained = 0
-        if self.cache is not None:
-            drained = self.cache.flush_cycles()
+        if cache is not None:
+            drained = cache.flush_cycles()
             self.cycle += drained
         return ScalarResult(
             cycles=self.cycle,
-            instructions=self._stats["instructions"],
-            loads=self._stats["loads"],
-            stores=self._stats["stores"],
-            memory_stall_cycles=self._stats["memory_stall_cycles"],
-            bank_conflict_waits=self._stats["conflict_waits"],
+            instructions=stats["instructions"],
+            loads=stats["loads"],
+            stores=stats["stores"],
+            memory_stall_cycles=stats["memory_stall_cycles"],
+            bank_conflict_waits=stats["conflict_waits"],
             drain_cycles=drained,
-            cache=self.cache.stats if self.cache is not None else None,
+            cache=cache.stats if cache is not None else None,
         )

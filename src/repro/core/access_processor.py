@@ -27,6 +27,7 @@ the AP has been dragged back to the EP's speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..errors import MemoryError_, SimulationError
 from ..isa import ACCESS_OPS, ALU_FUNCS, ALU_OPS, Imm, Op, Program, Queue, Reg
@@ -60,6 +61,12 @@ class APStats:
 
 # decoded-operand tags: register index / immediate value / invalid
 _O_REG, _O_IMM, _O_BAD = range(3)
+
+#: kinds whose reference implementation calls speculation hooks (the
+#: wrong-path address clamp and ``note_reserved`` for ``ldq``/``staddr``,
+#: ``ap_fromq``/``ap_branch_value`` for the EP->AP queues); step_fast
+#: hands them to :meth:`AccessProcessor.step` while speculating
+_A_SPEC_HOOKED = frozenset((_A_LDQ, _A_STADDR, _A_FROMQ, _A_BQ))
 
 
 class AccessProcessor:
@@ -279,8 +286,16 @@ class AccessProcessor:
         scheduler's hot loop.  Must stay behaviorally identical to
         ``step`` (same stall causes and LOD episode counting, same stats,
         same errors at the same cycle); the Hypothesis equivalence suite
-        in ``tests/test_event_horizon.py`` holds the two together."""
+        in ``tests/test_event_horizon.py`` holds the two together.
+
+        While speculating it calls the hooks where ``step`` does: the
+        rollback-penalty gate first, then, for the four kinds in
+        ``_A_SPEC_HOOKED``, ``step`` itself; stream ops reach their
+        barrier through the shared ``_start_stream``."""
         if self.halted:
+            return
+        spec = self._spec
+        if spec is not None and spec.ap_blocked(self, now):
             return
         pc = self.pc
         # bounds-check against the live program (not just the decode
@@ -295,6 +310,9 @@ class AccessProcessor:
         decoded = self._decoded
         entry = decoded[pc]
         kind = entry[0]
+        if spec is not None and kind in _A_SPEC_HOOKED:
+            self.step(now)
+            return
         stats = self.stats
         registers = self.registers
         if kind == _A_ALU:
@@ -353,8 +371,7 @@ class AccessProcessor:
                 return
             token = target.reserve()
             accepted = memory.try_issue(
-                addr, now,
-                on_complete=lambda v, t=token, q=target: q.fill(t, v),
+                addr, now, on_complete=partial(target.fill, token)
             )
             assert accepted
             stats.instructions += 1
@@ -618,7 +635,7 @@ class AccessProcessor:
         if spec is not None:
             spec.note_reserved(target, token)
         accepted = self.memory.try_issue(
-            addr, now, on_complete=lambda v, t=token, q=target: q.fill(t, v)
+            addr, now, on_complete=partial(target.fill, token)
         )
         assert accepted
         return True

@@ -23,10 +23,9 @@ Design constraints honored here:
   ``extend``, ``list[:] = ``, ``dict.clear``/``update``) and never
   rebinds an attribute that anything else may hold.
 * **Completion callbacks are symbolic.**  The banked memory's heap holds
-  closures (``partial(queue.fill, slot)`` from the fast paths, or the
-  reference paths' ``lambda v, t=token, q=target: q.fill(t, v)``), which
-  cannot be serialized.  Both shapes close over exactly a target queue
-  and a slot token, so each entry is encoded as ``(queue locator, slot
+  callables (every load path schedules ``partial(queue.fill, slot)``),
+  which cannot be serialized.  Each binds exactly a target queue and a
+  slot token, so each entry is encoded as ``(queue locator, slot
   position)`` and re-materialized against the restored queue contents.
 * **Fingerprinted.**  A snapshot embeds a hash of the programs and
   configuration it was taken from; restoring onto a machine built from
@@ -251,17 +250,13 @@ def _restore_memory(memory, data: dict) -> None:
 
 
 def _completion_entry(callback):
-    """Recognize the two callback shapes the simulator schedules and
-    return ``(queue, slot)``; anything else is un-checkpointable."""
+    """Recognize the one callback shape the simulator schedules,
+    ``partial(queue.fill, slot)``, and return ``(queue, slot)``;
+    anything else is un-checkpointable."""
     if isinstance(callback, partial):
-        # partial(queue.fill, slot) — the tick_fast path
         bound = callback.func
         if getattr(bound, "__name__", "") == "fill" and len(callback.args) == 1:
             return bound.__self__, callback.args[0]
-    defaults = getattr(callback, "__defaults__", None)
-    if defaults is not None and len(defaults) == 2:
-        # lambda v, t=token, q=target: q.fill(t, v) — the reference paths
-        return defaults[1], defaults[0]
     raise CheckpointError(
         f"unrecognized completion callback {callback!r}; "
         "cannot checkpoint this machine state"

@@ -262,12 +262,13 @@ class SMACluster:
           bracket closes at ``node.cycle``, so a node that finishes
           early stops accruing queue samples at its own finish cycle —
           exactly where naive ticking stops sampling it.
-        * **Fast steps.**  A node without a speculation engine steps
-          through ``tick_fast``/``step_fast``, each call skipped when
-          its component is quiet; a speculative node steps the
-          reference methods and resolves predictions after both
-          processors step.  Metrics keep their per-cycle hook, and
-          jumps replay through each node's ``_replay_fast``.
+        * **Fast steps.**  Every node steps through
+          ``tick_fast``/``step_fast``, each call skipped when its
+          component is quiet; those hide poisoned heads and call the
+          speculation hooks, and a speculative node resolves
+          predictions after both processors step.  Metrics keep their
+          per-cycle hook, and jumps replay through each node's
+          ``_replay_fast``.
         * **Gated horizon.**  A jump is only *planned* when this cycle
           delivered no completion and every running node's AP and EP
           ended their last step halted or stalled; it is only *taken*
@@ -311,21 +312,15 @@ class SMACluster:
                 lanes.append(None)
                 continue
             spec = node._spec
-            su = node.store_unit
             engine = node.engine
             ap = node.ap
             ep = node.ep
-            if spec is None:
-                steps = (su.tick_fast, engine.tick_fast,
-                         ap.step_fast, ep.step_fast)
-                frames = ()
-            else:
-                steps = (su.tick, engine.tick, ap.step, ep.step)
-                frames = spec.stack
             lanes.append((
                 index, node, clock, ap, ep,
                 node.queues.store_addr._slots, engine._streams,
-                *steps, spec, frames, node._metrics,
+                node.store_unit.tick_fast, engine.tick_fast,
+                ap.step_fast, ep.step_fast,
+                spec, spec.stack if spec is not None else (), node._metrics,
             ))
         live = [lane for lane in lanes if lane is not None]
         # the rotating service window for cycle ``now`` is

@@ -206,9 +206,7 @@ class StreamEngine:
                 return False
             token = target.reserve()
             accepted = self.memory.try_issue(
-                addr,
-                now,
-                on_complete=lambda v, t=token, q=target: q.fill(t, v),
+                addr, now, on_complete=partial(target.fill, token)
             )
             assert accepted, "can_accept and try_issue disagreed"
         else:
@@ -241,7 +239,8 @@ class StreamEngine:
         same issue order, same stall notes, same stats — with the
         per-attempt method calls (``next_address``, ``can_reserve``,
         ``head_ready``, ``can_accept``) flattened into local deque and
-        list accesses.  The Hypothesis equivalence suite
+        list accesses; like ``head_ready``, it treats a poisoned index
+        or data head as not ready.  The Hypothesis equivalence suite
         (``tests/test_event_horizon.py``) holds the two paths together.
         """
         streams = self._streams
@@ -267,8 +266,9 @@ class StreamEngine:
             desc = streams[self._rr % len(streams)]
             ok = False
             if desc.indexed:
+                # head_ready(), inlined: a poisoned index is not ready
                 islots = desc.index_queue._slots
-                if islots and islots[0].filled:
+                if islots and islots[0].filled and not islots[0].poisoned:
                     addr = desc.base + as_address(islots[0].value)
                 else:
                     addr = None
@@ -317,7 +317,8 @@ class StreamEngine:
                 else:
                     data_queue = desc.data_queue
                     dslots = data_queue._slots
-                    if not dslots or not dslots[0].filled:
+                    if not dslots or not dslots[0].filled or \
+                            dslots[0].poisoned:
                         data_queue.stats.empty_stalls += 1
                     else:
                         cyc, cnt = memory._issues_at

@@ -249,8 +249,10 @@ class ExecuteProcessor:
             srcs = entry[2]
             for tag, payload in srcs:
                 if tag == _O_QUEUE:
+                    # head_ready(), inlined: a poisoned head is not ready
                     slots = payload._slots
-                    if not slots or not slots[0].filled:
+                    if not slots or not slots[0].filled or \
+                            slots[0].poisoned:
                         payload.stats.empty_stalls += 1
                         st = stats.stall_cycles
                         st["lq_empty"] = st.get("lq_empty", 0) + 1

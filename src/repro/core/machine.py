@@ -625,11 +625,11 @@ class SMAMachine:
         :meth:`_replay_fast`, clamped to ``stop``; every exit fires at
         the identical cycle as naive ticking.
 
-        A speculative machine steps the reference component methods,
-        the only ones that hide poisoned queue heads and call the
-        speculation hooks, resolves predictions after both processors
-        step (as :meth:`step_cycle` does) and is not done while a frame
-        is open.
+        A speculative machine steps the same fast methods, which hide
+        poisoned queue heads and call the speculation hooks as the
+        reference methods do; it resolves predictions after both
+        processors step (as :meth:`step_cycle` does) and is not done
+        while a frame is open.
         """
         banked = self.banked
         ap = self.ap
@@ -647,19 +647,12 @@ class SMAMachine:
         engine_stats = engine.stats
         su_stats = su.stats
         pop = heapq.heappop
+        su_tick = su.tick_fast
+        engine_tick = engine.tick_fast
+        ap_step = ap.step_fast
+        ep_step = ep.step_fast
         spec = self._spec
-        if spec is None:
-            su_tick = su.tick_fast
-            engine_tick = engine.tick_fast
-            ap_step = ap.step_fast
-            ep_step = ep.step_fast
-            frames = ()
-        else:
-            su_tick = su.tick
-            engine_tick = engine.tick
-            ap_step = ap.step
-            ep_step = ep.step
-            frames = spec.stack
+        frames = spec.stack if spec is not None else ()
         horizon = self.next_event_time
         take_snapshot = self.stall_snapshot
         last_progress_cycle = 0

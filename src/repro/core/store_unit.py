@@ -65,21 +65,23 @@ class StoreUnit:
 
     def tick_fast(self, now: int) -> bool:
         """Hand-inlined twin of :meth:`tick` for the event-horizon
-        scheduler's hot loop: the queue-head probes, the memory
-        port/bank check and the accept bookkeeping of
-        ``BankedMemory.try_issue`` are flattened into local accesses.
+        scheduler's hot loop: the queue-head probes (poisoned heads not
+        ready, as in ``head_ready``), the memory port/bank check and the
+        accept bookkeeping of ``BankedMemory.try_issue`` are flattened
+        into local accesses.
         Must stay behaviorally identical to ``tick`` (same stall notes,
         same stats, same issue decisions); the equivalence suite in
         ``tests/test_event_horizon.py`` holds the two together."""
         queues = self.queues
         saq = queues.store_addr
         sslots = saq._slots
-        if not sslots or not sslots[0].filled:
+        # head_ready(), inlined: a poisoned head is not ready
+        if not sslots or not sslots[0].filled or sslots[0].poisoned:
             return False
         addr, data_queue_index = sslots[0].value
         data_queue = queues.store_data[data_queue_index]
         dslots = data_queue._slots
-        if not dslots or not dslots[0].filled:
+        if not dslots or not dslots[0].filled or dslots[0].poisoned:
             self.stats.data_wait_cycles += 1
             data_queue.stats.empty_stalls += 1
             return False

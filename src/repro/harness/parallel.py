@@ -359,7 +359,7 @@ def run_jobs(
         with ServiceClient(policy.service_url) as client:
             client.run([jobs[i] for i in pending], on_result=land_pending)
     elif pending and workers > 1:
-        _run_scheduled(jobs, pending, results, workers, store, stats,
+        _run_scheduled(jobs, keys, pending, results, workers, store, stats,
                        policy)
     elif pending:
         _run_serial(jobs, pending, land, stats, policy)
@@ -464,11 +464,13 @@ def _run_serial(jobs, pending, land, stats, policy) -> None:
             faults.install(previous)
 
 
-def _run_scheduled(jobs, pending, results, workers, store, stats,
+def _run_scheduled(jobs, keys, pending, results, workers, store, stats,
                    policy) -> None:
     """Run ``pending`` (distinct jobs) on a local
     :class:`~.scheduler.JobScheduler` without a store, flushing each
-    result as its future resolves."""
+    result as its future resolves.  ``keys[i]`` is ``jobs[i]``'s
+    :func:`job_key`, handed to the scheduler so no job is hashed
+    twice."""
     import asyncio
 
     from .scheduler import JobScheduler
@@ -482,8 +484,8 @@ def _run_scheduled(jobs, pending, results, workers, store, stats,
         try:
             waiting = {}  # future -> (job key, job index)
             for i in pending:
-                key, future, _status = scheduler.submit(jobs[i])
-                waiting[future] = key, i
+                _key, future, _status = scheduler.submit(jobs[i], keys[i])
+                waiting[future] = keys[i], i
             while waiting:
                 done, _ = await asyncio.wait(
                     waiting, return_when=asyncio.FIRST_COMPLETED

@@ -156,16 +156,20 @@ class JobScheduler:
 
     # -- intake ------------------------------------------------------------
 
-    def submit(self, job: Job) -> tuple[str, asyncio.Future, str]:
+    def submit(self, job: Job,
+               key: str | None = None) -> tuple[str, asyncio.Future, str]:
         """Register one job; returns ``(job_key, future, status)`` where
         status is ``"cached"`` (already in the store), ``"coalesced"``
-        (identical job already in flight) or ``"queued"``.
+        (identical job already in flight) or ``"queued"``.  ``key`` is
+        the job's :func:`job_key` when the caller has already computed
+        it (``run_jobs`` has); otherwise it is computed here.
 
         Raises :class:`SchedulerDraining` during drain and
         :class:`QueueFullError` when the backlog is full; the caller
         decides per-job what a partial rejection means.
         """
-        key = job_key(job)
+        if key is None:
+            key = job_key(job)
         result = self.store.get(key) if self.store is not None else None
         if result is not None:
             self.stats.hits += 1

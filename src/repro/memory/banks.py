@@ -144,11 +144,11 @@ class BankedMemory:
 
     def squash_completions(self, slots) -> int:
         """Remove in-flight completions that would fill one of ``slots``
-        (speculative rollback, PR 8).  Load-completion callbacks carry
-        their target slot as a bound default (the same encoding the
-        checkpoint layer introspects), so matching is by slot identity;
-        completions for other consumers are untouched.  Returns the
-        number of completions squashed.
+        (speculative rollback).  Every load completion is scheduled as
+        ``partial(queue.fill, slot)`` (the encoding the checkpoint layer
+        introspects too), so matching is by the identity of its first
+        bound argument; completions for other consumers are untouched.
+        Returns the number of completions squashed.
 
         The heap is mutated in place, because the event-horizon loop
         holds it in a local across cycles."""
@@ -158,8 +158,8 @@ class BankedMemory:
         keep = []
         removed = 0
         for entry in self._completions:
-            defaults = getattr(entry[2], "__defaults__", None) or ()
-            if any(id(d) in ids for d in defaults):
+            args = getattr(entry[2], "args", ())
+            if args and id(args[0]) in ids:
                 removed += 1
             else:
                 keep.append(entry)

@@ -41,8 +41,9 @@ class _Slot:
     value: Any = None
     #: speculative taint (PR 8): a poisoned slot was produced by the AP
     #: while running ahead of an unresolved prediction.  ``head_ready``
-    #: hides poisoned heads from non-speculative consumers (EP, store
-    #: unit); commit clears the flag, rollback removes the slot.
+    #: (and its inlined copies in the ``*_fast`` step paths) hides
+    #: poisoned heads from non-speculative consumers (EP, stream engine,
+    #: store unit); commit clears the flag, rollback removes the slot.
     poisoned: bool = False
 
 

@@ -135,6 +135,23 @@ class TestRunJobs:
         assert stats.executed == stats.flushed == 2
         assert stats.coalesced == 1
 
+    def test_pool_sweep_hashes_each_job_once(self, monkeypatch):
+        # the pool's scheduler takes the key run_jobs computed
+        from repro.harness import scheduler
+
+        jobs = _jobs()[:4]
+        hashed = []
+        for module in (parallel, scheduler):
+            real = module.job_key
+            monkeypatch.setattr(
+                module, "job_key",
+                lambda job, real=real: hashed.append(job) or real(job),
+            )
+        with harness_policy() as stats:
+            run_jobs(jobs, workers=2)
+        assert hashed == jobs
+        assert stats.executed == 4
+
     def test_pool_sweep_from_a_running_event_loop(self):
         # a coroutine (a notebook cell, say) may run a pool sweep even
         # though the sweep's own event loop cannot nest inside it

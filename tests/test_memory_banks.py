@@ -1,9 +1,12 @@
 """BankedMemory timing: latency, bank conflicts, port limit, ordering."""
 
+from functools import partial
+
 import pytest
 
 from repro.config import MemoryConfig
 from repro.memory import BankedMemory, MainMemory
+from repro.queues import OperandQueue
 
 
 def make(latency=4, banks=4, busy=2, accepts=1, size=256):
@@ -125,11 +128,14 @@ class TestSquash:
         to land in the list those drivers still hold."""
         mem = make(latency=4, banks=8, busy=1, accepts=2)
         doomed, kept = object(), object()
+        names = {id(doomed): "doomed", id(kept): "kept"}
         got = []
-        mem.try_issue(0, now=0,
-                      on_complete=lambda v, s=doomed: got.append("doomed"))
-        mem.try_issue(1, now=0,
-                      on_complete=lambda v, s=kept: got.append("kept"))
+
+        def record(slot, value):
+            got.append(names[id(slot)])
+
+        mem.try_issue(0, now=0, on_complete=partial(record, doomed))
+        mem.try_issue(1, now=0, on_complete=partial(record, kept))
         comps = mem._completions
         assert mem.squash_completions([doomed]) == 1
         assert mem._completions is comps
@@ -139,3 +145,13 @@ class TestSquash:
             mem.tick(t)
         assert got == ["kept", "late"]
         assert not comps
+
+    def test_squash_removes_a_partial_fill(self):
+        """Every load path schedules ``partial(queue.fill, slot)``, so a
+        squash of that slot must remove its completion."""
+        mem = make(latency=4, banks=8, busy=1, accepts=2)
+        queue = OperandQueue("lq0", 4)
+        slot = queue.reserve()
+        mem.try_issue(0, now=0, on_complete=partial(queue.fill, slot))
+        assert mem.squash_completions([slot]) == 1
+        assert mem._completions == []

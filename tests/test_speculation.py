@@ -17,6 +17,7 @@ The contract under test (ARCHITECTURE §19):
 
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -30,10 +31,15 @@ from repro.config import (
 )
 from repro.core import SMAMachine
 from repro.core.access_processor import AccessProcessor
+from repro.core.descriptors import StreamDescriptor, StreamEngine, StreamKind
+from repro.core.execute_processor import ExecuteProcessor
+from repro.core.store_unit import StoreUnit
 from repro.errors import CheckpointError, SimulationError
 from repro.harness.runner import _fit_memory, _load_inputs, run_on_sma
+from repro.isa import assemble
 from repro.kernels import get_kernel, lower_sma
-from repro.queues import OperandQueue
+from repro.memory import BankedMemory, MainMemory
+from repro.queues import OperandQueue, QueueFile
 
 from tests.test_cluster_fast_forward import (
     _build_cluster,
@@ -71,11 +77,11 @@ def _digest(run):
     return h.hexdigest()
 
 
-def _build(name, variant, speculation, n=32, seed=7):
+def _build(name, variant, speculation, n=32, seed=7, memory=MEM):
     kernel, inputs = get_kernel(name).instantiate(n, seed)
     lowered = lower_sma(kernel, lod_variant=variant)
     cfg = SMAConfig(
-        memory=_fit_memory(MEM, lowered.layout),
+        memory=_fit_memory(memory, lowered.layout),
         queues=QueueConfig(),
         speculation=speculation,
     )
@@ -180,7 +186,7 @@ _SPECULATION = st.builds(
 
 class TestScheduling:
     """Event-horizon drives speculation exactly like naive ticking: it
-    steps the reference component methods and still jumps idle spans."""
+    steps the fast component methods and still jumps idle spans."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -248,14 +254,14 @@ class TestScheduling:
                                  rollback_penalty=16)
         machine = _build("pic_gather", "addr", spec)
         steps = []
-        real_step = AccessProcessor.step
+        real_step = AccessProcessor.step_fast
 
         def spy(ap, now):
             real_step(ap, now)
             if ap is machine.ap:
                 steps.append((now, ap._stalled_on))
 
-        monkeypatch.setattr(AccessProcessor, "step", spy)
+        monkeypatch.setattr(AccessProcessor, "step_fast", spy)
         result = machine.run()
         assert result.speculation["rollbacks"] > 0
         assert len(steps) < result.cycles
@@ -280,6 +286,9 @@ class TestScheduling:
                     queue._tap = tap
             return wrapper
 
+        # an empty memo, so the untapped pre-run runs even when an
+        # earlier test already recorded this key
+        monkeypatch.setattr("repro.core.speculation._ORACLE_MEMO", {})
         for name in ("pop", "pop_slot"):
             monkeypatch.setattr(
                 OperandQueue, name, untapped(getattr(OperandQueue, name))
@@ -288,6 +297,152 @@ class TestScheduling:
                          SpeculationConfig(mode="perfect"))
         with pytest.raises(SimulationError, match="oracle pre-run"):
             machine.run()
+
+
+def _poisoned(case):
+    """A component whose next move waits on a poisoned queue head (the
+    one queue named by ``case``); returns it with its queue file and
+    memory."""
+    memory = BankedMemory(MainMemory(256), MemoryConfig(size=256))
+    queues = QueueFile(SMAConfig())
+    sdq = queues.store_data[0]
+    if case == "engine-iq":
+        unit = StreamEngine(memory, max_streams=4)
+        slot = queues.index[0].push(3.0)
+        unit.start(StreamDescriptor(
+            StreamKind.GATHER, base=8, count=1,
+            target=queues.load[0], index_queue=queues.index[0],
+        ))
+    elif case == "engine-sdq":
+        unit = StreamEngine(memory, max_streams=4)
+        slot = sdq.push(1.5)
+        unit.start(StreamDescriptor(
+            StreamKind.STORE, base=8, count=1, data_queue=sdq,
+        ))
+    elif case in ("store-saq", "store-sdq"):
+        unit = StoreUnit(queues, memory)
+        saq_slot = queues.store_addr.push((8, 0))
+        sdq_slot = sdq.push(1.5)
+        slot = saq_slot if case == "store-saq" else sdq_slot
+    else:  # "ep-lq"
+        unit = ExecuteProcessor(assemble("add sdq0, lq0, #1\nhalt"), queues)
+        slot = queues.load[0].push(2.0)
+    slot.poisoned = True
+    return unit, queues, memory, slot
+
+
+class TestFastPathsUnderSpeculation:
+    """The default loop steps only the ``*_fast`` methods, which hide
+    poisoned heads and call the speculation hooks as the reference
+    methods do."""
+
+    @pytest.mark.parametrize("name,variant",
+                             [("pic_gather", "addr"), ("tridiag", "branch")])
+    @pytest.mark.parametrize("speculation", [
+        SpeculationConfig(accuracy=0.5, max_depth=8, seed=3),
+        SpeculationConfig(mode="perfect", max_depth=16),
+    ], ids=["coin-0.5", "perfect"])
+    def test_default_loop_steps_no_reference_method(
+        self, monkeypatch, name, variant, speculation
+    ):
+        naive = _build(name, variant, speculation)
+        naive.attach_metrics()
+        want = _full_observables(naive, naive.run(scheduler="naive"))
+        calls = []
+        for cls, method in ((ExecuteProcessor, "step"),
+                            (StreamEngine, "tick"), (StoreUnit, "tick")):
+            def spy(unit, now, real=getattr(cls, method),
+                    label=f"{cls.__name__}.{method}"):
+                calls.append(label)
+                return real(unit, now)
+
+            monkeypatch.setattr(cls, method, spy)
+        machine = _build(name, variant, speculation)
+        machine.attach_metrics()
+        got = _full_observables(machine, machine.run())
+        assert calls == []
+        assert got["result"]["speculation"]["predictions"] > 0
+        assert got == want
+
+    @pytest.mark.parametrize("case,notes", [
+        ("engine-iq", {}),
+        ("engine-sdq", {"sdq0": 1}),
+        ("store-saq", {}),
+        ("store-sdq", {"sdq0": 1}),
+        ("ep-lq", {"lq0": 1}),
+    ])
+    def test_poisoned_head_is_not_ready_on_either_path(self, case, notes):
+        """tick/tick_fast (step/step_fast for the EP) make the same
+        decision and note the same stalls on a poisoned head, and act
+        alike once the poison is cleared.  ``notes`` are the reference
+        paths' empty-head notes: only a consumer whose other inputs are
+        ready notes one."""
+        method = "step" if case == "ep-lq" else "tick"
+        seen = {}
+        for name in (method, method + "_fast"):
+            unit, queues, memory, slot = _poisoned(case)
+
+            def observe(outcome):
+                return (outcome, asdict(unit.stats), asdict(memory.stats),
+                        {q.name: asdict(q.stats)
+                         for q in queues.all_queues()})
+
+            blocked = observe(getattr(unit, name)(0))
+            slot.poisoned = False
+            seen[name] = (blocked, observe(getattr(unit, name)(1)))
+        assert seen[method + "_fast"] == seen[method]
+        (_, _, memory, queue_stats), (_, ready, memory_after, _) = \
+            seen[method]
+        assert memory["reads"] + memory["writes"] == 0
+        assert {name: stats["empty_stalls"]
+                for name, stats in queue_stats.items()
+                if stats["empty_stalls"]} == notes
+        if case == "ep-lq":
+            assert ready["instructions"] == 1
+        else:
+            assert memory_after["reads"] + memory_after["writes"] == 1
+
+
+class TestOracleMemo:
+    SPEC = SpeculationConfig(accuracy=0.5, max_depth=4)
+
+    def _count_builds(self, monkeypatch):
+        builds = []
+        real_init = SMAMachine.__init__
+
+        def spy(machine, *args, **kwargs):
+            builds.append(machine)
+            real_init(machine, *args, **kwargs)
+
+        monkeypatch.setattr(SMAMachine, "__init__", spy)
+        return builds
+
+    def test_same_key_runs_no_pre_run(self, monkeypatch):
+        monkeypatch.setattr("repro.core.speculation._ORACLE_MEMO", {})
+        first = _build("pic_gather", "addr", self.SPEC)
+        first.attach_metrics()
+        want = _full_observables(first, first.run())
+        second = _build("pic_gather", "addr", self.SPEC)
+        second.attach_metrics()
+        builds = self._count_builds(monkeypatch)
+        got = _full_observables(second, second.run())
+        assert builds == []
+        assert got == want
+
+    def test_changed_input_or_memory_config_misses(self, monkeypatch):
+        monkeypatch.setattr("repro.core.speculation._ORACLE_MEMO", {})
+        _build("pic_gather", "addr", self.SPEC).run()
+        kernel = get_kernel("pic_gather").instantiate(32, 7)[0]
+        layout = lower_sma(kernel, lod_variant="addr").layout
+        changed_input = _build("pic_gather", "addr", self.SPEC)
+        changed_input.memory._words[layout.base("e")] += 1.0
+        other_memory = _build("pic_gather", "addr", self.SPEC,
+                              memory=MemoryConfig(latency=8, bank_busy=4))
+        builds = self._count_builds(monkeypatch)
+        changed_input.run()
+        assert len(builds) == 1
+        other_memory.run()
+        assert len(builds) == 2
 
 
 class TestCheckpoint:
