@@ -18,45 +18,26 @@ See README.md for the architecture tour and DESIGN.md for the experiment
 index (including the provenance note about the reconstructed evaluation).
 """
 
-from .baseline import ScalarMachine, ScalarResult
-from .config import (
-    CacheConfig,
-    MemoryConfig,
-    QueueConfig,
-    ScalarConfig,
-    SMAConfig,
-    default_scalar_config,
-    default_sma_config,
-)
-from .core import SMAMachine, SMAResult
-from .errors import (
-    AssemblyError,
-    EncodingError,
-    KernelError,
-    LoweringError,
-    MemoryError_,
-    QueueError,
-    ReproError,
-    SimulationError,
-)
-from .harness import (
-    EXPERIMENTS,
-    compare_spec,
-    run_experiment,
-    run_on_scalar,
-    run_on_sma,
-)
-from .isa import Program, assemble, disassemble
-from .kernels import (
-    Kernel,
-    all_kernels,
-    get_kernel,
-    kernel_names,
-    lower_scalar,
-    lower_sma,
-    parse_kernel,
-    run_reference,
-)
+from ._lazy import lazy_package
+
+# every name is imported from its subpackage on first use (see
+# repro._lazy), so ``import repro`` loads no simulator and no numpy
+lazy_package(__name__, {
+    ".baseline": ("ScalarMachine", "ScalarResult"),
+    ".config": ("CacheConfig", "MemoryConfig", "QueueConfig",
+                "ScalarConfig", "SMAConfig", "default_scalar_config",
+                "default_sma_config"),
+    ".core": ("SMAMachine", "SMAResult"),
+    ".errors": ("AssemblyError", "EncodingError", "KernelError",
+                "LoweringError", "MemoryError_", "QueueError",
+                "ReproError", "SimulationError"),
+    ".harness": ("EXPERIMENTS", "compare_spec", "run_experiment",
+                 "run_on_scalar", "run_on_sma"),
+    ".isa": ("Program", "assemble", "disassemble"),
+    ".kernels": ("Kernel", "all_kernels", "get_kernel", "kernel_names",
+                 "lower_scalar", "lower_sma", "parse_kernel",
+                 "run_reference"),
+})
 
 __version__ = "1.0.0"
 

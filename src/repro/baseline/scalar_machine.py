@@ -331,13 +331,11 @@ class ScalarMachine:
                                 cycle += latency
                                 registers[dest] = float(words[a])
                             else:
-                                # the observer sees the issue-time read
-                                # and the value read, as try_issue and
-                                # the register write each read once; an
-                                # out-of-range address raises here
-                                memory.read(a)
-                                cycle += latency
+                                # one read, seen by the observer; an
+                                # out-of-range address raises here, with
+                                # pc and cycle still at the load's issue
                                 registers[dest] = memory.read(a)
+                                cycle += latency
                             stats["memory_stall_cycles"] += latency
                         else:
                             mstats.writes += 1

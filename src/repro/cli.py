@@ -111,20 +111,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
+# module-level imports are what planning, keying and a cache probe need:
+# each command imports the compilers, machines and numpy it runs where it
+# runs them, so a warm-cache ``experiment`` loads no simulator
 from .config import MemoryConfig, QueueConfig, ScalarConfig, SMAConfig
 from .errors import KernelError
-from .harness import EXPERIMENTS, compare_spec, run_suite
+from .harness import EXPERIMENTS, run_suite
 from .harness.plot import render_plot
-from .kernels import (
-    all_kernels,
-    get_kernel,
-    lower_scalar,
-    lower_sma,
-    parse_kernel,
-    run_reference,
-)
+from .kernels import all_kernels, get_kernel
 
 
 def _configs(latency: int):
@@ -144,6 +138,8 @@ def cmd_kernels(_args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .harness.runner import compare_spec
+
     spec = get_kernel(args.kernel)
     sma_cfg, scalar_cfg = _configs(args.latency)
     result = compare_spec(
@@ -160,6 +156,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from .kernels import lower_scalar, lower_sma
+
     spec = get_kernel(args.kernel)
     kernel, _ = spec.instantiate(args.n)
     print(kernel.pretty())
@@ -428,6 +426,7 @@ def _sma_machine(kernel_name: str, n: int, latency: int,
 
     from .core import SMAMachine
     from .harness.runner import _fit_memory, _load_inputs
+    from .kernels import lower_sma
 
     spec = get_kernel(kernel_name)
     kernel, inputs = spec.instantiate(n, seed)
@@ -655,6 +654,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    import numpy as np
+
+    from .harness.runner import run_on_scalar, run_on_sma
+    from .kernels import parse_kernel, run_reference
+
     source = open(args.file).read()
     kernel = parse_kernel(source, **{args.param: args.n})
     print(kernel.pretty())
@@ -664,8 +668,6 @@ def cmd_parse(args) -> int:
         for decl in kernel.arrays
     }
     golden = run_reference(kernel, inputs)
-    from .harness.runner import run_on_scalar, run_on_sma
-
     sma = run_on_sma(kernel, inputs)
     scalar = run_on_scalar(kernel, inputs)
     for name, want in golden.items():
@@ -679,9 +681,26 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .core import SMAMachine
+class _SchedulerNames:
+    """``profile --scheduler`` choices: :attr:`SMAMachine.SCHEDULERS`,
+    read only when argparse checks a value or formats help, so building
+    the parser loads no machine (the option's ``metavar`` keeps
+    ``add_argument`` from listing them)."""
 
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+    @staticmethod
+    def _names() -> list[str]:
+        from .core import SMAMachine
+
+        return list(SMAMachine.SCHEDULERS)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Structured Memory Access architecture reproduction",
@@ -852,9 +871,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_profile.add_argument("--n", type=int, default=256)
     p_profile.add_argument("--latency", type=int, default=8)
     p_profile.add_argument("--scheduler", default="event-horizon",
-                           choices=list(SMAMachine.SCHEDULERS),
-                           help="simulation loop to profile "
-                                "(default: event-horizon)")
+                           choices=_SchedulerNames(), metavar="LOOP",
+                           help="simulation loop to profile, one of "
+                                "%(choices)s (default: event-horizon)")
     p_profile.add_argument("--top", type=int, default=0, metavar="K",
                            help="also list the K hottest functions")
 

@@ -14,11 +14,54 @@ memory system relative to a single-cycle processor:
 Use :func:`dataclasses.replace` to derive swept variants, e.g.::
 
     cfg = replace(default_sma_config(), memory=replace(mem, latency=32))
+
+Every config is canonical by construction: a numpy number passed for a
+field is stored as the builtin ``int`` or ``float`` it equals, so
+``repr(config)`` (part of every result-cache key) does not depend on
+whether a sweep wrote ``256`` or ``np.int64(256)``.  This module imports
+no numpy.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
+
+_BUILTIN = (int, float, str, bool, type(None))
+
+
+def _builtin(value):
+    """``value`` as the builtin ``int``/``float`` it equals if it is some
+    other number (``np.int64(8)`` -> ``8``), else ``value`` itself."""
+    if type(value) in _BUILTIN:
+        return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, numbers.Real):
+        return float(value)
+    return value
+
+
+def canonicalize(obj) -> None:
+    """Store every number among the frozen dataclass ``obj``'s fields,
+    and inside its tuple fields, as a builtin (see :func:`_builtin`).
+
+    Called first in the ``__post_init__`` of each config and of the
+    harness's ``Job`` and ``BatchJob``, so no caller ever has to walk a
+    config tree to canonicalize it.
+    """
+    # getattr per field, not vars(obj): reading __dict__ would make each
+    # instance carry a dict object instead of inline attribute values
+    for name in obj.__dataclass_fields__:
+        value = getattr(obj, name)
+        if type(value) in _BUILTIN:
+            continue
+        if type(value) is tuple:
+            new = tuple(_builtin(v) for v in value)
+        else:
+            new = _builtin(value)
+        if new is not value:
+            object.__setattr__(obj, name, new)
 
 
 @dataclass(frozen=True)
@@ -51,6 +94,7 @@ class MemoryConfig:
     accepts_per_cycle: int = 1
 
     def __post_init__(self) -> None:
+        canonicalize(self)
         if self.size <= 0 or self.num_banks <= 0:
             raise ValueError("size and num_banks must be positive")
         if self.latency < 1 or self.bank_busy < 1:
@@ -71,6 +115,7 @@ class QueueConfig:
     ep_to_ap_branch_depth: int = 4  # EP -> AP branch queue (EBQ)
 
     def __post_init__(self) -> None:
+        canonicalize(self)
         for name in (
             "load_queue_depth",
             "store_data_depth",
@@ -100,6 +145,7 @@ class CacheConfig:
     transfer_cycles: int = 1
 
     def __post_init__(self) -> None:
+        canonicalize(self)
         if self.line_words <= 0 or self.size_words <= 0:
             raise ValueError("cache sizes must be positive")
         if self.size_words % (self.line_words * self.associativity):
@@ -112,6 +158,34 @@ class CacheConfig:
     @property
     def num_sets(self) -> int:
         return self.size_words // (self.line_words * self.associativity)
+
+
+@dataclass(frozen=True)
+class PrefetchConfig:
+    """Prefetcher knobs layered on a :class:`CacheConfig` (experiment
+    R-T5; see :mod:`repro.memory.prefetch`)."""
+
+    policy: str = "stride"  # "obl" | "stride"
+    #: entries in the stride-detection history (stride policy only).
+    table_size: int = 4
+    #: lines fetched ahead per trigger.
+    degree: int = 1
+    #: cycles past its ready time after which an unclaimed prefetched
+    #: line is dropped from the pending set (bounds ``_pending`` on
+    #: irregular streams and feeds ``prefetch_accuracy``); ``None``
+    #: picks ``max(64, 16 × memory_latency)`` at construction — generous
+    #: enough that a streaming consumer a few lines behind never loses a
+    #: useful prefetch, small enough to bound the pending set.
+    stale_after: int | None = None
+
+    def __post_init__(self) -> None:
+        canonicalize(self)
+        if self.policy not in ("obl", "stride"):
+            raise ValueError(f"unknown prefetch policy {self.policy!r}")
+        if self.table_size < 1 or self.degree < 1:
+            raise ValueError("table_size and degree must be >= 1")
+        if self.stale_after is not None and self.stale_after < 1:
+            raise ValueError("stale_after must be >= 1 (or None for auto)")
 
 
 @dataclass(frozen=True)
@@ -136,6 +210,7 @@ class FaultConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        canonicalize(self)
         if not 0.0 <= self.reject_prob < 1.0:
             raise ValueError("reject_prob must be in [0, 1)")
         if self.drop_completions < 0:
@@ -177,6 +252,7 @@ class SpeculationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        canonicalize(self)
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must be in [0, 1]")
         if self.mode not in ("coin", "perfect", "never"):
@@ -225,6 +301,7 @@ class SMAConfig:
     speculation: SpeculationConfig | None = None
 
     def __post_init__(self) -> None:
+        canonicalize(self)
         if self.max_streams < 1 or self.stream_issue_per_cycle < 1:
             raise ValueError("stream engine parameters must be >= 1")
         if min(self.num_load_queues, self.num_store_queues,
@@ -239,12 +316,12 @@ class ScalarConfig:
     memory: MemoryConfig = field(default_factory=MemoryConfig)
     #: optional data cache; ``None`` means loads go straight to banked memory.
     cache: CacheConfig | None = None
-    #: optional hardware prefetcher layered on the cache (experiment R-T5);
-    #: an instance of :class:`repro.memory.prefetch.PrefetchConfig`.
+    #: optional hardware prefetcher layered on the cache (experiment R-T5).
     #: Requires ``cache`` to be set.
-    prefetch: object | None = None
+    prefetch: PrefetchConfig | None = None
 
     def __post_init__(self) -> None:
+        canonicalize(self)
         if self.prefetch is not None and self.cache is None:
             raise ValueError("prefetch requires a cache configuration")
 

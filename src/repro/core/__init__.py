@@ -1,17 +1,22 @@
-"""The SMA machine core: processors, stream engine, store unit, coupling."""
+"""The SMA machine core: processors, stream engine, store unit, coupling.
 
-from .access_processor import AccessProcessor, APStats
-from .checkpoint import canonical_json, digest as snapshot_digest
-from .cluster import ClusterResult, SMACluster
-from .descriptors import (
-    StreamDescriptor,
-    StreamEngine,
-    StreamEngineStats,
-    StreamKind,
-)
-from .execute_processor import EPStats, ExecuteProcessor
-from .machine import SMAMachine, SMAResult
-from .store_unit import StoreUnit, StoreUnitStats
+Names are imported from their submodules on first use (see
+:mod:`repro._lazy`), so ``from repro.core import SMAMachine`` loads the
+machine and what it needs, not the cluster or the checkpoint layer.
+"""
+
+from .._lazy import lazy_package
+
+lazy_package(__name__, {
+    ".access_processor": ("AccessProcessor", "APStats"),
+    ".checkpoint": ("canonical_json", "snapshot_digest=digest"),
+    ".cluster": ("ClusterResult", "SMACluster"),
+    ".descriptors": ("StreamDescriptor", "StreamEngine",
+                     "StreamEngineStats", "StreamKind"),
+    ".execute_processor": ("EPStats", "ExecuteProcessor"),
+    ".machine": ("SMAMachine", "SMAResult"),
+    ".store_unit": ("StoreUnit", "StoreUnitStats"),
+})
 
 __all__ = [
     "APStats",

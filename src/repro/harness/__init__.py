@@ -1,26 +1,23 @@
-"""Experiment harness: runners, sweeps, tables for every figure/table."""
+"""Experiment harness: runners, sweeps, tables for every figure/table.
 
-from .experiments import EXPERIMENTS, run_experiment, run_suite
-from .faults import FaultSpec
-from .jobs import Job, run_job
-from .parallel import (
-    HarnessPolicy,
-    SweepError,
-    SweepStats,
-    code_fingerprint,
-    harness_policy,
-    run_jobs,
-    set_policy,
-)
-from .runner import (
-    ComparisonRun,
-    KernelRun,
-    compare_spec,
-    run_on_scalar,
-    run_on_sma,
-    run_spec_reference,
-)
-from .tables import Table
+Names are imported from their submodules on first use (see
+:mod:`repro._lazy`): planning a sweep, keying its jobs and probing the
+result cache load no simulator; only running a job does.
+"""
+
+from .._lazy import lazy_package
+
+lazy_package(__name__, {
+    ".experiments": ("EXPERIMENTS", "run_experiment", "run_suite"),
+    ".faults": ("FaultSpec",),
+    ".jobs": ("Job", "run_job"),
+    ".parallel": ("HarnessPolicy", "SweepError", "SweepStats",
+                  "code_fingerprint", "harness_policy", "run_jobs",
+                  "set_policy"),
+    ".runner": ("ComparisonRun", "KernelRun", "compare_spec",
+                "run_on_scalar", "run_on_sma", "run_spec_reference"),
+    ".tables": ("Table",),
+})
 
 __all__ = [
     "EXPERIMENTS",

@@ -54,6 +54,7 @@ from typing import Callable, Generator, Sequence
 from ..config import (
     CacheConfig,
     MemoryConfig,
+    PrefetchConfig,
     QueueConfig,
     ScalarConfig,
     SMAConfig,
@@ -291,8 +292,6 @@ def table5_prefetch(
     (pollution); only the bank-free cache timing model lets the RPT edge
     past the bank-limited SMA on the pathological stride-8 kernel.
     """
-    from ..memory.prefetch import PrefetchConfig
-
     t = Table(
         "R-T5",
         f"SMA vs hardware prefetching (n={n})",

@@ -40,12 +40,10 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from ..config import FaultConfig, SMAConfig
-from ..memory.banks import FaultyMemory  # re-export for harness users
 
 __all__ = [
     "MODES",
     "FaultSpec",
-    "FaultyMemory",
     "active",
     "after_flush",
     "apply_to_jobs",

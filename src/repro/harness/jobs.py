@@ -14,14 +14,16 @@ its input arrays once, and computes its reference outputs once.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from ..config import MemoryConfig, QueueConfig, ScalarConfig, SMAConfig
-from ..kernels import get_kernel, lower_scalar, lower_sma, run_reference
+from ..config import (
+    MemoryConfig,
+    QueueConfig,
+    ScalarConfig,
+    SMAConfig,
+    canonicalize,
+)
 
 #: machine kinds a job can target
 MACHINES = (
@@ -34,37 +36,12 @@ MACHINES = (
 )
 
 
-def _canonical(value):
-    """Convert numpy scalars (and anything nested inside frozen config
-    dataclasses or tuples) to their builtin equivalents.
-
-    ``repr(np.int64(256))`` is ``"np.int64(256)"``, not ``"256"``, so a
-    grid built from ``np.arange`` used to produce cache keys that never
-    matched the same sweep written with literals.  Canonicalizing at job
-    construction makes ``repr(job)`` — and therefore
-    :func:`repro.harness.parallel.job_key` — independent of the numeric
-    types the caller happened to use.
-    """
-    if value is None or isinstance(value, (str, bytes, bool)):
-        return value
-    if is_dataclass(value) and not isinstance(value, type):
-        converted = {
-            f.name: _canonical(getattr(value, f.name))
-            for f in fields(value)
-        }
-        if all(
-            converted[f.name] is getattr(value, f.name)
-            for f in fields(value)
-        ):
-            return value
-        return value.__class__(**converted)
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, numbers.Real):
-        return float(value)
-    if isinstance(value, tuple):
-        return tuple(_canonical(v) for v in value)
-    return value
+def _refuse_non_int(name: str, value, minimum: int | None) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an ``int`` (not
+    a ``bool``) of at least ``minimum``."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        want = "an int" if minimum is None else f"an int >= {minimum}"
+        raise ValueError(f"job {name} must be {want}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,9 +50,13 @@ class Job:
 
     Frozen and built from frozen config dataclasses, so a job is hashable,
     picklable (for the process pool) and has a stable ``repr`` (for the
-    on-disk result cache key).  Field values are canonicalized to builtin
-    types on construction so the repr does not depend on whether a sweep
-    passed ``256`` or ``np.int64(256)``.
+    on-disk result cache key).  Numeric fields are stored as builtins on
+    construction (configs canonicalize themselves the same way), so the
+    repr does not depend on whether a sweep passed ``256`` or
+    ``np.int64(256)``; a field of the wrong type or range is a
+    ``ValueError`` naming it.  The kernel name is not checked here: the
+    service refuses an unknown one at its door, and a job naming one
+    fails when it runs.
     """
 
     machine: str
@@ -96,15 +77,18 @@ class Job:
     lod_variant: str | None = None
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            canonical = _canonical(value)
-            if canonical is not value:
-                object.__setattr__(self, f.name, canonical)
+        canonicalize(self)
         if self.machine not in MACHINES:
             raise ValueError(
                 f"unknown job machine {self.machine!r}; known: {MACHINES}"
             )
+        if self.n is not None:
+            _refuse_non_int("n", self.n, 1)
+        _refuse_non_int("seed", self.seed, None)
+        if type(self.check) is not bool:
+            raise ValueError(f"job check must be a bool, not {self.check!r}")
+        _refuse_non_int("nodes", self.nodes, 1)
+        _refuse_non_int("buckets", self.buckets, 1)
         if self.lod_variant is not None and self.lod_variant not in (
             "addr", "branch"
         ):
@@ -140,13 +124,10 @@ class BatchJob:
     check: bool = False
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, (list, tuple, np.ndarray)):
-                value = tuple(value)
-            canonical = _canonical(value)
-            if canonical is not value:
-                object.__setattr__(self, f.name, canonical)
+        for name in ("latencies", "queue_depths", "bank_counts"):
+            # lists and numpy arrays become tuples, so the job hashes
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        canonicalize(self)
         if self.machine not in BATCH_MACHINES:
             raise ValueError(
                 f"batch jobs target {BATCH_MACHINES}, "
@@ -188,17 +169,23 @@ class BatchJob:
 #
 # Worker processes inherit empty caches; within one worker (or the serial
 # path) every (kernel, n, seed) is instantiated, lowered and reference-run
-# at most once no matter how many sweep points reuse it.
+# at most once no matter how many sweep points reuse it.  The simulator is
+# imported here, at first use, so planning, keying and cache probes never
+# load it.
 
 
 @lru_cache(maxsize=None)
 def _instantiated(name: str, n: int | None, seed: int):
+    from ..kernels import get_kernel
+
     return get_kernel(name).instantiate(n, seed)
 
 
 @lru_cache(maxsize=None)
 def _lowered_sma(name: str, n: int | None, seed: int, use_streams: bool,
                  lod_variant: str | None = None):
+    from ..kernels import lower_sma
+
     kernel, _ = _instantiated(name, n, seed)
     return lower_sma(kernel, use_streams=use_streams,
                      lod_variant=lod_variant)
@@ -206,18 +193,41 @@ def _lowered_sma(name: str, n: int | None, seed: int, use_streams: bool,
 
 @lru_cache(maxsize=None)
 def _lowered_scalar(name: str, n: int | None, seed: int):
+    from ..kernels import lower_scalar
+
     kernel, _ = _instantiated(name, n, seed)
     return lower_scalar(kernel)
 
 
 @lru_cache(maxsize=None)
 def _reference(name: str, n: int | None, seed: int):
+    from ..kernels import run_reference
+
     kernel, inputs = _instantiated(name, n, seed)
     return run_reference(kernel, inputs)
 
 
-def _check_outputs(job: Job, machine: str, outputs) -> None:
-    golden = _reference(job.kernel, job.n, job.seed)
+@lru_cache(maxsize=None)
+def _standalone_cycles(name: str, n: int | None, seed: int,
+                       config: SMAConfig) -> int:
+    """Cycles of one cluster node's kernel run alone on the cluster's
+    ``config``: R-F8's cells share their nodes, so each distinct node
+    is simulated standalone once."""
+    from .runner import run_on_sma
+
+    kernel, inputs = _instantiated(name, n, seed)
+    lowered = _lowered_sma(name, n, seed, True)
+    return run_on_sma(kernel, inputs, config, lowered=lowered).cycles
+
+
+def _check_outputs(job: Job, machine: str, outputs,
+                   seed: int | None = None) -> None:
+    """``AssertionError`` unless ``outputs`` equal the reference run of
+    ``job``'s kernel (on input ``seed``, default the job's)."""
+    import numpy as np
+
+    golden = _reference(job.kernel, job.n,
+                        job.seed if seed is None else seed)
     for name, want in golden.items():
         got = outputs[name]
         if not np.array_equal(got, want):
@@ -337,28 +347,35 @@ def _run_vector(job: Job) -> dict:
     return {"vectorized": True, "cycles": run.cycles}
 
 
-def cluster_workloads(job: Job) -> list:
-    """The per-node (kernel, inputs) list a cluster job simulates.
-
-    Per-node seeds derive from the job seed: node j gets seed
+def _node_seeds(job: Job) -> list[int]:
+    """Per-node input seeds of a cluster job: node j gets seed
     ``job.seed + j``, so jobs differing only in seed measure different
     inputs (they used to be hard-coded to 100 + j, which silently
-    returned identical results under distinct cache keys).
-    """
-    spec = get_kernel(job.kernel)
-    return [
-        spec.instantiate(job.n, job.seed + j) for j in range(job.nodes)
-    ]
+    returned identical results under distinct cache keys)."""
+    return [job.seed + j for j in range(job.nodes)]
+
+
+def cluster_workloads(job: Job) -> list:
+    """The per-node (kernel, inputs) list a cluster job simulates (see
+    :func:`_node_seeds`), shared with this process's other jobs."""
+    return [_instantiated(job.kernel, job.n, seed)
+            for seed in _node_seeds(job)]
 
 
 def _run_cluster(job: Job) -> dict:
     from .runner import run_cluster
 
-    workloads = cluster_workloads(job)
+    seeds = _node_seeds(job)
     metrics = _metrics_armed()
     result = run_cluster(
-        workloads, job.sma_config, check=job.check, metrics=metrics
+        cluster_workloads(job), job.sma_config, check=False,
+        metrics=metrics,
+        standalone=lambda i, cfg: _standalone_cycles(
+            job.kernel, job.n, seeds[i], cfg),
     )
+    if job.check:
+        for seed, outputs in zip(seeds, result.outputs):
+            _check_outputs(job, "cluster node", outputs, seed)
     slowdowns = result.interference_slowdowns
     out = {
         "cluster_cycles": result.cluster_cycles,

@@ -77,7 +77,8 @@ class SweepStats:
     retried: int = 0      #: job re-executions (failure or timeout)
     respawns: int = 0     #: process pools rebuilt after a crash/timeout
     quarantined: int = 0  #: corrupt cache entries moved aside
-    #: repeats of a job key within one ``run_jobs`` call, and (in the
+    #: repeats of a job key within one ``run_jobs`` call, uncached jobs
+    #: folded onto a twin that differs only in ``check``, and (in the
     #: service) submissions folded onto an identical in-flight job;
     #: see :mod:`repro.harness.scheduler`
     coalesced: int = 0
@@ -235,6 +236,9 @@ def run_jobs(
     through.  Each job's key (:func:`job_key`) is computed once, and
     each distinct key runs once on every route: a repeat gets the
     first job's result and counts in :attr:`SweepStats.coalesced`.
+    So does an uncached job that differs from another only in
+    ``check``: the pair runs once, checked, and the result is kept and
+    flushed under both keys (a failed check fails both).
     ``cache_dir``, when given, is a
     :class:`~repro.harness.store.ResultStore`: each result is persisted
     under its key, and hits whose digest verifies are reused on later
@@ -312,11 +316,24 @@ def run_jobs(
         stats.quarantined += store.stats.quarantined
         pending = [i for i in pending if results[i] is None]
 
+    # jobs that differ only in ``check`` simulate the same thing: each
+    # such group runs once, checked if any member asks for it
+    twins: dict[int, list[int]] = {}
+    if len({jobs[i].check for i in pending}) > 1:
+        pending, twins = _fold_check_twins(jobs, pending)
+        stats.coalesced += sum(map(len, twins.values()))
+
+    def keep(i: int, result: dict) -> None:
+        """Hold (and flush) one execution's result for job ``i`` and
+        every twin folded onto it."""
+        for j in (i, *twins.get(i, ())):
+            results[j] = result
+            if store is not None:
+                _flush(store, keys[j], result, stats, inject)
+
     def land(i: int, result: dict) -> None:
-        results[i] = result
         stats.executed += 1
-        if store is not None:
-            _flush(store, keys[i], result, stats, inject)
+        keep(i, result)
 
     def land_pending(pos: int, result: dict) -> None:
         land(pending[pos], result)
@@ -359,8 +376,7 @@ def run_jobs(
         with ServiceClient(policy.service_url) as client:
             client.run([jobs[i] for i in pending], on_result=land_pending)
     elif pending and workers > 1:
-        _run_scheduled(jobs, keys, pending, results, workers, store, stats,
-                       policy)
+        _run_scheduled(jobs, keys, pending, keep, workers, stats, policy)
     elif pending:
         _run_serial(jobs, pending, land, stats, policy)
     return [results[first[key]] for key in keys]
@@ -464,13 +480,32 @@ def _run_serial(jobs, pending, land, stats, policy) -> None:
             faults.install(previous)
 
 
-def _run_scheduled(jobs, keys, pending, results, workers, store, stats,
+def _fold_check_twins(jobs, pending) -> tuple[list[int], dict]:
+    """Group the ``pending`` job indices by the job's ``check=False``
+    form: ``check`` only verifies outputs, never changes a result.
+    Returns the index to run for each group (its first checked member,
+    else its first) and a mapping from each of those to the group's
+    other members."""
+    groups: dict[Job, list[int]] = {}
+    for i in pending:
+        groups.setdefault(replace(jobs[i], check=False), []).append(i)
+    runs, twins = [], {}
+    for members in groups.values():
+        run = next((i for i in members if jobs[i].check), members[0])
+        runs.append(run)
+        others = [i for i in members if i != run]
+        if others:
+            twins[run] = others
+    return runs, twins
+
+
+def _run_scheduled(jobs, keys, pending, keep, workers, stats,
                    policy) -> None:
     """Run ``pending`` (distinct jobs) on a local
-    :class:`~.scheduler.JobScheduler` without a store, flushing each
-    result as its future resolves.  ``keys[i]`` is ``jobs[i]``'s
-    :func:`job_key`, handed to the scheduler so no job is hashed
-    twice."""
+    :class:`~.scheduler.JobScheduler` without a store, handing each
+    result to ``keep`` (which flushes it) as its future resolves.
+    ``keys[i]`` is ``jobs[i]``'s :func:`job_key`, handed to the
+    scheduler so no job is hashed twice."""
     import asyncio
 
     from .scheduler import JobScheduler
@@ -482,10 +517,10 @@ def _run_scheduled(jobs, keys, pending, results, workers, store, stats,
         )
         await scheduler.start()
         try:
-            waiting = {}  # future -> (job key, job index)
+            waiting = {}  # future -> job index
             for i in pending:
                 _key, future, _status = scheduler.submit(jobs[i], keys[i])
-                waiting[future] = keys[i], i
+                waiting[future] = i
             while waiting:
                 done, _ = await asyncio.wait(
                     waiting, return_when=asyncio.FIRST_COMPLETED
@@ -494,14 +529,11 @@ def _run_scheduled(jobs, keys, pending, results, workers, store, stats,
                 # so a --resume rerun does not re-execute finished work
                 failed = {}  # job index -> its terminal error
                 for future in done:
-                    key, i = waiting.pop(future)
+                    i = waiting.pop(future)
                     if future.exception() is not None:
                         failed[i] = future.exception()
                         continue
-                    results[i] = future.result()
-                    if store is not None:
-                        _flush(store, key, future.result(), stats,
-                               policy.inject)
+                    keep(i, future.result())
                 if failed:
                     raise failed[min(failed)]
         finally:

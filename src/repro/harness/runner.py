@@ -5,28 +5,23 @@ This is the layer every experiment and example goes through.  It
 guarantees the three executions of a kernel (reference, scalar baseline,
 SMA) see identical memory layouts and identical input data, so results can
 be compared word-for-word while cycle counts are compared fairly.
+
+The machines, the compilers and numpy are imported by the functions that
+run them, so importing this module loads none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Any
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
-import numpy as np
-
-from ..baseline import ScalarMachine, ScalarResult
 from ..config import MemoryConfig, ScalarConfig, SMAConfig
-from ..core import SMAMachine, SMAResult
-from ..kernels import (
-    Kernel,
-    KernelSpec,
-    LoweredScalar,
-    LoweredSMA,
-    lower_scalar,
-    lower_sma,
-    run_reference,
-)
-from ..kernels.layout import Layout
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from ..kernels import Kernel, KernelSpec, LoweredScalar, LoweredSMA
+    from ..kernels.layout import Layout
 
 
 @dataclass(frozen=True)
@@ -82,6 +77,9 @@ def run_on_sma(
     stays enabled) and fills :attr:`KernelRun.report` with a
     :class:`repro.metrics.RunReport`.
     """
+    from ..core import SMAMachine
+    from ..kernels import lower_sma
+
     cfg = config or SMAConfig()
     if lowered is None:
         lowered = lower_sma(kernel, use_streams=use_streams)
@@ -91,7 +89,7 @@ def run_on_sma(
     )
     machine_metrics = machine.attach_metrics() if metrics else None
     _load_inputs(machine, lowered.layout, kernel, inputs)
-    result: SMAResult = machine.run(max_cycles=max_cycles)
+    result = machine.run(max_cycles=max_cycles)
     report = None
     if machine_metrics is not None:
         from ..metrics import sma_report
@@ -120,6 +118,9 @@ def run_on_scalar(
     ``metrics=True`` registers the machine's counters and fills
     :attr:`KernelRun.report` with a :class:`repro.metrics.RunReport`.
     """
+    from ..baseline import ScalarMachine
+    from ..kernels import lower_scalar
+
     cfg = config or ScalarConfig()
     if lowered is None:
         lowered = lower_scalar(kernel)
@@ -127,7 +128,7 @@ def run_on_scalar(
     machine = ScalarMachine(lowered.program, cfg)
     registry = machine.attach_metrics() if metrics else None
     _load_inputs(machine, lowered.layout, kernel, inputs)
-    result: ScalarResult = machine.run(max_cycles=max_cycles)
+    result = machine.run(max_cycles=max_cycles)
     machine_name = "scalar-cache" if cfg.cache is not None else "scalar"
     report = None
     if registry is not None:
@@ -150,6 +151,8 @@ def run_spec_reference(
     spec: KernelSpec, n: int | None = None, seed: int = 12345
 ) -> dict[str, np.ndarray]:
     """Golden result of a suite kernel."""
+    from ..kernels import run_reference
+
     kernel, inputs = spec.instantiate(n, seed)
     return run_reference(kernel, inputs)
 
@@ -219,6 +222,7 @@ def run_cluster(
     check: bool = True,
     max_cycles: int = 10_000_000,
     metrics: bool = False,
+    standalone: Callable[[int, SMAConfig], int] | None = None,
 ) -> ClusterKernelRun:
     """Run several kernels concurrently on an SMA cluster sharing one
     banked memory (each kernel in its own address region), and compare
@@ -227,6 +231,11 @@ def run_cluster(
     With ``check`` (default), every node's outputs are verified word-exact
     against the reference interpreter — contention must never change
     results, only timing.
+
+    ``standalone(i, cfg)``, when given, returns node ``i``'s cycles run
+    alone on ``cfg`` (the cluster's config, memory grown to hold every
+    node) instead of simulating it here; the job path passes a
+    per-process memo.
 
     ``metrics=True`` attaches the stall-attribution layer to every node
     (cluster fast-forward stays enabled) and fills
@@ -267,6 +276,10 @@ def run_cluster(
             for decl in kernel.arrays
         })
     if check:
+        import numpy as np
+
+        from ..kernels import run_reference
+
         for (kernel, inputs), output in zip(jobs, outputs):
             golden = run_reference(kernel, inputs)
             for name, want in golden.items():
@@ -275,13 +288,15 @@ def run_cluster(
                         f"cluster node diverged from reference in "
                         f"{kernel.name}/{name}"
                     )
-    standalone = [
-        run_on_sma(kernel, inputs, cfg).cycles for kernel, inputs in jobs
-    ]
+    if standalone is None:
+        alone = [run_on_sma(kernel, inputs, cfg).cycles
+                 for kernel, inputs in jobs]
+    else:
+        alone = [standalone(i, cfg) for i in range(len(jobs))]
     return ClusterKernelRun(
         cluster_cycles=cluster.cycle,
         node_cycles=[int(c) for c in cluster_result.finish_cycles],
-        standalone_cycles=standalone,
+        standalone_cycles=alone,
         bank_conflicts=cluster.banked.stats.bank_conflicts,
         memory_utilization=cluster.banked.stats.utilization(
             max(cluster.cycle, 1), cfg.memory.num_banks
@@ -359,6 +374,10 @@ def compare_spec(
     sma_run = run_on_sma(kernel, inputs, sma_config)
     scalar_run = run_on_scalar(kernel, inputs, scalar_config)
     if check:
+        import numpy as np
+
+        from ..kernels import run_reference
+
         golden = run_reference(kernel, inputs)
         for name, want in golden.items():
             for run in (sma_run, scalar_run):

@@ -1,39 +1,29 @@
-"""Kernel IR, compilers, reference interpreter, and the workload suite."""
+"""Kernel IR, compilers, reference interpreter, and the workload suite.
 
-from .ir import (
-    Affine,
-    ArrayDecl,
-    Assign,
-    BinOp,
-    Cmp,
-    Computed,
-    Const,
-    Expr,
-    Indirect,
-    Kernel,
-    Loop,
-    Reduce,
-    Ref,
-    Select,
-    Stmt,
-    UnOp,
-    expr_refs,
-    loop_nest,
-    validate_kernel,
-)
-from .lang import ParseError, parse_kernel
-from .layout import Layout, layout_arrays
-from .lower_scalar import LoweredScalar, lower_scalar
-from .lower_sma import LoweredSMA, SMALoweringInfo, lower_sma
-from .lower_vector import LoweredVector, VectorizationError, lower_vector
-from .reference import ReferenceInterpreter, run_reference
-from .suite import (
-    KernelSpec,
-    all_kernels,
-    get_kernel,
-    kernel_names,
-    kernels_in_category,
-)
+Every name below is imported from its submodule on first use (see
+:mod:`repro._lazy`): reading the suite's registry loads no compiler, no
+reference interpreter and no numpy.
+"""
+
+from .._lazy import lazy_package
+
+lazy_package(__name__, {
+    ".ir": (
+        "Affine", "ArrayDecl", "Assign", "BinOp", "Cmp", "Computed",
+        "Const", "Expr", "Indirect", "Kernel", "Loop", "Reduce", "Ref",
+        "Select", "Stmt", "UnOp", "expr_refs", "loop_nest",
+        "validate_kernel",
+    ),
+    ".lang": ("ParseError", "parse_kernel"),
+    ".layout": ("Layout", "layout_arrays"),
+    ".lower_scalar": ("LoweredScalar", "lower_scalar"),
+    ".lower_sma": ("LoweredSMA", "SMALoweringInfo", "lower_sma"),
+    ".lower_vector": ("LoweredVector", "VectorizationError",
+                      "lower_vector"),
+    ".reference": ("ReferenceInterpreter", "run_reference"),
+    ".suite": ("KernelSpec", "all_kernels", "get_kernel", "kernel_names",
+               "kernels_in_category"),
+})
 
 __all__ = [
     "Affine",

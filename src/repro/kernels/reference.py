@@ -10,9 +10,7 @@ both machine lowerings.
 from __future__ import annotations
 
 import math
-from typing import Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping
 
 from ..errors import KernelError
 from .ir import (
@@ -30,6 +28,9 @@ from .ir import (
     Stmt,
     UnOp,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _BIN = {
     "+": lambda a, b: a + b,
@@ -69,6 +70,8 @@ class ReferenceInterpreter:
     """Evaluate a kernel over copies of the provided input arrays."""
 
     def __init__(self, kernel: Kernel, inputs: Mapping[str, np.ndarray]):
+        import numpy as np
+
         self.kernel = kernel
         self.arrays: dict[str, np.ndarray] = {}
         for decl in kernel.arrays:

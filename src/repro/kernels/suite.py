@@ -24,9 +24,7 @@ patterns (negative stride, strided banking) that the experiments sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from ..errors import KernelError
 from .ir import (
@@ -46,6 +44,9 @@ from .ir import (
     Select,
     UnOp,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # -- tiny construction helpers ------------------------------------------
 
@@ -117,6 +118,8 @@ class KernelSpec:
     ) -> tuple[Kernel, dict[str, np.ndarray]]:
         """Build the kernel and its inputs for size ``n`` (default size if
         omitted), with a deterministic generator."""
+        import numpy as np
+
         size = n if n is not None else self.default_n
         rng = np.random.default_rng(seed)
         return self.build(size), self.make_inputs(size, rng)
@@ -157,6 +160,23 @@ def _uniform(rng: np.random.Generator, n: int, lo=0.1, hi=1.0) -> np.ndarray:
     return rng.uniform(lo, hi, n)
 
 
+# the input generators run only when a kernel is instantiated, so numpy
+# is imported there, not when the registry is read
+
+
+def _zeros(n: int) -> np.ndarray:
+    import numpy as np
+
+    return np.zeros(n)
+
+
+def _zeros_after(first: float, n: int) -> np.ndarray:
+    """``first`` followed by ``n`` zeros."""
+    out = _zeros(n + 1)
+    out[0] = first
+    return out
+
+
 # -------------------------------------------------------------------------
 # streaming kernels
 # -------------------------------------------------------------------------
@@ -178,7 +198,7 @@ _register(KernelSpec(
         description="LL1",
     ),
     make_inputs=lambda n, rng: {
-        "x": np.zeros(n), "y": _uniform(rng, n), "z": _uniform(rng, n + 11),
+        "x": _zeros(n), "y": _uniform(rng, n), "z": _uniform(rng, n + 11),
     },
     output_arrays=("x",),
 ))
@@ -211,7 +231,7 @@ _register(KernelSpec(
             Assign(at("y", i=1), add(mul(c(3.0), at("x", i=1)), c(1.0))),
         )),),
     ),
-    make_inputs=lambda n, rng: {"x": _uniform(rng, n), "y": np.zeros(n)},
+    make_inputs=lambda n, rng: {"x": _uniform(rng, n), "y": _zeros(n)},
     output_arrays=("y",),
 ))
 
@@ -240,7 +260,7 @@ _register(KernelSpec(
         description="LL7 (reduced operand set)",
     ),
     make_inputs=lambda n, rng: {
-        "x": np.zeros(n), "y": _uniform(rng, n), "z": _uniform(rng, n),
+        "x": _zeros(n), "y": _uniform(rng, n), "z": _uniform(rng, n),
         "u": _uniform(rng, n + 3),
     },
     output_arrays=("x",),
@@ -258,7 +278,7 @@ _register(KernelSpec(
         )),),
         description="LL12",
     ),
-    make_inputs=lambda n, rng: {"x": np.zeros(n), "y": _uniform(rng, n + 1)},
+    make_inputs=lambda n, rng: {"x": _zeros(n), "y": _uniform(rng, n + 1)},
     output_arrays=("x",),
 ))
 
@@ -292,7 +312,7 @@ _register(KernelSpec(
         )),),
     ),
     make_inputs=lambda n, rng: {
-        "x": _uniform(rng, 8 * n), "y": np.zeros(8 * n),
+        "x": _uniform(rng, 8 * n), "y": _zeros(8 * n),
     },
     output_arrays=("y",),
 ))
@@ -308,7 +328,7 @@ _register(KernelSpec(
             Assign(at("y", i=1), mul(c(1.0), Ref("x", Affine.of(n - 1, i=-1)))),
         )),),
     ),
-    make_inputs=lambda n, rng: {"x": _uniform(rng, n), "y": np.zeros(n)},
+    make_inputs=lambda n, rng: {"x": _uniform(rng, n), "y": _zeros(n)},
     output_arrays=("y",),
 ))
 
@@ -328,7 +348,7 @@ _register(KernelSpec(
         )),),
         description="LL10 flavour",
     ),
-    make_inputs=lambda n, rng: {"x": _uniform(rng, n + 3), "y": np.zeros(n)},
+    make_inputs=lambda n, rng: {"x": _uniform(rng, n + 3), "y": _zeros(n)},
     output_arrays=("y",),
 ))
 
@@ -388,7 +408,7 @@ def _stencil2d_kernel(n: int) -> Kernel:
 def _stencil2d_inputs(n: int, rng: np.random.Generator):
     rows = max(n // 32, 2)
     size = rows * 34
-    return {"a": _uniform(rng, size), "out": np.zeros(size)}
+    return {"a": _uniform(rng, size), "out": _zeros(size)}
 
 
 _register(KernelSpec(
@@ -419,7 +439,7 @@ _register(KernelSpec(
         description="LL5",
     ),
     make_inputs=lambda n, rng: {
-        "x": np.concatenate([[0.5], np.zeros(n)]),
+        "x": _zeros_after(0.5, n),
         "y": _uniform(rng, n + 1),
         "z": _uniform(rng, n + 1, 0.2, 0.9),
     },
@@ -439,7 +459,7 @@ _register(KernelSpec(
         description="LL11",
     ),
     make_inputs=lambda n, rng: {
-        "x": np.concatenate([[0.0], np.zeros(n)]),
+        "x": _zeros_after(0.0, n),
         "y": _uniform(rng, n + 1),
     },
     output_arrays=("x",),
@@ -461,7 +481,7 @@ _register(KernelSpec(
         description="LL6 flavour",
     ),
     make_inputs=lambda n, rng: {
-        "w": np.concatenate([[0.3], np.zeros(n)]),
+        "w": _zeros_after(0.3, n),
         "b": _uniform(rng, n + 1, 0.1, 0.8),
         "x": _uniform(rng, n + 1),
     },
@@ -485,7 +505,7 @@ _register(KernelSpec(
         description="LL3",
     ),
     make_inputs=lambda n, rng: {
-        "x": _uniform(rng, n), "z": _uniform(rng, n), "out": np.zeros(1),
+        "x": _uniform(rng, n), "z": _uniform(rng, n), "out": _zeros(1),
     },
     output_arrays=("out",),
 ))
@@ -504,7 +524,7 @@ _register(KernelSpec(
     ),
     make_inputs=lambda n, rng: {
         "x": _uniform(rng, 5 * n), "z": _uniform(rng, 5 * n),
-        "out": np.zeros(1),
+        "out": _zeros(1),
     },
     output_arrays=("out",),
 ))
@@ -522,7 +542,7 @@ _register(KernelSpec(
         description="LL24 flavour",
     ),
     make_inputs=lambda n, rng: {
-        "x": rng.uniform(-1.0, 1.0, n), "out": np.zeros(1),
+        "x": rng.uniform(-1.0, 1.0, n), "out": _zeros(1),
     },
     output_arrays=("out",),
 ))
@@ -549,7 +569,7 @@ def _matvec_inputs(n: int, rng: np.random.Generator):
     rows = max(n // 16, 2)
     return {
         "a": _uniform(rng, rows * 16), "x": _uniform(rng, 16),
-        "y": np.zeros(rows),
+        "y": _zeros(rows),
     }
 
 
@@ -583,7 +603,7 @@ def _row_max_kernel(n: int) -> Kernel:
 
 def _row_max_inputs(n: int, rng: np.random.Generator):
     rows = max(n // 16, 2)
-    return {"a": rng.uniform(-1, 1, rows * 16), "m": np.zeros(rows)}
+    return {"a": rng.uniform(-1, 1, rows * 16), "m": _zeros(rows)}
 
 
 _register(KernelSpec(
@@ -614,7 +634,7 @@ _register(KernelSpec(
     ),
     make_inputs=lambda n, rng: {
         "vx": _uniform(rng, n), "e": _uniform(rng, n),
-        "ix": rng.integers(0, n, n).astype(np.float64),
+        "ix": rng.integers(0, n, n).astype(float),
     },
     output_arrays=("vx",),
 ))
@@ -637,7 +657,7 @@ _register(KernelSpec(
     ),
     make_inputs=lambda n, rng: {
         "rho": _uniform(rng, n), "w": _uniform(rng, n),
-        "ir": rng.permutation(n).astype(np.float64),
+        "ir": rng.permutation(n).astype(float),
     },
     output_arrays=("rho",),
 ))
@@ -657,7 +677,7 @@ _register(KernelSpec(
         )),),
     ),
     make_inputs=lambda n, rng: {
-        "x": _uniform(rng, n), "tab": _uniform(rng, 64), "y": np.zeros(n),
+        "x": _uniform(rng, n), "tab": _uniform(rng, 64), "y": _zeros(n),
     },
     output_arrays=("y",),
 ))
@@ -687,7 +707,7 @@ _register(KernelSpec(
     ),
     make_inputs=lambda n, rng: {
         "u": _uniform(rng, n + 2), "uold": _uniform(rng, n + 2),
-        "unew": np.zeros(n + 2),
+        "unew": _zeros(n + 2),
     },
     output_arrays=("unew",),
 ))
@@ -726,8 +746,8 @@ def _hydro2d_kernel(n: int) -> Kernel:
 def _hydro2d_inputs(n: int, rng: np.random.Generator):
     rows = max(n // 32, 2)
     size = rows * 33
-    return {"zp": _uniform(rng, size), "za": np.zeros(size),
-            "zb": np.zeros(size)}
+    return {"zp": _uniform(rng, size), "za": _zeros(size),
+            "zb": _zeros(size)}
 
 
 _register(KernelSpec(
@@ -755,7 +775,7 @@ _register(KernelSpec(
         )),),
     ),
     make_inputs=lambda n, rng: {
-        "x": _uniform(rng, 3 * n), "out": np.zeros(1),
+        "x": _uniform(rng, 3 * n), "out": _zeros(1),
     },
     output_arrays=("out",),
 ))
@@ -776,9 +796,9 @@ _register(KernelSpec(
         )),),
     ),
     make_inputs=lambda n, rng: {
-        "x": _uniform(rng, n), "y": _uniform(rng, n), "z": np.zeros(n),
+        "x": _uniform(rng, n), "y": _uniform(rng, n), "z": _zeros(n),
         "e": _uniform(rng, n),
-        "ix": rng.integers(0, n, n).astype(np.float64),
+        "ix": rng.integers(0, n, n).astype(float),
     },
     output_arrays=("z",),
 ))
@@ -800,7 +820,7 @@ _register(KernelSpec(
     ),
     make_inputs=lambda n, rng: {
         "x": rng.uniform(-1, 2, n), "lo": rng.uniform(-0.5, 0.0, n),
-        "hi": rng.uniform(0.8, 1.2, n), "y": np.zeros(n),
+        "hi": rng.uniform(0.8, 1.2, n), "y": _zeros(n),
     },
     output_arrays=("y",),
 ))
@@ -819,7 +839,7 @@ _register(KernelSpec(
         )),),
     ),
     make_inputs=lambda n, rng: {
-        "x": _uniform(rng, n, 0, 1), "out": np.zeros(1),
+        "x": _uniform(rng, n, 0, 1), "out": _zeros(1),
     },
     output_arrays=("out",),
 ))
@@ -837,6 +857,6 @@ _register(KernelSpec(
             )),
         )),),
     ),
-    make_inputs=lambda n, rng: {"x": _uniform(rng, n, 0, 1), "y": np.zeros(n)},
+    make_inputs=lambda n, rng: {"x": _uniform(rng, n, 0, 1), "y": _zeros(n)},
     output_arrays=("y",),
 ))

@@ -31,35 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import CacheConfig
+from ..config import CacheConfig, PrefetchConfig
 from .cache import CacheStats, DataCache
 from .main_memory import as_address
-
-
-@dataclass(frozen=True)
-class PrefetchConfig:
-    """Prefetcher knobs layered on a :class:`~repro.config.CacheConfig`."""
-
-    policy: str = "stride"  # "obl" | "stride"
-    #: entries in the stride-detection history (stride policy only).
-    table_size: int = 4
-    #: lines fetched ahead per trigger.
-    degree: int = 1
-    #: cycles past its ready time after which an unclaimed prefetched
-    #: line is dropped from the pending set (bounds ``_pending`` on
-    #: irregular streams and feeds ``prefetch_accuracy``); ``None``
-    #: picks ``max(64, 16 × memory_latency)`` at construction — generous
-    #: enough that a streaming consumer a few lines behind never loses a
-    #: useful prefetch, small enough to bound the pending set.
-    stale_after: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.policy not in ("obl", "stride"):
-            raise ValueError(f"unknown prefetch policy {self.policy!r}")
-        if self.table_size < 1 or self.degree < 1:
-            raise ValueError("table_size and degree must be >= 1")
-        if self.stale_after is not None and self.stale_after < 1:
-            raise ValueError("stale_after must be >= 1 (or None for auto)")
 
 
 @dataclass

@@ -11,9 +11,11 @@ holds field-for-field — and therefore ``repr`` (the canonical form
 server never has to trust client-side keys: it recomputes ``job_key``
 from the reconstructed job, under its *own* code fingerprint.
 
-Config validation happens in the dataclass ``__post_init__`` hooks;
-anything they raise surfaces as :class:`ProtocolError`, which the HTTP
-layer maps to a 400.
+Type and range validation happens in the dataclass ``__post_init__``
+hooks (a job's ``n``, ``seed``, ``check``, ``nodes`` and ``buckets``, and
+every config field); anything they raise, and a kernel name the suite's
+registry lacks, surfaces as :class:`ProtocolError`, which the HTTP layer
+maps to a 400 before any job is queued.
 """
 
 from __future__ import annotations
@@ -24,13 +26,15 @@ from ..config import (
     CacheConfig,
     FaultConfig,
     MemoryConfig,
+    PrefetchConfig,
     QueueConfig,
     ScalarConfig,
     SMAConfig,
     SpeculationConfig,
 )
+from ..errors import KernelError
 from ..harness.jobs import Job
-from ..memory.prefetch import PrefetchConfig
+from ..kernels import get_kernel
 
 
 class ProtocolError(ValueError):
@@ -100,8 +104,13 @@ def _decode(cls: type, data: dict):
 
 def job_from_spec(spec: dict) -> Job:
     """Rebuild a :class:`Job` from its spec; :class:`ProtocolError` on
-    anything malformed."""
-    return _decode(Job, spec)
+    anything malformed, including a kernel the suite does not have."""
+    job = _decode(Job, spec)
+    try:
+        get_kernel(job.kernel)
+    except (KernelError, TypeError) as exc:  # TypeError: unhashable
+        raise ProtocolError(f"invalid Job spec: {exc}") from None
+    return job
 
 
 def jobs_from_payload(payload) -> list[Job]:

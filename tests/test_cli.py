@@ -238,4 +238,76 @@ kernel scale(x[n], y[n]):
         out, err = capsys.readouterr()
         assert calls == [10 + 12]
         assert out.index("[R-T4]") < out.index("[R-F5]")
-        assert "experiment R-T4 R-F5: 0 cached, 22 executed" in err
+        # R-T4's checked hydro SMA job and R-F5's unchecked one share
+        # one execution
+        assert "experiment R-T4 R-F5: 0 cached, 21 executed" in err
+        assert "1 coalesced" in err
+
+    def test_cached_sweep_loads_no_simulator(self, tmp_path, capsys):
+        """A fully cached ``experiment all`` in a fresh interpreter
+        prints the cold run's tables without importing numpy or any
+        machine: planning, keys, cache reads and tables need none."""
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        cache = str(tmp_path / "cache")
+        assert main(["experiment", "all", "--n", "16", "--cache",
+                     cache]) == 0
+        cold = capsys.readouterr().out
+        probe = (
+            "import json, sys\n"
+            "from repro.cli import main\n"
+            "code = main(['experiment', 'all', '--n', '16', '--cache', "
+            f"{cache!r}, '--resume'])\n"
+            "heavy = ['numpy', 'repro.core', 'repro.baseline', "
+            "'repro.batch', 'repro.memory']\n"
+            "print(json.dumps([code, [m for m in heavy "
+            "if m in sys.modules]]), file=sys.stderr)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        warm = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        *summary, verdict = warm.stderr.splitlines()
+        assert json.loads(verdict) == [0, []], warm.stderr
+        assert " 0 executed" in summary[-1]
+        assert warm.stdout == cold
+
+    def test_lazy_exports_survive_same_named_submodules(self):
+        """``repro.kernels.lower_sma`` names a function and a module;
+        loading the module first must not rebind the export to it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        probe = (
+            "import repro.kernels.lower_sma, repro.kernels.lower_vector\n"
+            "import repro.kernels as kernels\n"
+            "from repro.kernels.lower_sma import lower_sma\n"
+            "from repro.kernels.lower_scalar import lower_scalar\n"
+            "assert kernels.lower_sma is lower_sma\n"
+            "assert kernels.lower_scalar is lower_scalar\n"
+            "from repro import SMAMachine\n"
+            "from repro.kernels import lower_vector\n"
+            "from repro.core import snapshot_digest\n"
+            "from repro.core.checkpoint import digest\n"
+            "from repro.core.machine import SMAMachine as machine\n"
+            "assert SMAMachine is machine and snapshot_digest is digest\n"
+            "assert callable(lower_vector)\n"
+            "assert 'lower_sma' in dir(kernels)\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", probe], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr

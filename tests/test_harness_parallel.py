@@ -7,17 +7,29 @@ experiments' declarative job lists feeding identical tables through
 either path.
 """
 
+import hashlib
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.config import MemoryConfig, QueueConfig, ScalarConfig, SMAConfig
+from repro.config import (
+    CacheConfig,
+    FaultConfig,
+    MemoryConfig,
+    PrefetchConfig,
+    QueueConfig,
+    ScalarConfig,
+    SMAConfig,
+    SpeculationConfig,
+)
 from repro.harness import experiments as exp
+from repro.harness import jobs as jobs_module
 from repro.harness import parallel
-from repro.harness.jobs import Job, run_job
+from repro.harness.jobs import BatchJob, Job, run_job
 from repro.harness.parallel import (
     code_fingerprint,
     harness_policy,
@@ -43,6 +55,21 @@ class TestJobs:
     def test_unknown_machine_rejected(self):
         with pytest.raises(ValueError, match="unknown job machine"):
             Job("warp-drive", "daxpy")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 0), ("n", -5), ("n", 2.5), ("n", "64"), ("n", True),
+        ("seed", "x"), ("seed", 1.5), ("check", "yes"), ("check", 1),
+        ("nodes", 0), ("nodes", "2"), ("buckets", 0), ("buckets", None),
+    ])
+    def test_bad_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"job {field} must be"):
+            Job("sma", "daxpy", **{field: value})
+
+    def test_numpy_fields_accepted(self):
+        job = Job("cluster", "daxpy", np.int64(32), seed=np.int32(7),
+                  nodes=np.int64(2), buckets=np.uint8(4))
+        assert job == Job("cluster", "daxpy", 32, seed=7, nodes=2,
+                          buckets=4)
 
     def test_sma_job_reports_lowering_info(self):
         res = run_job(Job("sma", "daxpy", 32, sma_config=SMA_CFG))
@@ -241,6 +268,86 @@ class TestHarnessRegressions:
         assert type(numpyish.sma_config.memory.latency) is int
         assert repr(numpyish) == repr(base)
         assert job_key(numpyish) == job_key(base)
+
+        # every config class is canonical by construction, wherever it
+        # sits in a job
+        def numpy_kwargs(kwargs):
+            return {
+                name: np.int64(v) if type(v) is int
+                else np.float64(v) if type(v) is float else v
+                for name, v in kwargs.items()
+            }
+
+        leaves = [
+            (MemoryConfig, dict(size=4096, num_banks=16, latency=12,
+                                bank_busy=6, accepts_per_cycle=2)),
+            (QueueConfig, dict(load_queue_depth=4, store_data_depth=2,
+                               store_addr_depth=3, index_queue_depth=5,
+                               ep_to_ap_data_depth=6,
+                               ep_to_ap_branch_depth=7)),
+            (CacheConfig, dict(size_words=512, line_words=8,
+                               associativity=4, hit_time=2,
+                               transfer_cycles=3)),
+            (PrefetchConfig, dict(policy="obl", table_size=8, degree=2,
+                                  stale_after=100)),
+            (FaultConfig, dict(reject_prob=0.25, drop_completions=1,
+                               seed=9)),
+            (SpeculationConfig, dict(accuracy=0.75, mode="coin",
+                                     max_depth=3, rollback_penalty=5,
+                                     seed=2)),
+        ]
+        built = {}
+        for cls, kwargs in leaves:
+            literal, numeric = cls(**kwargs), cls(**numpy_kwargs(kwargs))
+            assert numeric == literal and repr(numeric) == repr(literal)
+            assert all(type(getattr(numeric, name)) is
+                       type(getattr(literal, name)) for name in kwargs)
+            built[cls] = literal, numeric
+        tops = {
+            SMAConfig: lambda i: dict(
+                memory=built[MemoryConfig][i],
+                queues=built[QueueConfig][i],
+                faults=built[FaultConfig][i],
+                speculation=built[SpeculationConfig][i],
+            ),
+            ScalarConfig: lambda i: dict(
+                memory=built[MemoryConfig][i],
+                cache=built[CacheConfig][i],
+                prefetch=built[PrefetchConfig][i],
+            ),
+        }
+        scalars = dict(max_streams=12, stream_issue_per_cycle=2,
+                       num_load_queues=6, num_store_queues=3,
+                       num_index_queues=2)
+        literal = SMAConfig(**tops[SMAConfig](0), **scalars)
+        numeric = SMAConfig(**tops[SMAConfig](1), **numpy_kwargs(scalars))
+        scalar_literal = ScalarConfig(**tops[ScalarConfig](0))
+        scalar_numeric = ScalarConfig(**tops[ScalarConfig](1))
+        for machine, field, lit, num in (
+            ("sma", "sma_config", literal, numeric),
+            ("scalar", "scalar_config", scalar_literal, scalar_numeric),
+            ("vector", "memory_config", built[MemoryConfig][0],
+             built[MemoryConfig][1]),
+        ):
+            assert num == lit and repr(num) == repr(lit)
+            a = Job(machine, "daxpy", 32, **{field: lit})
+            b = Job(machine, "daxpy", np.int64(32), **{field: num})
+            assert repr(a) == repr(b) and job_key(a) == job_key(b)
+
+        # a batch grid from numpy axes expands to the literal grid's jobs
+        literal_grid = BatchJob("daxpy", 32, 7, latencies=(2, 6),
+                                queue_depths=(4, 8), bank_counts=(8, 16))
+        numpy_grid = BatchJob(
+            "daxpy", np.int64(32), np.int32(7),
+            latencies=np.arange(2, 10, 4), queue_depths=[np.int8(4), 8],
+            bank_counts=np.array([8, 16]),
+        )
+        assert numpy_grid == literal_grid
+        expanded = literal_grid.expand()
+        assert [repr(j) for j in numpy_grid.expand()] == \
+            [repr(j) for j in expanded]
+        assert [job_key(j) for j in numpy_grid.expand()] == \
+            [job_key(j) for j in expanded]
 
     def test_fingerprint_cached_seedable_and_refreshable(self):
         original = code_fingerprint()
@@ -473,7 +580,8 @@ class TestExperimentsThroughJobs:
 
 def test_suite_runs_each_distinct_job_once():
     """One ``run_suite`` over every experiment reproduces the golden
-    tables and simulates each distinct job key once."""
+    tables and runs each distinct simulation once: jobs that differ
+    only in ``check`` share one (checked) execution."""
     golden = json.loads(
         (Path(__file__).parent / "golden_experiments.json").read_text()
     )["tables"]
@@ -481,10 +589,11 @@ def test_suite_runs_each_distinct_job_once():
     planned = [job for eid in ids
                for job in next(exp.EXPERIMENTS[eid](n=32))]
     distinct = {job_key(job) for job in planned}
+    simulations = {replace(job, check=False) for job in planned}
     with harness_policy() as stats:
         tables = exp.run_suite(ids, n=32)
-    assert stats.executed == len(distinct) < len(planned)
-    assert stats.coalesced == len(planned) - len(distinct)
+    assert stats.executed == len(simulations) < len(distinct)
+    assert stats.coalesced == len(planned) - len(simulations)
     for eid, table in zip(ids, tables):
         want = golden[eid]
         if want["kwargs"] != {"n": 32}:
@@ -502,3 +611,97 @@ def test_suite_refuses_an_unknown_id_before_running(monkeypatch):
     monkeypatch.setattr(exp, "run_jobs", None)  # any call would fail
     with pytest.raises(KeyError, match="unknown experiment 'R-T99'"):
         exp.run_suite(["R-T4", "R-T99"])
+
+
+#: sha256 over the reprs, one per line, of every job
+#: ``run_suite(list(EXPERIMENTS))`` plans at paper sizes.  ``repr(job)``
+#: is the job part of every result-cache key, so this moves only when
+#: every cached suite result is invalidated.
+SUITE_JOB_REPRS_SHA256 = (
+    "9a4fabd7b6335885e4c5d5cbc996e1a813ff9bc1aef544337b81cfb8312986ec"
+)
+
+
+def test_suite_job_reprs_are_pinned(monkeypatch):
+    planned = []
+
+    class Planned(Exception):
+        pass
+
+    def capture(jobs, workers=1, cache_dir=None):
+        planned.extend(jobs)
+        raise Planned
+
+    monkeypatch.setattr(exp, "run_jobs", capture)
+    with pytest.raises(Planned):
+        exp.run_suite(list(exp.EXPERIMENTS))
+    text = "\n".join(repr(job) for job in planned)
+    assert len(planned) == 409
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        SUITE_JOB_REPRS_SHA256
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_check_twins_run_once_and_leave_two_cache_entries(
+        tmp_path, monkeypatch, workers):
+    checks = []
+    real = jobs_module._check_outputs
+
+    def spy(*args, **kwargs):
+        checks.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(jobs_module, "_check_outputs", spy)
+    plain = Job("sma", "daxpy", 24, sma_config=SMA_CFG)
+    checked = replace(plain, check=True)
+    with harness_policy() as stats:
+        a, b = run_jobs([plain, checked], workers=workers,
+                        cache_dir=tmp_path)
+    assert a == b == run_job(plain)
+    assert (stats.executed, stats.coalesced, stats.flushed) == (1, 1, 2)
+    store = ResultStore(tmp_path)
+    assert len(store) == 2
+    assert store.get(job_key(plain)) == store.get(job_key(checked)) == a
+    if workers == 1:  # a pool worker's checks are not seen here
+        assert checks == [checked]
+
+
+def test_failing_check_fails_both_twins(tmp_path, monkeypatch):
+    def diverge(job, machine, outputs, seed=None):
+        raise AssertionError(f"{job.kernel}: {machine} diverges")
+
+    monkeypatch.setattr(jobs_module, "_check_outputs", diverge)
+    plain = Job("sma", "daxpy", 24, sma_config=SMA_CFG)
+    with harness_policy() as stats:
+        with pytest.raises(AssertionError, match="diverges"):
+            run_jobs([plain, replace(plain, check=True)],
+                     cache_dir=tmp_path)
+    assert stats.executed == 0 and len(ResultStore(tmp_path)) == 0
+
+
+#: sha256 of R-F8's 12 result dicts (``json.dumps(..., sort_keys=True)``)
+RF8_RESULTS_SHA256 = (
+    "e81954fb8110632da6f04837e9b0398b6a7a3223e658e4fe15b6d4dc8c8eab20"
+)
+
+
+def test_rf8_simulates_each_standalone_node_once(monkeypatch):
+    """R-F8's 12 cluster jobs hold 45 nodes but only 24 distinct
+    (kernel, n, seed, config) standalone runs; each runs once."""
+    from repro.core.machine import SMAMachine
+
+    for memo in (jobs_module._instantiated, jobs_module._lowered_sma,
+                 jobs_module._reference, jobs_module._standalone_cycles):
+        memo.cache_clear()
+    runs = []
+    real = SMAMachine.run
+
+    def counted(self, *args, **kwargs):
+        runs.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SMAMachine, "run", counted)
+    results = run_jobs(next(exp.EXPERIMENTS["R-F8"]()))
+    assert len(runs) == 24
+    text = json.dumps(results, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == RF8_RESULTS_SHA256

@@ -147,14 +147,41 @@ class TestObserver:
         return events
 
     def test_uncached_load_is_read_at_issue_and_for_its_value(self):
+        # one read: the value the load issues for is the value it gets
         assert self._events(ScalarConfig()) == [
-            ("r", 42, 2.0), ("r", 42, 2.0), ("w", 43, 3.5),
+            ("r", 42, 2.0), ("w", 43, 3.5),
         ]
 
     def test_cached_accesses_are_seen_once(self):
         assert self._events(ScalarConfig(cache=CacheConfig())) == [
             ("r", 42, 2.0), ("w", 43, 3.5),
         ]
+
+    def test_cached_and_uncached_runs_report_equal_reads(self):
+        from repro.harness.runner import _load_inputs
+        from repro.kernels import get_kernel, lower_scalar
+        from repro.verify import MemoryTracer
+
+        kernel, inputs = get_kernel("hydro").instantiate(32)
+        lowered = lower_scalar(kernel)
+        counts = []
+        for config in (ScalarConfig(), ScalarConfig(cache=CacheConfig())):
+            m = ScalarMachine(lowered.program, config)
+            _load_inputs(m, lowered.layout, kernel, inputs)
+            tracer = MemoryTracer().install(m)
+            res = m.run()
+            counts.append((tracer.reads, res.loads))
+        assert counts[0] == counts[1]
+        assert counts[0][0] == counts[0][1] > 0
+
+    def test_out_of_range_observed_load_faults_at_issue(self):
+        m = ScalarMachine(assemble("mov r1, #70000\nload r2, r1, #0\nhalt"),
+                          ScalarConfig())
+        m.memory.observer = lambda *event: None
+        with pytest.raises(MemoryError_):
+            m.run()
+        # at the load's issue: no latency charged for a read that failed
+        assert (m.pc, m.cycle) == (1, 1)
 
 
 class TestBlockingLoadTiming:

@@ -102,6 +102,22 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="invalid Job spec"):
             job_from_spec(spec)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"kernel": "nope"}, "unknown kernel 'nope'"),
+        ({"n": -5}, "job n must"),
+        ({"n": 0}, "job n must"),
+        ({"n": 2.5}, "job n must"),
+        ({"n": "64"}, "job n must"),
+        ({"seed": "x"}, "job seed must"),
+        ({"check": "yes"}, "job check must"),
+        ({"nodes": 0}, "job nodes must"),
+        ({"buckets": 0}, "job buckets must"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else "")
+    def test_malformed_spec_refused(self, change, message):
+        spec = dict(job_to_spec(Job("sma", "daxpy", 64)), **change)
+        with pytest.raises(ProtocolError, match=re.escape(message)):
+            job_from_spec(spec)
+
     def test_nested_config_validation_surfaces(self):
         spec = job_to_spec(Job("sma", "daxpy", 64,
                                sma_config=SMAConfig()))
@@ -506,6 +522,45 @@ class TestServiceEndToEnd:
 
         result = drive(scenario())
         assert canonical(result) == canonical(run_job(Job("sma", "daxpy", 48)))
+
+    def test_malformed_specs_answer_400_before_queueing(self, tmp_path):
+        good = job_to_spec(Job("sma", "daxpy", 32))
+        malformed = [dict(good, **change) for change in (
+            {"kernel": "nope"}, {"n": -5}, {"n": 0}, {"n": 2.5},
+            {"n": "64"}, {"seed": "x"}, {"check": "yes"},
+        )]
+
+        async def scenario():
+            server = SweepServer(ResultStore(tmp_path / "store"),
+                                 workers=1)
+            host, port = await server.start()
+            url = f"http://{host}:{port}"
+
+            def post():
+                with ServiceClient(url) as client:
+                    replies = [
+                        client._request("POST", "/v1/jobs",
+                                        {"jobs": [good, spec]})
+                        for spec in malformed
+                    ]
+                    known = client.job_status(
+                        job_key(Job("sma", "daxpy", 32)))
+                    return replies, known, client.stats()
+
+            try:
+                return await asyncio.get_running_loop().run_in_executor(
+                    None, post)
+            finally:
+                await server.stop()
+
+        replies, known, stats = drive(scenario())
+        for spec, (code, reply) in zip(malformed, replies):
+            assert code == 400 and "invalid Job spec" in reply["error"], \
+                spec
+        # a refused payload queues none of its jobs, not even the good one
+        assert known is None
+        assert stats["sweep"]["executed"] == 0
+        assert stats["store"]["results"] == 0
 
     @pytest.mark.parametrize("eid", ["R-F1", "R-T4"])
     def test_submit_prints_the_experiment_table(self, tmp_path, capsys,
