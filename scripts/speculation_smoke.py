@@ -24,9 +24,10 @@ to end, on the LOD-collapsed lowerings R-T7 uses:
   the stall-bucket partition, speculation counters and memory digest.
 * **the default scheduler stays on the fast paths** — under both
   predictors the default run calls none of the reference
-  ``ExecuteProcessor.step``, ``StreamEngine.tick`` or
-  ``StoreUnit.tick`` (the naive run must call them, so the count is
-  live): a silent fall-back to the slow path fails here.
+  ``AccessProcessor.step``, ``ExecuteProcessor.step``,
+  ``StreamEngine.tick`` or ``StoreUnit.tick`` (the naive run must call
+  them, so the count is live): a silent fall-back to the slow path,
+  the speculative access processor's included, fails here.
 
 Exit status is non-zero on any violated expectation.
 """
@@ -41,6 +42,7 @@ from contextlib import contextmanager
 
 try:
     from repro.config import MemoryConfig, SMAConfig, SpeculationConfig
+    from repro.core.access_processor import AccessProcessor
     from repro.core.descriptors import StreamEngine
     from repro.core.execute_processor import ExecuteProcessor
     from repro.core.machine import set_fast_forward
@@ -56,8 +58,8 @@ except ImportError as exc:  # pragma: no cover - CI misconfiguration
 CASES = (("pic_gather", "addr"), ("tridiag", "branch"))
 MEM = MemoryConfig(latency=16, bank_busy=8)
 #: the reference steps only the naive loop may call
-REFERENCE_STEPS = ((ExecuteProcessor, "step"), (StreamEngine, "tick"),
-                   (StoreUnit, "tick"))
+REFERENCE_STEPS = ((AccessProcessor, "step"), (ExecuteProcessor, "step"),
+                   (StreamEngine, "tick"), (StoreUnit, "tick"))
 
 
 def _run(name, variant, speculation, n, seed=7, metrics=False):
@@ -182,9 +184,12 @@ def main() -> int:
                   f"default scheduler == naive under the {label} "
                   "predictor (cycles, stall buckets, speculation "
                   "counters, memory digest)")
-            check(not default_calls and naive_calls["ExecuteProcessor.step"],
+            check(not default_calls
+                  and naive_calls["AccessProcessor.step"]
+                  and naive_calls["ExecuteProcessor.step"],
                   f"default scheduler called no reference step under the "
-                  f"{label} predictor (naive: {dict(naive_calls)})")
+                  f"{label} predictor (default: {dict(default_calls)}; "
+                  f"naive: {dict(naive_calls)})")
 
     print("speculation smoke passed")
     return 0

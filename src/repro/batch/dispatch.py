@@ -166,8 +166,7 @@ def run_group(jobs: list[Job]) -> list[dict] | None:
     use_streams = _BATCH_MACHINES[first.machine]
     kernel, inputs = _instantiated(first.kernel, first.n, first.seed)
     lowered = _lowered_sma(
-        first.kernel, first.n, first.seed, use_streams,
-        first.lod_variant,
+        first.kernel, first.n, use_streams, first.lod_variant,
     )
     layout = lowered.layout
 

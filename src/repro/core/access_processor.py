@@ -27,7 +27,7 @@ the AP has been dragged back to the EP's speed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from heapq import heappush
 
 from ..errors import MemoryError_, SimulationError
 from ..isa import ACCESS_OPS, ALU_FUNCS, ALU_OPS, Imm, Op, Program, Queue, Reg
@@ -62,11 +62,12 @@ class APStats:
 # decoded-operand tags: register index / immediate value / invalid
 _O_REG, _O_IMM, _O_BAD = range(3)
 
-#: kinds whose reference implementation calls speculation hooks (the
-#: wrong-path address clamp and ``note_reserved`` for ``ldq``/``staddr``,
-#: ``ap_fromq``/``ap_branch_value`` for the EP->AP queues); step_fast
-#: hands them to :meth:`AccessProcessor.step` while speculating
-_A_SPEC_HOOKED = frozenset((_A_LDQ, _A_STADDR, _A_FROMQ, _A_BQ))
+#: ``fromq`` source space -> (speculation key, stall cause); an index
+#: queue is ``(None, "iq_empty")``
+_FROMQ_ROLES = {
+    QueueSpace.EAQ: ("eaq", "lod_eaq"),
+    QueueSpace.EBQ: ("ebq", "lod_ebq"),
+}
 
 
 class AccessProcessor:
@@ -173,18 +174,14 @@ class AccessProcessor:
         if op is Op.FROMQ:
             src = instr.srcs[0]
             assert isinstance(src, Queue)
-            if src.space is QueueSpace.EAQ:
-                cause = "lod_eaq"
-            elif src.space is QueueSpace.EBQ:
-                cause = "lod_ebq"
-            else:
-                cause = "iq_empty"
+            key, cause = _FROMQ_ROLES.get(src.space, (None, "iq_empty"))
             dest = instr.dest
             return (
                 _A_FROMQ,
                 self.queues.resolve(src),
                 cause,
                 dest.index if isinstance(dest, Reg) else None,
+                key,
             )
         assert op in (Op.BQNZ, Op.BQEZ)  # exhaustive over ACCESS_OPS
         return (_A_BQ, op is Op.BQNZ, instr.branch_target())
@@ -215,13 +212,14 @@ class AccessProcessor:
             f"AP operand {operand} must be a register or immediate here"
         )
 
-    def step(self, now: int) -> None:
-        """Attempt to execute one instruction this cycle."""
+    def step(self, now: int) -> bool:
+        """Attempt to execute one instruction this cycle; returns whether
+        one retired."""
         if self.halted:
-            return
+            return False
         spec = self._spec
         if spec is not None and spec.ap_blocked(self, now):
-            return
+            return False
         if self.pc >= len(self.program):
             raise SimulationError(
                 f"AP ran off the end of program {self.program.name!r}"
@@ -232,71 +230,73 @@ class AccessProcessor:
             self._alu(instr)
         elif op is Op.HALT:
             self.halted = True
-            self._retire()
-            return
+            return self._retire()
         elif op is Op.NOP:
             pass
         elif op is Op.JMP:
-            self._retire(instr.branch_target())
-            return
+            return self._retire(instr.branch_target())
         elif op in (Op.BEQZ, Op.BNEZ):
             value = self._read(instr.srcs[0])
             taken = (value == 0) == (op is Op.BEQZ)
-            self._retire(instr.branch_target() if taken else None)
-            return
+            return self._retire(instr.branch_target() if taken else None)
         elif op is Op.DECBNZ:
             assert isinstance(instr.dest, Reg)
             self.registers[instr.dest.index] -= 1
             taken = self.registers[instr.dest.index] != 0
-            self._retire(instr.branch_target() if taken else None)
-            return
+            return self._retire(instr.branch_target() if taken else None)
         elif op in (Op.STREAMLD, Op.GATHER, Op.STREAMST, Op.SCATTER):
             if not self._start_stream(instr):
-                return
+                return False
         elif op is Op.LDQ:
             if not self._ldq(instr, now):
-                return
+                return False
         elif op is Op.STADDR:
             if not self._staddr(instr):
-                return
+                return False
         elif op is Op.FROMQ:
             if not self._fromq(instr):
-                return
+                return False
         elif op in (Op.BQNZ, Op.BQEZ):
             if spec is not None:
                 value = spec.ap_branch_value(self)
                 if value is None:
-                    return
+                    return False
             else:
                 ebq = self.queues.ep_to_ap_branch
                 if not ebq.head_ready():
                     ebq.note_empty_stall()
                     self._stall("lod_ebq")
-                    return
+                    return False
                 value = ebq.pop()
             taken = (value != 0) == (op is Op.BQNZ)
-            self._retire(instr.branch_target() if taken else None)
-            return
+            return self._retire(instr.branch_target() if taken else None)
         else:  # pragma: no cover - exhaustive over ACCESS_OPS
             raise SimulationError(f"unhandled AP op {op}")
-        self._retire()
+        return self._retire()
 
-    def step_fast(self, now: int) -> None:
+    def step_fast(self, now: int) -> bool:
         """Decode-cached twin of :meth:`step` for the event-horizon
-        scheduler's hot loop.  Must stay behaviorally identical to
-        ``step`` (same stall causes and LOD episode counting, same stats,
-        same errors at the same cycle); the Hypothesis equivalence suite
-        in ``tests/test_event_horizon.py`` holds the two together.
+        scheduler's hot loop; queue values move through the queues'
+        one-call ``reserve_at``/``push_at``/``pop_at``.  Must stay
+        behaviorally identical to ``step`` (same stall causes and LOD
+        episode counting, same stats, same errors at the same cycle, same
+        return); the Hypothesis equivalence suite in
+        ``tests/test_event_horizon.py`` holds the two together.
 
-        While speculating it calls the hooks where ``step`` does: the
-        rollback-penalty gate first, then, for the four kinds in
-        ``_A_SPEC_HOOKED``, ``step`` itself; stream ops reach their
+        While speculating it calls the hooks in ``step``'s order: the
+        rollback-penalty gate first (``ap_blocked``, inlined); then
+        ``ap_fromq`` for ``fromq`` and ``ap_branch_value`` for the EBQ
+        branches; for ``ldq`` the wrong-path address clamp
+        (``_ldq_address``) and for ``staddr`` the garbage-address rule;
+        then ``note_reserved`` on the slot either reserved, while a frame
+        is open (it poisons nothing otherwise).  Stream ops reach their
         barrier through the shared ``_start_stream``."""
         if self.halted:
-            return
+            return False
         spec = self._spec
-        if spec is not None and spec.ap_blocked(self, now):
-            return
+        if spec is not None and now < spec.penalty_until:
+            self._stall("misspeculation")  # spec.ap_blocked, inlined
+            return False
         pc = self.pc
         # bounds-check against the live program (not just the decode
         # cache) so a program swapped after construction still faults
@@ -307,12 +307,8 @@ class AccessProcessor:
                 raise SimulationError(
                     f"AP ran off the end of program {self.program.name!r}"
                 )
-        decoded = self._decoded
-        entry = decoded[pc]
+        entry = self._decoded[pc]
         kind = entry[0]
-        if spec is not None and kind in _A_SPEC_HOOKED:
-            self.step(now)
-            return
         stats = self.stats
         registers = self.registers
         if kind == _A_ALU:
@@ -331,7 +327,7 @@ class AccessProcessor:
             stats.instructions += 1
             self._stalled_on = None
             self.pc = pc + 1
-            return
+            return True
         if kind == _A_LDQ:
             tag, payload = entry[2]
             if tag == _O_REG:
@@ -353,55 +349,81 @@ class AccessProcessor:
                     f"AP operand {payload} must be a register or "
                     "immediate here"
                 )
-            addr = as_address(a + b)
+            # the wrong-path clamp applies only while a frame is open
+            addr = (as_address(a + b) if spec is None or not spec.stack
+                    else self._ldq_address(a + b))
             target = entry[1]
             if len(target._slots) >= target.capacity:
                 target.stats.full_stalls += 1
                 st = stats.stall_cycles
                 st["queue_full"] = st.get("queue_full", 0) + 1
                 self._stalled_on = "queue_full"
-                return
+                return False
             memory = self.memory
             cyc, cnt = memory._issues_at
+            bank = addr % self._nbanks
             if (cyc == now and cnt >= self._accepts) or \
-                    self._bank_free[addr % self._nbanks] > now:
+                    self._bank_free[bank] > now:
                 st = stats.stall_cycles
                 st["memory_busy"] = st.get("memory_busy", 0) + 1
                 self._stalled_on = "memory_busy"
-                return
-            token = target.reserve()
-            accepted = memory.try_issue(
-                addr, now, on_complete=partial(target.fill, token)
-            )
-            assert accepted
+                return False
+            token = target.reserve_at(now)
+            if spec is not None and spec.stack:
+                spec.note_reserved(target, token)
+            # the accept side of BankedMemory.try_issue, whose port and
+            # bank checks just passed, as StreamEngine.tick_fast does it
+            memory._issues_at = (now, cnt + 1) if cyc == now else (now, 1)
+            config = memory.config
+            self._bank_free[bank] = now + config.bank_busy
+            mstats = memory.stats
+            mstats.busy_bank_cycles += config.bank_busy
+            mstats.per_bank_accesses[bank] += 1
+            mstats.reads += 1
+            storage = memory.storage
+            if storage.observer is None and 0 <= addr < storage.size:
+                result = float(storage._words[addr])
+            else:
+                # observer hook or out-of-range fault
+                result = storage.read(addr)
+            memory._seq += 1
+            heappush(memory._completions, (
+                now + config.latency, memory._seq, target, token, result,
+            ))
             stats.instructions += 1
             self._stalled_on = None
             self.pc = pc + 1
-            return
+            return True
         if kind == _A_DECBNZ:
             index = entry[1]
             registers[index] -= 1
             stats.instructions += 1
             self._stalled_on = None
             self.pc = entry[2] if registers[index] != 0 else pc + 1
-            return
+            return True
         if kind == _A_FROMQ:
             queue = entry[1]
-            slots = queue._slots
-            if not slots or not slots[0].filled:
-                queue.stats.empty_stalls += 1
-                cause = entry[2]
-                st = stats.stall_cycles
-                st[cause] = st.get(cause, 0) + 1
-                if cause != "iq_empty" and self._stalled_on != cause:
-                    stats.lod_events += 1
-                self._stalled_on = cause
-                return
-            registers[entry[3]] = queue.pop()
+            if spec is not None:
+                value = spec.ap_fromq(self, queue, entry[4], entry[2])
+                if value is None:
+                    return False
+            else:
+                slots = queue._slots
+                if not slots or not slots[0].filled:
+                    queue.stats.empty_stalls += 1
+                    cause = entry[2]
+                    st = stats.stall_cycles
+                    st[cause] = st.get(cause, 0) + 1
+                    if cause != "iq_empty" and self._stalled_on != cause:
+                        stats.lod_events += 1
+                    self._stalled_on = cause
+                    return False
+                value = queue.pop_at(now)
+            registers[entry[3]] = value
             stats.instructions += 1
             self._stalled_on = None
             self.pc = pc + 1
-            return
+            return True
         if kind == _A_STADDR:
             saq = self._saq
             if len(saq._slots) >= saq.capacity:
@@ -409,7 +431,7 @@ class AccessProcessor:
                 st = stats.stall_cycles
                 st["saq_full"] = st.get("saq_full", 0) + 1
                 self._stalled_on = "saq_full"
-                return
+                return False
             tag, payload = entry[2]
             if tag == _O_REG:
                 a = registers[payload]
@@ -430,28 +452,41 @@ class AccessProcessor:
                     f"AP operand {payload} must be a register or "
                     "immediate here"
                 )
-            saq.push((as_address(a + b), entry[1]))
+            try:
+                addr = as_address(a + b)
+            except (MemoryError_, ValueError, OverflowError):
+                if spec is None or not spec.stack:
+                    raise
+                addr = 0  # wrong-path garbage; slot dies before commit
+            slot = saq.push_at(now, (addr, entry[1]))
+            if spec is not None and spec.stack:
+                spec.note_reserved(saq, slot)
             stats.instructions += 1
             self._stalled_on = None
             self.pc = pc + 1
-            return
+            return True
         if kind == _A_BQ:
-            ebq = self._ebq
-            slots = ebq._slots
-            if not slots or not slots[0].filled:
-                ebq.stats.empty_stalls += 1
-                st = stats.stall_cycles
-                st["lod_ebq"] = st.get("lod_ebq", 0) + 1
-                if self._stalled_on != "lod_ebq":
-                    stats.lod_events += 1
-                self._stalled_on = "lod_ebq"
-                return
-            value = ebq.pop()
+            if spec is not None:
+                value = spec.ap_branch_value(self)
+                if value is None:
+                    return False
+            else:
+                ebq = self._ebq
+                slots = ebq._slots
+                if not slots or not slots[0].filled:
+                    ebq.stats.empty_stalls += 1
+                    st = stats.stall_cycles
+                    st["lod_ebq"] = st.get("lod_ebq", 0) + 1
+                    if self._stalled_on != "lod_ebq":
+                        stats.lod_events += 1
+                    self._stalled_on = "lod_ebq"
+                    return False
+                value = ebq.pop_at(now)
             taken = (value != 0) == entry[1]
             stats.instructions += 1
             self._stalled_on = None
             self.pc = entry[2] if taken else pc + 1
-            return
+            return True
         if kind == _A_BR:
             tag, payload = entry[1]
             if tag == _O_REG:
@@ -467,29 +502,30 @@ class AccessProcessor:
             stats.instructions += 1
             self._stalled_on = None
             self.pc = entry[3] if taken else pc + 1
-            return
+            return True
         if kind == _A_STREAM:
             if not self._start_stream(entry[1]):
-                return
+                return False
             stats.instructions += 1
             self._stalled_on = None
             self.pc = pc + 1
-            return
+            return True
         if kind == _A_JMP:
             stats.instructions += 1
             self._stalled_on = None
             self.pc = entry[1]
-            return
+            return True
         if kind == _A_HALT:
             self.halted = True
             stats.instructions += 1
             self._stalled_on = None
             self.pc = pc + 1
-            return
+            return True
         # _A_NOP
         stats.instructions += 1
         self._stalled_on = None
         self.pc = pc + 1
+        return True
 
     def next_event_time(self, now: int) -> int | None:
         """Event-horizon contract: earliest cycle the AP can act with
@@ -538,10 +574,13 @@ class AccessProcessor:
         except (MemoryError_, ValueError, OverflowError):
             return 0
 
-    def _retire(self, new_pc: int | None = None) -> None:
+    def _retire(self, new_pc: int | None = None) -> bool:
+        """Count a retired instruction and move the pc; returns True,
+        the step's progress flag."""
         self.stats.instructions += 1
         self._stalled_on = None
         self.pc = new_pc if new_pc is not None else self.pc + 1
+        return True
 
     # -- op implementations ---------------------------------------------
 
@@ -634,9 +673,7 @@ class AccessProcessor:
         token = target.reserve()
         if spec is not None:
             spec.note_reserved(target, token)
-        accepted = self.memory.try_issue(
-            addr, now, on_complete=partial(target.fill, token)
-        )
+        accepted = self.memory.try_issue(addr, now, queue=target, slot=token)
         assert accepted
         return True
 
@@ -666,18 +703,18 @@ class AccessProcessor:
         src = instr.srcs[0]
         assert isinstance(src, Queue)
         queue = self.queues.resolve(src)
+        key, cause = _FROMQ_ROLES.get(src.space, (None, "iq_empty"))
         spec = self._spec
         if spec is not None:
-            return spec.ap_fromq(self, instr, src, queue)
-        if not queue.head_ready():
+            value = spec.ap_fromq(self, queue, key, cause)
+            if value is None:
+                return False
+        elif not queue.head_ready():
             queue.note_empty_stall()
-            if src.space is QueueSpace.EAQ:
-                self._stall("lod_eaq")
-            elif src.space is QueueSpace.EBQ:
-                self._stall("lod_ebq")
-            else:
-                self._stall("iq_empty")
+            self._stall(cause)
             return False
+        else:
+            value = queue.pop()
         assert isinstance(instr.dest, Reg)
-        self.registers[instr.dest.index] = queue.pop()
+        self.registers[instr.dest.index] = value
         return True

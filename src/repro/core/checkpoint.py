@@ -22,11 +22,11 @@ Design constraints honored here:
   therefore mutates every container in place (``deque.clear``/
   ``extend``, ``list[:] = ``, ``dict.clear``/``update``) and never
   rebinds an attribute that anything else may hold.
-* **Completion callbacks are symbolic.**  The banked memory's heap holds
-  callables (every load path schedules ``partial(queue.fill, slot)``),
-  which cannot be serialized.  Each binds exactly a target queue and a
-  slot token, so each entry is encoded as ``(queue locator, slot
-  position)`` and re-materialized against the restored queue contents.
+* **Completions are symbolic.**  Each entry of the banked memory's heap
+  names the queue and the slot token its load fills, and a slot cannot
+  be serialized by identity, so each entry is encoded as ``(queue
+  locator, slot position)`` and re-materialized against the restored
+  queue contents.
 * **Fingerprinted.**  A snapshot embeds a hash of the programs and
   configuration it was taken from; restoring onto a machine built from
   anything else raises :class:`repro.errors.CheckpointError` instead of
@@ -42,7 +42,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
-from functools import partial
 
 import numpy as np
 
@@ -249,27 +248,12 @@ def _restore_memory(memory, data: dict) -> None:
         memory._words[addr] = value
 
 
-def _completion_entry(callback):
-    """Recognize the one callback shape the simulator schedules,
-    ``partial(queue.fill, slot)``, and return ``(queue, slot)``;
-    anything else is un-checkpointable."""
-    if isinstance(callback, partial):
-        bound = callback.func
-        if getattr(bound, "__name__", "") == "fill" and len(callback.args) == 1:
-            return bound.__self__, callback.args[0]
-    raise CheckpointError(
-        f"unrecognized completion callback {callback!r}; "
-        "cannot checkpoint this machine state"
-    )
-
-
 def _banked_state(banked, qlocate) -> dict:
     """Encode the banked memory's timing state.  ``qlocate(queue)``
     returns the JSON-clean locator of a queue (an index for a machine,
     a ``[node, index]`` pair for a cluster)."""
     completions = []
-    for time, seq, callback, result in banked._completions:
-        queue, slot = _completion_entry(callback)
+    for time, seq, queue, slot, result in banked._completions:
         for pos, candidate in enumerate(queue._slots):
             if candidate is slot:
                 break
@@ -326,7 +310,7 @@ def _restore_banked(banked, data: dict, qresolve) -> None:
             raise CheckpointError(
                 f"completion targets an already-filled slot in {queue.name}"
             )
-        entries.append((time, seq, partial(queue.fill, slot), result))
+        entries.append((time, seq, queue, slot, result))
     banked._completions[:] = entries
     heapq.heapify(banked._completions)
     stats, src = banked.stats, data["stats"]

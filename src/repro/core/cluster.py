@@ -272,12 +272,13 @@ class SMACluster:
         * **Gated horizon.**  A jump is only *planned* when this cycle
           delivered no completion and every running node's AP and EP
           ended their last step halted or stalled; it is only *taken*
-          after one live template cycle leaves the progress probe
-          unchanged, with the horizon recomputed from the post-template
+          after one live template cycle in which no node's step made
+          progress, with the horizon recomputed from the post-template
           stall causes — so a contract miss costs a jump, never a
-          wrong one.  The probe is one integer: the sum of every
-          monotone counter in :meth:`_progress_state`, which changes
-          exactly when that tuple would.
+          wrong one.  Progress is what the steps return (see
+          :meth:`SMAMachine._event_horizon_loop`): a cycle with no step
+          returning true is one in which :meth:`_progress_state` stands
+          still.
 
         Everything stays bit-identical to naive ticking, including the
         rotating service order, per-node finish cycles and the stop,
@@ -299,9 +300,8 @@ class SMACluster:
         nodes = self.nodes
         count = len(nodes)
         finish = self.finish_cycles
-        banked = self.banked
-        comps = banked._completions
-        mstats = banked.stats
+        comps = self.banked._completions
+        mstats = self.banked.stats
         pop = heapq.heappop
         horizon = self.next_event_time
         # one lane of hoisted per-node locals per running node; a
@@ -326,12 +326,8 @@ class SMACluster:
         # the rotating service window for cycle ``now`` is
         # order[now % count:now % count + count]
         order = lanes + lanes
-        probes = [
-            (n.ap.stats, n.ep.stats, n.engine.stats, n.store_unit.stats)
-            for n in nodes
-        ]
-        last_progress = 0
-        p_last = -1
+        start = self.cycle
+        last_progress = start
         while live or comps:
             now = self.cycle
             if now >= stop:
@@ -340,9 +336,12 @@ class SMACluster:
                 raise SimulationError(f"exceeded cycle budget {max_cycles}")
             delivered = False
             while comps and comps[0][0] <= now:
-                _, _, callback, result = pop(comps)
+                # fill the slot the completion entry names, in place
+                _, _, queue, slot, value = pop(comps)
+                slot.filled = True
+                slot.value = value
+                queue.stats.pushes += 1
                 mstats.completions += 1
-                callback(result)
                 delivered = True
             snapshots = None
             if not delivered:
@@ -362,6 +361,7 @@ class SMACluster:
                             for lane in live
                         ]
             rotation = now % count
+            moved = False
             for lane in order[rotation:rotation + count]:
                 if lane is None:
                     continue
@@ -369,15 +369,15 @@ class SMACluster:
                  su_tick, engine_tick, ap_step, ep_step,
                  spec, frames, metrics) = lane
                 clock[0] = now
-                if saq_slots:
-                    su_tick(now)
-                if streams:
-                    engine_tick(now)
-                if not ap.halted:
-                    ap_step(now)
-                if not ep.halted:
-                    ep_step(now)
-                if spec is not None:
+                if saq_slots and su_tick(now):
+                    moved = True
+                if streams and engine_tick(now):
+                    moved = True
+                if not ap.halted and ap_step(now):
+                    moved = True
+                if not ep.halted and ep_step(now):
+                    moved = True
+                if frames:
                     spec.on_cycle(node, now)
                 if metrics is not None:
                     metrics.on_cycle(node, now)
@@ -391,15 +391,10 @@ class SMACluster:
                     order = lanes + lanes
                     live = [lane for lane in lanes if lane is not None]
             self.cycle = now + 1
-            progress = mstats.reads + mstats.writes
-            for ap_stats, ep_stats, engine_stats, su_stats in probes:
-                progress += (
-                    ap_stats.instructions + ep_stats.instructions
-                    + engine_stats.requests_issued + su_stats.stores_issued
-                )
-            if progress != p_last:
-                p_last = progress
-                last_progress = self.cycle
+            # the first cycle of a call opens the watchdog window and
+            # never jumps, whatever it did
+            if moved or now == start:
+                last_progress = now + 1
                 continue
             if snapshots is not None:
                 target = horizon(self.cycle)

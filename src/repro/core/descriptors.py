@@ -26,14 +26,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import partial
 from heapq import heappush
 
 from ..errors import SimulationError
 from ..memory.banks import BankedMemory
 from ..memory.main_memory import as_address
 from ..queues import OperandQueue
-from ..queues.operand_queue import _Slot
 
 
 class StreamKind(enum.Enum):
@@ -107,7 +105,8 @@ class StreamEngine:
 
     __slots__ = (
         "memory", "max_streams", "issue_per_cycle", "_streams", "_rr",
-        "stats",
+        "stats", "_bank_free", "_nbanks", "_accepts", "_bank_busy",
+        "_latency",
     )
 
     def __init__(
@@ -122,6 +121,15 @@ class StreamEngine:
         self._streams: list[StreamDescriptor] = []
         self._rr = 0
         self.stats = StreamEngineStats()
+        # memory-model constants for tick_fast; the bank-free list is
+        # stable for the machine's lifetime (BankedMemory mutates it in
+        # place)
+        config = memory.config
+        self._bank_free = memory._bank_free_at
+        self._nbanks = config.num_banks
+        self._accepts = config.accepts_per_cycle
+        self._bank_busy = config.bank_busy
+        self._latency = config.latency
 
     def has_free_slot(self) -> bool:
         return len(self._streams) < self.max_streams
@@ -206,7 +214,7 @@ class StreamEngine:
                 return False
             token = target.reserve()
             accepted = self.memory.try_issue(
-                addr, now, on_complete=partial(target.fill, token)
+                addr, now, queue=target, slot=token
             )
             assert accepted, "can_accept and try_issue disagreed"
         else:
@@ -236,138 +244,126 @@ class StreamEngine:
         scheduler's hot loop.
 
         Must stay behaviorally identical to ``tick`` + ``_try_issue`` —
-        same issue order, same stall notes, same stats — with the
-        per-attempt method calls (``next_address``, ``can_reserve``,
-        ``head_ready``, ``can_accept``) flattened into local deque and
-        list accesses; like ``head_ready``, it treats a poisoned index
-        or data head as not ready.  The Hypothesis equivalence suite
-        (``tests/test_event_horizon.py``) holds the two paths together.
+        same issue order, same stall notes, same stats, same round-robin
+        pointer — with the per-attempt method calls (``next_address``,
+        ``can_reserve``, ``head_ready``, ``can_accept``) flattened into
+        local deque and list accesses; like ``head_ready``, it treats a
+        poisoned index or data head as not ready.  An attempt does only
+        what its outcome needs: a dense stream's address is computed
+        once its queue check passes, and the memory model is read only
+        by an attempt that reaches the bank check.  The Hypothesis
+        equivalence suite (``tests/test_event_horizon.py``) holds the two
+        paths together.
         """
         streams = self._streams
         if not streams:
             return 0
-        memory = self.memory
-        config = memory.config
-        bank_free = memory._bank_free_at
-        nbanks = config.num_banks
-        accepts = config.accepts_per_cycle
-        bank_busy = config.bank_busy
-        latency = config.latency
-        mstats = memory.stats
-        storage = memory.storage
-        words = storage._words
-        msize = storage.size
-        observer = storage.observer
-        comps = memory._completions
+        rr = self._rr
         issued = 0
         attempts = 0
-        n = len(streams)
+        # ``live`` tracks len(streams); ``n``, the attempt bound, is the
+        # count at the start of the cycle, as in tick()
+        n = live = len(streams)
         while issued < self.issue_per_cycle and attempts < n:
-            desc = streams[self._rr % len(streams)]
+            desc = streams[rr % live]
             ok = False
-            if desc.indexed:
+            indexed = desc.indexed
+            if indexed:
                 # head_ready(), inlined: a poisoned index is not ready
                 islots = desc.index_queue._slots
-                if islots and islots[0].filled and not islots[0].poisoned:
-                    addr = desc.base + as_address(islots[0].value)
+                if not islots or not islots[0].filled or islots[0].poisoned:
+                    rr = (rr + 1) % live
+                    attempts += 1
+                    continue
+                # converted before the queue check, as next_address()
+                # does, so a malformed index raises whatever the queue
+                # holds
+                offset = as_address(islots[0].value)
+            if desc.produces:
+                target = desc.target
+                if len(target._slots) >= target.capacity:
+                    target.stats.full_stalls += 1
                 else:
-                    addr = None
+                    addr = desc.base + (
+                        offset if indexed else desc.issued * desc.stride
+                    )
+                    memory = self.memory
+                    cyc, cnt = memory._issues_at
+                    bank = addr % self._nbanks
+                    if (cyc != now or cnt < self._accepts) and \
+                            self._bank_free[bank] <= now:
+                        # reserve, then the accept side of
+                        # BankedMemory.try_issue (whose port/bank checks
+                        # just passed), in the reference order:
+                        # reserve, bookkeeping, read, completion
+                        token = target.reserve_at(now)
+                        memory._issues_at = (
+                            (now, cnt + 1) if cyc == now else (now, 1)
+                        )
+                        bank_busy = self._bank_busy
+                        self._bank_free[bank] = now + bank_busy
+                        mstats = memory.stats
+                        mstats.busy_bank_cycles += bank_busy
+                        mstats.per_bank_accesses[bank] += 1
+                        mstats.reads += 1
+                        storage = memory.storage
+                        if storage.observer is None and \
+                                0 <= addr < storage.size:
+                            result = float(storage._words[addr])
+                        else:
+                            # observer hook or out-of-range fault
+                            result = storage.read(addr)
+                        memory._seq += 1
+                        heappush(memory._completions, (
+                            now + self._latency, memory._seq, target,
+                            token, result,
+                        ))
+                        ok = True
             else:
-                addr = desc.base + desc.issued * desc.stride
-            if addr is not None:
-                if desc.produces:
-                    target = desc.target
-                    if len(target._slots) >= target.capacity:
-                        target.stats.full_stalls += 1
-                    else:
-                        cyc, cnt = memory._issues_at
-                        bank = addr % nbanks
-                        if (cyc != now or cnt < accepts) and \
-                                bank_free[bank] <= now:
-                            # inline target.reserve() + the accept side of
-                            # BankedMemory.try_issue (whose port/bank
-                            # checks just passed), in the reference order:
-                            # reserve, bookkeeping, read, completion
-                            if target._lazy:
-                                if target._clock[0] > target._synced:
-                                    target._lazy_flush()
-                                agg = target._agg
-                                if agg is not None:
-                                    agg.change(now, 1)
-                            token = _Slot()
-                            target._slots.append(token)
-                            memory._issues_at = (
-                                (now, cnt + 1) if cyc == now else (now, 1)
-                            )
-                            bank_free[bank] = now + bank_busy
-                            mstats.busy_bank_cycles += bank_busy
-                            mstats.per_bank_accesses[bank] += 1
-                            mstats.reads += 1
-                            if observer is None and 0 <= addr < msize:
-                                result = float(words[addr])
-                            else:
-                                # observer hook or out-of-range fault
-                                result = storage.read(addr)
-                            memory._seq += 1
-                            heappush(comps, (
-                                now + latency, memory._seq,
-                                partial(target.fill, token), result,
-                            ))
-                            ok = True
+                data_queue = desc.data_queue
+                dslots = data_queue._slots
+                if not dslots or not dslots[0].filled or dslots[0].poisoned:
+                    data_queue.stats.empty_stalls += 1
                 else:
-                    data_queue = desc.data_queue
-                    dslots = data_queue._slots
-                    if not dslots or not dslots[0].filled or \
-                            dslots[0].poisoned:
-                        data_queue.stats.empty_stalls += 1
-                    else:
-                        cyc, cnt = memory._issues_at
-                        bank = addr % nbanks
-                        if (cyc != now or cnt < accepts) and \
-                                bank_free[bank] <= now:
-                            memory._issues_at = (
-                                (now, cnt + 1) if cyc == now else (now, 1)
-                            )
-                            bank_free[bank] = now + bank_busy
-                            mstats.busy_bank_cycles += bank_busy
-                            mstats.per_bank_accesses[bank] += 1
-                            mstats.writes += 1
-                            if observer is None and 0 <= addr < msize:
-                                words[addr] = dslots[0].value
-                            else:
-                                storage.write(addr, dslots[0].value)
-                            # inline data_queue.pop() (head just checked)
-                            if data_queue._lazy:
-                                if data_queue._clock[0] > \
-                                        data_queue._synced:
-                                    data_queue._lazy_flush()
-                                agg = data_queue._agg
-                                if agg is not None:
-                                    agg.change(now, -1)
-                            data_queue.stats.pops += 1
-                            dslots.popleft()
-                            ok = True
+                    addr = desc.base + (
+                        offset if indexed else desc.issued * desc.stride
+                    )
+                    memory = self.memory
+                    cyc, cnt = memory._issues_at
+                    bank = addr % self._nbanks
+                    if (cyc != now or cnt < self._accepts) and \
+                            self._bank_free[bank] <= now:
+                        memory._issues_at = (
+                            (now, cnt + 1) if cyc == now else (now, 1)
+                        )
+                        bank_busy = self._bank_busy
+                        self._bank_free[bank] = now + bank_busy
+                        mstats = memory.stats
+                        mstats.busy_bank_cycles += bank_busy
+                        mstats.per_bank_accesses[bank] += 1
+                        mstats.writes += 1
+                        storage = memory.storage
+                        if storage.observer is None and \
+                                0 <= addr < storage.size:
+                            storage._words[addr] = dslots[0].value
+                        else:
+                            storage.write(addr, dslots[0].value)
+                        data_queue.pop_at(now)
+                        ok = True
             if ok:
-                if desc.indexed:
-                    # inline index_queue.pop() (head verified above)
-                    iq = desc.index_queue
-                    if iq._lazy:
-                        if iq._clock[0] > iq._synced:
-                            iq._lazy_flush()
-                        agg = iq._agg
-                        if agg is not None:
-                            agg.change(now, -1)
-                    iq.stats.pops += 1
-                    iq._slots.popleft()
+                if indexed:
+                    desc.index_queue.pop_at(now)
                 desc.issued += 1
                 issued += 1
                 if desc.issued >= desc.count:
                     streams.remove(desc)
-                    if not streams:
+                    live -= 1
+                    if not live:
                         break
                     continue  # keep rr pointing at the next stream
-            self._rr = (self._rr + 1) % len(streams)
+            rr = (rr + 1) % live
             attempts += 1
+        self._rr = rr
         if issued == 0:
             self.stats.blocked_cycles += 1
         else:

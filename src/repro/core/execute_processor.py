@@ -161,10 +161,11 @@ class ExecuteProcessor:
         st[cause] = st.get(cause, 0) + 1
         self._stalled_on = cause
 
-    def step(self, now: int) -> None:
-        """Attempt to execute one instruction this cycle."""
+    def step(self, now: int) -> bool:
+        """Attempt to execute one instruction this cycle; returns whether
+        one retired."""
         if self.halted:
-            return
+            return False
         if self.pc >= len(self.program):
             raise SimulationError(
                 f"EP ran off the end of program {self.program.name!r}"
@@ -173,25 +174,20 @@ class ExecuteProcessor:
         op = instr.op
         if op is Op.HALT:
             self.halted = True
-            self._retire()
-            return
+            return self._retire()
         if op is Op.NOP:
-            self._retire()
-            return
+            return self._retire()
         if op is Op.JMP:
-            self._retire(instr.branch_target())
-            return
+            return self._retire(instr.branch_target())
         if op in (Op.BEQZ, Op.BNEZ):
             value = self._read_reg_or_imm(instr.srcs[0])
             taken = (value == 0) == (op is Op.BEQZ)
-            self._retire(instr.branch_target() if taken else None)
-            return
+            return self._retire(instr.branch_target() if taken else None)
         if op is Op.DECBNZ:
             assert isinstance(instr.dest, Reg)
             self.registers[instr.dest.index] -= 1
             taken = self.registers[instr.dest.index] != 0
-            self._retire(instr.branch_target() if taken else None)
-            return
+            return self._retire(instr.branch_target() if taken else None)
         assert op in ALU_OPS, f"unhandled EP op {op}"
         # check queue readiness before popping anything (atomic issue)
         src_queues = self._src_queues[self.pc]
@@ -199,12 +195,12 @@ class ExecuteProcessor:
             if backing is not None and not backing.head_ready():
                 backing.note_empty_stall()
                 self._stall("lq_empty")
-                return
+                return False
         dest_queue = self._dest_queues[self.pc]
         if dest_queue is not None and not dest_queue.can_reserve():
             dest_queue.note_full_stall()
             self._stall("q_full")
-            return
+            return False
         registers = self.registers
         args = [
             backing.pop() if backing is not None
@@ -219,17 +215,18 @@ class ExecuteProcessor:
         else:
             assert isinstance(instr.dest, Reg)
             self.registers[instr.dest.index] = result
-        self._retire()
+        return self._retire()
 
-    def step_fast(self, now: int) -> None:
+    def step_fast(self, now: int) -> bool:
         """Decode-cached twin of :meth:`step` for the event-horizon
-        scheduler's hot loop: dispatches on predecoded kind tags and
-        inlines the queue head/slot checks.  Must stay behaviorally
+        scheduler's hot loop: dispatches on predecoded kind tags, inlines
+        the queue head/slot checks and moves values with the queues'
+        one-call ``pop_at``/``push_at``.  Must stay behaviorally
         identical to ``step`` (same stalls, same stats, same errors at
-        the same cycle); the Hypothesis equivalence suite holds the two
-        together."""
+        the same cycle, same return); the Hypothesis equivalence suite
+        holds the two together."""
         if self.halted:
-            return
+            return False
         pc = self.pc
         # bounds-check against the live program (not just the decode
         # cache) so a program swapped after construction still faults
@@ -257,7 +254,7 @@ class ExecuteProcessor:
                         st = stats.stall_cycles
                         st["lq_empty"] = st.get("lq_empty", 0) + 1
                         self._stalled_on = "lq_empty"
-                        return
+                        return False
             dest_queue = entry[3]
             if dest_queue is not None and \
                     len(dest_queue._slots) >= dest_queue.capacity:
@@ -265,42 +262,42 @@ class ExecuteProcessor:
                 st = stats.stall_cycles
                 st["q_full"] = st.get("q_full", 0) + 1
                 self._stalled_on = "q_full"
-                return
+                return False
             # unrolled argument fetch for the 1- and 2-source shapes the
             # code generators emit (the list-building fallback covers any
             # other arity)
             if len(srcs) == 2:
                 tag, payload = srcs[0]
                 a0 = (
-                    payload.pop() if tag == _O_QUEUE
+                    payload.pop_at(now) if tag == _O_QUEUE
                     else registers[payload] if tag == _O_REG else payload
                 )
                 tag, payload = srcs[1]
                 a1 = (
-                    payload.pop() if tag == _O_QUEUE
+                    payload.pop_at(now) if tag == _O_QUEUE
                     else registers[payload] if tag == _O_REG else payload
                 )
                 result = entry[1](a0, a1)
             elif len(srcs) == 1:
                 tag, payload = srcs[0]
                 result = entry[1](
-                    payload.pop() if tag == _O_QUEUE
+                    payload.pop_at(now) if tag == _O_QUEUE
                     else registers[payload] if tag == _O_REG else payload
                 )
             else:
                 result = entry[1](*[
-                    payload.pop() if tag == _O_QUEUE
+                    payload.pop_at(now) if tag == _O_QUEUE
                     else (registers[payload] if tag == _O_REG else payload)
                     for tag, payload in srcs
                 ])
             if dest_queue is not None:
-                dest_queue.push(result)
+                dest_queue.push_at(now, result)
             else:
                 registers[entry[4]] = result
             stats.instructions += 1
             self._stalled_on = None
             self.pc = pc + 1
-            return
+            return True
         if kind == _D_BR:
             tag, payload = entry[1]
             if tag == _O_REG:
@@ -316,29 +313,30 @@ class ExecuteProcessor:
             stats.instructions += 1
             self._stalled_on = None
             self.pc = entry[3] if taken else pc + 1
-            return
+            return True
         if kind == _D_DECBNZ:
             index = entry[1]
             registers[index] -= 1
             stats.instructions += 1
             self._stalled_on = None
             self.pc = entry[2] if registers[index] != 0 else pc + 1
-            return
+            return True
         if kind == _D_JMP:
             stats.instructions += 1
             self._stalled_on = None
             self.pc = entry[1]
-            return
+            return True
         if kind == _D_HALT:
             self.halted = True
             stats.instructions += 1
             self._stalled_on = None
             self.pc = pc + 1
-            return
+            return True
         # _D_NOP
         stats.instructions += 1
         self._stalled_on = None
         self.pc = pc + 1
+        return True
 
     def next_event_time(self, now: int) -> int | None:
         """Event-horizon contract: the EP can act immediately unless it
@@ -349,10 +347,13 @@ class ExecuteProcessor:
             return None
         return now
 
-    def _retire(self, new_pc: int | None = None) -> None:
+    def _retire(self, new_pc: int | None = None) -> bool:
+        """Count a retired instruction and move the pc; returns True,
+        the step's progress flag."""
         self.stats.instructions += 1
         self._stalled_on = None
         self.pc = new_pc if new_pc is not None else self.pc + 1
+        return True
 
     def _read_reg_or_imm(self, operand) -> float:
         if isinstance(operand, Reg):

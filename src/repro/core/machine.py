@@ -614,16 +614,20 @@ class SMAMachine:
         """One fused loop: inlined completion delivery, fast component
         step paths, and contract-driven jumps.
 
-        A jump is only *planned* when this cycle delivered no completion
-        and both processors ended their last step blocked; it is only
-        *taken* after one live template cycle confirms (via the plain-int
-        progress probe) that nothing moved, and the horizon is then
-        recomputed from the post-template stall causes — the pre-step
-        flags can be stale (e.g. the EP freed a queue after the AP's
-        stall was recorded), so a contract miss downgrades to a skipped
-        jump, never a wrong one.  Replayed spans go through
-        :meth:`_replay_fast`, clamped to ``stop``; every exit fires at
-        the identical cycle as naive ticking.
+        Progress is what the steps report: each fast step returns whether
+        it retired an instruction or issued a request, and memory traffic
+        only ever moves with one of those, so a cycle in which no step
+        returned true is one in which :meth:`_run_naive`'s counter probe
+        stands still.  A jump is only *planned* when this cycle delivered
+        no completion and both processors ended their last step blocked;
+        it is only *taken* after one live template cycle made no
+        progress, and the horizon is then recomputed from the
+        post-template stall causes — the pre-step flags can be stale
+        (e.g. the EP freed a queue after the AP's stall was recorded), so
+        a contract miss downgrades to a skipped jump, never a wrong one.
+        Replayed spans go through :meth:`_replay_fast`, clamped to
+        ``stop``; every exit fires at the identical cycle as naive
+        ticking.
 
         A speculative machine steps the same fast methods, which hide
         poisoned queue heads and call the speculation hooks as the
@@ -631,23 +635,17 @@ class SMAMachine:
         processors step (as :meth:`step_cycle` does) and is not done
         while a frame is open.
         """
-        banked = self.banked
         ap = self.ap
         ep = self.ep
         engine = self.engine
-        su = self.store_unit
         metrics = self._metrics
-        comps = banked._completions
+        comps = self.banked._completions
         engine_streams = engine._streams
         owns_memory = self._owns_memory
-        mstats = banked.stats
+        mstats = self.banked.stats
         saq_slots = self.queues.store_addr._slots
-        ap_stats = ap.stats
-        ep_stats = ep.stats
-        engine_stats = engine.stats
-        su_stats = su.stats
         pop = heapq.heappop
-        su_tick = su.tick_fast
+        su_tick = self.store_unit.tick_fast
         engine_tick = engine.tick_fast
         ap_step = ap.step_fast
         ep_step = ep.step_fast
@@ -655,8 +653,8 @@ class SMAMachine:
         frames = spec.stack if spec is not None else ()
         horizon = self.next_event_time
         take_snapshot = self.stall_snapshot
-        last_progress_cycle = 0
-        p_ap = p_ep = p_req = p_st = p_mem = -1
+        start = self.cycle
+        last_progress_cycle = start
         # the loop condition is self.done() spelled out over the hoisted
         # locals (identity-stable containers), saving five delegated
         # calls per simulated cycle
@@ -673,9 +671,13 @@ class SMAMachine:
             clock[0] = now
             delivered = False
             while comps and comps[0][0] <= now:
-                _, _, callback, result = pop(comps)
+                # a completion entry names the slot its load reserved;
+                # fill it in place (OperandQueue.fill)
+                _, _, queue, slot, value = pop(comps)
+                slot.filled = True
+                slot.value = value
+                queue.stats.pushes += 1
                 mstats.completions += 1
-                callback(result)
                 delivered = True
             snapshot = None
             if (
@@ -688,34 +690,22 @@ class SMAMachine:
                     snapshot = take_snapshot()
             # each fast step begins with the same emptiness/halt check;
             # doing it here skips the call entirely on quiet components
-            if saq_slots:
-                su_tick(now)
-            if engine_streams:
-                engine_tick(now)
-            if not ap.halted:
-                ap_step(now)
-            if not ep.halted:
-                ep_step(now)
-            if spec is not None:
+            moved = su_tick(now) if saq_slots else False
+            if engine_streams and engine_tick(now):
+                moved = True
+            if not ap.halted and ap_step(now):
+                moved = True
+            if not ep.halted and ep_step(now):
+                moved = True
+            if frames:  # resolution has nothing to do with no frame open
                 spec.on_cycle(self, now)
             if metrics is not None:
                 metrics.on_cycle(self, now)
             self.cycle = now + 1
-            mem = mstats.reads + mstats.writes
-            ap_i = ap_stats.instructions
-            ep_i = ep_stats.instructions
-            req = engine_stats.requests_issued
-            st = su_stats.stores_issued
-            if (
-                ap_i != p_ap or ep_i != p_ep or req != p_req
-                or st != p_st or mem != p_mem
-            ):
-                p_ap = ap_i
-                p_ep = ep_i
-                p_req = req
-                p_st = st
-                p_mem = mem
-                last_progress_cycle = self.cycle
+            # the first cycle of a call opens the watchdog window and
+            # never jumps, whatever it did
+            if moved or now == start:
+                last_progress_cycle = now + 1
                 continue
             if snapshot is not None:
                 target = horizon(self.cycle)

@@ -58,9 +58,10 @@ Mechanism
 Speculative runs go through either loop, event-horizon (the default)
 or naive ticking.  The event-horizon loop steps the same ``*_fast``
 methods as a plain run: they hide poisoned heads, and
-``AccessProcessor.step_fast`` calls the hooks below where ``step`` does
-(the penalty gate first, then ``step`` itself for ``ldq``, ``staddr``,
-``fromq`` and the EBQ branches).  It still jumps idle spans: a rollback
+``AccessProcessor.step_fast`` keeps every instruction decoded, calling
+the hooks below in ``step``'s order (the penalty gate, then
+``ap_fromq``/``ap_branch_value``, the wrong-path address rules and
+``note_reserved``).  It still jumps idle spans: a rollback
 penalty ends at :attr:`SpeculationEngine.penalty_until`, which the AP
 reports as its horizon.  Streams are speculation barriers: a descriptor
 op stalls (``spec_barrier``) until all frames resolve.  The oracle
@@ -75,7 +76,6 @@ from dataclasses import dataclass, field, replace
 
 from ..config import SpeculationConfig
 from ..errors import QueueError, SimulationError
-from ..isa.operands import QueueSpace
 
 
 @dataclass
@@ -225,6 +225,9 @@ class SpeculationEngine:
         self.stack: list[_Frame] = []
         #: unresolved/uncommitted frames per queue, FIFO
         self.pending: dict[str, list[_Frame]] = {"eaq": [], "ebq": []}
+        #: per queue, how many frames at the front of ``pending`` have
+        #: resolved (resolution is FIFO, so they are always a prefix)
+        self.resolved = {"eaq": 0, "ebq": 0}
         # a precomputed oracle (checkpoint restore) skips the pre-run
         self.oracle = (
             {k: list(v) for k, v in oracle.items()}
@@ -263,15 +266,11 @@ class SpeculationEngine:
             slot.poisoned = True
             self.stack[-1].reserved.append((queue, slot))
 
-    def ap_fromq(self, ap, instr, src, queue) -> bool:
-        """Speculation-aware FROMQ; mirrors ``AccessProcessor._fromq``."""
-        space = src.space
-        if space is QueueSpace.EAQ:
-            key, cause = "eaq", "lod_eaq"
-        elif space is QueueSpace.EBQ:
-            key, cause = "ebq", "lod_ebq"
-        else:
-            key, cause = None, "iq_empty"
+    def ap_fromq(self, ap, queue, key, cause):
+        """Speculation-aware FROMQ operand, the speculative half of
+        ``AccessProcessor._fromq``: the value to load, or ``None`` when
+        the AP stalled (stall already recorded).  ``key`` names an EP->AP
+        queue (``"eaq"``/``"ebq"``); ``None`` is an index queue."""
         if key is None:
             # index queue: never predicted, but the speculative AP may
             # consume its own poisoned run-ahead data (undoably)
@@ -279,19 +278,13 @@ class SpeculationEngine:
                 if queue.head_filled():
                     slot = queue.pop_slot()
                     self.stack[-1].popped.append((queue, slot))
-                    ap.registers[instr.dest.index] = slot.value
-                    return True
+                    return slot.value
             elif queue.head_ready():
-                ap.registers[instr.dest.index] = queue.pop()
-                return True
+                return queue.pop()
             queue.note_empty_stall()
             ap._stall(cause)
-            return False
-        value = self._consume(ap, key, queue, cause)
-        if value is None:
-            return False
-        ap.registers[instr.dest.index] = value
-        return True
+            return None
+        return self._consume(ap, key, queue, cause)
 
     def ap_branch_value(self, ap):
         """Speculation-aware BQNZ/BQEZ operand; ``None`` means the AP
@@ -301,7 +294,10 @@ class SpeculationEngine:
     # -- consumption / prediction ------------------------------------------
 
     def _consume(self, ap, key: str, queue, cause: str):
-        if not self.pending[key] and queue.head_ready():
+        slots = queue._slots
+        # queue.head_ready(), inlined
+        if not self.pending[key] and slots and slots[0].filled \
+                and not slots[0].poisoned:
             # a real value with nothing outstanding on this queue
             if self.stack:
                 slot = queue.pop_slot()
@@ -376,29 +372,42 @@ class SpeculationEngine:
     def on_cycle(self, machine, now: int) -> None:
         """End-of-cycle resolution: match EP arrivals against pending
         frames FIFO, roll back on the first refuted frame, cascade-commit
-        resolved frames from the outermost."""
-        if not self.stack:
+        resolved frames from the outermost.
+
+        Returns at once while the outermost frame is unresolved and
+        neither queue holds more slots than its resolved frames account
+        for: no arrival can then confirm a frame, nor can one commit."""
+        stack = self.stack
+        resolved = self.resolved
+        if not stack or (
+            not stack[0].resolved
+            and len(self.eaq._slots) <= resolved["eaq"]
+            and len(self.ebq._slots) <= resolved["ebq"]
+        ):
             return
         progressed = True
-        while progressed and self.stack:
+        while progressed and stack:
             progressed = False
             for key, queue in (("eaq", self.eaq), ("ebq", self.ebq)):
                 pend = self.pending[key]
-                if not pend:
+                done = resolved[key]
+                if done == len(pend):
                     continue
-                resolved = sum(1 for f in pend if f.resolved)
                 # every slot in the EAQ/EBQ is a filled EP push; slots
                 # beyond the already-resolved count are new confirmations
-                while resolved < len(pend) and queue.filled_count > resolved:
-                    frame = pend[resolved]
+                # (resolving a frame moves no slot)
+                filled = queue.filled_count
+                while done < len(pend) and filled > done:
+                    frame = pend[done]
                     if not frame.correct:
                         self._rollback(frame, now)
                         return
                     frame.resolved = True
-                    resolved += 1
+                    done += 1
+                    resolved[key] = done
                     progressed = True
-            while self.stack and self.stack[0].resolved:
-                self._commit(self.stack.pop(0))
+            while stack and stack[0].resolved:
+                self._commit(stack.pop(0))
                 progressed = True
 
     def _commit(self, frame: _Frame) -> None:
@@ -415,6 +424,7 @@ class SpeculationEngine:
         pend = self.pending[frame.key]
         assert pend and pend[0] is frame
         pend.pop(0)
+        self.resolved[frame.key] -= 1
         self.stats.commits += 1
 
     def _rollback(self, frame: _Frame, now: int) -> None:
@@ -435,6 +445,8 @@ class SpeculationEngine:
                 if id(slot) not in reserved_ids:
                     q.unpop_slot(slot)
             self.pending[g.key].remove(g)
+            if g.resolved:
+                self.resolved[g.key] -= 1
         del self.stack[idx:]
         if squash:
             self.stats.squashed_completions += (
@@ -468,6 +480,7 @@ class SpeculationEngine:
         self.stack.clear()
         self.pending["eaq"].clear()
         self.pending["ebq"].clear()
+        self.resolved.update(eaq=0, ebq=0)
         self.pop_seq = {k: int(v) for k, v in data["pop_seq"].items()}
         self.penalty_until = int(data["penalty_until"])
         self.oracle = {k: list(v) for k, v in data["oracle"].items()}

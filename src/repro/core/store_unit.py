@@ -105,16 +105,8 @@ class StoreUnit:
             storage._words[addr] = dslots[0].value
         else:
             storage.write(addr, dslots[0].value)
-        # inline saq.pop() and data_queue.pop() (heads just checked)
-        for queue, slots in ((saq, sslots), (data_queue, dslots)):
-            if queue._lazy:
-                if queue._clock[0] > queue._synced:
-                    queue._lazy_flush()
-                agg = queue._agg
-                if agg is not None:
-                    agg.change(now, -1)
-            queue.stats.pops += 1
-            slots.popleft()
+        saq.pop_at(now)
+        data_queue.pop_at(now)
         self.stats.stores_issued += 1
         return True
 

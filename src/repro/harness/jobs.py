@@ -9,11 +9,14 @@ cache results on disk, while the experiments stay pure table assembly.
 
 Compilation is memoized per process: a sweep that runs the same kernel at
 ten latencies lowers it once (``lower_sma``/``lower_scalar``), instantiates
-its input arrays once, and computes its reference outputs once.
+its input arrays once, and computes its reference outputs once.  A
+kernel's program depends only on its name and size, so jobs that differ
+only in ``seed`` share one lowering too.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -168,10 +171,10 @@ class BatchJob:
 # -- per-process memoization -------------------------------------------------
 #
 # Worker processes inherit empty caches; within one worker (or the serial
-# path) every (kernel, n, seed) is instantiated, lowered and reference-run
-# at most once no matter how many sweep points reuse it.  The simulator is
-# imported here, at first use, so planning, keying and cache probes never
-# load it.
+# path) every (kernel, n, seed) is instantiated and reference-run, and
+# every (kernel, n) lowered, at most once no matter how many sweep points
+# reuse it.  The simulator is imported here, at first use, so planning,
+# keying and cache probes never load it.
 
 
 @lru_cache(maxsize=None)
@@ -182,21 +185,19 @@ def _instantiated(name: str, n: int | None, seed: int):
 
 
 @lru_cache(maxsize=None)
-def _lowered_sma(name: str, n: int | None, seed: int, use_streams: bool,
+def _lowered_sma(name: str, n: int | None, use_streams: bool,
                  lod_variant: str | None = None):
-    from ..kernels import lower_sma
+    from ..kernels import get_kernel, lower_sma
 
-    kernel, _ = _instantiated(name, n, seed)
-    return lower_sma(kernel, use_streams=use_streams,
+    return lower_sma(get_kernel(name).kernel(n), use_streams=use_streams,
                      lod_variant=lod_variant)
 
 
 @lru_cache(maxsize=None)
-def _lowered_scalar(name: str, n: int | None, seed: int):
-    from ..kernels import lower_scalar
+def _lowered_scalar(name: str, n: int | None):
+    from ..kernels import get_kernel, lower_scalar
 
-    kernel, _ = _instantiated(name, n, seed)
-    return lower_scalar(kernel)
+    return lower_scalar(get_kernel(name).kernel(n))
 
 
 @lru_cache(maxsize=None)
@@ -216,7 +217,7 @@ def _standalone_cycles(name: str, n: int | None, seed: int,
     from .runner import run_on_sma
 
     kernel, inputs = _instantiated(name, n, seed)
-    lowered = _lowered_sma(name, n, seed, True)
+    lowered = _lowered_sma(name, n, True)
     return run_on_sma(kernel, inputs, config, lowered=lowered).cycles
 
 
@@ -258,17 +259,17 @@ def _capture(job: Job, run) -> dict:
 
 
 def _metrics_armed() -> bool:
-    from ..metrics.capture import active_capture
-
-    return active_capture() is not None
+    # only repro.metrics.capture can arm a capture, so none is armed
+    # while it is unloaded; asking must not load the metrics package
+    capture = sys.modules.get("repro.metrics.capture")
+    return capture is not None and capture.active_capture() is not None
 
 
 def _run_sma(job: Job, use_streams: bool) -> dict:
     from .runner import run_on_sma
 
     kernel, inputs = _instantiated(job.kernel, job.n, job.seed)
-    lowered = _lowered_sma(job.kernel, job.n, job.seed, use_streams,
-                           job.lod_variant)
+    lowered = _lowered_sma(job.kernel, job.n, use_streams, job.lod_variant)
     run = run_on_sma(
         kernel, inputs, job.sma_config, use_streams=use_streams,
         lowered=lowered, metrics=_metrics_armed(),
@@ -309,7 +310,7 @@ def _run_scalar(job: Job) -> dict:
     cfg = job.scalar_config or ScalarConfig()
     run = run_on_scalar(
         kernel, inputs, cfg,
-        lowered=_lowered_scalar(job.kernel, job.n, job.seed),
+        lowered=_lowered_scalar(job.kernel, job.n),
         metrics=_metrics_armed(),
     )
     if job.check:
@@ -411,8 +412,7 @@ def _run_occupancy(job: Job) -> dict:
     # the lowering must honor job.lod_variant: the cache key includes the
     # field via repr(job), so simulating the plain lowering here would
     # serve a wrong result under a correct-looking key
-    lowered = _lowered_sma(job.kernel, job.n, job.seed, True,
-                           job.lod_variant)
+    lowered = _lowered_sma(job.kernel, job.n, True, job.lod_variant)
     cfg = job.sma_config or SMAConfig()
     cfg = replace(cfg, memory=_fit_memory(cfg.memory, lowered.layout))
     machine = SMAMachine(

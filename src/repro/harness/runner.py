@@ -13,6 +13,7 @@ run them, so importing this module loads none of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from ..config import MemoryConfig, ScalarConfig, SMAConfig
@@ -308,6 +309,16 @@ def run_cluster(
     )
 
 
+@lru_cache(maxsize=None)
+def _lowered_node(kernel: Kernel, base: int) -> LoweredSMA:
+    """One cluster node's program, memoized per process: it depends on
+    the kernel (whose IR fixes its size) and the node's base address,
+    never on the node's inputs, so R-F8's cells share their lowerings."""
+    from ..kernels import lower_sma
+
+    return lower_sma(kernel, base=base)
+
+
 def _prepare_cluster(
     jobs: list[tuple[Kernel, Mapping[str, np.ndarray]]],
     config: SMAConfig | None,
@@ -322,13 +333,12 @@ def _prepare_cluster(
     restores it).  Returns ``(cluster, lowered, cfg, node_metrics)``.
     """
     from ..core.cluster import SMACluster
-    from ..kernels import lower_sma as _lower_sma
 
     cfg = config or SMAConfig()
     lowered = []
     base = 16
     for kernel, _inputs in jobs:
-        low = _lower_sma(kernel, base=base)
+        low = _lowered_node(kernel, base)
         lowered.append(low)
         base = low.layout.end + 16
     cfg = replace(

@@ -27,74 +27,105 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from ..errors import KernelError
-from .ir import (
-    Affine,
-    ArrayDecl,
-    Assign,
-    BinOp,
-    Cmp,
-    Computed,
-    Const,
-    Expr,
-    Indirect,
-    Kernel,
-    Loop,
-    Reduce,
-    Ref,
-    Select,
-    UnOp,
-)
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .ir import (
+        Affine,
+        ArrayDecl,
+        Assign,
+        BinOp,
+        Cmp,
+        Computed,
+        Const,
+        Expr,
+        Indirect,
+        Kernel,
+        Loop,
+        Reduce,
+        Ref,
+        Select,
+        UnOp,
+    )
+
+#: the IR names the helpers and ``build`` functions below read as
+#: module globals.  Planning reads only the registry's names and
+#: categories, so the IR is imported, and these names bound, on first
+#: use (:func:`_bind_ir`): by a helper, or by :meth:`KernelSpec.kernel`
+#: before any ``build`` function runs
+_IR_NAMES = (
+    "Affine", "ArrayDecl", "Assign", "BinOp", "Cmp", "Computed", "Const",
+    "Indirect", "Kernel", "Loop", "Reduce", "Ref", "Select", "UnOp",
+)
+
+
+def _bind_ir() -> None:
+    """Import the IR and bind :data:`_IR_NAMES` here (idempotent)."""
+    if "Kernel" not in globals():
+        from . import ir
+
+        globals().update({name: getattr(ir, name) for name in _IR_NAMES})
+
 
 # -- tiny construction helpers ------------------------------------------
 
 
 def at(array: str, off: int = 0, **coeffs: int) -> Ref:
     """``at("x", 1, i=1)`` == ``x[i+1]``; ``at("q")`` == ``q[0]``."""
+    _bind_ir()
     return Ref(array, Affine.of(off, **{k: v for k, v in coeffs.items() if v}))
 
 
 def gat(array: str, index_ref: Ref) -> Ref:
     """Gather: ``gat("e", at("ix", i=1))`` == ``e[ix[i]]``."""
+    _bind_ir()
     return Ref(array, Indirect(index_ref))
 
 
 def cat(array: str, index_expr: Expr) -> Ref:
     """Computed subscript: ``cat("tab", expr)`` == ``tab[expr]``."""
+    _bind_ir()
     return Ref(array, Computed(index_expr))
 
 
 def c(value: float) -> Const:
+    _bind_ir()
     return Const(float(value))
 
 
 def add(a: Expr, b: Expr) -> Expr:
+    _bind_ir()
     return BinOp("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
+    _bind_ir()
     return BinOp("-", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
+    _bind_ir()
     return BinOp("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
+    _bind_ir()
     return BinOp("/", a, b)
 
 
 def fmod(a: Expr, b: Expr) -> Expr:
+    _bind_ir()
     return BinOp("mod", a, b)
 
 
 def floor(a: Expr) -> Expr:
+    _bind_ir()
     return UnOp("floor", a)
 
 
 def absval(a: Expr) -> Expr:
+    _bind_ir()
     return UnOp("abs", a)
 
 
@@ -113,6 +144,13 @@ class KernelSpec:
     output_arrays: tuple[str, ...]
     default_n: int = 256
 
+    def kernel(self, n: int | None = None) -> Kernel:
+        """Build the kernel for size ``n`` (default size if omitted).
+        The IR depends on ``n`` alone, so a lowered program serves every
+        input seed."""
+        _bind_ir()
+        return self.build(n if n is not None else self.default_n)
+
     def instantiate(
         self, n: int | None = None, seed: int = 12345
     ) -> tuple[Kernel, dict[str, np.ndarray]]:
@@ -122,7 +160,7 @@ class KernelSpec:
 
         size = n if n is not None else self.default_n
         rng = np.random.default_rng(seed)
-        return self.build(size), self.make_inputs(size, rng)
+        return self.kernel(size), self.make_inputs(size, rng)
 
 
 _REGISTRY: dict[str, KernelSpec] = {}

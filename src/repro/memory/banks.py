@@ -5,8 +5,8 @@ The memory is ``num_banks``-way low-order interleaved.  A request to bank
 ``bank_busy`` cycles since its last acceptance and the port has spare issue
 bandwidth this cycle; otherwise the requester must retry (the rejection is
 recorded as a bank conflict or port reject).  An accepted request completes
-``latency`` cycles later: loads deliver their value through a callback
-(normally filling a reserved queue slot), stores are already visible.
+``latency`` cycles later: a load fills the queue slot its requester
+reserved, stores are already visible.
 
 Functional ordering model: the data effect of a request happens at *issue*
 time — writes update the backing store immediately, reads capture the
@@ -20,10 +20,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..config import FaultConfig, MemoryConfig
 from .main_memory import MainMemory, as_address
+
+if TYPE_CHECKING:
+    from ..queues.operand_queue import OperandQueue, _Slot
 
 
 @dataclass
@@ -35,7 +38,7 @@ class MemoryStats:
     bank_conflicts: int = 0
     port_rejects: int = 0
     busy_bank_cycles: int = 0
-    #: completion callbacks fired (loads delivered / stores acknowledged)
+    #: load completions delivered (queue slots filled)
     completions: int = 0
     per_bank_accesses: list[int] = field(default_factory=list)
 
@@ -58,7 +61,11 @@ class BankedMemory:
         self.storage = storage
         self.config = config
         self._bank_free_at = [0] * config.num_banks
-        self._completions: list[tuple[int, int, Callable, Optional[float]]] = []
+        #: in-flight loads, a heap of completion entries
+        #: ``(time, seq, queue, slot, value)``: at ``time`` the value
+        #: read at issue fills ``slot`` of ``queue`` in place
+        self._completions: list[tuple[int, int, OperandQueue, _Slot,
+                                      Optional[float]]] = []
         self._seq = 0
         self._issues_at = (-1, 0)  # (cycle, count) for the port limit
         self.stats = MemoryStats(per_bank_accesses=[0] * config.num_banks)
@@ -91,13 +98,16 @@ class BankedMemory:
         *,
         is_write: bool = False,
         value: float | None = None,
-        on_complete: Callable[[Optional[float]], None] | None = None,
+        queue: OperandQueue | None = None,
+        slot: _Slot | None = None,
     ) -> bool:
         """Attempt to issue one request; returns acceptance.
 
         On acceptance the functional effect is applied immediately (see
-        module docstring); ``on_complete(read_value_or_None)`` fires when
-        :meth:`tick` reaches ``now + latency``.
+        module docstring).  A read given a destination ``queue`` and the
+        ``slot`` reserved in it schedules a completion entry, and
+        :meth:`tick` fills the slot with the value read once it reaches
+        ``now + latency``.
         """
         a = as_address(addr)
         bank = a % self.config.num_banks
@@ -120,11 +130,11 @@ class BankedMemory:
         else:
             self.stats.reads += 1
             result = self.storage.read(a)
-        if on_complete is not None:
+        if queue is not None:
             self._seq += 1
             heapq.heappush(
                 self._completions,
-                (now + self.config.latency, self._seq, on_complete, result),
+                (now + self.config.latency, self._seq, queue, slot, result),
             )
         return True
 
@@ -135,20 +145,18 @@ class BankedMemory:
     # -- completion side ---------------------------------------------------
 
     def tick(self, now: int) -> None:
-        """Fire every completion whose time has arrived (call once per
+        """Deliver every completion whose time has arrived (call once per
         cycle, before the processors step)."""
         while self._completions and self._completions[0][0] <= now:
-            _, _, callback, result = heapq.heappop(self._completions)
+            _, _, queue, slot, result = heapq.heappop(self._completions)
             self.stats.completions += 1
-            callback(result)
+            queue.fill(slot, result)
 
     def squash_completions(self, slots) -> int:
         """Remove in-flight completions that would fill one of ``slots``
-        (speculative rollback).  Every load completion is scheduled as
-        ``partial(queue.fill, slot)`` (the encoding the checkpoint layer
-        introspects too), so matching is by the identity of its first
-        bound argument; completions for other consumers are untouched.
-        Returns the number of completions squashed.
+        (speculative rollback), matched by the identity of the slot each
+        completion entry names; completions for other slots are
+        untouched.  Returns the number of completions squashed.
 
         The heap is mutated in place, because the event-horizon loop
         holds it in a local across cycles."""
@@ -158,8 +166,7 @@ class BankedMemory:
         keep = []
         removed = 0
         for entry in self._completions:
-            args = getattr(entry[2], "args", ())
-            if args and id(args[0]) in ids:
+            if id(entry[3]) in ids:
                 removed += 1
             else:
                 keep.append(entry)
@@ -249,15 +256,16 @@ class FaultyMemory(BankedMemory):
         *,
         is_write: bool = False,
         value: float | None = None,
-        on_complete: Callable[[Optional[float]], None] | None = None,
+        queue: OperandQueue | None = None,
+        slot: _Slot | None = None,
     ) -> bool:
         if self._fault_reject(as_address(addr), now):
             self.injected_rejects += 1
             return False
         accepted = super().try_issue(
-            addr, now, is_write=is_write, value=value, on_complete=on_complete
+            addr, now, is_write=is_write, value=value, queue=queue, slot=slot
         )
-        if accepted and on_complete is not None and self._drop_budget > 0:
+        if accepted and queue is not None and self._drop_budget > 0:
             # Discard the completion just scheduled (seq == self._seq);
             # its reserved queue slot will never fill.
             for i, entry in enumerate(self._completions):

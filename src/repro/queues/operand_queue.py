@@ -154,16 +154,7 @@ class OperandQueue:
         """Reserve the next slot; returns a token to pass to :meth:`fill`."""
         if not self.can_reserve():
             raise QueueError(f"{self.name}: reserve on full queue")
-        if self._lazy:
-            # only pay the flush call when the clock actually advanced
-            # since the previous mutation
-            if self._clock[0] > self._synced:
-                self._lazy_flush()
-            if self._agg is not None:
-                self._agg.change(self._clock[0], 1)
-        slot = _Slot()
-        self._slots.append(slot)
-        return slot
+        return self.reserve_at(self._clock[0] if self._lazy else 0)
 
     def fill(self, token: _Slot, value: Any) -> None:
         """Deliver the value for a previously reserved slot."""
@@ -176,13 +167,76 @@ class OperandQueue:
     def push(self, value: Any) -> _Slot:
         """Reserve and fill in one step (locally produced values).
         Returns the slot so a speculative producer can poison-tag it."""
-        slot = self.reserve()
-        self.fill(slot, value)
-        return slot
+        if not self.can_reserve():
+            raise QueueError(f"{self.name}: reserve on full queue")
+        return self.push_at(self._clock[0] if self._lazy else 0, value)
 
     def note_full_stall(self) -> None:
         """Record that a producer stalled on this queue this cycle."""
         self.stats.full_stalls += 1
+
+    # -- one-call operations for the event-horizon fast paths -------------
+    #
+    # ``reserve_at``/``push_at``/``pop_at`` are :meth:`reserve`/
+    # :meth:`push`/:meth:`pop` for a caller that has already checked
+    # capacity (or head readiness) and knows the current cycle ``now``,
+    # which in lazy mode equals the shared clock cell.  Each does the
+    # lazy occupancy flush and the load-queue aggregate update inline, so
+    # a fast step pays one call per queue operation; the checked methods
+    # check, then call them.
+
+    def reserve_at(self, now: int) -> _Slot:
+        """Reserve the next slot at cycle ``now``; capacity is checked
+        by the caller."""
+        if self._lazy:
+            span = now - self._synced
+            if span > 0:
+                n = len(self._slots)
+                st = self.stats
+                st.samples += span
+                st.occupancy_sum += n * span
+                if n > st.occupancy_max:
+                    st.occupancy_max = n
+                h = st.histogram
+                h[n] = h.get(n, 0) + span
+                self._synced = now
+            agg = self._agg
+            if agg is not None:
+                if now > agg._synced:
+                    if agg.total > agg.max_seen:
+                        agg.max_seen = agg.total
+                    agg._synced = now
+                agg.total += 1
+        slot = _Slot()
+        self._slots.append(slot)
+        return slot
+
+    def push_at(self, now: int, value: Any) -> _Slot:
+        """Reserve and fill a slot at cycle ``now`` (see
+        :meth:`reserve_at`); returns the slot."""
+        if self._lazy:
+            span = now - self._synced
+            if span > 0:
+                n = len(self._slots)
+                st = self.stats
+                st.samples += span
+                st.occupancy_sum += n * span
+                if n > st.occupancy_max:
+                    st.occupancy_max = n
+                h = st.histogram
+                h[n] = h.get(n, 0) + span
+                self._synced = now
+            agg = self._agg
+            if agg is not None:
+                if now > agg._synced:
+                    if agg.total > agg.max_seen:
+                        agg.max_seen = agg.total
+                    agg._synced = now
+                agg.total += 1
+        slot = _Slot(True, value)
+        self._slots.append(slot)
+        self.stats.pushes += 1
+        return slot
 
     # -- consumer side --------------------------------------------------
 
@@ -200,11 +254,30 @@ class OperandQueue:
         """Remove and return the head value; head must be ready."""
         if not self.head_ready():
             raise QueueError(f"{self.name}: pop on empty/unfilled head")
+        return self.pop_at(self._clock[0] if self._lazy else 0)
+
+    def pop_at(self, now: int) -> Any:
+        """Remove and return the head value at cycle ``now`` (see
+        :meth:`reserve_at`); the caller has checked the head is ready."""
         if self._lazy:
-            if self._clock[0] > self._synced:
-                self._lazy_flush()
-            if self._agg is not None:
-                self._agg.change(self._clock[0], -1)
+            span = now - self._synced
+            if span > 0:
+                n = len(self._slots)
+                st = self.stats
+                st.samples += span
+                st.occupancy_sum += n * span
+                if n > st.occupancy_max:
+                    st.occupancy_max = n
+                h = st.histogram
+                h[n] = h.get(n, 0) + span
+                self._synced = now
+            agg = self._agg
+            if agg is not None:
+                if now > agg._synced:
+                    if agg.total > agg.max_seen:
+                        agg.max_seen = agg.total
+                    agg._synced = now
+                agg.total -= 1
         self.stats.pops += 1
         value = self._slots.popleft().value
         if self._tap is not None:

@@ -13,9 +13,10 @@ from the reconstructed job, under its *own* code fingerprint.
 
 Type and range validation happens in the dataclass ``__post_init__``
 hooks (a job's ``n``, ``seed``, ``check``, ``nodes`` and ``buckets``, and
-every config field); anything they raise, and a kernel name the suite's
-registry lacks, surfaces as :class:`ProtocolError`, which the HTTP layer
-maps to a 400 before any job is queued.
+every config field); anything they raise, a kernel name the suite's
+registry lacks, and a field beyond its resource cap (:data:`CAPS`)
+surface as :class:`ProtocolError`, which the HTTP layer maps to a 400
+before any job is queued.
 """
 
 from __future__ import annotations
@@ -57,6 +58,22 @@ _NESTED: dict[tuple[type, str], type] = {
 }
 
 
+#: the resource caps a spec must respect: (owner class, field) -> the
+#: largest value accepted.  Each sits well above the largest value in
+#: use — the paper suite's ``n`` 512, ``nodes`` 8, ``buckets`` 32,
+#: memory latency 32, memory size 65,536 words and queue depth 64, and
+#: the benchmark grids' latency 62 — so one request cannot hold a pool
+#: worker for hours or exhaust its memory.  Local runs are not capped.
+CAPS: dict[tuple[type, str], int] = {
+    (Job, "n"): 4096,
+    (Job, "nodes"): 64,
+    (Job, "buckets"): 1024,
+    (MemoryConfig, "latency"): 1024,
+    (MemoryConfig, "size"): 1 << 20,
+    **{(QueueConfig, f.name): 1024 for f in fields(QueueConfig)},
+}
+
+
 def _encode(value):
     if is_dataclass(value) and not isinstance(value, type):
         return {
@@ -95,11 +112,19 @@ def _decode(cls: type, data: dict):
             value = tuple(value)
         kwargs[name] = value
     try:
-        return cls(**kwargs)
+        obj = cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ProtocolError(
             f"invalid {cls.__name__} spec: {exc}"
         ) from None
+    for (owner, name), cap in CAPS.items():
+        value = getattr(obj, name) if owner is cls else None
+        if value is not None and not value <= cap:  # NaN is refused too
+            raise ProtocolError(
+                f"invalid {cls.__name__} spec: {name} {value} exceeds "
+                f"its cap of {cap}"
+            )
+    return obj
 
 
 def job_from_spec(spec: dict) -> Job:

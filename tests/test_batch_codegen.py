@@ -118,7 +118,7 @@ def _staged_engine(kernel_name, machine, n, configs):
     Returns ``(kernel, inputs, lowered, engine)``."""
     use_streams = _BATCH_MACHINES[machine]
     kernel, inputs = _instantiated(kernel_name, n, 12345)
-    lowered = _lowered_sma(kernel_name, n, 12345, use_streams)
+    lowered = _lowered_sma(kernel_name, n, use_streams)
     layout = lowered.layout
     fitted = [
         cfg.__class__(

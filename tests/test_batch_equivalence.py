@@ -89,7 +89,7 @@ def _memory_digests(job: Job) -> tuple[str, str]:
     so the digest reads the engine's own memory planes, not a re-run."""
     use_streams = _BATCH_MACHINES[job.machine]
     kernel, inputs = _instantiated(job.kernel, job.n, job.seed)
-    lowered = _lowered_sma(job.kernel, job.n, job.seed, use_streams)
+    lowered = _lowered_sma(job.kernel, job.n, use_streams)
     layout = lowered.layout
     cfg = job.sma_config
     cfg = cfg.__class__(

@@ -245,8 +245,9 @@ kernel scale(x[n], y[n]):
 
     def test_cached_sweep_loads_no_simulator(self, tmp_path, capsys):
         """A fully cached ``experiment all`` in a fresh interpreter
-        prints the cold run's tables without importing numpy or any
-        machine: planning, keys, cache reads and tables need none."""
+        prints the cold run's tables without importing numpy, any
+        machine, the kernel IR or the metrics package: planning, keys,
+        cache reads and tables need none."""
         import json
         import os
         import subprocess
@@ -265,7 +266,8 @@ kernel scale(x[n], y[n]):
             "code = main(['experiment', 'all', '--n', '16', '--cache', "
             f"{cache!r}, '--resume'])\n"
             "heavy = ['numpy', 'repro.core', 'repro.baseline', "
-            "'repro.batch', 'repro.memory']\n"
+            "'repro.batch', 'repro.memory', 'repro.metrics', "
+            "'repro.kernels.ir']\n"
             "print(json.dumps([code, [m for m in heavy "
             "if m in sys.modules]]), file=sys.stderr)\n"
         )

@@ -23,6 +23,8 @@ Direct unit tests pin the per-component cases (bank-free clamps, passive
 ``None`` contracts, the malformed-index live-step escape hatch).
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -35,13 +37,15 @@ from repro.config import (
     SpeculationConfig,
 )
 from repro.core import SMACluster, SMAMachine
+from repro.core.access_processor import AccessProcessor
 from repro.core.descriptors import StreamDescriptor, StreamEngine, StreamKind
+from repro.core.execute_processor import ExecuteProcessor
 from repro.core.store_unit import StoreUnit
 from repro.errors import SimulationError
 from repro.isa import assemble
-from repro.kernels import get_kernel
+from repro.kernels import get_kernel, kernel_names
 from repro.memory import BankedMemory, MainMemory
-from repro.queues import QueueFile
+from repro.queues import OperandQueue, QueueFile
 
 from tests.test_cluster_fast_forward import (
     _build_cluster,
@@ -61,10 +65,11 @@ def _full_observables(machine, result):
 
 
 def _run_all_schedulers(kernel, inputs, latency, depth, banks,
-                        metrics=False):
+                        metrics=False, **machine_kwargs):
     observed = {}
     for scheduler in SCHEDULERS:
-        machine = _machine(kernel, inputs, latency, depth, banks)
+        machine = _machine(kernel, inputs, latency, depth, banks,
+                           **machine_kwargs)
         if metrics:
             machine.attach_metrics()
         result = machine.run(scheduler=scheduler)
@@ -82,23 +87,116 @@ def _run_all_schedulers(kernel, inputs, latency, depth, banks,
 # ---------------------------------------------------------------------------
 
 
+#: speculative walker configs: mispredictions (rollback penalties and
+#: depth refusals) and a perfect predictor (frames only ever commit)
+_COIN = SpeculationConfig(accuracy=0.5, max_depth=2, rollback_penalty=12)
+_PERFECT = SpeculationConfig(mode="perfect", max_depth=8)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     _fuzz_kernels(),
     st.sampled_from((2, 4, 8, 16, 32, 64)),   # latency
     st.sampled_from((1, 2, 4, 8, 16)),        # queue depth
     st.sampled_from((1, 2, 8)),               # banks
+    st.sampled_from((1, 2)),                  # stream issue per cycle
+    st.sampled_from((1, 2)),                  # memory accepts per cycle
+    st.sampled_from((None, _COIN)),           # speculation
     st.integers(0, 2**31),                    # input seed
 )
 def test_schedulers_identical_on_random_kernels(
-    kernel_n, latency, depth, banks, seed
+    kernel_n, latency, depth, banks, issue, accepts, speculation, seed
 ):
     kernel, _n = kernel_n
     rng = np.random.default_rng(seed)
     inputs = {
         decl.name: rng.uniform(-2, 2, decl.size) for decl in kernel.arrays
     }
-    _run_all_schedulers(kernel, inputs, latency, depth, banks)
+    _run_all_schedulers(kernel, inputs, latency, depth, banks,
+                        issue=issue, accepts=accepts,
+                        speculation=speculation)
+
+
+#: suite kernels with their loss-of-decoupling lowering, the shapes a
+#: speculation config opens frames on
+_LOD_SHAPES = (("pic_gather", "addr"), ("tridiag", "branch"),
+               ("computed_gather", None))
+
+
+@st.composite
+def _suite_machines(draw):
+    """A random suite kernel on a random configuration, speculative on
+    some examples: ``(kernel, inputs, _machine keyword arguments)``."""
+    speculation = draw(st.sampled_from((None, _COIN, _PERFECT)))
+    if speculation is None:
+        name = draw(st.sampled_from(kernel_names()))
+        variant = None
+    else:
+        name, variant = draw(st.sampled_from(_LOD_SHAPES))
+    kernel, inputs = get_kernel(name).instantiate(
+        16, draw(st.integers(0, 2**31)))
+    return kernel, inputs, dict(
+        latency=draw(st.sampled_from((2, 8, 32))),
+        depth=draw(st.sampled_from((1, 2, 8))),
+        banks=draw(st.sampled_from((1, 2, 8))),
+        issue=draw(st.sampled_from((1, 2))),
+        accepts=draw(st.sampled_from((1, 2))),
+        lod_variant=variant,
+        speculation=speculation,
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(_suite_machines())
+def test_schedulers_identical_on_random_suite_configs(case):
+    kernel, inputs, config = case
+    _run_all_schedulers(kernel, inputs, **config)
+
+
+#: each fast step and the counter that moves exactly when it progresses
+_FAST_STEPS = (
+    (AccessProcessor, "step_fast", lambda ap: ap.stats.instructions),
+    (ExecuteProcessor, "step_fast", lambda ep: ep.stats.instructions),
+    (StreamEngine, "tick_fast", lambda se: se.stats.requests_issued),
+    (StoreUnit, "tick_fast", lambda su: su.stats.stores_issued),
+)
+
+
+@contextmanager
+def _checking_fast_step_returns():
+    """Wrap every fast step so each call asserts its return is truthy
+    exactly when its own progress counter moved; yields the number of
+    calls that progressed and that did not."""
+    seen = {True: 0, False: 0}
+    saved = [(cls, name, getattr(cls, name)) for cls, name, _ in _FAST_STEPS]
+    for (cls, name, real), (_, _, counter) in zip(saved, _FAST_STEPS):
+        def checked(unit, now, real=real, counter=counter, label=name):
+            before = counter(unit)
+            moved = real(unit, now)
+            assert bool(moved) == (counter(unit) != before), \
+                f"{type(unit).__name__}.{label} returned {moved!r}"
+            seen[bool(moved)] += 1
+            return moved
+
+        setattr(cls, name, checked)
+    try:
+        yield seen
+    finally:
+        for cls, name, real in saved:
+            setattr(cls, name, real)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_suite_machines())
+def test_fast_steps_report_their_own_progress(case):
+    """The event-horizon loop takes a cycle's progress from the steps'
+    returns, so each fast step must return truthy exactly when it
+    retired an instruction or issued a request."""
+    kernel, inputs, config = case
+    machine = _machine(kernel, inputs, **config)
+    with _checking_fast_step_returns() as seen:
+        machine.run(scheduler="event-horizon")
+    assert seen[True] and seen[False]
 
 
 @pytest.mark.parametrize(
@@ -219,22 +317,29 @@ def test_cycle_budget_parity_across_schedulers(scheduler):
     st.sampled_from((2, 8)),              # queue depth
     st.sampled_from((2, 8)),              # banks
     st.sampled_from((1, 2)),              # port width
+    st.sampled_from((1, 2)),              # stream issue per cycle
+    st.sampled_from((None, _COIN)),       # speculation
     st.integers(0, 2**31),                # input seed
     st.booleans(),                        # metrics attached
 )
 # one node finishes early (see test_cluster_fast_forward)
 @example(names=["daxpy", "daxpy"], latency=8, depth=2, banks=2, ports=1,
-         seed=0, metrics=False)
+         issue=1, speculation=None, seed=0, metrics=False)
 def test_cluster_schedulers_identical_on_random_mixes(
-    names, latency, depth, banks, ports, seed, metrics
+    names, latency, depth, banks, ports, issue, speculation, seed, metrics
 ):
     specs = [
         get_kernel(name).instantiate(24, seed + j)
         for j, name in enumerate(names)
     ]
+    # a speculative node runs its kernel's loss-of-decoupling lowering
+    variants = [dict(_LOD_SHAPES).get(name) if speculation else None
+                for name in names]
     observed = {}
     for scheduler in SCHEDULERS:
-        cluster = _build_cluster(specs, latency, depth, banks, ports)
+        cluster = _build_cluster(specs, latency, depth, banks, ports,
+                                 lod_variants=variants,
+                                 speculation=speculation, issue=issue)
         node_metrics = cluster.attach_metrics() if metrics else None
         result = cluster.run(scheduler=scheduler)
         observed[scheduler] = _cluster_observables(
@@ -302,12 +407,6 @@ def _assert_horizons_sound(machine, limit=2_000_000):
         progressed = state != prev
         prev = state
     return jumps_checked
-
-
-#: speculative walker configs: mispredictions (rollback penalties and
-#: depth refusals) and a perfect predictor (frames only ever commit)
-_COIN = SpeculationConfig(accuracy=0.5, max_depth=2, rollback_penalty=12)
-_PERFECT = SpeculationConfig(mode="perfect", max_depth=8)
 
 
 @pytest.mark.parametrize(
@@ -378,7 +477,8 @@ class TestBankedMemoryContract:
 
     def test_completion_time_and_clamp(self):
         mem = _memory(latency=8)
-        assert mem.try_issue(0, 0, on_complete=lambda v: None)
+        queue = OperandQueue("lq0", 2)
+        assert mem.try_issue(0, 0, queue=queue, slot=queue.reserve())
         assert mem.next_completion_time(0) == 8
         assert mem.next_completion_time(8) == 8
         assert mem.next_completion_time(12) == 12  # overdue clamps to now

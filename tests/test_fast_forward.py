@@ -40,7 +40,9 @@ SUITE_REPS = ("daxpy", "hydro", "tridiag", "computed_gather", "pic_gather")
 
 
 def _machine(kernel, inputs, latency, depth, banks, lod_variant=None,
-             speculation=None, faults=None):
+             speculation=None, faults=None, issue=1, accepts=1):
+    """``issue`` is the stream engine's ``stream_issue_per_cycle``,
+    ``accepts`` the memory's ``accepts_per_cycle``."""
     lowered = lower_sma(kernel, lod_variant=lod_variant)
     queues = QueueConfig(
         load_queue_depth=depth,
@@ -49,12 +51,13 @@ def _machine(kernel, inputs, latency, depth, banks, lod_variant=None,
         index_queue_depth=depth,
     )
     mem = MemoryConfig(
-        latency=latency, bank_busy=max(1, latency // 2), num_banks=banks
+        latency=latency, bank_busy=max(1, latency // 2), num_banks=banks,
+        accepts_per_cycle=accepts,
     )
-    cfg = SMAConfig(memory=mem, queues=queues)
     cfg = SMAConfig(
-        memory=_fit_memory(cfg.memory, lowered.layout), queues=queues,
+        memory=_fit_memory(mem, lowered.layout), queues=queues,
         speculation=speculation, faults=faults,
+        stream_issue_per_cycle=issue,
     )
     machine = SMAMachine(
         lowered.access_program, lowered.execute_program, cfg

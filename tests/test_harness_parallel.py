@@ -705,3 +705,49 @@ def test_rf8_simulates_each_standalone_node_once(monkeypatch):
     assert len(runs) == 24
     text = json.dumps(results, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == RF8_RESULTS_SHA256
+
+
+def _spy_lowerings(monkeypatch, *names):
+    """Record ``(function name, kernel, base)`` for every call of the
+    named ``repro.kernels`` compilers."""
+    import repro.kernels as kernels
+
+    calls = []
+    for name in names:
+        def spy(kernel, *args, real=getattr(kernels, name), name=name,
+                **kwargs):
+            calls.append((name, kernel, kwargs.get("base")))
+            return real(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, name, spy)
+    return calls
+
+
+def test_rf8_lowers_each_node_program_once(monkeypatch):
+    """A cluster node's program depends on its kernel and base address,
+    never on its inputs: R-F8's 45 nodes lower 8 distinct programs, and
+    its standalone runs one per kernel and size."""
+    from repro.harness import runner
+
+    for memo in (jobs_module._lowered_sma, runner._lowered_node):
+        memo.cache_clear()
+    calls = _spy_lowerings(monkeypatch, "lower_sma")
+    run_jobs(next(exp.EXPERIMENTS["R-F8"]()))
+    assert len(calls) == len(set(calls))
+    assert sum(base is not None for _, _, base in calls) == 8
+
+
+def test_fresh_seed_slices_lower_each_program_once(monkeypatch):
+    """Ten slices of one kernel on fresh input seeds, as ``repro serve``
+    receives them (an ``sma`` and a ``scalar`` job each, checked), lower
+    the kernel once per machine: its program does not depend on the
+    seed."""
+    for memo in (jobs_module._lowered_sma, jobs_module._lowered_scalar):
+        memo.cache_clear()
+    calls = _spy_lowerings(monkeypatch, "lower_sma", "lower_scalar")
+    jobs = [
+        Job(machine, "state_eqn", 24, 5000 + i, check=True)
+        for i in range(10) for machine in ("sma", "scalar")
+    ]
+    run_jobs(jobs)  # each job checks its outputs against its own seed
+    assert [name for name, _, _ in calls] == ["lower_sma", "lower_scalar"]

@@ -1,7 +1,5 @@
 """BankedMemory timing: latency, bank conflicts, port limit, ordering."""
 
-from functools import partial
-
 import pytest
 
 from repro.config import MemoryConfig
@@ -17,17 +15,24 @@ def make(latency=4, banks=4, busy=2, accepts=1, size=256):
     return BankedMemory(MainMemory(size), cfg)
 
 
+def reserved(count=1):
+    """A load queue and ``count`` slots reserved in it."""
+    queue = OperandQueue("lq0", 4)
+    return queue, [queue.reserve() for _ in range(count)]
+
+
 class TestLatency:
     def test_read_completes_after_latency(self):
         mem = make(latency=4)
         mem.storage.write(8, 7.5)
-        got = []
-        assert mem.try_issue(8, now=0, on_complete=got.append)
+        queue, (slot,) = reserved()
+        assert mem.try_issue(8, now=0, queue=queue, slot=slot)
         for t in range(4):
             mem.tick(t)
-            assert got == []
+            assert not slot.filled
         mem.tick(4)
-        assert got == [7.5]
+        assert slot.filled and slot.value == 7.5
+        assert queue.pop() == 7.5
 
     def test_write_visible_immediately_functionally(self):
         mem = make()
@@ -38,11 +43,11 @@ class TestLatency:
         # a later write must not corrupt an in-flight read
         mem = make(latency=4, busy=1, accepts=2)
         mem.storage.write(0, 1.0)
-        got = []
-        assert mem.try_issue(0, now=0, on_complete=got.append)
+        queue, (slot,) = reserved()
+        assert mem.try_issue(0, now=0, queue=queue, slot=slot)
         mem.storage.write(0, 9.0)  # direct functional overwrite
         mem.tick(4)
-        assert got == [1.0]
+        assert slot.value == 1.0
 
 
 class TestBankConflicts:
@@ -102,8 +107,8 @@ class TestStats:
 
     def test_quiescent(self):
         mem = make(latency=2)
-        got = []
-        mem.try_issue(0, now=0, on_complete=got.append)
+        queue, (slot,) = reserved()
+        mem.try_issue(0, now=0, queue=queue, slot=slot)
         assert not mem.quiescent()
         mem.tick(2)
         assert mem.quiescent()
@@ -112,12 +117,15 @@ class TestStats:
 class TestOrdering:
     def test_completions_fire_in_time_order(self):
         mem = make(latency=3, banks=8, busy=1, accepts=2)
-        order = []
-        mem.try_issue(0, now=0, on_complete=lambda v: order.append("a"))
-        mem.try_issue(1, now=1, on_complete=lambda v: order.append("b"))
+        queue, (a, b) = reserved(2)
+        mem.try_issue(0, now=0, queue=queue, slot=a)
+        mem.try_issue(1, now=1, queue=queue, slot=b)
+        filled = []
         for t in range(6):
             mem.tick(t)
-        assert order == ["a", "b"]
+            filled.append((a.filled, b.filled))
+        assert filled == [(False, False)] * 3 + [(True, False)] \
+            + [(True, True)] * 2
 
 
 class TestSquash:
@@ -127,31 +135,26 @@ class TestSquash:
         squash must not rebind it: completions issued afterwards have
         to land in the list those drivers still hold."""
         mem = make(latency=4, banks=8, busy=1, accepts=2)
-        doomed, kept = object(), object()
-        names = {id(doomed): "doomed", id(kept): "kept"}
-        got = []
-
-        def record(slot, value):
-            got.append(names[id(slot)])
-
-        mem.try_issue(0, now=0, on_complete=partial(record, doomed))
-        mem.try_issue(1, now=0, on_complete=partial(record, kept))
+        queue, (doomed, kept, late) = reserved(3)
+        mem.try_issue(0, now=0, queue=queue, slot=doomed)
+        mem.try_issue(1, now=0, queue=queue, slot=kept)
         comps = mem._completions
         assert mem.squash_completions([doomed]) == 1
         assert mem._completions is comps
-        mem.try_issue(2, now=1, on_complete=lambda v: got.append("late"))
+        mem.try_issue(2, now=1, queue=queue, slot=late)
         assert [entry[0] for entry in sorted(comps)] == [4, 5]
         for t in range(6):
             mem.tick(t)
-        assert got == ["kept", "late"]
+        assert (doomed.filled, kept.filled, late.filled) == \
+            (False, True, True)
         assert not comps
 
-    def test_squash_removes_a_partial_fill(self):
-        """Every load path schedules ``partial(queue.fill, slot)``, so a
-        squash of that slot must remove its completion."""
+    def test_squash_removes_the_slots_completion(self):
+        """A completion entry names the slot its load fills, so a squash
+        of that slot must remove it, and only it."""
         mem = make(latency=4, banks=8, busy=1, accepts=2)
-        queue = OperandQueue("lq0", 4)
-        slot = queue.reserve()
-        mem.try_issue(0, now=0, on_complete=partial(queue.fill, slot))
+        queue, (slot, other) = reserved(2)
+        mem.try_issue(0, now=0, queue=queue, slot=slot)
+        mem.try_issue(1, now=0, queue=queue, slot=other)
         assert mem.squash_completions([slot]) == 1
-        assert mem._completions == []
+        assert [entry[3] for entry in mem._completions] == [other]

@@ -119,7 +119,8 @@ def test_banked_memory_matches_flat_model(ops, banks, latency):
                        bank_busy=1, accepts_per_cycle=1)
     mem = BankedMemory(MainMemory(64), cfg)
     model = np.zeros(64)
-    results: list[tuple[float, float]] = []
+    queue = OperandQueue("lq0", len(ops) + 1)
+    results: list[tuple[object, float]] = []
     now = 0
     for is_write, addr, value in ops:
         while True:
@@ -131,19 +132,15 @@ def test_banked_memory_matches_flat_model(ops, banks, latency):
             mem.try_issue(addr, now, is_write=True, value=value)
             model[addr] = value
         else:
-            expected = model[addr]
-            mem.try_issue(
-                addr, now,
-                on_complete=lambda got, want=expected: results.append(
-                    (got, want)
-                ),
-            )
+            slot = queue.reserve()
+            mem.try_issue(addr, now, queue=queue, slot=slot)
+            results.append((slot, model[addr]))
         now += 1
     for t in range(now, now + latency + 1):
         mem.tick(t)
     assert mem.quiescent()
-    for got, want in results:
-        assert got == want
+    for slot, want in results:
+        assert slot.filled and slot.value == want
 
 
 @given(

@@ -52,7 +52,7 @@ from repro.service import (
     job_from_spec,
     job_to_spec,
 )
-from repro.service.protocol import jobs_from_payload
+from repro.service.protocol import CAPS, jobs_from_payload
 from repro.service.server import MAX_BODY_BYTES, MAX_HEADERS, MAX_LINE_BYTES
 
 
@@ -124,6 +124,73 @@ class TestProtocol:
         spec["sma_config"]["memory"] = {"latency": -1}
         with pytest.raises(ProtocolError):
             job_from_spec(spec)
+
+    def test_every_suite_and_benchmark_job_round_trips(self, tmp_path):
+        """Every job the paper suite plans, and every job the benchmark's
+        grid-sweep and service-mix workloads build, is within the caps
+        and round-trips (paper-suite runs the suite plan itself)."""
+        from pathlib import Path
+        from types import SimpleNamespace
+
+        import repro.config as config
+        from repro.harness import experiments, jobs as jobs_module
+        from perfbench.workloads import Context, GridSweep, ServiceMix
+
+        jobs = [job for plan in experiments.EXPERIMENTS.values()
+                for job in next(plan())]
+        root = Path(__file__).resolve().parents[1]
+        grid = GridSweep(Context(seed=1, tmp=tmp_path, root=root))
+        jobs += [job for _shape, sweep in grid.sweeps for job in sweep]
+        mix = SimpleNamespace(config=config, jobs=jobs_module,
+                              N=ServiceMix.N)
+        jobs += [
+            job for kernel in ServiceMix.KERNELS
+            for latency in ServiceMix.LATENCIES
+            for depth in ServiceMix.DEPTHS
+            for job in ServiceMix._slice(mix, kernel, latency, depth, 7)
+        ]
+        for job in jobs:
+            spec = json.loads(json.dumps(job_to_spec(job)))
+            assert job_from_spec(spec) == job
+
+    @staticmethod
+    def _capped_paths():
+        """(spec path, cap) for every capped field, each config field at
+        every place a job spec can hold its config."""
+        places = {
+            Job: [()],
+            MemoryConfig: [("sma_config", "memory"),
+                           ("scalar_config", "memory"), ("memory_config",)],
+            QueueConfig: [("sma_config", "queues")],
+        }
+        return [
+            pytest.param(place + (name,), cap,
+                         id=".".join(place + (name,)))
+            for (owner, name), cap in CAPS.items()
+            for place in places[owner]
+        ]
+
+    @pytest.mark.parametrize("path, cap", _capped_paths.__func__())
+    def test_fields_beyond_their_cap_refused(self, path, cap):
+        full = Job("sma", "daxpy", 64, sma_config=SMAConfig(),
+                   scalar_config=ScalarConfig(),
+                   memory_config=MemoryConfig())
+        *parents, name = path
+
+        def spec_with(value):
+            spec = job_to_spec(full)
+            node = spec
+            for parent in parents:
+                node = node[parent]
+            node[name] = value
+            return spec
+
+        job_from_spec(spec_with(cap))
+        with pytest.raises(ProtocolError, match="exceeds its cap"):
+            job_from_spec(spec_with(cap + 1))
+        # NaN passes every ordered range check but the cap's
+        with pytest.raises(ProtocolError):
+            job_from_spec(spec_with(float("nan")))
 
     def test_payload_shape_enforced(self):
         with pytest.raises(ProtocolError, match='"jobs"'):
@@ -523,12 +590,12 @@ class TestServiceEndToEnd:
         result = drive(scenario())
         assert canonical(result) == canonical(run_job(Job("sma", "daxpy", 48)))
 
-    def test_malformed_specs_answer_400_before_queueing(self, tmp_path):
+    @staticmethod
+    def _post_beside_a_good_spec(tmp_path, specs):
+        """POST each of ``specs`` beside one good spec to a fresh server;
+        returns the replies, the good job's status and the server's
+        stats."""
         good = job_to_spec(Job("sma", "daxpy", 32))
-        malformed = [dict(good, **change) for change in (
-            {"kernel": "nope"}, {"n": -5}, {"n": 0}, {"n": 2.5},
-            {"n": "64"}, {"seed": "x"}, {"check": "yes"},
-        )]
 
         async def scenario():
             server = SweepServer(ResultStore(tmp_path / "store"),
@@ -541,7 +608,7 @@ class TestServiceEndToEnd:
                     replies = [
                         client._request("POST", "/v1/jobs",
                                         {"jobs": [good, spec]})
-                        for spec in malformed
+                        for spec in specs
                     ]
                     known = client.job_status(
                         job_key(Job("sma", "daxpy", 32)))
@@ -553,11 +620,37 @@ class TestServiceEndToEnd:
             finally:
                 await server.stop()
 
-        replies, known, stats = drive(scenario())
+        return drive(scenario())
+
+    def test_malformed_specs_answer_400_before_queueing(self, tmp_path):
+        good = job_to_spec(Job("sma", "daxpy", 32))
+        malformed = [dict(good, **change) for change in (
+            {"kernel": "nope"}, {"n": -5}, {"n": 0}, {"n": 2.5},
+            {"n": "64"}, {"seed": "x"}, {"check": "yes"},
+        )]
+        replies, known, stats = self._post_beside_a_good_spec(
+            tmp_path, malformed)
         for spec, (code, reply) in zip(malformed, replies):
             assert code == 400 and "invalid Job spec" in reply["error"], \
                 spec
         # a refused payload queues none of its jobs, not even the good one
+        assert known is None
+        assert stats["sweep"]["executed"] == 0
+        assert stats["store"]["results"] == 0
+
+    def test_over_cap_specs_answer_400_before_queueing(self, tmp_path):
+        """The resource probe's oversized specs never reach a worker."""
+        good = job_to_spec(Job("sma", "daxpy", 32))
+        over = [dict(good, **change) for change in (
+            {"n": 10**9}, {"machine": "cluster", "nodes": 10**6},
+            {"machine": "sma-occupancy", "buckets": 10**9},
+            {"sma_config": {"memory": {"latency": 10**9}}},
+            {"sma_config": {"memory": {"size": 10**10}}},
+            {"sma_config": {"queues": {"load_queue_depth": 10**9}}},
+        )]
+        replies, known, stats = self._post_beside_a_good_spec(tmp_path, over)
+        for spec, (code, reply) in zip(over, replies):
+            assert code == 400 and "exceeds its cap" in reply["error"], spec
         assert known is None
         assert stats["sweep"]["executed"] == 0
         assert stats["store"]["results"] == 0

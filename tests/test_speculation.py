@@ -257,9 +257,10 @@ class TestScheduling:
         real_step = AccessProcessor.step_fast
 
         def spy(ap, now):
-            real_step(ap, now)
+            moved = real_step(ap, now)
             if ap is machine.ap:
                 steps.append((now, ap._stalled_on))
+            return moved
 
         monkeypatch.setattr(AccessProcessor, "step_fast", spy)
         result = machine.run()
@@ -278,10 +279,10 @@ class TestScheduling:
         raise, not refuse every prediction."""
 
         def untapped(pop):
-            def wrapper(queue):
+            def wrapper(queue, *args):
                 tap, queue._tap = queue._tap, None
                 try:
-                    return pop(queue)
+                    return pop(queue, *args)
                 finally:
                     queue._tap = tap
             return wrapper
@@ -289,7 +290,7 @@ class TestScheduling:
         # an empty memo, so the untapped pre-run runs even when an
         # earlier test already recorded this key
         monkeypatch.setattr("repro.core.speculation._ORACLE_MEMO", {})
-        for name in ("pop", "pop_slot"):
+        for name in ("pop", "pop_at", "pop_slot"):
             monkeypatch.setattr(
                 OperandQueue, name, untapped(getattr(OperandQueue, name))
             )
@@ -349,7 +350,8 @@ class TestFastPathsUnderSpeculation:
         naive.attach_metrics()
         want = _full_observables(naive, naive.run(scheduler="naive"))
         calls = []
-        for cls, method in ((ExecuteProcessor, "step"),
+        for cls, method in ((AccessProcessor, "step"),
+                            (ExecuteProcessor, "step"),
                             (StreamEngine, "tick"), (StoreUnit, "tick")):
             def spy(unit, now, real=getattr(cls, method),
                     label=f"{cls.__name__}.{method}"):
