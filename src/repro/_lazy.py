@@ -33,24 +33,22 @@ def lazy_package(name: str, exports: dict[str, tuple[str, ...]]) -> None:
     """Make the package ``name`` import its exports on first use.
 
     ``exports`` maps a submodule (``".machine"``) to the names the
-    package exports from it; ``"public=private"`` exports the
-    submodule's ``private`` as ``public``.
+    package exports from it.
     """
     package = sys.modules[name]
-    where = {}
-    for submodule, names in exports.items():
-        for entry in names:
-            public, _, private = entry.partition("=")
-            where[public] = submodule, private or public
+    where = {
+        export: submodule
+        for submodule, names in exports.items() for export in names
+    }
 
     def __getattr__(attr: str):
         try:
-            submodule, private = where[attr]
+            submodule = where[attr]
         except KeyError:
             raise AttributeError(
                 f"module {name!r} has no attribute {attr!r}"
             ) from None
-        value = getattr(import_module(submodule, name), private)
+        value = getattr(import_module(submodule, name), attr)
         vars(package)[attr] = value
         return value
 

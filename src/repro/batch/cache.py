@@ -67,11 +67,13 @@ def _code_fingerprint() -> str:
     return code_fingerprint()
 
 
+def _program_text(program) -> str:
+    return "\n".join(repr(instr) for instr in program)
+
+
 def artifact_key(engine) -> str:
     """Cache key for one :class:`~repro.batch.engine.LaneEngine`'s
     program pair + queue layout (see module docstring)."""
-    from ..core.checkpoint import _program_text
-
     qlay = engine.qlay
     h = hashlib.sha256()
     h.update(_code_fingerprint().encode())

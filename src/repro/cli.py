@@ -63,14 +63,6 @@ Commands
     and inclusive ``LO-HI`` ranges (``--latencies 1,2,4-8``); output is
     one CSV row per grid point, with a points/second summary on stderr.
 
-``checkpoint save/load``
-    Mid-run machine checkpoints.  ``save`` runs a kernel for
-    ``--cycles`` cycles, snapshots the full machine state and writes it
-    (with its sha256 digest) to ``--out``; ``load`` rebuilds the same
-    machine, restores the snapshot, verifies the digest, and runs to
-    completion.  Restore is fingerprint-checked: loading a checkpoint
-    into a machine built from different programs or config is an error.
-
 ``report KERNEL``
     Where did every cycle go?  Runs the kernel on both machines with the
     metrics layer attached and prints the stall-attribution breakdown
@@ -416,12 +408,10 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def _sma_machine(kernel_name: str, n: int, latency: int,
-                 seed: int = 12345):
+def _sma_machine(kernel_name: str, n: int, latency: int):
     """Build one suite kernel's loaded SMA machine at the CLI's config
-    for ``latency``; returns ``(machine, spec)``.  ``checkpoint save``
-    and ``load`` both build through here, so a snapshot's fingerprint
-    check passes."""
+    for ``latency``; returns ``(machine, spec)``.  ``timeline`` and
+    ``profile`` both build through here."""
     from dataclasses import replace as _replace
 
     from .core import SMAMachine
@@ -429,7 +419,7 @@ def _sma_machine(kernel_name: str, n: int, latency: int,
     from .kernels import lower_sma
 
     spec = get_kernel(kernel_name)
-    kernel, inputs = spec.instantiate(n, seed)
+    kernel, inputs = spec.instantiate(n)
     lowered = lower_sma(kernel)
     sma_cfg, _ = _configs(latency)
     cfg = _replace(sma_cfg, memory=_fit_memory(sma_cfg.memory,
@@ -438,65 +428,6 @@ def _sma_machine(kernel_name: str, n: int, latency: int,
                          cfg)
     _load_inputs(machine, lowered.layout, kernel, inputs)
     return machine, spec
-
-
-def cmd_checkpoint(args) -> int:
-    import json
-    from pathlib import Path
-
-    from .core import snapshot_digest
-    from .errors import CheckpointError
-
-    if args.action == "save":
-        machine, spec = _sma_machine(
-            args.kernel, args.n, args.latency, args.seed
-        )
-        stepped = machine.step_cycles(args.cycles)
-        snap = machine.snapshot()
-        payload = {
-            "kernel": spec.name,
-            "n": args.n,
-            "seed": args.seed,
-            "latency": args.latency,
-            "digest": snapshot_digest(snap),
-            "snapshot": snap,
-        }
-        out = Path(args.out)
-        out.write_text(json.dumps(payload) + "\n")
-        print(f"saved {spec.name} @ cycle {machine.cycle} "
-              f"({stepped} stepped) to {out}")
-        print(f"digest {payload['digest']}")
-        return 0
-
-    # load: rebuild the identical machine, restore, verify, finish
-    try:
-        payload = json.loads(Path(args.file).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read checkpoint {args.file}: {exc}",
-              file=sys.stderr)
-        return 2
-    try:
-        machine, spec = _sma_machine(
-            payload["kernel"], payload["n"], payload["latency"],
-            payload["seed"],
-        )
-        machine.restore(payload["snapshot"])
-    except (KeyError, TypeError) as exc:
-        print(f"malformed checkpoint {args.file}: {exc}", file=sys.stderr)
-        return 2
-    except CheckpointError as exc:
-        print(f"checkpoint rejected: {exc}", file=sys.stderr)
-        return 2
-    restored = machine.state_digest()
-    if restored != payload["digest"]:
-        print(f"digest mismatch after restore: {restored} != "
-              f"{payload['digest']}", file=sys.stderr)
-        return 1
-    print(f"restored {spec.name} @ cycle {machine.cycle}")
-    print(f"digest {restored} (verified)")
-    result = machine.run()
-    print(f"ran to completion: {result.cycles} cycles total")
-    return 0
 
 
 def cmd_report(args) -> int:
@@ -819,27 +750,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "saturation-class lines; default 1 runs "
                               "everything in the driver process)")
 
-    p_ckpt = sub.add_parser(
-        "checkpoint",
-        help="save / load a mid-run machine snapshot",
-    )
-    ckpt_sub = p_ckpt.add_subparsers(dest="action", required=True)
-    p_save = ckpt_sub.add_parser(
-        "save", help="run a kernel partway and snapshot it"
-    )
-    p_save.add_argument("kernel")
-    p_save.add_argument("--n", type=int, default=64)
-    p_save.add_argument("--seed", type=int, default=12345)
-    p_save.add_argument("--latency", type=int, default=8)
-    p_save.add_argument("--cycles", type=int, default=50, metavar="K",
-                        help="cycles to simulate before the snapshot")
-    p_save.add_argument("--out", required=True, metavar="FILE",
-                        help="checkpoint JSON output path")
-    p_load = ckpt_sub.add_parser(
-        "load", help="restore a snapshot and run it to completion"
-    )
-    p_load.add_argument("file", help="checkpoint JSON written by 'save'")
-
     p_report = sub.add_parser(
         "report",
         help="stall-attribution RunReport for one kernel "
@@ -904,7 +814,6 @@ _COMMANDS = {
     "experiment": cmd_experiment,
     "serve": cmd_serve,
     "batch": cmd_batch,
-    "checkpoint": cmd_checkpoint,
     "report": cmd_report,
     "timeline": cmd_timeline,
     "profile": cmd_profile,

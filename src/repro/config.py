@@ -18,14 +18,14 @@ Use :func:`dataclasses.replace` to derive swept variants, e.g.::
 Every config is canonical by construction: a numpy number passed for a
 field is stored as the builtin ``int`` or ``float`` it equals, so
 ``repr(config)`` (part of every result-cache key) does not depend on
-whether a sweep wrote ``256`` or ``np.int64(256)``.  This module imports
-no numpy.
+whether a sweep wrote ``256`` or ``np.int64(256)``, and a field declared
+``int`` refuses anything else.  This module imports no numpy.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 _BUILTIN = (int, float, str, bool, type(None))
 
@@ -42,26 +42,50 @@ def _builtin(value):
     return value
 
 
-def canonicalize(obj) -> None:
+#: per dataclass, ``(field name, declared type if it is "int" or
+#: "int | None", else None)`` for each field, built on first use (every
+#: module that calls :func:`canonicalize` postpones its annotations, so
+#: a declared type is its source text)
+_FIELDS: dict[type, tuple[tuple[str, str | None], ...]] = {}
+
+
+def canonicalize(obj, owner: str | None = None) -> None:
     """Store every number among the frozen dataclass ``obj``'s fields,
-    and inside its tuple fields, as a builtin (see :func:`_builtin`).
+    and inside its tuple fields, as a builtin (see :func:`_builtin`),
+    then refuse a field declared ``int`` (or ``int | None``) that holds
+    anything but an ``int`` (or ``None``) — a float, even ``8.0``, a
+    bool or a string — with a ``ValueError`` naming ``owner`` (default:
+    the class name) and the field.
 
     Called first in the ``__post_init__`` of each config and of the
     harness's ``Job`` and ``BatchJob``, so no caller ever has to walk a
     config tree to canonicalize it.
     """
+    plan = _FIELDS.get(type(obj))
+    if plan is None:
+        plan = _FIELDS[type(obj)] = tuple(
+            (f.name, f.type if f.type in ("int", "int | None") else None)
+            for f in fields(obj)
+        )
     # getattr per field, not vars(obj): reading __dict__ would make each
     # instance carry a dict object instead of inline attribute values
-    for name in obj.__dataclass_fields__:
+    for name, declared in plan:
         value = getattr(obj, name)
-        if type(value) in _BUILTIN:
-            continue
-        if type(value) is tuple:
-            new = tuple(_builtin(v) for v in value)
-        else:
-            new = _builtin(value)
-        if new is not value:
-            object.__setattr__(obj, name, new)
+        if type(value) not in _BUILTIN:
+            if type(value) is tuple:
+                new = tuple(_builtin(v) for v in value)
+            else:
+                new = _builtin(value)
+            if new is not value:
+                object.__setattr__(obj, name, new)
+                value = new
+        if declared is not None and type(value) is not int and not (
+            value is None and declared == "int | None"
+        ):
+            raise ValueError(
+                f"{owner or type(obj).__name__} {name} must be an int, "
+                f"not {value!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,13 @@
 
 Names are imported from their submodules on first use (see
 :mod:`repro._lazy`), so ``from repro.core import SMAMachine`` loads the
-machine and what it needs, not the cluster or the checkpoint layer.
+machine and what it needs, not the cluster.
 """
 
 from .._lazy import lazy_package
 
 lazy_package(__name__, {
     ".access_processor": ("AccessProcessor", "APStats"),
-    ".checkpoint": ("canonical_json", "snapshot_digest=digest"),
     ".cluster": ("ClusterResult", "SMACluster"),
     ".descriptors": ("StreamDescriptor", "StreamEngine",
                      "StreamEngineStats", "StreamKind"),
@@ -33,6 +32,4 @@ __all__ = [
     "StreamEngine",
     "StreamEngineStats",
     "StreamKind",
-    "canonical_json",
-    "snapshot_digest",
 ]

@@ -34,8 +34,7 @@ Everything stays bit-identical to naive ticking (property-tested in
 replay in closed form just as they do standalone.  The naive loop
 (``_run_naive``) is the reference: every cycle it ticks the memory and
 steps every running node through its reference ``step_cycle``.  ``run``
-and ``step_cycles`` pick their loop through the nodes'
-:meth:`SMAMachine._effective_scheduler`.
+picks its loop through the nodes' :meth:`SMAMachine._effective_scheduler`.
 
 Used by experiment R-F8 (`bench_fig8_multiprocessor.py`).
 """
@@ -168,28 +167,6 @@ class SMACluster:
                 self.finish_cycles[index] = node.cycle
         self.cycle = now + 1
 
-    # -- checkpoint / restore --------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Cluster checkpoint: per-node machine snapshots composed with
-        the shared clock, functional store and banked timing state (see
-        :mod:`repro.core.checkpoint`)."""
-        from .checkpoint import snapshot_cluster
-
-        return snapshot_cluster(self)
-
-    def restore(self, data: dict) -> None:
-        """Inverse of :meth:`snapshot` (fingerprint-checked)."""
-        from .checkpoint import restore_cluster
-
-        restore_cluster(self, data)
-
-    def state_digest(self) -> str:
-        """Deterministic sha256 over the canonical snapshot encoding."""
-        from .checkpoint import digest
-
-        return digest(self.snapshot())
-
     def _progress_state(self) -> tuple[int, ...]:
         """Changes iff any node made forward progress or memory moved."""
         return tuple(
@@ -226,32 +203,17 @@ class SMACluster:
         (where it also builds its speculation engine).  Cycle counts and
         every per-node statistic are bit-identical under both loops.
         """
-        self._advance(max_cycles, max_cycles, deadlock_window, scheduler)
-        return self._collect()
-
-    def step_cycles(self, count: int) -> int:
-        """Advance up to ``count`` cluster cycles, bit-identically to
-        ``count`` :meth:`_step_all` calls, as :meth:`SMAMachine.step_cycles`
-        does (its watchdog window restarting at each call)."""
-        start = self.cycle
-        self._advance(start + count)
-        return self.cycle - start
-
-    def _advance(self, stop: int, max_cycles: int = 10_000_000,
-                 deadlock_window: int = 10_000,
-                 scheduler: str | None = None) -> None:
-        """Run the selected loop until completion or cycle ``stop``; the
-        one path from ``run`` and ``step_cycles`` to a loop."""
         for node in self.nodes:
             # the nodes share this memory and configuration, so they all
             # narrow alike
             scheduler = node._effective_scheduler(scheduler)
         loop = (self._run_event_horizon if scheduler == "event-horizon"
                 else self._run_naive)
-        loop(min(stop, max_cycles), max_cycles, deadlock_window)
+        loop(max_cycles, deadlock_window)
+        return self._collect()
 
     def _run_event_horizon(
-        self, stop: int, max_cycles: int, deadlock_window: int
+        self, max_cycles: int, deadlock_window: int
     ) -> None:
         """Contract-driven cluster loop: every running node steps the way
         :meth:`SMAMachine._event_horizon_loop` steps one machine.
@@ -281,8 +243,8 @@ class SMACluster:
           still.
 
         Everything stays bit-identical to naive ticking, including the
-        rotating service order, per-node finish cycles and the stop,
-        deadlock and cycle-budget exits.
+        rotating service order, per-node finish cycles and the deadlock
+        and cycle-budget exits.
         """
         with ExitStack() as stack:
             clocks = []
@@ -290,10 +252,10 @@ class SMACluster:
                 clock = [node.cycle]
                 stack.enter_context(node.lazy_occupancy(clock))
                 clocks.append(clock)
-            self._event_horizon_loop(stop, max_cycles, deadlock_window, clocks)
+            self._event_horizon_loop(max_cycles, deadlock_window, clocks)
 
     def _event_horizon_loop(
-        self, stop: int, max_cycles: int, deadlock_window: int, clocks: list
+        self, max_cycles: int, deadlock_window: int, clocks: list
     ) -> None:
         """The body of :meth:`_run_event_horizon`; ``clocks[i]`` is node
         ``i``'s lazy-occupancy clock cell."""
@@ -330,9 +292,7 @@ class SMACluster:
         last_progress = start
         while live or comps:
             now = self.cycle
-            if now >= stop:
-                if stop < max_cycles:
-                    return
+            if now >= max_cycles:
                 raise SimulationError(f"exceeded cycle budget {max_cycles}")
             delivered = False
             while comps and comps[0][0] <= now:
@@ -401,8 +361,8 @@ class SMACluster:
                 bound = last_progress + deadlock_window + 1
                 if target is None or target > bound:
                     target = bound
-                if target > stop:
-                    target = stop
+                if target > max_cycles:
+                    target = max_cycles
                 skipped = target - self.cycle
                 if skipped > 0:
                     for node, snapshot in snapshots:
@@ -414,16 +374,12 @@ class SMACluster:
                     + self._deadlock_reports()
                 )
 
-    def _run_naive(
-        self, stop: int, max_cycles: int, deadlock_window: int
-    ) -> None:
+    def _run_naive(self, max_cycles: int, deadlock_window: int) -> None:
         """The reference loop: :meth:`_step_all` every cluster cycle."""
         last_state: tuple = ()
         last_progress = 0
         while not self.done():
-            if self.cycle >= stop:
-                if stop < max_cycles:
-                    return
+            if self.cycle >= max_cycles:
                 raise SimulationError(f"exceeded cycle budget {max_cycles}")
             self._step_all()
             state = self._progress_state()

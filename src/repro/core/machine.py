@@ -17,8 +17,8 @@ aborts with a diagnostic if no forward progress happens for
 always indicates a miscompiled program (e.g. EP pops a queue the AP never
 feeds), and the stall-cause breakdown in the exception message says which.
 
-**Two loops.**  ``run`` and ``step_cycles`` drive the machine through
-one of the two bit-identical loops in :attr:`SMAMachine.SCHEDULERS`.
+**Two loops.**  ``run`` drives the machine through one of the two
+bit-identical loops in :attr:`SMAMachine.SCHEDULERS`.
 ``"naive"`` is the reference: it calls :meth:`SMAMachine.step_cycle`
 once per cycle and hands every cycle to an optional observer.
 ``"event-horizon"``, the default, steps the components' decode-cached
@@ -291,10 +291,8 @@ class SMAMachine:
             self._metrics.on_cycle(self, now)
         self.cycle += 1
 
-    def _ensure_speculation(self, oracle: dict | None = None) -> None:
+    def _ensure_speculation(self) -> None:
         """Build the speculation engine on first use (idempotent).
-        ``oracle`` supplies pre-recorded prediction tables (checkpoint
-        restore), skipping the reference pre-run.
 
         Deferred past construction so the oracle pre-run observes the
         same initial memory image as the speculative run — workloads are
@@ -309,34 +307,8 @@ class SMAMachine:
             return
         from .speculation import SpeculationEngine
 
-        self._spec = SpeculationEngine(self, spec_cfg, oracle=oracle)
+        self._spec = SpeculationEngine(self, spec_cfg)
         self.ap._spec = self._spec
-
-    # -- checkpoint / restore --------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-clean image of the machine's full mutable state (see
-        :mod:`repro.core.checkpoint`).  Take only between runs / steps,
-        never from inside a scheduler loop."""
-        from .checkpoint import snapshot_machine
-
-        return snapshot_machine(self)
-
-    def restore(self, data: dict) -> None:
-        """Inverse of :meth:`snapshot`; the machine must have been built
-        from the same programs and configuration (fingerprint-checked,
-        :class:`repro.errors.CheckpointError` otherwise).  All containers
-        are mutated in place, so cached references stay valid."""
-        from .checkpoint import restore_machine
-
-        restore_machine(self, data)
-
-    def state_digest(self) -> str:
-        """Deterministic sha256 over the canonical snapshot encoding; two
-        machines with bit-identical state produce the same digest."""
-        from .checkpoint import digest
-
-        return digest(self.snapshot())
 
     def progress_state(self) -> tuple[int, ...]:
         """A tuple that changes iff the machine made forward progress
@@ -390,7 +362,7 @@ class SMAMachine:
     # -- the simulation loops --------------------------------------------
     #
     # ``SCHEDULERS`` maps each loop name to its unbound loop method,
-    # ``(machine, stop, max_cycles, deadlock_window) -> None``; only the
+    # ``(machine, max_cycles, deadlock_window) -> None``; only the
     # reference loop also takes an observer.
     # The CLI (``--scheduler`` choices), the cluster and the benchmark
     # shoot-out all iterate this mapping, so registering a loop here is
@@ -421,32 +393,12 @@ class SMAMachine:
         selects naive, and ``scheduler="event-horizon"`` with an
         observer is a ``ValueError``.
         """
-        self._advance(max_cycles, max_cycles, deadlock_window, observer,
-                      scheduler)
-        return self.collect_result()
-
-    def step_cycles(self, count: int) -> int:
-        """Advance up to ``count`` cycles (stopping early at completion)
-        on ``run()``'s default loop, budget and deadlock window, whose
-        window restarts at each call as after a restore; returns the
-        number simulated.  The state reached, lazy occupancy settled, is
-        bit-identical to ``count`` :meth:`step_cycle` calls."""
-        start = self.cycle
-        self._advance(start + count)
-        return self.cycle - start
-
-    def _advance(self, stop: int, max_cycles: int = 10_000_000,
-                 deadlock_window: int = 10_000, observer=None,
-                 scheduler: str | None = None) -> None:
-        """Run the selected loop until completion or cycle ``stop``; the
-        one path from ``run`` and ``step_cycles`` to a loop."""
         scheduler = self._effective_scheduler(scheduler, observer)
-        stop = min(stop, max_cycles)
         if observer is None:
-            self.SCHEDULERS[scheduler](self, stop, max_cycles,
-                                       deadlock_window)
+            self.SCHEDULERS[scheduler](self, max_cycles, deadlock_window)
         else:  # _effective_scheduler chose the reference loop
-            self._run_naive(stop, max_cycles, deadlock_window, observer)
+            self._run_naive(max_cycles, deadlock_window, observer)
+        return self.collect_result()
 
     def _effective_scheduler(self, scheduler: str | None,
                              observer=None) -> str:
@@ -483,8 +435,7 @@ class SMAMachine:
         return scheduler
 
     def _run_naive(
-        self, stop: int, max_cycles: int, deadlock_window: int,
-        observer=None,
+        self, max_cycles: int, deadlock_window: int, observer=None,
     ) -> None:
         """The reference loop: :meth:`step_cycle` every cycle, then
         ``observer(machine, cycle)`` if one is attached.
@@ -504,9 +455,7 @@ class SMAMachine:
         last_progress_cycle = 0
         p_ap = p_ep = p_req = p_st = p_mem = -1
         while not done():
-            if self.cycle >= stop:
-                if stop < max_cycles:
-                    return
+            if self.cycle >= max_cycles:
                 raise SimulationError(f"exceeded cycle budget {max_cycles}")
             step()
             if observer is not None:
@@ -556,7 +505,7 @@ class SMAMachine:
         return best
 
     def _run_event_horizon(
-        self, stop: int, max_cycles: int, deadlock_window: int
+        self, max_cycles: int, deadlock_window: int
     ) -> None:
         """The event-horizon simulation loop (see module docstring).
 
@@ -569,8 +518,7 @@ class SMAMachine:
         """
         clock = [self.cycle]
         with self.lazy_occupancy(clock):
-            self._event_horizon_loop(stop, max_cycles, deadlock_window,
-                                     clock)
+            self._event_horizon_loop(max_cycles, deadlock_window, clock)
 
     #: accepted values for ``run(scheduler=...)``, reference first (the
     #: loop every other entry must match bit for bit)
@@ -609,7 +557,7 @@ class SMAMachine:
                 self._occupancy_max = agg.max_seen
 
     def _event_horizon_loop(
-        self, stop: int, max_cycles: int, deadlock_window: int, clock
+        self, max_cycles: int, deadlock_window: int, clock
     ) -> None:
         """One fused loop: inlined completion delivery, fast component
         step paths, and contract-driven jumps.
@@ -626,7 +574,7 @@ class SMAMachine:
         (e.g. the EP freed a queue after the AP's stall was recorded), so
         a contract miss downgrades to a skipped jump, never a wrong one.
         Replayed spans go through :meth:`_replay_fast`, clamped to
-        ``stop``; every exit fires at the identical cycle as naive
+        ``max_cycles``; every exit fires at the identical cycle as naive
         ticking.
 
         A speculative machine steps the same fast methods, which hide
@@ -664,9 +612,7 @@ class SMAMachine:
             and not frames
         ):
             now = self.cycle
-            if now >= stop:
-                if stop < max_cycles:
-                    return
+            if now >= max_cycles:
                 raise SimulationError(f"exceeded cycle budget {max_cycles}")
             clock[0] = now
             delivered = False
@@ -712,8 +658,8 @@ class SMAMachine:
                 bound = last_progress_cycle + deadlock_window + 1
                 if target is None or target > bound:
                     target = bound
-                if target > stop:
-                    target = stop
+                if target > max_cycles:
+                    target = max_cycles
                 count = target - self.cycle
                 if count > 0:
                     self._replay_fast(snapshot, count)

@@ -208,8 +208,7 @@ class SpeculationEngine:
     processors have stepped, which is where predictions resolve.
     """
 
-    def __init__(self, machine, config: SpeculationConfig,
-                 oracle: dict | None = None):
+    def __init__(self, machine, config: SpeculationConfig):
         self.config = config
         self.ap = machine.ap
         self.memory = machine.banked
@@ -228,11 +227,7 @@ class SpeculationEngine:
         #: per queue, how many frames at the front of ``pending`` have
         #: resolved (resolution is FIFO, so they are always a prefix)
         self.resolved = {"eaq": 0, "ebq": 0}
-        # a precomputed oracle (checkpoint restore) skips the pre-run
-        self.oracle = (
-            {k: list(v) for k, v in oracle.items()}
-            if oracle is not None else build_oracle(machine)
-        )
+        self.oracle = build_oracle(machine)
 
     # -- state queries ----------------------------------------------------
 
@@ -460,36 +455,3 @@ class SpeculationEngine:
         self.pop_seq = dict(frame.pop_seq)
         self.penalty_until = now + 1 + self.config.rollback_penalty
         self.stats.rollbacks += 1
-
-    # -- checkpointing ------------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """JSON-clean image of the engine's between-runs state.  Open
-        frames are deliberately unsupported — the caller must refuse to
-        snapshot mid-speculation (see :mod:`repro.core.checkpoint`)."""
-        assert not self.stack, "snapshot with open speculation frames"
-        st = self.stats
-        return {
-            "pop_seq": dict(self.pop_seq),
-            "penalty_until": self.penalty_until,
-            "oracle": {k: list(v) for k, v in self.oracle.items()},
-            "stats": st.to_dict(),
-        }
-
-    def restore_state(self, data: dict) -> None:
-        self.stack.clear()
-        self.pending["eaq"].clear()
-        self.pending["ebq"].clear()
-        self.resolved.update(eaq=0, ebq=0)
-        self.pop_seq = {k: int(v) for k, v in data["pop_seq"].items()}
-        self.penalty_until = int(data["penalty_until"])
-        self.oracle = {k: list(v) for k, v in data["oracle"].items()}
-        st, src = self.stats, data["stats"]
-        st.predictions = src["predictions"]
-        st.correct_predictions = src["correct_predictions"]
-        st.commits = src["commits"]
-        st.rollbacks = src["rollbacks"]
-        st.squashed_completions = src["squashed_completions"]
-        st.oracle_refusals = src["oracle_refusals"]
-        st.depth_refusals = src["depth_refusals"]
-        st.max_depth = src["max_depth"]

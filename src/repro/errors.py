@@ -60,10 +60,3 @@ class LoweringError(ReproError):
 
 class KernelError(ReproError):
     """Raised for malformed kernel IR (unknown arrays, bad loop bounds)."""
-
-
-class CheckpointError(ReproError):
-    """Raised when a machine snapshot cannot be restored: version or
-    fingerprint mismatch (different programs / configuration), malformed
-    snapshot payload, or a metrics layout that does not match the target
-    machine."""

@@ -39,14 +39,6 @@ MACHINES = (
 )
 
 
-def _refuse_non_int(name: str, value, minimum: int | None) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an ``int`` (not
-    a ``bool``) of at least ``minimum``."""
-    if type(value) is not int or (minimum is not None and value < minimum):
-        want = "an int" if minimum is None else f"an int >= {minimum}"
-        raise ValueError(f"job {name} must be {want}, not {value!r}")
-
-
 @dataclass(frozen=True)
 class Job:
     """One simulation to run.
@@ -80,18 +72,17 @@ class Job:
     lod_variant: str | None = None
 
     def __post_init__(self):
-        canonicalize(self)
+        canonicalize(self, "job")
         if self.machine not in MACHINES:
             raise ValueError(
                 f"unknown job machine {self.machine!r}; known: {MACHINES}"
             )
-        if self.n is not None:
-            _refuse_non_int("n", self.n, 1)
-        _refuse_non_int("seed", self.seed, None)
+        for name in ("n", "nodes", "buckets"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"job {name} must be >= 1, not {value!r}")
         if type(self.check) is not bool:
             raise ValueError(f"job check must be a bool, not {self.check!r}")
-        _refuse_non_int("nodes", self.nodes, 1)
-        _refuse_non_int("buckets", self.buckets, 1)
         if self.lod_variant is not None and self.lod_variant not in (
             "addr", "branch"
         ):

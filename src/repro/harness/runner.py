@@ -326,11 +326,9 @@ def _prepare_cluster(
 ):
     """Build the loaded cluster a :func:`run_cluster` call simulates.
 
-    Split out so a script can build the *identical* cluster —
-    construction order included, which the snapshot fingerprint check
-    depends on — and drive it itself (``scripts/rf8_smoke.py`` compares
-    loops on it, ``scripts/check_snapshot_roundtrip.py`` cuts and
-    restores it).  Returns ``(cluster, lowered, cfg, node_metrics)``.
+    Split out so a script can build the *identical* cluster and drive
+    it itself (``scripts/rf8_smoke.py`` compares loops on it).  Returns
+    ``(cluster, lowered, cfg, node_metrics)``.
     """
     from ..core.cluster import SMACluster
 

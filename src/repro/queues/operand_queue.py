@@ -367,76 +367,6 @@ class OperandQueue:
         """
         return None
 
-    # -- checkpointing ----------------------------------------------------
-
-    def snapshot_state(self) -> dict:
-        """JSON-clean image of the queue's mutable state.
-
-        Slot values are floats, ints or small tuples; tuples are tagged so
-        the JSON round-trip can reconstruct them exactly.  Lazy-sampling
-        bookkeeping is *not* captured: checkpoints are only taken between
-        scheduler runs, when every queue is in the synced, non-lazy state.
-        """
-        def _enc(v):
-            return {"__tuple__": list(v)} if isinstance(v, tuple) else v
-
-        st = self.stats
-        return {
-            # poisoned slots append a third element so non-speculative
-            # snapshots keep the seed [filled, value] encoding (and its
-            # digests) byte-identical
-            "slots": [
-                [s.filled, _enc(s.value), True] if s.poisoned
-                else [s.filled, _enc(s.value)]
-                for s in self._slots
-            ],
-            "stats": {
-                "pushes": st.pushes,
-                "pops": st.pops,
-                "empty_stalls": st.empty_stalls,
-                "full_stalls": st.full_stalls,
-                "samples": st.samples,
-                "occupancy_sum": st.occupancy_sum,
-                "occupancy_max": st.occupancy_max,
-                "histogram": {str(k): v for k, v in st.histogram.items()},
-            },
-        }
-
-    def restore_state(self, data: dict) -> None:
-        """Inverse of :meth:`snapshot_state`.
-
-        Mutates ``_slots`` and ``stats`` **in place** — other components
-        cache references to both (``SMAMachine._load_slots``,
-        ``QueueFile._sample_pairs``), so rebinding would silently detach
-        them.
-        """
-        def _dec(v):
-            if isinstance(v, dict) and "__tuple__" in v:
-                return tuple(v["__tuple__"])
-            return v
-
-        self._slots.clear()
-        self._slots.extend(
-            _Slot(filled=entry[0], value=_dec(entry[1]),
-                  poisoned=bool(entry[2:] and entry[2]))
-            for entry in data["slots"]
-        )
-        st, src = self.stats, data["stats"]
-        st.pushes = src["pushes"]
-        st.pops = src["pops"]
-        st.empty_stalls = src["empty_stalls"]
-        st.full_stalls = src["full_stalls"]
-        st.samples = src["samples"]
-        st.occupancy_sum = src["occupancy_sum"]
-        st.occupancy_max = src["occupancy_max"]
-        st.histogram.clear()
-        st.histogram.update({int(k): v for k, v in src["histogram"].items()})
-        self._lazy = False
-        self._clock = None
-        self._agg = None
-        self._synced = 0
-        self._tap = None
-
     # -- introspection ---------------------------------------------------
 
     def __len__(self) -> int:

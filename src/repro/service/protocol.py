@@ -12,11 +12,11 @@ server never has to trust client-side keys: it recomputes ``job_key``
 from the reconstructed job, under its *own* code fingerprint.
 
 Type and range validation happens in the dataclass ``__post_init__``
-hooks (a job's ``n``, ``seed``, ``check``, ``nodes`` and ``buckets``, and
-every config field); anything they raise, a kernel name the suite's
-registry lacks, and a field beyond its resource cap (:data:`CAPS`)
-surface as :class:`ProtocolError`, which the HTTP layer maps to a 400
-before any job is queued.
+hooks (every field declared ``int`` holds an int, and a job's ``check``
+a bool); anything they raise, a kernel name the suite's registry lacks,
+and a field beyond its resource cap (:data:`CAPS`, checked before the
+dataclass is built) surface as :class:`ProtocolError`, which the HTTP
+layer maps to a 400 before any job is queued.
 """
 
 from __future__ import annotations
@@ -61,16 +61,24 @@ _NESTED: dict[tuple[type, str], type] = {
 #: the resource caps a spec must respect: (owner class, field) -> the
 #: largest value accepted.  Each sits well above the largest value in
 #: use — the paper suite's ``n`` 512, ``nodes`` 8, ``buckets`` 32,
-#: memory latency 32, memory size 65,536 words and queue depth 64, and
-#: the benchmark grids' latency 62 — so one request cannot hold a pool
-#: worker for hours or exhaust its memory.  Local runs are not capped.
+#: memory latency 32, memory size 65,536 words, 16 banks, queue depth
+#: 64, 8/4/4 load/store/index queues, a 4,096-word cache and prefetch
+#: degree 2, and the benchmark grids' latency 62 — so one request cannot
+#: hold a pool worker for hours or exhaust its memory (a worker
+#: allocates in proportion to each).  Local runs are not capped.
 CAPS: dict[tuple[type, str], int] = {
     (Job, "n"): 4096,
     (Job, "nodes"): 64,
     (Job, "buckets"): 1024,
     (MemoryConfig, "latency"): 1024,
     (MemoryConfig, "size"): 1 << 20,
+    (MemoryConfig, "num_banks"): 1024,
     **{(QueueConfig, f.name): 1024 for f in fields(QueueConfig)},
+    (SMAConfig, "num_load_queues"): 64,
+    (SMAConfig, "num_store_queues"): 64,
+    (SMAConfig, "num_index_queues"): 64,
+    (CacheConfig, "size_words"): 1 << 20,
+    (PrefetchConfig, "degree"): 64,
 }
 
 
@@ -97,8 +105,8 @@ def _decode(cls: type, data: dict):
             f"expected an object for {cls.__name__}, got "
             f"{type(data).__name__}"
         )
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+    fields_of = {f.name: f.type for f in fields(cls)}
+    unknown = set(data) - set(fields_of)
     if unknown:
         raise ProtocolError(
             f"unknown {cls.__name__} field(s): {sorted(unknown)}"
@@ -106,25 +114,29 @@ def _decode(cls: type, data: dict):
     kwargs = {}
     for name, value in data.items():
         nested = _NESTED.get((cls, name))
+        cap = CAPS.get((cls, name))
         if nested is not None and value is not None:
             value = _decode(nested, value)
+        elif nested is not None and not fields_of[name].endswith("None"):
+            raise ProtocolError(
+                f"invalid {cls.__name__} spec: {name} must be an object, "
+                "not null"
+            )
         elif isinstance(value, list):
             value = tuple(value)
-        kwargs[name] = value
-    try:
-        obj = cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(
-            f"invalid {cls.__name__} spec: {exc}"
-        ) from None
-    for (owner, name), cap in CAPS.items():
-        value = getattr(obj, name) if owner is cls else None
-        if value is not None and not value <= cap:  # NaN is refused too
+        elif (cap is not None and type(value) in (int, float)
+              and not value <= cap):  # NaN is refused too
             raise ProtocolError(
                 f"invalid {cls.__name__} spec: {name} {value} exceeds "
                 f"its cap of {cap}"
             )
-    return obj
+        kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(
+            f"invalid {cls.__name__} spec: {exc}"
+        ) from None
 
 
 def job_from_spec(spec: dict) -> Job:

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from repro.config import MemoryConfig, SMAConfig
-from repro.core import SMACluster
-from repro.core import machine as machine_mod
+from repro.core import SMACluster, SMAMachine
 from repro.errors import SimulationError
 from repro.isa import assemble
 from repro.kernels import get_kernel, run_reference
@@ -64,19 +63,16 @@ class TestClusterBasics:
         with pytest.raises(SimulationError, match="cluster deadlock"):
             cluster.run(deadlock_window=100)
 
-    @pytest.mark.parametrize("fast", (False, True))
-    def test_step_cycles_deadlock_detection(self, fast, monkeypatch):
-        """``step_cycles`` raises the deadlock ``run()`` raises, at the
-        same cycle, instead of ticking the whole count."""
-        monkeypatch.setattr(machine_mod, "FAST_FORWARD", fast)
+    @pytest.mark.parametrize("scheduler", SMAMachine.SCHEDULERS)
+    def test_deadlock_detected_identically(self, scheduler):
+        """Both loops raise the cluster deadlock at the same cycle under
+        the default watchdog window."""
         programs = [(assemble("halt"), assemble("mov x1, lq0\nhalt"))]
         cluster = SMACluster(programs, SMAConfig())
-        with pytest.raises(SimulationError, match="cluster deadlock"):
-            cluster.step_cycles(200_000)
-        reference = SMACluster(programs, SMAConfig())
-        with pytest.raises(SimulationError, match="cluster deadlock"):
-            reference.run()
-        assert cluster.cycle == reference.cycle == 10_002
+        with pytest.raises(SimulationError,
+                           match="cluster deadlock at cycle 10002"):
+            cluster.run(scheduler=scheduler)
+        assert cluster.cycle == 10_002
 
     def test_summary(self):
         cfg = SMAConfig(memory=MemoryConfig(size=2048))

@@ -1,16 +1,44 @@
 """Configuration dataclass validation."""
 
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
 from repro.config import (
     CacheConfig,
+    FaultConfig,
     MemoryConfig,
+    PrefetchConfig,
     QueueConfig,
     ScalarConfig,
     SMAConfig,
+    SpeculationConfig,
     default_scalar_config,
     default_sma_config,
 )
+
+CONFIGS = (MemoryConfig, QueueConfig, CacheConfig, PrefetchConfig,
+           FaultConfig, SpeculationConfig, SMAConfig, ScalarConfig)
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in CONFIGS for f in fields(cls)
+    if f.type in ("int", "int | None")
+])
+def test_int_fields_refuse_non_ints(cls, name):
+    """A float (even one equal to an int), a bool or a string in a field
+    declared ``int`` is a ``ValueError`` naming the field; a numpy
+    integer is stored as the builtin it equals."""
+    default = getattr(cls(), name)
+    if default is None:
+        default = 1
+    for bad in (default + 0.5, float(default), True, str(default)):
+        with pytest.raises(ValueError, match=f"{cls.__name__} {name} "):
+            cls(**{name: bad})
+    value = getattr(cls(**{name: np.int64(default)}), name)
+    assert type(value) is int and value == default
 
 
 class TestMemoryConfig:

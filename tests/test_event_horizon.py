@@ -96,7 +96,7 @@ _PERFECT = SpeculationConfig(mode="perfect", max_depth=8)
 @settings(max_examples=40, deadline=None)
 @given(
     _fuzz_kernels(),
-    st.sampled_from((2, 4, 8, 16, 32, 64)),   # latency
+    st.sampled_from((1, 2, 4, 8, 16, 32, 64)),  # latency
     st.sampled_from((1, 2, 4, 8, 16)),        # queue depth
     st.sampled_from((1, 2, 8)),               # banks
     st.sampled_from((1, 2)),                  # stream issue per cycle
@@ -310,30 +310,38 @@ def test_cycle_budget_parity_across_schedulers(scheduler):
 @settings(max_examples=15, deadline=None)
 @given(
     st.lists(
-        st.sampled_from(("daxpy", "hydro", "tridiag", "pic_gather")),
+        st.sampled_from(("daxpy", "hydro", "tridiag", "pic_gather",
+                         "computed_gather")),
         min_size=1, max_size=3,
     ),
-    st.sampled_from((8, 32, 64)),         # latency
+    st.sampled_from((1, 8, 32, 64)),      # latency
     st.sampled_from((2, 8)),              # queue depth
     st.sampled_from((2, 8)),              # banks
     st.sampled_from((1, 2)),              # port width
     st.sampled_from((1, 2)),              # stream issue per cycle
     st.sampled_from((None, _COIN)),       # speculation
+    st.sampled_from((None, "addr", "branch")),  # plain nodes' lowering
     st.integers(0, 2**31),                # input seed
     st.booleans(),                        # metrics attached
 )
 # one node finishes early (see test_cluster_fast_forward)
 @example(names=["daxpy", "daxpy"], latency=8, depth=2, banks=2, ports=1,
-         issue=1, speculation=None, seed=0, metrics=False)
+         issue=1, speculation=None, lod_variant=None, seed=0, metrics=False)
+# plain nodes on loss-of-decoupling lowerings, one a computed gather
+@example(names=["pic_gather", "computed_gather"], latency=1, depth=2,
+         banks=2, ports=1, issue=1, speculation=None, lod_variant="addr",
+         seed=0, metrics=False)
 def test_cluster_schedulers_identical_on_random_mixes(
-    names, latency, depth, banks, ports, issue, speculation, seed, metrics
+    names, latency, depth, banks, ports, issue, speculation, lod_variant,
+    seed, metrics
 ):
     specs = [
         get_kernel(name).instantiate(24, seed + j)
         for j, name in enumerate(names)
     ]
-    # a speculative node runs its kernel's loss-of-decoupling lowering
-    variants = [dict(_LOD_SHAPES).get(name) if speculation else None
+    # a speculative node runs its kernel's loss-of-decoupling lowering,
+    # a plain node the drawn one
+    variants = [dict(_LOD_SHAPES).get(name) if speculation else lod_variant
                 for name in names]
     observed = {}
     for scheduler in SCHEDULERS:

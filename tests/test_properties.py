@@ -517,11 +517,10 @@ def test_random_reduction_kernels(n, op, init, seed):
 # whose AP alternates ``lod_eaq`` -> ``iq_empty`` -> ``lod_eaq`` every
 # element is exactly where those three conditions could drift apart, so
 # the property pins (lod_events, every stall bucket, cycles) across all
-# registered schedulers, the batch engine, and a snapshot/restore taken
-# in the middle of a LOD stall.  A speculative AP takes both FROMQ kinds
-# through the speculation hooks instead (it predicts the EAQ value and
-# pops the IQ undoably while a frame is open), so the same kernel also
-# runs speculatively under every scheduler against naive.
+# registered schedulers and the batch engine.  A speculative AP takes
+# both FROMQ kinds through the speculation hooks instead (it predicts the
+# EAQ value and pops the IQ undoably while a frame is open), so the same
+# kernel also runs speculatively under every scheduler against naive.
 
 
 def _lod_mix_kernel(n: int) -> Kernel:
@@ -552,7 +551,6 @@ def _lod_mix_kernel(n: int) -> Kernel:
     accuracy=st.sampled_from((0.5, 1.0)),
 )
 def test_lod_events_agree_across_engines(n, latency, depth, seed, accuracy):
-    import json as _json
     from dataclasses import replace
 
     from repro.batch.engine import LaneEngine
@@ -636,18 +634,3 @@ def test_lod_events_agree_across_engines(n, latency, depth, seed, accuracy):
     assert lane["lod_events"] == key[0]
     assert lane["ap_stalls"] == key[1]
     assert lane["cycles"] == key[2]
-
-    # snapshot/restore taken while the AP is parked in a lod_* stall
-    source = fresh()
-    for _ in range(200_000):
-        if (source.ap._stalled_on or "").startswith("lod_"):
-            break
-        source.step_cycle()
-    else:
-        raise AssertionError("never reached a lod_* stall")
-    snap = _json.loads(_json.dumps(source.snapshot()))
-    resumed = fresh()
-    resumed.restore(snap)
-    res = resumed.run()
-    assert (res.lod_events, dict(res.ap.stall_cycles),
-            res.cycles) == key

@@ -13,6 +13,7 @@ entry.
 """
 
 import asyncio
+import copy
 import json
 import re
 import signal
@@ -20,11 +21,16 @@ import socket
 import threading
 import time
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields, is_dataclass
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import (
+    CacheConfig,
     MemoryConfig,
+    PrefetchConfig,
     QueueConfig,
     ScalarConfig,
     SMAConfig,
@@ -112,6 +118,16 @@ class TestProtocol:
         ({"check": "yes"}, "job check must"),
         ({"nodes": 0}, "job nodes must"),
         ({"buckets": 0}, "job buckets must"),
+        ({"sma_config": {"memory": {"latency": 2.5}}},
+         "MemoryConfig latency must be an int"),
+        ({"sma_config": {"memory": {"size": 70000.5}}},
+         "MemoryConfig size must be an int"),
+        ({"sma_config": {"memory": {"num_banks": 8.0}}},
+         "MemoryConfig num_banks must be an int"),
+        ({"sma_config": {"num_load_queues": 8.0}},
+         "SMAConfig num_load_queues must be an int"),
+        ({"sma_config": {"max_streams": True}},
+         "SMAConfig max_streams must be an int"),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else "")
     def test_malformed_spec_refused(self, change, message):
         spec = dict(job_to_spec(Job("sma", "daxpy", 64)), **change)
@@ -162,6 +178,9 @@ class TestProtocol:
             MemoryConfig: [("sma_config", "memory"),
                            ("scalar_config", "memory"), ("memory_config",)],
             QueueConfig: [("sma_config", "queues")],
+            SMAConfig: [("sma_config",)],
+            CacheConfig: [("scalar_config", "cache")],
+            PrefetchConfig: [("scalar_config", "prefetch")],
         }
         return [
             pytest.param(place + (name,), cap,
@@ -173,7 +192,8 @@ class TestProtocol:
     @pytest.mark.parametrize("path, cap", _capped_paths.__func__())
     def test_fields_beyond_their_cap_refused(self, path, cap):
         full = Job("sma", "daxpy", 64, sma_config=SMAConfig(),
-                   scalar_config=ScalarConfig(),
+                   scalar_config=ScalarConfig(cache=CacheConfig(),
+                                              prefetch=PrefetchConfig()),
                    memory_config=MemoryConfig())
         *parents, name = path
 
@@ -201,6 +221,87 @@ class TestProtocol:
             {"jobs": [job_to_spec(j) for j in self.JOBS[:2]]}
         )
         assert jobs == self.JOBS[:2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_suite_payloads_decode_or_refuse(self, data):
+        """A suite spec with one field dropped, one unknown field added or
+        one field set to a random JSON value either raises
+        :class:`ProtocolError` or decodes to jobs that round-trip through
+        strict JSON, hold an int in every field declared ``int`` and stay
+        within every cap.  No job runs."""
+        spec = copy.deepcopy(data.draw(st.sampled_from(_suite_specs())))
+        node = data.draw(st.sampled_from(_objects(spec)))
+        action = data.draw(st.sampled_from(("drop", "add", "set")))
+        if action == "add":
+            key = data.draw(st.text(max_size=8).filter(
+                lambda k: k not in node))
+        elif node:
+            key = data.draw(st.sampled_from(sorted(node)))
+        else:
+            return
+        if action == "drop":
+            del node[key]
+        else:
+            node[key] = data.draw(_JSON_VALUES)
+        try:
+            jobs = jobs_from_payload({"jobs": [spec]})
+        except ProtocolError:
+            return
+        for job in jobs:
+            text = json.dumps(job_to_spec(job), allow_nan=False)
+            assert job_from_spec(json.loads(text)) == job
+            _assert_ints_within_caps(job)
+
+
+@lru_cache(maxsize=None)
+def _suite_specs() -> tuple:
+    """The spec of every job the paper suite plans, deduplicated."""
+    from repro.harness import experiments
+
+    specs = {}
+    for plan in experiments.EXPERIMENTS.values():
+        for job in next(plan()):
+            specs.setdefault(job, job_to_spec(job))
+    return tuple(specs.values())
+
+
+def _objects(spec: dict) -> list:
+    """``spec`` and every object nested in it."""
+    found = [spec]
+    for value in spec.values():
+        if isinstance(value, dict):
+            found += _objects(value)
+    return found
+
+
+_JSON_SCALARS = (
+    st.none(), st.booleans(), st.text(max_size=8),
+    st.integers(), st.sampled_from((-1, 0, 10**9, 10**12, 2**64)),
+    st.floats(), st.sampled_from((float("nan"), 2.5, 8.0)),
+)
+#: a JSON scalar, list or object, mostly the scalars a count field must
+#: refuse
+_JSON_VALUES = st.one_of(
+    *_JSON_SCALARS,
+    st.lists(st.one_of(*_JSON_SCALARS), max_size=3),
+    st.dictionaries(st.text(max_size=8), st.one_of(*_JSON_SCALARS),
+                    max_size=3),
+)
+
+
+def _assert_ints_within_caps(obj) -> None:
+    """Every field of the dataclass tree ``obj`` declared ``int`` holds
+    an int, and every capped field is within :data:`CAPS`."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            _assert_ints_within_caps(value)
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            assert type(value) is int, (type(obj).__name__, f.name, value)
+        cap = CAPS.get((type(obj), f.name))
+        if cap is not None and value is not None:
+            assert value <= cap, (type(obj).__name__, f.name, value)
 
 
 def _tamper(path):
@@ -628,11 +729,17 @@ class TestServiceEndToEnd:
             {"kernel": "nope"}, {"n": -5}, {"n": 0}, {"n": 2.5},
             {"n": "64"}, {"seed": "x"}, {"check": "yes"},
         )]
+        # a float in a config's int field
+        floats = [dict(good, sma_config=config) for config in (
+            {"memory": {"latency": 2.5}}, {"num_load_queues": 8.0},
+        )]
         replies, known, stats = self._post_beside_a_good_spec(
-            tmp_path, malformed)
+            tmp_path, malformed + floats)
         for spec, (code, reply) in zip(malformed, replies):
             assert code == 400 and "invalid Job spec" in reply["error"], \
                 spec
+        for spec, (code, reply) in zip(floats, replies[len(malformed):]):
+            assert code == 400 and "must be an int" in reply["error"], spec
         # a refused payload queues none of its jobs, not even the good one
         assert known is None
         assert stats["sweep"]["executed"] == 0
@@ -647,6 +754,7 @@ class TestServiceEndToEnd:
             {"sma_config": {"memory": {"latency": 10**9}}},
             {"sma_config": {"memory": {"size": 10**10}}},
             {"sma_config": {"queues": {"load_queue_depth": 10**9}}},
+            {"sma_config": {"num_load_queues": 10**12}},
         )]
         replies, known, stats = self._post_beside_a_good_spec(tmp_path, over)
         for spec, (code, reply) in zip(over, replies):

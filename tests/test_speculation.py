@@ -9,14 +9,11 @@ The contract under test (ARCHITECTURE §19):
   LOD-collapsed lowerings while outputs stay word-exact;
 * mispredictions roll back completely: wrong-path queue slots, wrong-path
   memory traffic and AP register state all disappear, deterministically;
-* speculation state round-trips through checkpoint/restore, and a
-  snapshot taken while predictions are unresolved is refused;
 * every scheduler, on a machine or a cluster, matches naive ticking
   exactly, and the default one skips idle cycles.
 """
 
 import hashlib
-import json
 from dataclasses import asdict
 
 import numpy as np
@@ -34,7 +31,7 @@ from repro.core.access_processor import AccessProcessor
 from repro.core.descriptors import StreamDescriptor, StreamEngine, StreamKind
 from repro.core.execute_processor import ExecuteProcessor
 from repro.core.store_unit import StoreUnit
-from repro.errors import CheckpointError, SimulationError
+from repro.errors import SimulationError
 from repro.harness.runner import _fit_memory, _load_inputs, run_on_sma
 from repro.isa import assemble
 from repro.kernels import get_kernel, lower_sma
@@ -445,51 +442,6 @@ class TestOracleMemo:
         assert len(builds) == 1
         other_memory.run()
         assert len(builds) == 2
-
-
-class TestCheckpoint:
-    def test_snapshot_refused_mid_speculation(self):
-        machine = _build(
-            "computed_gather", None,
-            SpeculationConfig(mode="perfect", max_depth=16),
-        )
-        for _ in range(200_000):
-            machine.step_cycle()
-            if machine._spec is not None and machine._spec.in_flight():
-                break
-        else:
-            raise AssertionError("speculation never went in flight")
-        with pytest.raises(CheckpointError, match="mid-speculation"):
-            machine.snapshot()
-
-    def test_roundtrip_between_speculations(self):
-        spec = SpeculationConfig(accuracy=0.5, max_depth=4)
-        straight = _build("computed_gather", None, spec)
-        want = straight.run()
-
-        source = _build("computed_gather", None, spec)
-        cut = 0
-        for _ in range(200_000):
-            source.step_cycle()
-            cut += 1
-            if (cut > 50 and source._spec is not None
-                    and source._spec.idle() and not source.done()):
-                break
-        snap = json.loads(json.dumps(source.snapshot()))
-
-        resumed = _build("computed_gather", None, spec)
-        resumed.restore(snap)
-        got = resumed.run()
-        assert got.cycles == want.cycles
-        assert dict(got.ap.stall_cycles) == dict(want.ap.stall_cycles)
-        assert got.speculation == want.speculation
-        assert np.array_equal(resumed.memory._words,
-                              straight.memory._words)
-
-    def test_plain_snapshot_has_no_speculation_key(self):
-        machine = _build("computed_gather", None, None)
-        machine.step_cycles(20)
-        assert "speculation" not in machine.snapshot()
 
 
 class TestConfig:
