@@ -44,7 +44,7 @@ def batch_eligible(job: Job) -> bool:
     """Can this job run as a batch lane bit-identically?
 
     The engine models the default timing envelope — one memory port,
-    one stream issue per cycle, fault-free memory — and produces plain
+    one stream issue per cycle — and produces plain
     result dicts, so jobs needing the metrics capture layer stay on the
     scalar path.
     """
@@ -57,8 +57,6 @@ def _eligible_config(job: Job) -> bool:
     if job.machine not in _BATCH_MACHINES:
         return False
     cfg = _effective_config(job)
-    if cfg.faults is not None:
-        return False
     if cfg.speculation is not None and cfg.speculation.enabled:
         # the speculative AP (PR 8) runs ahead past LOD stalls; the
         # batch engine has no shadow state, so such a lane would

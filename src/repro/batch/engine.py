@@ -43,10 +43,10 @@ rests on three structural ideas:
   index and costs nothing for the rest of the batch.
 
 Timing-model scope (enforced by :mod:`repro.batch.dispatch`): one memory
-port (``accepts_per_cycle == 1``), one stream issue per cycle, no fault
-injection, no attached metrics.  Within a cycle the single port is
-threaded through the components in machine order (store unit, stream
-engine, AP) as one boolean per lane.
+port (``accepts_per_cycle == 1``), one stream issue per cycle, no
+attached metrics.  Within a cycle the single port is threaded through
+the components in machine order (store unit, stream engine, AP) as one
+boolean per lane.
 
 In-flight loads need no completion heap: per lane, requests issue at
 most one per cycle and share one latency, so fills mature in issue
@@ -169,10 +169,6 @@ class LaneEngine:
             if cfg.stream_issue_per_cycle != 1:
                 raise SimulationError(
                     "batch engine models one stream issue per cycle"
-                )
-            if cfg.faults is not None:
-                raise SimulationError(
-                    "batch engine does not model fault injection"
                 )
         self.qlay = qlay
         # kept for the batch-codegen cache key (program text is what

@@ -251,7 +251,7 @@ def cmd_experiment(args) -> int:
     inject = None
     if args.inject_fault:
         try:
-            # the token file makes one-shot faults fire once per sweep
+            # the token file makes the fault fire once per sweep
             # even across pool workers (and across --resume reruns)
             inject = FaultSpec.parse(
                 args.inject_fault,
@@ -488,9 +488,7 @@ _PROFILE_COMPONENTS = {
     "operand_queue.py": "operand queues",
     "queue_file.py": "operand queues",
     "machine.py": "scheduler core",
-    "classify.py": "metrics",
     "report.py": "metrics",
-    "samplers.py": "metrics",
 }
 
 
@@ -585,12 +583,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_parse(args) -> int:
+    from pathlib import Path
+
     import numpy as np
 
     from .harness.runner import run_on_scalar, run_on_sma
     from .kernels import parse_kernel, run_reference
 
-    source = open(args.file).read()
+    source = Path(args.file).read_text()
     kernel = parse_kernel(source, **{args.param: args.n})
     print(kernel.pretty())
     rng = np.random.default_rng(args.seed)
@@ -681,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="MODE[:VALUE]",
                        help="inject a fault to exercise recovery (needs "
                             "--cache): worker-kill, cache-corrupt, "
-                            "mem-error:p, driver-kill:k, sleep:s")
+                            "driver-kill:k, sleep:s")
     p_exp.add_argument("--url", default=None,
                        help="run the jobs on the 'repro serve' instance "
                             "at this base URL, e.g. "

@@ -18,8 +18,10 @@ Use :func:`dataclasses.replace` to derive swept variants, e.g.::
 Every config is canonical by construction: a numpy number passed for a
 field is stored as the builtin ``int`` or ``float`` it equals, so
 ``repr(config)`` (part of every result-cache key) does not depend on
-whether a sweep wrote ``256`` or ``np.int64(256)``, and a field declared
-``int`` refuses anything else.  This module imports no numpy.
+whether a sweep wrote ``256`` or ``np.int64(256)``; a field declared
+``int`` refuses anything else, and a field declared ``float`` stores an
+int as the float it equals and refuses anything else.  This module
+imports no numpy.
 """
 
 from __future__ import annotations
@@ -42,20 +44,30 @@ def _builtin(value):
     return value
 
 
-#: per dataclass, ``(field name, declared type if it is "int" or
-#: "int | None", else None)`` for each field, built on first use (every
-#: module that calls :func:`canonicalize` postpones its annotations, so
-#: a declared type is its source text)
-_FIELDS: dict[type, tuple[tuple[str, str | None], ...]] = {}
+#: declared field types (source text: every module that calls
+#: :func:`canonicalize` postpones its annotations) -> the one builtin
+#: type a value of that field may have, and whether ``None`` is allowed
+_TYPED = {
+    "int": (int, False),
+    "int | None": (int, True),
+    "float": (float, False),
+}
+
+#: per dataclass, ``(field name, _TYPED entry or None)`` for each field,
+#: built on first use
+_FIELDS: dict[type, tuple[tuple[str, tuple | None], ...]] = {}
 
 
 def canonicalize(obj, owner: str | None = None) -> None:
     """Store every number among the frozen dataclass ``obj``'s fields,
     and inside its tuple fields, as a builtin (see :func:`_builtin`),
-    then refuse a field declared ``int`` (or ``int | None``) that holds
-    anything but an ``int`` (or ``None``) — a float, even ``8.0``, a
-    bool or a string — with a ``ValueError`` naming ``owner`` (default:
-    the class name) and the field.
+    then check the fields declared ``int`` (or ``int | None``) or
+    ``float``.  An ``int`` field refuses anything but an ``int`` (or
+    ``None``) — a float, even ``8.0``, a bool or a string.  A ``float``
+    field stores an ``int`` as the float it equals, so ``1`` and ``1.0``
+    make one ``repr``, and refuses a bool or a string.  A refusal is a
+    ``ValueError`` naming ``owner`` (default: the class name) and the
+    field.
 
     Called first in the ``__post_init__`` of each config and of the
     harness's ``Job`` and ``BatchJob``, so no caller ever has to walk a
@@ -64,12 +76,11 @@ def canonicalize(obj, owner: str | None = None) -> None:
     plan = _FIELDS.get(type(obj))
     if plan is None:
         plan = _FIELDS[type(obj)] = tuple(
-            (f.name, f.type if f.type in ("int", "int | None") else None)
-            for f in fields(obj)
+            (f.name, _TYPED.get(f.type)) for f in fields(obj)
         )
     # getattr per field, not vars(obj): reading __dict__ would make each
     # instance carry a dict object instead of inline attribute values
-    for name, declared in plan:
+    for name, typed in plan:
         value = getattr(obj, name)
         if type(value) not in _BUILTIN:
             if type(value) is tuple:
@@ -79,13 +90,17 @@ def canonicalize(obj, owner: str | None = None) -> None:
             if new is not value:
                 object.__setattr__(obj, name, new)
                 value = new
-        if declared is not None and type(value) is not int and not (
-            value is None and declared == "int | None"
+        if typed is None or type(value) is typed[0] or (
+            value is None and typed[1]
         ):
-            raise ValueError(
-                f"{owner or type(obj).__name__} {name} must be an int, "
-                f"not {value!r}"
-            )
+            continue
+        if typed[0] is float and type(value) is int:
+            object.__setattr__(obj, name, float(value))
+            continue
+        raise ValueError(
+            f"{owner or type(obj).__name__} {name} must be "
+            f"{'an int' if typed[0] is int else 'a float'}, not {value!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -213,35 +228,6 @@ class PrefetchConfig:
 
 
 @dataclass(frozen=True)
-class FaultConfig:
-    """Transient-fault injection parameters for the banked memory.
-
-    A non-``None`` :attr:`SMAConfig.faults` wraps the machine's memory in
-    :class:`repro.memory.banks.FaultyMemory`, which deterministically
-    rejects a fraction of requests (timing-only perturbation) and can
-    drop in-flight load completions to exercise the deadlock watchdog.
-    """
-
-    #: probability in [0, 1) that a request is transiently rejected; the
-    #: requester retries next cycle, so this perturbs timing only.
-    reject_prob: float = 0.0
-    #: number of accepted load completions to silently drop (each leaves a
-    #: reserved-but-never-filled queue slot, which the run watchdog reports
-    #: as a deadlock instead of hanging).
-    drop_completions: int = 0
-    #: mixed into the deterministic fault predicate so distinct seeds give
-    #: distinct (but reproducible) fault patterns.
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        canonicalize(self)
-        if not 0.0 <= self.reject_prob < 1.0:
-            raise ValueError("reject_prob must be in [0, 1)")
-        if self.drop_completions < 0:
-            raise ValueError("drop_completions must be >= 0")
-
-
-@dataclass(frozen=True)
 class SpeculationConfig:
     """Speculative access-processor parameters (LOD run-ahead).
 
@@ -317,9 +303,6 @@ class SMAConfig:
     #: number of store-data queues (SDQ0..) and index queues (IQ0..).
     num_store_queues: int = 4
     num_index_queues: int = 4
-    #: optional transient-fault injection (see :class:`FaultConfig`);
-    #: ``None`` (the default) means a fault-free memory system.
-    faults: FaultConfig | None = None
     #: optional speculative AP mode (see :class:`SpeculationConfig`);
     #: ``None`` (the default) keeps the AP strictly non-speculative.
     speculation: SpeculationConfig | None = None

@@ -97,14 +97,7 @@ class SMACluster:
             raise ValueError("cluster needs at least one node")
         self.config = config or SMAConfig()
         self.memory = MainMemory(self.config.memory.size)
-        if self.config.faults is not None:
-            from ..memory.banks import FaultyMemory
-
-            self.banked = FaultyMemory(
-                self.memory, self.config.memory, self.config.faults
-            )
-        else:
-            self.banked = BankedMemory(self.memory, self.config.memory)
+        self.banked = BankedMemory(self.memory, self.config.memory)
         node_config = replace(self.config)
         self.nodes = [
             SMAMachine(ap, ep, node_config, shared_memory=self.banked)
@@ -204,8 +197,8 @@ class SMACluster:
         every per-node statistic are bit-identical under both loops.
         """
         for node in self.nodes:
-            # the nodes share this memory and configuration, so they all
-            # narrow alike
+            # the nodes share one configuration, so each resolves
+            # ``scheduler`` alike
             scheduler = node._effective_scheduler(scheduler)
         loop = (self._run_event_horizon if scheduler == "event-horizon"
                 else self._run_naive)

@@ -175,14 +175,7 @@ class SMAMachine:
             self._owns_memory = False
         else:
             self.memory = MainMemory(self.config.memory.size)
-            if self.config.faults is not None:
-                from ..memory.banks import FaultyMemory
-
-                self.banked = FaultyMemory(
-                    self.memory, self.config.memory, self.config.faults
-                )
-            else:
-                self.banked = BankedMemory(self.memory, self.config.memory)
+            self.banked = BankedMemory(self.memory, self.config.memory)
             self._owns_memory = True
         self.queues = QueueFile(self.config)
         self.engine = StreamEngine(
@@ -382,9 +375,8 @@ class SMAMachine:
         the module docstring).  ``None`` takes event-horizon, or naive
         when the process-wide :data:`FAST_FORWARD` is off.  Cycle counts
         and every statistic are bit-identical under both (see
-        ``tests/test_fast_forward.py`` and ``tests/test_event_horizon.py``).
-        Fault injection and speculation narrow the choice
-        (:meth:`_effective_scheduler`).
+        ``tests/test_fast_forward.py`` and ``tests/test_event_horizon.py``);
+        the loop asked for is the loop that runs.
 
         ``observer``, if given, is called as ``observer(machine, cycle)``
         once per simulated cycle after all components have stepped — the
@@ -406,13 +398,10 @@ class SMAMachine:
 
         ``None`` follows :data:`FAST_FORWARD`, except that an observer
         (see :meth:`run`) selects naive; an observer with any other loop
-        asked for is a ``ValueError``.
-        Fault injection runs naive: event-horizon inlines memory
-        acceptance (``tick_fast`` / ``step_fast``), bypassing the fault
-        overrides, and jumps over cycles in which the deterministic
-        fault predicate would have changed its verdict.  Speculation
-        (:mod:`repro.core.speculation`) builds its engine here, before
-        the loop runs, so its oracle pre-run sees the loaded inputs.
+        asked for is a ``ValueError``.  Any other named loop runs as
+        asked.  Speculation (:mod:`repro.core.speculation`) builds its
+        engine here, before the loop runs, so its oracle pre-run sees
+        the loaded inputs.
         """
         if scheduler is None:
             scheduler = ("event-horizon" if FAST_FORWARD and observer is None
@@ -428,8 +417,6 @@ class SMAMachine:
                 f"{scheduler!r}, which skips cycles; pass "
                 "scheduler='naive' or None"
             )
-        if self.banked.fault_injection:
-            scheduler = "naive"
         if not self._spec_ready:
             self._ensure_speculation()
         return scheduler

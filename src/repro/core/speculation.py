@@ -148,8 +148,7 @@ def build_oracle(machine, max_cycles: int = 10_000_000) -> dict:
     Architectural values (unlike timing) are scheduler-independent, and
     correct speculation plus rollback-on-misprediction preserves the
     architectural history exactly, so the recorded sequences stay valid
-    for the whole speculative run.  Faults are stripped from the clone:
-    they perturb timing only, never values.
+    for the whole speculative run.
 
     The clone runs on the event-horizon loop, whose AP pops the EP→AP
     queues through ``OperandQueue.pop`` / ``pop_slot`` and so feeds the
@@ -166,7 +165,7 @@ def build_oracle(machine, max_cycles: int = 10_000_000) -> dict:
     """
     from .machine import SMAMachine
 
-    cfg = replace(machine.config, speculation=None, faults=None)
+    cfg = replace(machine.config, speculation=None)
     image = machine.memory._words[: cfg.memory.size]
     key = (
         tuple(map(str, machine.ap.program)),

@@ -12,10 +12,6 @@ recover from.  A :class:`FaultSpec` names one failure mode:
     lands, modelling a crash between ``write`` and ``fsync`` on a
     filesystem that tears the write.  A later sweep must catch it by
     its digest and quarantine it, not crash or serve it.
-``mem-error:p``
-    Every SMA job's memory is wrapped in
-    :class:`repro.memory.banks.FaultyMemory` with transient-reject
-    probability ``p`` — timing-only perturbation, results unchanged.
 ``driver-kill:k``
     SIGKILL the sweep driver after ``k`` cache flushes — the
     kill-resume scenario (``--resume`` must finish with only the
@@ -24,11 +20,12 @@ recover from.  A :class:`FaultSpec` names one failure mode:
     The next job to start sleeps ``s`` seconds first, for exercising
     the per-job timeout path deterministically.
 
-One-shot modes (everything except ``mem-error``) fire exactly once per
-sweep.  Across a process pool "once" needs shared state, so a spec may
-carry a ``token_path``: the first process to create the token file with
-``O_CREAT | O_EXCL`` wins and fires, everyone else skips.  Without a
-token path the mode fires once per process.
+Every mode fires exactly once per sweep, in the harness around the
+simulator: a fault never reaches a machine, so no job's spec, cache key
+or result changes.  Across a process pool "once" needs shared state, so
+a spec may carry a ``token_path``: the first process to create the
+token file with ``O_CREAT | O_EXCL`` wins and fires, everyone else
+skips.  Without a token path the mode fires once per process.
 """
 
 from __future__ import annotations
@@ -36,24 +33,21 @@ from __future__ import annotations
 import os
 import signal
 import time
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
-
-from ..config import FaultConfig, SMAConfig
+from dataclasses import dataclass
+from typing import Optional
 
 __all__ = [
     "MODES",
     "FaultSpec",
     "active",
     "after_flush",
-    "apply_to_jobs",
     "before_job",
     "install",
 ]
 
-#: recognized fault modes (``mem-error``, ``driver-kill`` and ``sleep``
-#: take a ``:value`` argument)
-MODES = ("worker-kill", "cache-corrupt", "mem-error", "driver-kill", "sleep")
+#: recognized fault modes (``driver-kill`` and ``sleep`` take a
+#: ``:value`` argument)
+MODES = ("worker-kill", "cache-corrupt", "driver-kill", "sleep")
 
 
 @dataclass(frozen=True)
@@ -81,10 +75,7 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault mode {mode!r}; known: {', '.join(MODES)}"
             )
-        value = float(arg) if arg else 0.0
-        if mode == "mem-error" and not 0.0 <= value < 1.0:
-            raise ValueError("mem-error probability must be in [0, 1)")
-        return cls(mode, value, token_path)
+        return cls(mode, float(arg) if arg else 0.0, token_path)
 
 
 #: the fault spec active in *this* process; pool workers get it via the
@@ -137,27 +128,6 @@ def before_job(job) -> None:
     elif spec.mode == "sleep":
         if _claim(spec):
             time.sleep(spec.value)
-
-
-def apply_to_jobs(jobs: Sequence, spec: FaultSpec) -> list:
-    """``mem-error`` rewrites every SMA-machine job to carry a
-    :class:`FaultConfig` (seeded per job, so fault patterns are
-    reproducible and distinct).  The rewritten config changes the job's
-    ``repr`` and therefore its cache key — faulty results can never be
-    served for fault-free sweeps or vice versa."""
-    if spec.mode != "mem-error":
-        return list(jobs)
-    out = []
-    for job in jobs:
-        if job.machine in ("sma", "sma-nostream", "cluster"):
-            base = job.sma_config or SMAConfig()
-            faulted = replace(
-                base,
-                faults=FaultConfig(reject_prob=spec.value, seed=job.seed),
-            )
-            job = replace(job, sma_config=faulted)
-        out.append(job)
-    return out
 
 
 def after_flush(spec: Optional[FaultSpec], path, flushed: int) -> None:

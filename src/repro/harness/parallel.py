@@ -40,7 +40,9 @@ Crash safety:
 * **Fault injection.**  ``policy.inject`` (a
   :class:`repro.harness.faults.FaultSpec`) arms the failure the CI
   smoke wants to prove recovery from; workers receive it through the
-  pool initializer.
+  pool initializer.  It fires in the harness, never inside a
+  simulation, so no job, key or result differs from a fault-free
+  sweep's.
 """
 
 from __future__ import annotations
@@ -297,8 +299,6 @@ def run_jobs(
     _refuse_lost_reports(policy, workers, cache_dir)
     stats = policy.stats if policy.stats is not None else SweepStats()
     inject = policy.inject
-    if inject is not None:
-        jobs = faults.apply_to_jobs(jobs, inject)
 
     keys = [job_key(job) for job in jobs]
     first: dict[str, int] = {}  # job key -> index of its first job

@@ -378,7 +378,6 @@ def compare_spec(
     """Run one suite kernel on both machines; optionally verify both
     against the reference interpreter (exact word equality)."""
     kernel, inputs = spec.instantiate(n, seed)
-    size = kernel.array(kernel.arrays[0].name).size  # noqa: F841
     sma_run = run_on_sma(kernel, inputs, sma_config)
     scalar_run = run_on_scalar(kernel, inputs, scalar_config)
     if check:

@@ -1,6 +1,6 @@
 """Memory subsystem: flat store, banked timing front-end, data cache."""
 
-from .banks import BankedMemory, FaultyMemory, MemoryStats
+from .banks import BankedMemory, MemoryStats
 from .cache import CacheStats, DataCache
 from .main_memory import MainMemory, as_address
 from .prefetch import PrefetchConfig, PrefetchingCache, PrefetchStats
@@ -9,7 +9,6 @@ __all__ = [
     "BankedMemory",
     "CacheStats",
     "DataCache",
-    "FaultyMemory",
     "MainMemory",
     "MemoryStats",
     "PrefetchConfig",

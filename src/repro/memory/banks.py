@@ -22,7 +22,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..config import FaultConfig, MemoryConfig
+from ..config import MemoryConfig
 from .main_memory import MainMemory, as_address
 
 if TYPE_CHECKING:
@@ -51,11 +51,6 @@ class MemoryStats:
 
 class BankedMemory:
     """Cycle-stepped interleaved memory front-end over a MainMemory."""
-
-    #: True on fault-injecting subclasses; the run loops consult this to
-    #: avoid the event-horizon scheduler, whose inlined fast paths bypass
-    #: the overridable ``can_accept``/``try_issue`` pair.
-    fault_injection = False
 
     def __init__(self, storage: MainMemory, config: MemoryConfig):
         self.storage = storage
@@ -195,86 +190,3 @@ class BankedMemory:
         t = self._completions[0][0]
         return t if t > now else now
 
-
-class FaultyMemory(BankedMemory):
-    """Banked memory with deterministic transient-fault injection.
-
-    Two fault classes, both parameterized by :class:`FaultConfig`:
-
-    * **transient rejects** — a hash over ``(address, cycle, seed)``
-      rejects a fraction of requests.  The predicate is evaluated
-      identically in :meth:`can_accept` and :meth:`try_issue`, so the
-      reference components' paired ``can_accept``/``assert try_issue``
-      protocol stays sound.  Requesters simply retry, so this perturbs
-      timing only — functional results are unchanged.
-    * **dropped completions** — the first ``drop_completions`` accepted
-      loads have their in-flight completion silently discarded, leaving a
-      reserved-but-never-filled queue slot.  A correct watchdog then
-      reports a deadlock (``SimulationError``) instead of hanging.
-
-    The event-horizon loop bypasses these overrides (it inlines memory
-    acceptance, and its jumps skip cycles in which the predicate would
-    change its verdict), so the run loops downgrade to ``naive``
-    whenever :attr:`fault_injection` is set.
-    """
-
-    fault_injection = True
-
-    def __init__(self, storage: MainMemory, config: MemoryConfig,
-                 faults: FaultConfig):
-        super().__init__(storage, config)
-        self.faults = faults
-        self.injected_rejects = 0
-        self.dropped_completions = 0
-        self._drop_budget = faults.drop_completions
-
-    def _fault_reject(self, a: int, now: int) -> bool:
-        """Deterministic per-(address, cycle) reject predicate."""
-        p = self.faults.reject_prob
-        if p <= 0.0:
-            return False
-        h = (a * 2654435761 + now * 40503 + self.faults.seed * 97) & 0xFFFFFFFF
-        h ^= h >> 16
-        h = (h * 0x45D9F3B) & 0xFFFFFFFF
-        h ^= h >> 16
-        return h / 2.0 ** 32 < p
-
-    def can_accept(self, addr, now: int) -> bool:
-        if self._fault_reject(as_address(addr), now):
-            # counted here as well as in try_issue: protocol-following
-            # requesters poll can_accept and never reach try_issue when
-            # the fault fires (one poll per requester per cycle, so the
-            # count tracks injected stall decisions)
-            self.injected_rejects += 1
-            return False
-        return super().can_accept(addr, now)
-
-    def try_issue(
-        self,
-        addr,
-        now: int,
-        *,
-        is_write: bool = False,
-        value: float | None = None,
-        queue: OperandQueue | None = None,
-        slot: _Slot | None = None,
-    ) -> bool:
-        if self._fault_reject(as_address(addr), now):
-            self.injected_rejects += 1
-            return False
-        accepted = super().try_issue(
-            addr, now, is_write=is_write, value=value, queue=queue, slot=slot
-        )
-        if accepted and queue is not None and self._drop_budget > 0:
-            # Discard the completion just scheduled (seq == self._seq);
-            # its reserved queue slot will never fill.
-            for i, entry in enumerate(self._completions):
-                if entry[1] == self._seq:
-                    last = self._completions.pop()
-                    if i < len(self._completions):
-                        self._completions[i] = last
-                    heapq.heapify(self._completions)
-                    break
-            self._drop_budget -= 1
-            self.dropped_completions += 1
-        return accepted

@@ -25,7 +25,6 @@ from dataclasses import fields, is_dataclass
 
 from ..config import (
     CacheConfig,
-    FaultConfig,
     MemoryConfig,
     PrefetchConfig,
     QueueConfig,
@@ -50,7 +49,6 @@ _NESTED: dict[tuple[type, str], type] = {
     (Job, "memory_config"): MemoryConfig,
     (SMAConfig, "memory"): MemoryConfig,
     (SMAConfig, "queues"): QueueConfig,
-    (SMAConfig, "faults"): FaultConfig,
     (SMAConfig, "speculation"): SpeculationConfig,
     (ScalarConfig, "memory"): MemoryConfig,
     (ScalarConfig, "cache"): CacheConfig,

@@ -141,6 +141,19 @@ kernel scale(x[n], y[n]):
         assert totals["operand queues"] == 0.75
         assert totals["other"] == 1.0
 
+    def test_profile_components_name_package_modules(self):
+        """Every source file ``repro profile`` attributes time to is a
+        module of the package: a key naming no file attributes
+        nothing."""
+        from pathlib import Path
+
+        import repro
+        from repro.cli import _PROFILE_COMPONENTS
+
+        modules = {path.name
+                   for path in Path(repro.__file__).parent.rglob("*.py")}
+        assert sorted(set(_PROFILE_COMPONENTS) - modules) == []
+
     def test_experiment_csv(self, capsys, monkeypatch):
         from repro.harness import experiments as exp
         monkeypatch.setitem(
@@ -215,6 +228,18 @@ kernel scale(x[n], y[n]):
         out, err = capsys.readouterr()
         assert out == "" and message in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_inject_fault_refuses_mem_error(self, capsys, monkeypatch,
+                                            tmp_path):
+        """Memory-fault injection is gone: ``mem-error`` is an unknown
+        fault mode, refused before any job runs."""
+        from repro.harness import experiments as exp
+
+        monkeypatch.setattr(exp, "run_jobs", None)  # any call would fail
+        assert main(["experiment", "R-T4", "--cache", str(tmp_path),
+                     "--inject-fault", "mem-error:0.1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unknown fault mode 'mem-error'" in err
 
     def test_experiment_checks_every_id_before_running(self, capsys):
         assert main(["experiment", "R-T4", "R-T99"]) == 2

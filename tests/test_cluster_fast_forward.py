@@ -30,8 +30,7 @@ MIX_KERNELS = ("daxpy", "hydro", "tridiag", "computed_gather", "pic_gather")
 
 
 def _build_cluster(specs, latency, depth, banks, ports=1,
-                   lod_variants=None, speculation=None, faults=None,
-                   issue=1):
+                   lod_variants=None, speculation=None, issue=1):
     """Lower each (kernel, inputs) at a disjoint base and stage data;
     ``lod_variants`` gives one lowering variant per node, ``issue`` is
     each node's ``stream_issue_per_cycle``."""
@@ -60,7 +59,7 @@ def _build_cluster(specs, latency, depth, banks, ports=1,
     cluster = SMACluster(
         [(low.access_program, low.execute_program) for low in lowered],
         SMAConfig(memory=mem, queues=queues, speculation=speculation,
-                  faults=faults, stream_issue_per_cycle=issue),
+                  stream_issue_per_cycle=issue),
     )
     for (kernel, inputs), low in zip(specs, lowered):
         for decl in kernel.arrays:

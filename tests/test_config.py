@@ -7,7 +7,6 @@ import pytest
 
 from repro.config import (
     CacheConfig,
-    FaultConfig,
     MemoryConfig,
     PrefetchConfig,
     QueueConfig,
@@ -19,7 +18,7 @@ from repro.config import (
 )
 
 CONFIGS = (MemoryConfig, QueueConfig, CacheConfig, PrefetchConfig,
-           FaultConfig, SpeculationConfig, SMAConfig, ScalarConfig)
+           SpeculationConfig, SMAConfig, ScalarConfig)
 
 
 @pytest.mark.parametrize("cls, name", [
@@ -39,6 +38,26 @@ def test_int_fields_refuse_non_ints(cls, name):
             cls(**{name: bad})
     value = getattr(cls(**{name: np.int64(default)}), name)
     assert type(value) is int and value == default
+
+
+@pytest.mark.parametrize("cls, name", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in CONFIGS for f in fields(cls)
+    if f.type in ("float", "float | None")
+])
+def test_float_fields_store_ints_as_floats(cls, name):
+    """An int (builtin or numpy) in a field declared ``float`` is stored
+    as the float it equals, so ``1``, ``1.0`` and ``np.int64(1)`` make
+    one config and one ``repr``; a bool or a string is a ``ValueError``
+    naming the field."""
+    want = cls(**{name: 1.0})
+    for same in (1, np.int64(1), np.float64(1.0)):
+        got = cls(**{name: same})
+        assert type(getattr(got, name)) is float
+        assert got == want and repr(got) == repr(want)
+    for bad in (True, False, "1", "1.0"):
+        with pytest.raises(ValueError, match=f"{cls.__name__} {name} "):
+            cls(**{name: bad})
 
 
 class TestMemoryConfig:

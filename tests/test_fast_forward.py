@@ -39,7 +39,7 @@ SUITE_REPS = ("daxpy", "hydro", "tridiag", "computed_gather", "pic_gather")
 
 
 def _machine(kernel, inputs, latency, depth, banks, lod_variant=None,
-             speculation=None, faults=None, issue=1, accepts=1):
+             speculation=None, issue=1, accepts=1):
     """``issue`` is the stream engine's ``stream_issue_per_cycle``,
     ``accepts`` the memory's ``accepts_per_cycle``."""
     lowered = lower_sma(kernel, lod_variant=lod_variant)
@@ -55,8 +55,7 @@ def _machine(kernel, inputs, latency, depth, banks, lod_variant=None,
     )
     cfg = SMAConfig(
         memory=_fit_memory(mem, lowered.layout), queues=queues,
-        speculation=speculation, faults=faults,
-        stream_issue_per_cycle=issue,
+        speculation=speculation, stream_issue_per_cycle=issue,
     )
     machine = SMAMachine(
         lowered.access_program, lowered.execute_program, cfg

@@ -18,7 +18,6 @@ import pytest
 
 from repro.config import (
     CacheConfig,
-    FaultConfig,
     MemoryConfig,
     PrefetchConfig,
     QueueConfig,
@@ -290,8 +289,6 @@ class TestHarnessRegressions:
                                transfer_cycles=3)),
             (PrefetchConfig, dict(policy="obl", table_size=8, degree=2,
                                   stale_after=100)),
-            (FaultConfig, dict(reject_prob=0.25, drop_completions=1,
-                               seed=9)),
             (SpeculationConfig, dict(accuracy=0.75, mode="coin",
                                      max_depth=3, rollback_penalty=5,
                                      seed=2)),
@@ -307,7 +304,6 @@ class TestHarnessRegressions:
             SMAConfig: lambda i: dict(
                 memory=built[MemoryConfig][i],
                 queues=built[QueueConfig][i],
-                faults=built[FaultConfig][i],
                 speculation=built[SpeculationConfig][i],
             ),
             ScalarConfig: lambda i: dict(
@@ -618,7 +614,7 @@ def test_suite_refuses_an_unknown_id_before_running(monkeypatch):
 #: is the job part of every result-cache key, so this moves only when
 #: every cached suite result is invalidated.
 SUITE_JOB_REPRS_SHA256 = (
-    "9a4fabd7b6335885e4c5d5cbc996e1a813ff9bc1aef544337b81cfb8312986ec"
+    "2774cc30a215996aaf165acdf97c25b767f9a71a1549956e2cf59fe555a75063"
 )
 
 

@@ -128,6 +128,10 @@ class TestProtocol:
          "SMAConfig num_load_queues must be an int"),
         ({"sma_config": {"max_streams": True}},
          "SMAConfig max_streams must be an int"),
+        ({"sma_config": {"speculation": {"accuracy": True}}},
+         "SpeculationConfig accuracy must be a float"),
+        ({"sma_config": {"faults": None}},
+         "unknown SMAConfig field(s): ['faults']"),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else "")
     def test_malformed_spec_refused(self, change, message):
         spec = dict(job_to_spec(Job("sma", "daxpy", 64)), **change)
@@ -228,8 +232,9 @@ class TestProtocol:
         """A suite spec with one field dropped, one unknown field added or
         one field set to a random JSON value either raises
         :class:`ProtocolError` or decodes to jobs that round-trip through
-        strict JSON, hold an int in every field declared ``int`` and stay
-        within every cap.  No job runs."""
+        strict JSON, hold an int in every field declared ``int`` and a
+        float in every field declared ``float``, and stay within every
+        cap.  No job runs."""
         spec = copy.deepcopy(data.draw(st.sampled_from(_suite_specs())))
         node = data.draw(st.sampled_from(_objects(spec)))
         action = data.draw(st.sampled_from(("drop", "add", "set")))
@@ -251,7 +256,7 @@ class TestProtocol:
         for job in jobs:
             text = json.dumps(job_to_spec(job), allow_nan=False)
             assert job_from_spec(json.loads(text)) == job
-            _assert_ints_within_caps(job)
+            _assert_typed_within_caps(job)
 
 
 @lru_cache(maxsize=None)
@@ -290,15 +295,20 @@ _JSON_VALUES = st.one_of(
 )
 
 
-def _assert_ints_within_caps(obj) -> None:
+def _assert_typed_within_caps(obj) -> None:
     """Every field of the dataclass tree ``obj`` declared ``int`` holds
-    an int, and every capped field is within :data:`CAPS`."""
+    an int, every field declared ``float`` a float, and every capped
+    field is within :data:`CAPS`."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if is_dataclass(value):
-            _assert_ints_within_caps(value)
-        if f.type == "int" or (f.type == "int | None" and value is not None):
-            assert type(value) is int, (type(obj).__name__, f.name, value)
+            _assert_typed_within_caps(value)
+        declared = f.type.removesuffix(" | None")
+        if declared in ("int", "float") and not (
+            value is None and f.type.endswith("| None")
+        ):
+            assert type(value).__name__ == declared, \
+                (type(obj).__name__, f.name, value)
         cap = CAPS.get((type(obj), f.name))
         if cap is not None and value is not None:
             assert value <= cap, (type(obj).__name__, f.name, value)
@@ -733,17 +743,36 @@ class TestServiceEndToEnd:
         floats = [dict(good, sma_config=config) for config in (
             {"memory": {"latency": 2.5}}, {"num_load_queues": 8.0},
         )]
+        # a bool in a config's float field
+        flag = dict(good, sma_config={"speculation": {"accuracy": True}})
         replies, known, stats = self._post_beside_a_good_spec(
-            tmp_path, malformed + floats)
+            tmp_path, malformed + floats + [flag])
         for spec, (code, reply) in zip(malformed, replies):
             assert code == 400 and "invalid Job spec" in reply["error"], \
                 spec
         for spec, (code, reply) in zip(floats, replies[len(malformed):]):
             assert code == 400 and "must be an int" in reply["error"], spec
+        code, reply = replies[-1]
+        assert code == 400 and "must be a float" in reply["error"]
         # a refused payload queues none of its jobs, not even the good one
         assert known is None
         assert stats["sweep"]["executed"] == 0
         assert stats["store"]["results"] == 0
+
+    def test_faults_field_answers_400(self, tmp_path):
+        """``SMAConfig`` has no ``faults`` field: a spec that carries
+        one, null or an object, is refused as an unknown field."""
+        good = job_to_spec(Job("sma", "daxpy", 32))
+        faulted = [dict(good, sma_config={"faults": faults})
+                   for faults in (None, {"reject_prob": 0.1})]
+        replies, known, stats = self._post_beside_a_good_spec(
+            tmp_path, faulted)
+        for spec, (code, reply) in zip(faulted, replies):
+            assert code == 400, spec
+            assert "unknown SMAConfig field(s): ['faults']" in \
+                reply["error"], spec
+        assert known is None
+        assert stats["sweep"]["executed"] == 0
 
     def test_over_cap_specs_answer_400_before_queueing(self, tmp_path):
         """The resource probe's oversized specs never reach a worker."""
