@@ -34,10 +34,7 @@ log-spaced latencies 1..512, 3200 distinct timing configurations of one
 kernel.  This is the regime the batch engine exists for: the scalar
 path simulates every point on its own, while the batch engine steps all
 lanes in lockstep; the cost per sweep point must be at least
-:data:`BATCH_FLOOR` x lower.  The same grid sharded over ``workers=2``
-processes is recorded with the host core count (on a single-core host
-sharding cannot beat the in-driver run, so its scaling floor only
-applies on multi-core hosts).
+:data:`BATCH_FLOOR` x lower.
 All sweeps record their throughput in ``BENCH_sim_throughput.json``
 (uploaded by CI, gated by ``scripts/check_bench_floor.py``).  Run
 with::
@@ -187,11 +184,6 @@ BATCH_SUBSAMPLE = 47
 #: gated.
 BATCH_FLOOR = 8.0
 
-#: shard fan-out recorded by the batch regime; the scaling floor below
-#: only binds on hosts with at least this many cores
-BATCH_SHARD_WORKERS = 2
-BATCH_SHARD_FLOOR = 1.2
-
 
 def _build_sma(name: str, latency: int, n: int) -> SMAMachine:
     kernel, inputs = get_kernel(name).instantiate(n)
@@ -283,17 +275,12 @@ def _build_sma_from_config(name: str, cfg: SMAConfig, n: int) -> SMAMachine:
 def _batch_comparison(latencies=BATCH_LATENCIES,
                       depths=BATCH_QUEUE_DEPTHS,
                       n=BATCH_N, repeats=2,
-                      subsample=BATCH_SUBSAMPLE,
-                      shard_workers=BATCH_SHARD_WORKERS) -> dict:
+                      subsample=BATCH_SUBSAMPLE) -> dict:
     """Race the SoA batch engine against per-point event-horizon runs on
-    the fine grid, and against itself sharded over ``shard_workers``
-    processes.  The batch engine runs the whole grid, in the driver and
-    sharded, timed interleaved within each repeat round so a noise
-    spike on a shared host degrades both; the scalar path runs a
-    stratified subsample, one ``machine.run()`` per point with
-    construction outside the timed region.  Asserts the sharded run
-    equals the in-driver run on every grid point, and the subsample's
-    cycle counts are identical across the engines."""
+    the fine grid.  The batch engine runs the whole grid; the scalar
+    path runs a stratified subsample, one ``machine.run()`` per point
+    with construction outside the timed region.  Asserts the
+    subsample's cycle counts are identical across the engines."""
     from repro.batch import run_batch
     from repro.harness.jobs import BatchJob
 
@@ -301,26 +288,15 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
         BATCH_KERNEL, n, latencies=latencies, queue_depths=depths
     ).expand()
 
-    best_batch = best_shard = None
+    best_batch = None
     batch_results: dict = {}
-    shard_results: dict = {}
     for _ in range(repeats):
         start = time.perf_counter()
         batch_results = run_batch(jobs)
         elapsed = time.perf_counter() - start
         if best_batch is None or elapsed < best_batch:
             best_batch = elapsed
-        # pool spawn is part of the timed region: a real sweep pays it
-        # once per run
-        start = time.perf_counter()
-        shard_results = run_batch(jobs, workers=shard_workers)
-        elapsed = time.perf_counter() - start
-        if best_shard is None or elapsed < best_shard:
-            best_shard = elapsed
     assert len(batch_results) == len(jobs)
-    assert shard_results == batch_results, (
-        "sharded batch run disagrees with the in-driver run"
-    )
 
     sample = list(range(0, len(jobs), subsample))
     best_point = None
@@ -342,7 +318,6 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
         )
 
     batch_pps = len(jobs) / best_batch
-    shard_pps = len(jobs) / best_shard
     point_pps = len(sample) / best_point
     return {
         "kernel": BATCH_KERNEL,
@@ -358,15 +333,6 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
             "points_per_sec": round(batch_pps, 1),
             "note": "specialized lane stepper + saturation collapse",
         },
-        "batch_sharded": {
-            "points": len(jobs),
-            "workers": shard_workers,
-            "cpu_count": os.cpu_count() or 1,
-            "seconds": round(best_shard, 6),
-            "points_per_sec": round(shard_pps, 1),
-            "note": "pool spawn included; on a single-core host "
-                    "sharding cannot beat the in-driver run",
-        },
         "event-horizon": {
             "points": len(sample),
             "seconds": round(best_point, 6),
@@ -376,7 +342,6 @@ def _batch_comparison(latencies=BATCH_LATENCIES,
         },
         "ratios": {
             "batch_vs_event_horizon": round(batch_pps / point_pps, 2),
-            "sharded_vs_inline": round(shard_pps / batch_pps, 2),
         },
     }
 
@@ -390,7 +355,7 @@ def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
     """Run both shoot-out sweeps and package the numbers for
     ``BENCH_sim_throughput.json``: the low-latency regime (where the
     event-horizon floor is asserted) and the fine-grid batch regime
-    (where the batch and shard-scaling floors are asserted)."""
+    (where the batch floor is asserted)."""
     return {
         "benchmark": "bench_sim_throughput/scheduler_comparison",
         "sweeps": {
@@ -405,7 +370,6 @@ def run_scheduler_comparison(scheduler_latencies=SCHEDULER_LATENCIES,
         "floors": {
             "event_horizon_vs_naive": EVENT_HORIZON_FLOOR,
             "batch_vs_event_horizon": BATCH_FLOOR,
-            "sharded_vs_inline_multicore": BATCH_SHARD_FLOOR,
             "smoke_event_horizon_vs_naive": SMOKE_FLOOR,
         },
     }
@@ -423,7 +387,7 @@ def _print_comparison(data: dict) -> None:
                   f"n={sweep['n']}, {grid['latencies']} latencies x "
                   f"{grid['queue_depths']} queue depths = "
                   f"{grid['points']} points)")
-            for engine in ("batch", "batch_sharded", "event-horizon"):
+            for engine in ("batch", "event-horizon"):
                 row = sweep[engine]
                 print(f"  {engine:<14}: {row['points_per_sec']:12.1f} "
                       f"points/s ({row['points']} points, "
@@ -431,9 +395,6 @@ def _print_comparison(data: dict) -> None:
             ratios = sweep["ratios"]
             print(f"  batch vs event-horizon      : "
                   f"{ratios['batch_vs_event_horizon']:.2f}x")
-            print(f"  sharded vs in-driver        : "
-                  f"{ratios['sharded_vs_inline']:.2f}x "
-                  f"({sweep['batch_sharded']['cpu_count']} core(s))")
             continue
         print(f"R-F1 {label} shoot-out (latencies "
               f"{tuple(sweep['latencies'])}, n={sweep['n']}, best of "
@@ -465,10 +426,6 @@ def test_scheduler_throughput(capsys):
     # the fine grid
     assert data["sweeps"]["batch"]["ratios"][
         "batch_vs_event_horizon"] >= BATCH_FLOOR
-    # the shard scaling floor only binds where shards get real cores
-    if (os.cpu_count() or 1) >= BATCH_SHARD_WORKERS:
-        assert data["sweeps"]["batch"]["ratios"][
-            "sharded_vs_inline"] >= BATCH_SHARD_FLOOR
 
 
 def main(argv=None) -> int:

@@ -3,18 +3,12 @@
 
 Runs a small latency x queue-depth grid of three kernels — a pure
 streaming kernel, a loss-of-decoupling recurrence, and a computed
-gather — through the batch engine with per-lane output verification
-armed, two ways:
-
-* in the driver (the program-specialized lane stepper with saturation
-  collapse, the default dispatch path), and
-* sharded over two worker processes (``workers=2``).
-
-Both must produce bit-identical result dicts for every grid point, and
-every lane is additionally re-executed on the per-point path and
-required to match the *full result dict* exactly: cycles, instruction
-counts, every stall bucket (keys, order, counts), memory traffic, and
-occupancy statistics.
+gather — through the batch engine (the program-specialized lane stepper
+with saturation collapse) with per-lane output verification armed.
+Every lane must run, and every lane is re-executed on the per-point
+path and required to match the *full result dict* exactly: cycles,
+instruction counts, every stall bucket (keys, order, counts), memory
+traffic, and occupancy statistics.
 
 Exit status is non-zero on any divergence, so the workflow fails
 loudly if the lockstep engine ever drifts from the per-point path.
@@ -53,16 +47,6 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    # the sharded run must be indistinguishable from the in-driver run
-    # on every grid point, not just a subsample
-    sharded = run_batch(jobs, workers=2)
-    bad = [i for i in results if sharded.get(i) != results[i]]
-    if bad:
-        print(f"FAIL: sharded (workers=2) batch run diverges from the "
-              f"in-driver run at lanes {bad[:8]}"
-              f"{'...' if len(bad) > 8 else ''}", file=sys.stderr)
-        return 1
-
     mismatches = 0
     for i, job in enumerate(jobs):
         want = run_job(job)
@@ -81,9 +65,8 @@ def main() -> int:
         return 1
     print(f"batch smoke OK: {len(jobs)} lanes run "
           f"({len(KERNELS)} kernels x {len(LATENCIES)} latencies x "
-          f"{len(QUEUE_DEPTHS)} depths, outputs verified) in-driver and "
-          f"sharded (bit-identical), every lane re-checked bit-exact "
-          f"against the per-point path")
+          f"{len(QUEUE_DEPTHS)} depths, outputs verified), every lane "
+          f"re-checked bit-exact against the per-point path")
     return 0
 
 

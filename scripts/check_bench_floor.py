@@ -14,8 +14,7 @@ falls below its floor.  The floor lives in the JSON itself
 laxer than the full-benchmark assertion so shared CI runners don't
 flake) so benchmark and gate can never disagree about the contract.
 The SoA batch engine's points/second against per-point event-horizon
-runs, and sharded against in-driver batch runs, are validated for shape
-and printed for information only.
+runs is validated for shape and printed for information only.
 
 Exit status is non-zero on a miss, a malformed file, or implausible
 numbers (schedulers disagreeing on simulated cycles), so the workflow
@@ -69,9 +68,9 @@ def _check_sweep(label: str, sweep: dict) -> list[str]:
 
 def _check_batch_sweep(sweep: dict) -> list[str]:
     """Validate the fine-grid batch section (its shape differs from the
-    scheduler shoot-outs: three engine rows, point counts, points/s)."""
+    scheduler shoot-outs: two engine rows, point counts, points/s)."""
     problems: list[str] = []
-    for engine in ("batch", "batch_sharded", "event-horizon"):
+    for engine in ("batch", "event-horizon"):
         row = sweep.get(engine)
         if not isinstance(row, dict):
             problems.append(f"batch: missing engine entry {engine!r}")
@@ -83,13 +82,11 @@ def _check_batch_sweep(sweep: dict) -> list[str]:
                     f"batch: {engine}.{field} missing or non-positive"
                 )
     grid_points = sweep.get("grid", {}).get("points")
-    if not problems:
-        for engine in ("batch", "batch_sharded"):
-            if sweep[engine]["points"] != grid_points:
-                problems.append(
-                    f"batch: {engine} did not cover the full grid: "
-                    f"{sweep[engine]['points']} != {grid_points}"
-                )
+    if not problems and sweep["batch"]["points"] != grid_points:
+        problems.append(
+            f"batch: the batch engine did not cover the full grid: "
+            f"{sweep['batch']['points']} != {grid_points}"
+        )
     return problems
 
 
@@ -143,13 +140,6 @@ def check(path: Path) -> list[str]:
     print(f"batch vs per-point event-horizon: {ratio:.2f}x points/s on "
           f"the fine grid ({batch_sweep['grid']['points']} points) — "
           "informational; gated only by the full benchmark")
-    sharded = batch_sweep["batch_sharded"]
-    shard_ratio = (sharded["points_per_sec"]
-                   / batch_sweep["batch"]["points_per_sec"])
-    print(f"sharded (workers={sharded.get('workers')}) vs in-driver: "
-          f"{shard_ratio:.2f}x points/s on {sharded.get('cpu_count')} "
-          "core(s) — informational; gated only by the full benchmark "
-          "on multi-core hosts")
     return problems
 
 

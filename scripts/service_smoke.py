@@ -47,7 +47,6 @@ import sys
 import tempfile
 import threading
 import time
-import urllib.request
 from pathlib import Path
 
 try:

@@ -164,7 +164,7 @@ def main() -> int:
               "different predictor seed, same (correct) outputs")
 
         perfect = _run(name, variant,
-                       SpeculationConfig(mode="perfect", max_depth=16),
+                       SpeculationConfig(accuracy=1.0, max_depth=16),
                        args.n)
         check(perfect.result.lod_stall_cycles
               <= 0.1 * plain.result.lod_stall_cycles,
@@ -175,7 +175,7 @@ def main() -> int:
               "perfect-predictor outputs word-exact")
 
         for label, speculation in (
-            ("perfect", SpeculationConfig(mode="perfect", max_depth=16)),
+            ("perfect", SpeculationConfig(accuracy=1.0, max_depth=16)),
             ("coin-0.5", coin),
         ):
             same, default_calls, naive_calls = _default_matches_naive(

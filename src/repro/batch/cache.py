@@ -96,11 +96,6 @@ def clear_cache() -> None:
     stats.evictions = stats.unsupported = 0
 
 
-def cached_artifacts() -> list[LaneArtifact]:
-    """Current cache contents, least- to most-recently used."""
-    return list(_CACHE.values())
-
-
 def get_or_compile(engine) -> LaneArtifact | None:
     """Return the compiled lane stepper for ``engine``'s program pair,
     emitting and compiling on first use; ``None`` when the program

@@ -322,82 +322,22 @@ def _run_collapsed(configs, build_engine, source) -> None:
                 source[m] = (outcome, lanes[probe])
 
 
-def run_batch(
-    jobs: list[Job],
-    *,
-    workers: int = 1,
-    on_result=None,
-) -> dict[int, dict]:
-    """Run every eligible job in ``jobs`` through the batch engine.
+def run_batch(jobs: list[Job], *, on_result=None) -> dict[int, dict]:
+    """Run every eligible job in ``jobs`` through the batch engine, one
+    lane group after another in this process.
 
     Returns ``{index: result_dict}`` for the jobs that ran; indices not
     in the mapping were ineligible or in a lane group whose program the
     batch emitter refuses, and belong on the per-point path.
-
-    ``workers > 1`` shards lane groups across a fingerprint-seeded
-    :class:`~concurrent.futures.ProcessPoolExecutor` (the same worker
-    bootstrap the scalar sweep pool uses), splitting each group into
-    per-worker sub-batches along saturation-class boundaries so the
-    collapse planner keeps one probe per class.  ``on_result(index,
-    result)``, when given, is invoked as each job's result lands
-    (driver process), letting callers flush incrementally in both
-    modes.
+    ``on_result(index, result)``, when given, is invoked as each job's
+    result lands, letting callers flush incrementally.
     """
     out: dict[int, dict] = {}
-
-    def land(idx: int, res: dict) -> None:
-        out[idx] = res
-        if on_result is not None:
-            on_result(idx, res)
-
-    groups = plan_groups(jobs)
-    if workers <= 1:
-        for group in groups:
-            for idx, res in zip(
-                group, run_group([jobs[i] for i in group]) or ()
-            ):
-                land(idx, res)
-        return out
-
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    from ..harness.parallel import _pool_init, code_fingerprint
-
-    shards: list[list[int]] = []
-    for group in groups:
-        shards.extend(_shard_group(jobs, group, workers))
-    if not shards:
-        return out
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(shards)),
-        initializer=_pool_init,
-        initargs=(None, code_fingerprint()),
-    ) as pool:
-        futures = {
-            pool.submit(run_group, [jobs[i] for i in shard]): shard
-            for shard in shards
-        }
-        for future in as_completed(futures):
-            shard = futures[future]
-            for idx, res in zip(shard, future.result() or ()):
-                land(idx, res)
+    for group in plan_groups(jobs):
+        for idx, res in zip(
+            group, run_group([jobs[i] for i in group]) or ()
+        ):
+            out[idx] = res
+            if on_result is not None:
+                on_result(idx, res)
     return out
-
-
-def _shard_group(
-    jobs: list[Job], group: list[int], workers: int
-) -> list[list[int]]:
-    """Split one lane group into at most ``workers`` sub-batches,
-    keeping each saturation class whole so sharding never costs the
-    collapse planner a probe."""
-    if len(group) <= 1 or workers <= 1:
-        return [group]
-    classes: dict[tuple, list[int]] = {}
-    for i in group:
-        key = _residual_key(_effective_config(jobs[i]))
-        classes.setdefault(key, []).append(i)
-    buckets: list[list[int]] = [[] for _ in range(workers)]
-    # largest classes first, always into the lightest bucket
-    for members in sorted(classes.values(), key=len, reverse=True):
-        min(buckets, key=len).extend(members)
-    return [b for b in buckets if b]

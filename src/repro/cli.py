@@ -57,11 +57,10 @@ Commands
     numpy lanes in one process.  Eligible lane groups run through the
     program-specialized batch codegen stepper (saturation-collapsed,
     bit-identical to the per-point path; see ``repro.batch.emitter``),
-    a program the emitter refuses runs per point, and
-    ``--batch-workers N`` shards the lane groups over N worker
-    processes.  Grid axes take comma-separated values
-    and inclusive ``LO-HI`` ranges (``--latencies 1,2,4-8``); output is
-    one CSV row per grid point, with a points/second summary on stderr.
+    and a program the emitter refuses runs per point.  Grid axes take
+    comma-separated values and inclusive ``LO-HI`` ranges
+    (``--latencies 1,2,4-8``); output is one CSV row per grid point,
+    with a points/second summary on stderr.
 
 ``report KERNEL``
     Where did every cycle go?  Runs the kernel on both machines with the
@@ -387,8 +386,7 @@ def cmd_batch(args) -> int:
     jobs = batch_job.expand()
     start = time.perf_counter()
     with harness_policy() as stats:
-        results = run_jobs(jobs, cache_dir=args.cache, backend="batch",
-                           batch_workers=args.batch_workers)
+        results = run_jobs(jobs, cache_dir=args.cache, backend="batch")
     wall = time.perf_counter() - start
     print("latency,queue_depth,banks,cycles,memory_reads,memory_writes,"
           "mean_outstanding_loads")
@@ -743,12 +741,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch.add_argument("--cache", default=None, metavar="DIR",
                          help="flush per-point results under DIR (same "
                               "keys as the scalar path)")
-    p_batch.add_argument("--batch-workers", type=int, default=1,
-                         metavar="N",
-                         help="shard the grid's lane groups over N "
-                              "worker processes (split along "
-                              "saturation-class lines; default 1 runs "
-                              "everything in the driver process)")
 
     p_report = sub.add_parser(
         "report",

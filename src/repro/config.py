@@ -245,13 +245,9 @@ class SpeculationConfig:
     #: probability in [0, 1] that any given prediction is correct.  The
     #: predictor is deterministic per (pc, episode, seed): the same run
     #: always predicts the same way.  ``0.0`` never speculates at all
-    #: (bit-identical to a non-speculative machine); ``1.0`` is a
-    #: perfect oracle.
+    #: (bit-identical to a non-speculative machine, while keeping the
+    #: config present); ``1.0`` is a perfect oracle.
     accuracy: float = 1.0
-    #: oracle mode shortcut: ``"coin"`` uses :attr:`accuracy`,
-    #: ``"perfect"`` forces every prediction correct, ``"never"``
-    #: disables speculation while keeping the config present.
-    mode: str = "coin"
     #: maximum simultaneously outstanding speculative frames (nested
     #: speculation depth).  Swept by experiment R-F9.
     max_depth: int = 4
@@ -265,11 +261,6 @@ class SpeculationConfig:
         canonicalize(self)
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError("accuracy must be in [0, 1]")
-        if self.mode not in ("coin", "perfect", "never"):
-            raise ValueError(
-                f"unknown speculation mode {self.mode!r}; "
-                "known: 'coin', 'perfect', 'never'"
-            )
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         if self.rollback_penalty < 0:
@@ -278,9 +269,7 @@ class SpeculationConfig:
     @property
     def enabled(self) -> bool:
         """Whether this configuration can ever open a speculative frame."""
-        return self.mode != "never" and (
-            self.mode == "perfect" or self.accuracy > 0.0
-        )
+        return self.accuracy > 0.0
 
 
 @dataclass(frozen=True)

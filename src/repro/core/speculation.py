@@ -19,10 +19,9 @@ Mechanism
   (obtained from an *oracle pre-run*: a non-speculative clone of the
   machine executed once up front, with taps recording every EAQ/EBQ pop
   value in order); an incorrect one supplies a deliberately wrong value
-  (flipped branch direction / perturbed address).  ``accuracy=0`` or
-  ``mode="never"`` never opens a frame, so such runs are bit-identical
-  to a non-speculative machine; ``mode="perfect"`` always predicts
-  correctly.
+  (flipped branch direction / perturbed address).  ``accuracy=0``
+  never opens a frame, so such runs are bit-identical to a
+  non-speculative machine; ``accuracy=1`` always predicts correctly.
 
 * **Frames.**  Each speculation pushes a frame recording the AP shadow
   state (registers, pc), the pop-sequence cursor, the coin verdict, and
@@ -342,7 +341,7 @@ class SpeculationEngine:
     def _coin(self, pc: int) -> bool:
         """Deterministic per-(pc, episode, seed) correctness verdict."""
         cfg = self.config
-        if cfg.mode == "perfect" or cfg.accuracy >= 1.0:
+        if cfg.accuracy >= 1.0:
             return True
         n = self.stats.predictions  # 1-based episode counter
         h = (pc * 2654435761 + n * 40503 + cfg.seed * 97) & 0xFFFFFFFF

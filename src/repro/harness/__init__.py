@@ -15,7 +15,7 @@ lazy_package(__name__, {
                   "code_fingerprint", "harness_policy", "run_jobs",
                   "set_policy"),
     ".runner": ("ComparisonRun", "KernelRun", "compare_spec",
-                "run_on_scalar", "run_on_sma", "run_spec_reference"),
+                "run_on_scalar", "run_on_sma"),
     ".tables": ("Table",),
 })
 
@@ -37,7 +37,6 @@ __all__ = [
     "run_jobs",
     "run_on_scalar",
     "run_on_sma",
-    "run_spec_reference",
     "run_suite",
     "set_policy",
 ]

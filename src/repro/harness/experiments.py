@@ -784,7 +784,7 @@ def fig9_spec_depth(
             joblist.append(
                 Job("sma", name, n, lod_variant=variant, check=True,
                     sma_config=_spec_sma(
-                        SpeculationConfig(mode="perfect", max_depth=depth)))
+                        SpeculationConfig(max_depth=depth)))
             )
     results = yield joblist
     stride = len(depths) + 1

@@ -15,10 +15,16 @@ recover from.  A :class:`FaultSpec` names one failure mode:
 ``driver-kill:k``
     SIGKILL the sweep driver after ``k`` cache flushes — the
     kill-resume scenario (``--resume`` must finish with only the
-    unflushed jobs re-executed).
+    unflushed jobs re-executed).  ``k`` is a whole number >= 1, and 1
+    when omitted.
 ``sleep:s``
     The next job to start sleeps ``s`` seconds first, for exercising
-    the per-job timeout path deterministically.
+    the per-job timeout path deterministically.  ``s`` is finite and
+    >= 0, and 0 when omitted.
+
+The first two modes take no value.  :class:`FaultSpec` refuses an
+unknown mode and a malformed value alike, as a ``ValueError`` raised
+when the spec is built, so ``--inject-fault`` exits before any job runs.
 
 Every mode fires exactly once per sweep, in the harness around the
 simulator: a fault never reaches a machine, so no job's spec, cache key
@@ -30,6 +36,7 @@ skips.  Without a token path the mode fires once per process.
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import time
@@ -46,8 +53,11 @@ __all__ = [
 ]
 
 #: recognized fault modes (``driver-kill`` and ``sleep`` take a
-#: ``:value`` argument)
+#: ``:value`` argument, the others none)
 MODES = ("worker-kill", "cache-corrupt", "driver-kill", "sleep")
+
+#: the value ``driver-kill`` and ``sleep`` take when none is given
+_DEFAULT_VALUE = {"driver-kill": 1.0, "sleep": 0.0}
 
 
 @dataclass(frozen=True)
@@ -55,27 +65,53 @@ class FaultSpec:
     """One parsed ``--inject-fault`` request."""
 
     mode: str
-    value: float = 0.0
+    #: ``driver-kill``'s flush count or ``sleep``'s seconds, stored as
+    #: the mode's default when omitted; ``None`` for the modes that
+    #: take no value
+    value: float | None = None
     #: shared once-only token file (see module docstring); created with
     #: ``O_CREAT | O_EXCL`` by whichever process fires the fault first.
     token_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in MODES:
+        mode, value = self.mode, self.value
+        if mode not in MODES:
             raise ValueError(
-                f"unknown fault mode {self.mode!r}; known: "
-                + ", ".join(MODES)
+                f"unknown fault mode {mode!r}; known: " + ", ".join(MODES)
             )
+        if mode not in _DEFAULT_VALUE:
+            if value is not None:
+                raise ValueError(
+                    f"fault mode {mode!r} takes no value; got {value!r}"
+                )
+            return
+        if value is None:
+            value = _DEFAULT_VALUE[mode]
+        if not math.isfinite(value) or value < 0:
+            raise ValueError(
+                f"fault mode {mode!r} needs a finite value >= 0; "
+                f"got {value!r}"
+            )
+        if mode == "driver-kill" and (value < 1 or value != int(value)):
+            raise ValueError(
+                "fault mode 'driver-kill' needs a whole number of "
+                f"flushes >= 1; got {value!r}"
+            )
+        object.__setattr__(self, "value", float(value))
 
     @classmethod
     def parse(cls, text: str, token_path: str | None = None) -> "FaultSpec":
         """Parse CLI syntax: ``mode`` or ``mode:value``."""
-        mode, _, arg = text.partition(":")
-        if mode not in MODES:
+        mode, colon, arg = text.partition(":")
+        if not colon:
+            return cls(mode, None, token_path)
+        try:
+            value = float(arg)
+        except ValueError:
             raise ValueError(
-                f"unknown fault mode {mode!r}; known: {', '.join(MODES)}"
-            )
-        return cls(mode, float(arg) if arg else 0.0, token_path)
+                f"fault value {arg!r} in {text!r} is not a number"
+            ) from None
+        return cls(mode, value, token_path)
 
 
 #: the fault spec active in *this* process; pool workers get it via the
@@ -88,7 +124,7 @@ _fired: set[str] = set()
 
 def install(spec: Optional[FaultSpec]) -> Optional[FaultSpec]:
     """Set the process-wide active fault spec; returns the previous one.
-    Used directly as a ``ProcessPoolExecutor`` initializer."""
+    Pool workers call it from :func:`repro.harness.parallel._pool_init`."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = spec
@@ -135,8 +171,7 @@ def after_flush(spec: Optional[FaultSpec], path, flushed: int) -> None:
     if spec is None:
         return
     if spec.mode == "driver-kill":
-        threshold = int(spec.value) if spec.value else 1
-        if flushed >= threshold and _claim(spec):
+        if flushed >= spec.value and _claim(spec):
             os.kill(os.getpid(), signal.SIGKILL)
     elif spec.mode == "cache-corrupt":
         if _claim(spec):

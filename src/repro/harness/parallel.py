@@ -266,14 +266,16 @@ def run_jobs(
     :func:`repro.batch.batch_eligible`) through the SoA batch engine in
     the driver process — thousands of timing configurations stepped in
     lockstep — and only the remainder down the local paths above.
-    Batch results are flushed under the same :func:`job_key`, so a
-    cached batch sweep and a cached scalar sweep are interchangeable.
-    ``batch_workers > 1`` additionally shards the batch lane groups
-    across a fingerprint-seeded process pool (one sub-batch per worker,
-    split along saturation-class lines); results are flushed to the
-    cache as each shard lands, so a killed sweep loses at most the
-    in-flight shards.  The engine pays only on lane groups of hundreds
-    of configs of one kernel, as ``repro batch`` builds them.
+    Batch results are flushed under the same :func:`job_key` as each
+    lands, so a cached batch sweep and a cached scalar sweep are
+    interchangeable.  The engine pays only on lane groups of hundreds
+    of configs of one kernel, as ``repro batch`` builds them.  Lane
+    groups always run in this process: ``batch_workers`` takes only 1,
+    and any other value is a ``ValueError`` raised before the cache is
+    probed.  An exception out of the batch engine is deterministic, so
+    it is recorded in :attr:`SweepStats.failures` and raised, never
+    retried per point; every result that landed before it is already
+    flushed.
 
     A policy setting the chosen route would drop is a ``ValueError``,
     raised before the cache is probed: a fault armed for the batch
@@ -293,6 +295,13 @@ def run_jobs(
     if backend not in ("scalar", "batch"):
         raise ValueError(
             f"unknown backend {backend!r}; known: 'scalar', 'batch'"
+        )
+    if batch_workers != 1:
+        raise ValueError(
+            f"batch_workers={batch_workers!r}: lane-group sharding was "
+            "removed, and lane groups always run in the driver, so 1 is "
+            "the only value; use workers=N to fan per-point jobs over a "
+            "pool"
         )
     policy = _POLICY
     _refuse_dropped_settings(policy, backend, workers)
@@ -343,32 +352,12 @@ def run_jobs(
 
         try:
             ran = run_batch(
-                [jobs[i] for i in pending], workers=batch_workers,
-                on_result=land_pending,
+                [jobs[i] for i in pending], on_result=land_pending
             )
-        except (KeyboardInterrupt, SystemExit):
-            raise
         except Exception as exc:
-            # a shard failure (e.g. BrokenProcessPool from a batch
-            # worker) goes through the same charging path as the scalar
-            # pool: record the failure kind, and with retries left fall
-            # back to the scalar path — which carries the full
-            # timeout/retry policy — for whatever has not landed yet
             stats.record_failure(type(exc).__name__)
-            pending = [i for i in pending if results[i] is None]
-            if policy.retries <= 0:
-                raise
-            stats.retried += 1
-            policy = replace(policy, retries=policy.retries - 1)
-            _LOG.warning(
-                "batch backend failed (%s: %s); falling back to the "
-                "scalar path for %d job(s) with %d retrie(s) left",
-                type(exc).__name__, exc, len(pending), policy.retries,
-            )
-        else:
-            pending = [
-                i for pos, i in enumerate(pending) if pos not in ran
-            ]
+            raise
+        pending = [i for pos, i in enumerate(pending) if pos not in ran]
 
     if pending and policy.service_url is not None:
         from ..service.client import ServiceClient

@@ -148,16 +148,6 @@ def run_on_scalar(
     )
 
 
-def run_spec_reference(
-    spec: KernelSpec, n: int | None = None, seed: int = 12345
-) -> dict[str, np.ndarray]:
-    """Golden result of a suite kernel."""
-    from ..kernels import run_reference
-
-    kernel, inputs = spec.instantiate(n, seed)
-    return run_reference(kernel, inputs)
-
-
 def run_on_vector(
     kernel: Kernel,
     inputs: Mapping[str, np.ndarray],

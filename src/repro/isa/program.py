@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from ..errors import AssemblyError
 from .instruction import Instruction
 from .opcodes import Op
-from .operands import Imm, Label, Operand
+from .operands import Label, Operand
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,7 @@ lazy_package(__name__, {
     ".lower_vector": ("LoweredVector", "VectorizationError",
                       "lower_vector"),
     ".reference": ("ReferenceInterpreter", "run_reference"),
-    ".suite": ("KernelSpec", "all_kernels", "get_kernel", "kernel_names",
-               "kernels_in_category"),
+    ".suite": ("KernelSpec", "all_kernels", "get_kernel", "kernel_names"),
 })
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "expr_refs",
     "get_kernel",
     "kernel_names",
-    "kernels_in_category",
     "layout_arrays",
     "loop_nest",
     "parse_kernel",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Union
 
 from ..errors import LoweringError
-from ..isa import Imm, Label, Op, Program, ProgramBuilder, Reg, ins
+from ..isa import Imm, Label, Op, Program, ProgramBuilder, Reg
 from .ir import (
     Affine,
     Assign,
@@ -36,7 +36,6 @@ from .ir import (
     Reduce,
     Ref,
     Select,
-    Stmt,
     UnOp,
 )
 from .layout import Layout, layout_arrays

@@ -89,6 +89,7 @@ class ReferenceInterpreter:
         extra = set(inputs) - {a.name for a in kernel.arrays}
         if extra:
             raise KernelError(f"undeclared input arrays {sorted(extra)}")
+        self._sizes = {decl.name: decl.size for decl in kernel.arrays}
         self._env: dict[str, int] = {}
         # accumulators keyed by Reduce statement identity
         self._acc: dict[int, float] = {}
@@ -96,7 +97,7 @@ class ReferenceInterpreter:
     # -- evaluation --------------------------------------------------------
 
     def _index(self, ref: Ref) -> int:
-        size = self.kernel.array(ref.array).size
+        size = self._sizes[ref.array]
         index = ref.index
         if isinstance(index, Affine):
             value: float = index.evaluate(self._env)
@@ -132,6 +133,13 @@ class ReferenceInterpreter:
 
     # -- statement execution -----------------------------------------------
 
+    def write(self, array: str, index: int, value: float) -> None:
+        """Store ``value`` at ``array[index]``: the one array write of
+        sequential semantics (an ``Assign``, and a reduction's store at
+        its loop's exit).  A subclass overrides it to observe every
+        write in program order (see :mod:`repro.verify`)."""
+        self.arrays[array][index] = value
+
     def _run_stmt(self, stmt: Stmt) -> None:
         if isinstance(stmt, Loop):
             # a Reduce accumulates over its innermost enclosing loop:
@@ -144,13 +152,12 @@ class ReferenceInterpreter:
                 for s in stmt.body:
                     self._run_stmt(s)
             for red in direct:
-                self.arrays[red.dest.array][self._index(red.dest)] = (
-                    self._acc.pop(id(red))
-                )
+                value = self._acc.pop(id(red))
+                self.write(red.dest.array, self._index(red.dest), value)
             del self._env[stmt.var]
         elif isinstance(stmt, Assign):
             value = self._expr(stmt.expr)
-            self.arrays[stmt.dest.array][self._index(stmt.dest)] = value
+            self.write(stmt.dest.array, self._index(stmt.dest), value)
         elif isinstance(stmt, Reduce):
             acc = self._acc[id(stmt)]
             self._acc[id(stmt)] = _BIN[stmt.op](acc, self._expr(stmt.expr))

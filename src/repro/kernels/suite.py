@@ -190,10 +190,6 @@ def all_kernels() -> list[KernelSpec]:
     return [_REGISTRY[k] for k in kernel_names()]
 
 
-def kernels_in_category(category: str) -> list[KernelSpec]:
-    return [s for s in all_kernels() if s.category == category]
-
-
 def _uniform(rng: np.random.Generator, n: int, lo=0.1, hi=1.0) -> np.ndarray:
     return rng.uniform(lo, hi, n)
 

@@ -50,7 +50,7 @@ breakdown (``compute`` / ``memory_wait`` / ``bank_busy`` /
 
 from __future__ import annotations
 
-from .registry import MetricsRegistry, StrideSampler, register_stats
+from .registry import MetricsRegistry, register_stats
 
 #: the SMA cycle buckets, in classification priority order after
 #: ``compute`` is hoisted for readability.

@@ -71,59 +71,30 @@ class MemoryTracer:
         return sum(1 for kind, _, _ in self.events if kind == "w")
 
 
+class _RecordingInterpreter(ReferenceInterpreter):
+    """The reference interpreter, recording each write's address (through
+    ``layout``) and value in program order."""
+
+    def __init__(self, kernel: Kernel, inputs, layout: Layout) -> None:
+        super().__init__(kernel, inputs)
+        self.layout = layout
+        self.sequences: dict[int, list[float]] = {}
+
+    def write(self, array: str, index: int, value: float) -> None:
+        super().write(array, index, value)
+        addr = self.layout.base(array) + index
+        self.sequences.setdefault(addr, []).append(value)
+
+
 def reference_write_sequences(
     kernel: Kernel,
     inputs: Mapping[str, np.ndarray],
     layout: Layout,
 ) -> dict[int, list[float]]:
     """Golden per-address write sequences under sequential semantics."""
-    from .kernels.ir import Assign, Loop, Reduce
-
-    interp = ReferenceInterpreter(kernel, inputs)
-    sequences: dict[int, list[float]] = {}
-
-    def run(stmt) -> None:
-        if isinstance(stmt, Loop):
-            # mirror the reference semantics: reductions reset at each
-            # entry of their innermost loop and store at each exit
-            direct = [s for s in stmt.body if isinstance(s, Reduce)]
-            for red in direct:
-                interp._acc[id(red)] = float(red.init)
-            for i in range(stmt.start, stmt.start + stmt.count):
-                interp._env[stmt.var] = i
-                for inner in stmt.body:
-                    run(inner)
-            for red in direct:
-                value = interp._acc.pop(id(red))
-                index = interp._index(red.dest)
-                interp.arrays[red.dest.array][index] = value
-                addr = layout.base(red.dest.array) + index
-                sequences.setdefault(addr, []).append(float(value))
-            del interp._env[stmt.var]
-        elif isinstance(stmt, Assign):
-            value = interp._expr(stmt.expr)
-            index = interp._index(stmt.dest)
-            interp.arrays[stmt.dest.array][index] = value
-            addr = layout.base(stmt.dest.array) + index
-            sequences.setdefault(addr, []).append(float(value))
-        else:
-            assert isinstance(stmt, Reduce)
-            acc = interp._acc[id(stmt)]
-            interp._acc[id(stmt)] = _reduce_step(stmt.op, acc,
-                                                 interp._expr(stmt.expr))
-
-    for stmt in kernel.body:
-        run(stmt)
-    return sequences
-
-
-def _reduce_step(op: str, acc: float, value: float) -> float:
-    if op == "+":
-        return acc + value
-    if op == "min":
-        return min(acc, value)
-    assert op == "max"
-    return max(acc, value)
+    interp = _RecordingInterpreter(kernel, inputs, layout)
+    interp.run()
+    return interp.sequences
 
 
 @dataclass(frozen=True)

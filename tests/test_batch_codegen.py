@@ -3,9 +3,8 @@
 The batch lane stepper (:mod:`repro.batch.emitter`) compiles one
 straight-line numpy loop per decoded AP/EP program pair, and the
 dispatch layer adds saturation collapse (deep-queue lanes served from a
-probe run) and multi-process sharding on top.  None of that may ever
-move a number.  This suite pins, against the per-point path
-(``run_job``) as the reference:
+probe run) on top.  None of that may ever move a number.  This suite
+pins, against the per-point path (``run_job``) as the reference:
 
 * every lane of random lane grids (full result dicts) and of one
   multi-lane engine (per-lane stats and memory-image digests);
@@ -15,8 +14,7 @@ move a number.  This suite pins, against the per-point path
   lanes, and collapsed results equal per-lane scalar reruns;
 * the fingerprint cache compiles once per program pair, and a program
   the emitter refuses is logged once and runs per point;
-* sharded runs (``workers=2`` / ``--batch-workers``) are result- and
-  cache-interchangeable with in-driver runs;
+* batch-flushed cache entries serve a later per-point sweep verbatim;
 * two dispatch regressions: speculation-enabled configs stay on the
   scalar path, and ``lod_variant`` jobs land in distinct lane groups.
 """
@@ -247,8 +245,7 @@ def test_one_compile_serves_the_whole_grid():
 def test_refused_program_runs_per_point(monkeypatch, caplog):
     """A program past the emitter's size guard gets no batch engine:
     ``run_batch`` maps none of its jobs, ``run_jobs`` runs them per
-    point both inline and sharded (the shard path receives ``None``
-    from ``run_group``), and the refusal is logged once."""
+    point, and the refusal is logged once."""
     from repro.batch import emitter
 
     clear_cache()
@@ -259,13 +256,9 @@ def test_refused_program_runs_per_point(monkeypatch, caplog):
     try:
         with caplog.at_level(logging.WARNING, logger="repro.batch"):
             assert run_batch(jobs) == {}
-            assert run_batch(jobs, workers=2) == {}
             assert cache_stats.unsupported == 1
             per_point = run_jobs(jobs)
             assert run_jobs(jobs, backend="batch") == per_point
-            assert run_jobs(
-                jobs, backend="batch", batch_workers=2
-            ) == per_point
         refusals = [r for r in caplog.records if r.name == "repro.batch"]
         assert len(refusals) == 1
         assert "too large" in refusals[0].getMessage()
@@ -274,33 +267,23 @@ def test_refused_program_runs_per_point(monkeypatch, caplog):
 
 
 # ---------------------------------------------------------------------------
-# sharding
+# cache interchange
 # ---------------------------------------------------------------------------
 
 
-def test_sharded_run_batch_matches_in_driver():
-    jobs = BatchJob(
-        "daxpy", 24, latencies=(2, 8, 32), queue_depths=(1, 4, 16),
-    ).expand()
-    jobs.extend(
-        BatchJob(
-            "tridiag", 24, latencies=(4, 16), queue_depths=(2, 8),
-        ).expand()
-    )
-    assert run_batch(jobs, workers=2) == run_batch(jobs)
-
-
 def test_run_jobs_batch_workers_cache_interchangeable(tmp_path):
+    """``batch_workers=1``, the keyword's one legal value, runs the lane
+    groups in the driver, and their flushed entries serve a later
+    per-point sweep verbatim."""
     jobs = BatchJob(
         "daxpy", 24, latencies=(2, 8), queue_depths=(1, 4),
     ).expand()
-    sharded = run_jobs(
-        jobs, cache_dir=tmp_path, backend="batch", batch_workers=2
+    batched = run_jobs(
+        jobs, cache_dir=tmp_path, backend="batch", batch_workers=1
     )
-    assert sharded == run_jobs(jobs)
-    # shard-flushed entries serve a later scalar-backend sweep verbatim
+    assert batched == run_jobs(jobs)
     with harness_policy() as stats:
-        assert run_jobs(jobs, cache_dir=tmp_path) == sharded
+        assert run_jobs(jobs, cache_dir=tmp_path) == batched
     assert stats.hits == len(jobs)
 
 
@@ -314,7 +297,7 @@ def test_speculative_configs_stay_on_scalar_path():
     a lane group (the gate only looked for a non-None config object) and
     silently report non-speculative timing."""
     armed = SMAConfig(speculation=SpeculationConfig(accuracy=0.5))
-    disarmed = SMAConfig(speculation=SpeculationConfig(mode="never"))
+    disarmed = SMAConfig(speculation=SpeculationConfig(accuracy=0.0))
     assert not batch_eligible(Job("sma", "tridiag", 24, sma_config=armed))
     assert batch_eligible(Job("sma", "tridiag", 24, sma_config=disarmed))
     jobs = [

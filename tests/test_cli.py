@@ -241,6 +241,27 @@ kernel scale(x[n], y[n]):
         out, err = capsys.readouterr()
         assert out == "" and "unknown fault mode 'mem-error'" in err
 
+    @pytest.mark.parametrize("value", ["sleep:-1", "driver-kill:2.5"])
+    def test_inject_fault_refuses_a_malformed_value(self, value, capsys,
+                                                    monkeypatch, tmp_path):
+        """A malformed fault value is refused before any job runs, as
+        an unknown mode is."""
+        from repro.harness import experiments as exp
+
+        monkeypatch.setattr(exp, "run_jobs", None)  # any call would fail
+        assert main(["experiment", "R-F1", "--cache", str(tmp_path),
+                     "--inject-fault", value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and value.partition(":")[0] in err
+
+    def test_batch_refuses_the_removed_batch_workers_option(self, capsys):
+        # lane groups always run in the driver: the sharding option is
+        # gone, and argparse refuses it with its usage exit status
+        with pytest.raises(SystemExit) as info:
+            main(["batch", "daxpy", "--batch-workers", "2"])
+        assert info.value.code == 2
+        assert "--batch-workers" in capsys.readouterr().err
+
     def test_experiment_checks_every_id_before_running(self, capsys):
         assert main(["experiment", "R-T4", "R-T99"]) == 2
         out, err = capsys.readouterr()

@@ -1,14 +1,13 @@
 """SMA multiprocessor cluster: correctness under contention, fairness,
 interference accounting."""
 
-import numpy as np
 import pytest
 
 from repro.config import MemoryConfig, SMAConfig
 from repro.core import SMACluster, SMAMachine
 from repro.errors import SimulationError
 from repro.isa import assemble
-from repro.kernels import get_kernel, run_reference
+from repro.kernels import get_kernel
 from repro.harness.runner import run_cluster
 
 

@@ -13,7 +13,6 @@ Alongside it: regression tests for the finish-cycle recording contract
 recorder's per-cycle stall attribution.
 """
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 

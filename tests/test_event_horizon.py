@@ -30,13 +30,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.config import (
-    MemoryConfig,
-    QueueConfig,
-    SMAConfig,
-    SpeculationConfig,
-)
-from repro.core import SMACluster, SMAMachine
+from repro.config import MemoryConfig, SMAConfig, SpeculationConfig
+from repro.core import SMAMachine
 from repro.core.access_processor import AccessProcessor
 from repro.core.descriptors import StreamDescriptor, StreamEngine, StreamKind
 from repro.core.execute_processor import ExecuteProcessor
@@ -90,7 +85,7 @@ def _run_all_schedulers(kernel, inputs, latency, depth, banks,
 #: speculative walker configs: mispredictions (rollback penalties and
 #: depth refusals) and a perfect predictor (frames only ever commit)
 _COIN = SpeculationConfig(accuracy=0.5, max_depth=2, rollback_penalty=12)
-_PERFECT = SpeculationConfig(mode="perfect", max_depth=8)
+_PERFECT = SpeculationConfig(accuracy=1.0, max_depth=8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -633,7 +628,7 @@ class TestProcessorContracts:
     def test_rollback_penalty_ap_reports_penalty_end(self):
         machine = SMAMachine(
             assemble("nop\nhalt"), assemble("halt"),
-            SMAConfig(speculation=SpeculationConfig(mode="perfect")),
+            SMAConfig(speculation=SpeculationConfig(accuracy=1.0)),
         )
         machine._ensure_speculation()
         machine._spec.penalty_until = 9  # as a rollback at cycle 0 sets

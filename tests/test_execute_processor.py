@@ -1,7 +1,5 @@
 """Execute processor: queue operands, stalls, legality validation."""
 
-import math
-
 import pytest
 
 from repro.config import SMAConfig

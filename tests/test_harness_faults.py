@@ -59,6 +59,32 @@ class TestFaultSpec:
             FaultSpec("driver-kill:3")
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("sleep:-1", "finite value >= 0"),
+        ("sleep:nan", "finite value >= 0"),
+        ("sleep:inf", "finite value >= 0"),
+        ("worker-kill:5", "takes no value"),
+        ("cache-corrupt:7", "takes no value"),
+        ("driver-kill:2.5", "whole number"),
+        ("driver-kill:-3", "finite value >= 0"),
+        ("driver-kill:inf", "finite value >= 0"),
+    ])
+    def test_parse_and_constructor_refuse_a_malformed_value(
+            self, text, message):
+        # these used to parse and fail only once a job ran (or never)
+        with pytest.raises(ValueError, match=message):
+            FaultSpec.parse(text)
+        mode, _, value = text.partition(":")
+        with pytest.raises(ValueError, match=message):
+            FaultSpec(mode, float(value))
+
+    def test_omitted_values_take_the_mode_default(self):
+        assert FaultSpec.parse("driver-kill") == FaultSpec("driver-kill", 1)
+        assert FaultSpec.parse("driver-kill").value == 1.0
+        assert FaultSpec.parse("sleep").value == 0.0
+        assert FaultSpec.parse("worker-kill").value is None
+
+
 class TestCacheIntegrity:
     def test_corrupt_and_empty_entries_quarantined(self, tmp_path,
                                                    caplog):

@@ -289,9 +289,8 @@ class TestHarnessRegressions:
                                transfer_cycles=3)),
             (PrefetchConfig, dict(policy="obl", table_size=8, degree=2,
                                   stale_after=100)),
-            (SpeculationConfig, dict(accuracy=0.75, mode="coin",
-                                     max_depth=3, rollback_penalty=5,
-                                     seed=2)),
+            (SpeculationConfig, dict(accuracy=0.75, max_depth=3,
+                                     rollback_penalty=5, seed=2)),
         ]
         built = {}
         for cls, kwargs in leaves:
@@ -471,36 +470,47 @@ class TestHarnessRegressions:
             ).get(job_key(good))
         assert stats.executed == 0 and stats.hits == 1
 
-    def test_batch_shard_failure_goes_through_charging_path(
-        self, monkeypatch
+    def test_batch_engine_failure_is_raised_once(
+        self, tmp_path, monkeypatch
     ):
-        # a BrokenProcessPool out of a sharded batch worker used to
-        # propagate without a retry charge or a stats.record_failure
-        # entry; now it is charged and the sweep falls back to the
-        # scalar path with the policy intact
-        from concurrent.futures.process import BrokenProcessPool
+        # the batch engine runs in the driver and is deterministic: a
+        # lane group that raises is charged once and raised, never
+        # retried per point, and every result that landed before it is
+        # already flushed
+        from repro.batch import dispatch
 
-        from repro import batch as batch_mod
+        real = dispatch.run_group
 
-        def exploding_run_batch(jobs, workers=1, on_result=None):
-            raise BrokenProcessPool("batch shard worker died")
+        def run_group(jobs):
+            if jobs[0].kernel == "tridiag":
+                raise RuntimeError("lane group failed")
+            return real(jobs)
 
-        monkeypatch.setattr(batch_mod, "run_batch", exploding_run_batch)
-        jobs = [
-            Job("sma", "daxpy", 16, sma_config=SMA_CFG),
-            Job("scalar", "daxpy", 16, scalar_config=SCALAR_CFG),
-        ]
-        with harness_policy(retries=1, backoff=0.0) as stats:
-            results = run_jobs(jobs, backend="batch")
-        assert results[0]["cycles"] > 0 and results[1]["cycles"] > 0
-        assert stats.failures.get("BrokenProcessPool") == 1
-        assert stats.retried == 1
-        # fail-fast behavior is preserved when the budget is zero
-        with harness_policy(retries=0) as stats:
-            with pytest.raises(BrokenProcessPool):
-                run_jobs(jobs, backend="batch")
-        assert stats.failures.get("BrokenProcessPool") == 1
+        monkeypatch.setattr(dispatch, "run_group", run_group)
+        daxpy = BatchJob("daxpy", 16, latencies=(2, 8)).expand()
+        tridiag = BatchJob("tridiag", 16, latencies=(2, 8)).expand()
+        with harness_policy(retries=2, backoff=0.0) as stats:
+            with pytest.raises(RuntimeError, match="lane group failed"):
+                run_jobs(daxpy + tridiag, cache_dir=tmp_path,
+                         backend="batch")
+        assert stats.failures == {"RuntimeError": 1}
         assert stats.retried == 0
+        assert stats.executed == stats.flushed == len(daxpy)
+        store = ResultStore(tmp_path)
+        assert len(store) == len(daxpy)
+        assert all(store.get(job_key(job)) == run_job(job)
+                   for job in daxpy)
+
+    @pytest.mark.parametrize("batch_workers", [0, 2])
+    def test_batch_workers_other_than_one_is_refused(self, tmp_path,
+                                                     batch_workers):
+        # lane-group sharding is gone: 1 is the keyword's only value,
+        # and any other is refused before the cache is probed
+        jobs = BatchJob("daxpy", 16, latencies=(2, 8)).expand()
+        with pytest.raises(ValueError, match="sharding was removed"):
+            run_jobs(jobs, cache_dir=tmp_path / "cache", backend="batch",
+                     batch_workers=batch_workers)
+        assert not (tmp_path / "cache").exists()
 
     def test_batch_backend_refuses_an_armed_fault(self, tmp_path):
         # the batch engine runs outside the fault hooks: an armed fault
@@ -614,7 +624,7 @@ def test_suite_refuses_an_unknown_id_before_running(monkeypatch):
 #: is the job part of every result-cache key, so this moves only when
 #: every cached suite result is invalidated.
 SUITE_JOB_REPRS_SHA256 = (
-    "2774cc30a215996aaf165acdf97c25b767f9a71a1549956e2cf59fe555a75063"
+    "8e51b2f759edba4c3dfe4a6ff08928a801ebfb019ce100879f2cffbc3d6f8f06"
 )
 
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import AssemblyError
 from repro.isa import (
-    Imm,
     Label,
     Op,
     ProgramBuilder,

@@ -1,6 +1,5 @@
 """SMA code generator: stream extraction, hazards, resource validation."""
 
-import numpy as np
 import pytest
 
 from repro.errors import LoweringError

@@ -10,7 +10,6 @@ against the reference interpreter simultaneously.
 from collections import deque
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import MemoryConfig

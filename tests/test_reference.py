@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernels import get_kernel, run_reference
-from repro.kernels.suite import at, c
+from repro.kernels.suite import at
 from repro.kernels import ArrayDecl, Assign, Kernel, Loop, Reduce
 
 

@@ -18,9 +18,6 @@ import json
 import re
 import signal
 import socket
-import threading
-import time
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, is_dataclass
 from functools import lru_cache
 
@@ -53,7 +50,6 @@ from repro.service import (
     QueueFullError,
     SchedulerDraining,
     ServiceClient,
-    ServiceError,
     SweepServer,
     job_from_spec,
     job_to_spec,
@@ -132,6 +128,8 @@ class TestProtocol:
          "SpeculationConfig accuracy must be a float"),
         ({"sma_config": {"faults": None}},
          "unknown SMAConfig field(s): ['faults']"),
+        ({"sma_config": {"speculation": {"mode": "perfect"}}},
+         "unknown SpeculationConfig field(s): ['mode']"),
     ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else "")
     def test_malformed_spec_refused(self, change, message):
         spec = dict(job_to_spec(Job("sma", "daxpy", 64)), **change)

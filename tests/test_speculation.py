@@ -2,7 +2,7 @@
 
 The contract under test (ARCHITECTURE §19):
 
-* accuracy 0 / mode "never" never builds an engine — runs are
+* accuracy 0 never builds an engine — runs are
   bit-identical to a machine with no speculation config at all (cycles,
   every stall bucket, lod accounting, the final memory image);
 * a perfect predictor eliminates (nearly) all ``lod_*`` stall cycles on
@@ -93,10 +93,8 @@ class TestDisabledIsBitIdentical:
     @pytest.mark.parametrize("name,variant", CASES)
     @pytest.mark.parametrize(
         "off",
-        [None,
-         SpeculationConfig(accuracy=0.0),
-         SpeculationConfig(mode="never")],
-        ids=["no-config", "accuracy-0", "mode-never"],
+        [None, SpeculationConfig(accuracy=0.0)],
+        ids=["no-config", "accuracy-0"],
     )
     def test_disabled_forms_match_plain(self, name, variant, off):
         _, plain = _run(name, variant, None)
@@ -115,7 +113,7 @@ class TestRecovery:
         _, plain = _run(name, variant, None)
         _, spec = _run(
             name, variant,
-            SpeculationConfig(mode="perfect", max_depth=16),
+            SpeculationConfig(accuracy=1.0, max_depth=16),
         )
         assert plain.result.lod_stall_cycles > 0
         assert spec.result.lod_stall_cycles <= \
@@ -292,7 +290,7 @@ class TestScheduling:
                 OperandQueue, name, untapped(getattr(OperandQueue, name))
             )
         machine = _build("pic_gather", "addr",
-                         SpeculationConfig(mode="perfect"))
+                         SpeculationConfig(accuracy=1.0))
         with pytest.raises(SimulationError, match="oracle pre-run"):
             machine.run()
 
@@ -338,7 +336,7 @@ class TestFastPathsUnderSpeculation:
                              [("pic_gather", "addr"), ("tridiag", "branch")])
     @pytest.mark.parametrize("speculation", [
         SpeculationConfig(accuracy=0.5, max_depth=8, seed=3),
-        SpeculationConfig(mode="perfect", max_depth=16),
+        SpeculationConfig(accuracy=1.0, max_depth=16),
     ], ids=["coin-0.5", "perfect"])
     def test_default_loop_steps_no_reference_method(
         self, monkeypatch, name, variant, speculation
@@ -447,9 +445,8 @@ class TestOracleMemo:
 class TestConfig:
     def test_enabled_property(self):
         assert not SpeculationConfig(accuracy=0.0).enabled
-        assert not SpeculationConfig(mode="never").enabled
         assert SpeculationConfig(accuracy=0.5).enabled
-        assert SpeculationConfig(mode="perfect", accuracy=0.0).enabled
+        assert SpeculationConfig().enabled
 
     def test_lower_sma_rejects_unknown_variant(self):
         from repro.errors import LoweringError

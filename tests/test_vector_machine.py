@@ -16,7 +16,7 @@ from repro.baseline.vector_machine import (
 from repro.config import MemoryConfig
 from repro.errors import SimulationError
 from repro.isa import Op
-from repro.kernels import all_kernels, get_kernel, run_reference
+from repro.kernels import get_kernel, run_reference
 from repro.kernels.lower_vector import VectorizationError, lower_vector
 from repro.harness.runner import run_on_vector
 

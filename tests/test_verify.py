@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kernels import all_kernels, get_kernel
+from repro.kernels import get_kernel
 from repro.verify import (
     MemoryTracer,
     diff_write_sequences,
